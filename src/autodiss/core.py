@@ -126,7 +126,7 @@ def validate(
     inputs = _ordered_unique(input_alphabet, "input alphabet")
     outputs = _ordered_unique(output_alphabet, "output alphabet")
     state_list = _ordered_unique(states, "states")
-    state_set = set(state_list)
+    input_set, output_set, state_set = set(inputs), set(outputs), set(state_list)
 
     if initial is not None and initial not in state_set:
         raise UnknownState(initial, "initial")
@@ -135,7 +135,7 @@ def validate(
     for q, r in output_map.items():
         if q not in state_set:
             raise UnknownState(q, "output map")
-        if r not in outputs:
+        if r not in output_set:
             raise UnknownSymbol(r, f"output of state {q!r}")
     for q in state_list:
         if q not in output_map:
@@ -153,7 +153,7 @@ def validate(
             raise UnknownState(src, "transition source")
         if tgt not in state_set:
             raise UnknownState(tgt, "transition target")
-        if sym not in inputs:
+        if sym not in input_set:
             raise UnknownSymbol(sym, f"transition from {src!r}")
         prior = trans.get((src, sym))
         if prior is not None and prior != tgt:

@@ -62,7 +62,7 @@ class InputModel:
         """Build a model from explicit per-arrow probabilities.
 
         States absent from ``given`` default to uniform.  Each provided
-        state must assign non-negative weights to its own arrows summing
+        state must assign finite non-negative weights to its own arrows summing
         to one within ``tolerance``; weights are renormalized exactly.
         """
         model = cls.uniform(a)
@@ -81,6 +81,8 @@ class InputModel:
                 )
             total = 0.0
             for key, p in dist.items():
+                if not math.isfinite(p):
+                    raise InvalidDistribution(f"non-finite probability on {key}")
                 if p < 0:
                     raise InvalidDistribution(f"negative probability on {key}")
                 total += p
@@ -287,9 +289,11 @@ def szilard_check(s1: float, s2: float, k: float = BOLTZMANN_K) -> bool:
 
 def landauer_energy(bits: float, temperature: float) -> float:
     """Minimum physical cost of erasing ``bits`` at ``temperature``:
-    bits * k * T * ln 2, in Joules."""
-    if temperature <= 0:
+    bits * k * T * ln 2, in Joules.  Both arguments must be finite."""
+    if not 0 < temperature < math.inf:
         raise NonPositiveTemperature(temperature)
+    if not math.isfinite(bits):
+        raise ValueError("bits must be finite")
     if bits < 0:
         raise ValueError("bits must be non-negative")
     return bits * BOLTZMANN_K * temperature * math.log(2)

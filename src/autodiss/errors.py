@@ -70,7 +70,7 @@ class InvalidDistribution(AutomataError):
 class NonPositiveTemperature(AutomataError):
     def __init__(self, temperature):
         self.temperature = temperature
-        super().__init__(f"temperature must be positive, got {temperature!r}")
+        super().__init__(f"temperature must be positive and finite, got {temperature!r}")
 
 
 class MultiplyDrivenPort(AutomataError):
@@ -154,6 +154,12 @@ class TapeOverflow(AutomataError):
 
 
 class ParseError(AutomataError):
-    def __init__(self, line_number, message):
+    """A malformed line; ``path`` names the file when it is not the one
+    the caller opened, such as a module file inside a wiring."""
+
+    def __init__(self, line_number, message, path=None):
         self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}")
+        self.message = message
+        self.path = path
+        where = f"{path}: line {line_number}" if path else f"line {line_number}"
+        super().__init__(f"{where}: {message}")

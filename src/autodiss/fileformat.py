@@ -36,6 +36,7 @@ Wiring files (``.wiring``)::
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Optional
 
@@ -157,6 +158,8 @@ def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
             weight = float(p)
         except ValueError:
             raise ParseError(lineno, f"bad probability {p!r}") from None
+        if not math.isfinite(weight):
+            raise ParseError(lineno, f"non-finite probability {p!r}")
         if weight < 0:
             raise ParseError(lineno, f"negative probability {p!r}")
         dist = given.setdefault(q, {})
@@ -267,6 +270,8 @@ def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
                 auto, _ = load_automaton(path)
             except OSError as e:
                 raise ParseError(lineno, f"cannot read module file: {e}") from None
+            except ParseError as e:
+                raise ParseError(e.line_number, e.message, path=path) from None
             modules.append((inst, auto))
         elif key == "connect":
             if len(rest) < 2:

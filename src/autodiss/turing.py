@@ -11,9 +11,10 @@ computation itself reversible end to end.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import Automaton, convergent_states, validate
 from .dissipation import InputModel, choice_information
@@ -73,38 +74,156 @@ class Configuration:
         return f"{self.control}|{self.head}|{window}"
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class Trajectory(Sequence[Configuration]):
+    """The configurations of a run, rebuilt on demand from its step log.
+
+    ``log`` holds the (control state, read symbol) pair of every rule
+    application; with the rule table and the start configuration it fixes
+    the whole run.  ``start`` and ``end`` are kept, so ``len``, ``[0]`` and
+    ``[-1]`` cost O(1); other indices and iteration replay the log at
+    O(tape window) per configuration.  Equality and hashing are those of
+    the tuple of configurations.
+    """
+
+    tm: TuringMachine = field(repr=False)
+    start: Configuration
+    log: tuple[tuple[str, str], ...]
+    end: Configuration
+
+    def __len__(self) -> int:
+        return len(self.log) + 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        n = len(self.log)
+        if i < 0:
+            i += n + 1
+        if not 0 <= i <= n:
+            raise IndexError("configuration index out of range")
+        if i == n:
+            return self.end
+        return next(itertools.islice(iter(self), i, None))
+
+    def __iter__(self):
+        rules, blank = self.tm.rules, self.tm.blank
+        yield self.start
+        # (position, symbol) pairs are shared between the configurations
+        # until their cell is rewritten
+        cells = {pair[0]: pair for pair in self.start.cells}
+        head = self.start.head
+        for q, s in self.log:
+            control, write, move = rules[(q, s)]
+            if write != s:
+                if write == blank:
+                    del cells[head]
+                else:
+                    cells[head] = (head, write)
+            head += MOVES[move]
+            yield Configuration(control=control, head=head, cells=tuple(sorted(cells.values())))
+
+    def __eq__(self, other):
+        if not isinstance(other, (Trajectory, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reversed__(self):
+        return reversed(tuple(self))
+
+
 @dataclass(frozen=True)
 class RunTrace:
-    """A configuration trajectory, with result accounting when halted.
+    """A run stored as its step log, with result accounting when halted.
 
+    The log is Bennett's history record, one (control state, read symbol)
+    pair per step, the minimal record from which the run can be rebuilt;
+    recording it costs O(1) per step, so :func:`tm_run` takes O(steps).
+    ``configurations`` is a :class:`Trajectory` over that log: the start
+    and final configurations are stored, the rest are derived on demand.
     ``steps`` is the number of rule applications; ``result`` is the tape
-    window between the outermost non-blank cells at halt and ``result_length``
-    its length.
+    window between the outermost non-blank cells at halt and
+    ``result_length`` its length.
     """
 
     machine: str
     blank: str
-    configurations: tuple[Configuration, ...]
+    configurations: Trajectory
     halted: bool
     steps: int
     result: Optional[tuple[str, ...]]
     result_length: Optional[int]
 
+    @property
+    def log(self) -> tuple[tuple[str, str], ...]:
+        """(control state, read symbol) of every step, in order."""
+        return self.configurations.log
 
-@dataclass(frozen=True)
+
+class _BennettRecord(NamedTuple):
+    """What every snapshot of one simulation shares."""
+
+    configurations: tuple[Configuration, ...]  # the forward run, n + 1 of them
+    history: tuple[tuple[str, str], ...]  # the full record, n pairs
+    output: tuple[str, ...]  # the full result, r symbols
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class GlobalConfig:
     """One snapshot of the augmented machine: phase, working tape state,
-    recorded history, and output tape."""
+    recorded history, and output tape.
+
+    A snapshot stores its phase and the lengths of its history and output
+    prefixes over a record shared by all snapshots of a simulation, so it
+    costs O(1) to build.  ``config``, ``history`` and ``output`` return the
+    same values a snapshot holding its own copies would.
+    """
 
     phase: str  # compute | copy | uncompute
-    config: Configuration
-    history: tuple[tuple[str, str], ...]
-    output: tuple[str, ...]
+    history_length: int
+    output_length: int
+    record: _BennettRecord = field(repr=False)
+
+    @property
+    def config(self) -> Configuration:
+        # the working tape has taken exactly as many forward steps as the
+        # history holds records
+        return self.record.configurations[self.history_length]
+
+    @property
+    def history(self) -> tuple[tuple[str, str], ...]:
+        return self.record.history[: self.history_length]
+
+    @property
+    def output(self) -> tuple[str, ...]:
+        return self.record.output[: self.output_length]
+
+    def _key(self) -> tuple[str, int, int]:
+        return (self.phase, self.history_length, self.output_length)
+
+    def __eq__(self, other):
+        if not isinstance(other, GlobalConfig):
+            return NotImplemented
+        if self._key() != other._key():
+            return False
+        return self.record is other.record or (
+            (self.config, self.history, self.output)
+            == (other.config, other.history, other.output)
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def render(self, blank: str) -> str:
         hist = ";".join(f"{q},{s}" for q, s in self.history)
-        out = ",".join(self.output)
-        return f"{self.phase}#{self.config.render(blank)}#h[{hist}]#o[{out}]"
+        return _snapshot_name(self.phase, self.config.render(blank), hist, ",".join(self.output))
+
+
+def _snapshot_name(phase: str, config: str, history: str, output: str) -> str:
+    return f"{phase}#{config}#h[{history}]#o[{output}]"
 
 
 @dataclass(frozen=True)
@@ -113,7 +232,11 @@ class BennettTrace:
 
     The history is empty at the start and the end; the input tape is
     restored and the output tape holds the result.  ``phase_boundaries``
-    gives the snapshot indices at which each phase ends.
+    gives the snapshot indices at which each phase ends.  The simulation
+    takes O(steps) rule applications and keeps one history record of n
+    pairs, shared by all 2n + r + 1 snapshots; only a global graph spells
+    each snapshot's history prefix out, so the names of
+    ``global_graph(trace)`` hold O(n^2) characters in total.
     """
 
     machine: str
@@ -228,6 +351,8 @@ def initial_configuration(tm: TuringMachine, tape: Sequence[str] = ()) -> Config
 
 
 def _apply_rule(tm: TuringMachine, store: dict[int, str], head: int, control: str):
+    """Apply one rule to ``store`` in place; returns (read symbol, new head,
+    new control)."""
     read = store.get(head, tm.blank)
     rule = tm.rules.get((control, read))
     if rule is None:
@@ -237,7 +362,7 @@ def _apply_rule(tm: TuringMachine, store: dict[int, str], head: int, control: st
         store.pop(head, None)
     else:
         store[head] = write
-    return store, head + MOVES[move], control2
+    return read, head + MOVES[move], control2
 
 
 def tm_step(tm: TuringMachine, c: Configuration) -> Configuration:
@@ -246,7 +371,7 @@ def tm_step(tm: TuringMachine, c: Configuration) -> Configuration:
     if c.control in tm.halting:
         raise Halted(f"control state {c.control!r} is halting")
     store = dict(c.cells)
-    store, head, control = _apply_rule(tm, store, c.head, c.control)
+    _, head, control = _apply_rule(tm, store, c.head, c.control)
     return Configuration(control=control, head=head, cells=tuple(sorted(store.items())))
 
 
@@ -263,35 +388,34 @@ def tm_run(
     max_steps: int = 10_000,
     tape_cap: int = DEFAULT_TAPE_CAP,
 ) -> RunTrace:
-    """Run until halt or budget, recording every configuration."""
+    """Run until halt or budget, recording the (control, read) pair of
+    every step; O(1) work per step."""
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
     start = initial_configuration(tm, tape)
     store = dict(start.cells)
     head, control = start.head, start.control
-    configs = [start]
-    steps = 0
+    log = []
     # Writes happen under the head, so the materialized window is the
     # initial extent widened by head excursions.
     lo = min([0] + [i for i, _ in start.cells])
     hi = max([0] + [i for i, _ in start.cells])
-    while control not in tm.halting and steps < max_steps:
-        store, head, control = _apply_rule(tm, store, head, control)
+    while control not in tm.halting and len(log) < max_steps:
+        read, head, control2 = _apply_rule(tm, store, head, control)
+        log.append((control, read))
+        control = control2
         lo, hi = min(lo, head), max(hi, head)
         if hi - lo + 1 > tape_cap:
             raise TapeOverflow(hi - lo + 1, tape_cap)
-        configs.append(
-            Configuration(control=control, head=head, cells=tuple(sorted(store.items())))
-        )
-        steps += 1
     halted = control in tm.halting
     result = _trimmed_window(store, tm.blank) if halted else None
+    end = Configuration(control=control, head=head, cells=tuple(sorted(store.items())))
     return RunTrace(
         machine=tm.name,
         blank=tm.blank,
-        configurations=tuple(configs),
+        configurations=Trajectory(tm, start, tuple(log), end),
         halted=halted,
-        steps=steps,
+        steps=len(log),
         result=result,
         result_length=len(result) if result is not None else None,
     )
@@ -369,7 +493,7 @@ def check_convergence_lemma(
     if horizon is None:
         return report
     trace = tm_run(tm, tape, max_steps=horizon)
-    seq = tuple(c.control for c in trace.configurations)
+    seq = tuple(q for q, _ in trace.log) + (trace.configurations[-1].control,)
     found = detect_eventual_period(seq)
     return ConvergenceReport(
         has_convergence=report.has_convergence,
@@ -402,8 +526,8 @@ def modular_tm_dissipation(
     per_step = []
     cumulative = []
     total = 0.0
-    for c in trace.configurations[: trace.steps]:
-        hb = head_charge[c.control]
+    for q, _ in trace.log:
+        hb = head_charge[q]
         head_bits.append(hb)
         cell_bits.append(cell_charge)
         per_step.append(hb + cell_charge)
@@ -441,20 +565,48 @@ def global_graph(trace) -> Automaton:
     Accepts a halted :class:`RunTrace` or a :class:`BennettTrace`.
     """
     if isinstance(trace, BennettTrace):
-        blank = trace.forward.blank
-        ids = [g.render(blank) for g in trace.global_configs]
-        return _linear_automaton(f"{trace.machine}_global", ids)
+        return _linear_automaton(f"{trace.machine}_global", _bennett_names(trace))
     if not trace.halted:
         raise NotHalted(f"run of {trace.machine!r} did not halt")
     seen = set()
+    ids = []
     for c in trace.configurations:
         if c in seen:
             raise RepeatedConfiguration(
                 "halted run revisited a configuration"
             )
         seen.add(c)
-    ids = [c.render(trace.blank) for c in trace.configurations]
+        ids.append(c.render(trace.blank))
     return _linear_automaton(f"{trace.machine}_global", ids)
+
+
+def _prefix_ends(parts: Sequence[str]) -> list[int]:
+    """``ends[k]`` is the length of ``sep.join(parts[:k])`` for any
+    one-character ``sep``."""
+    ends = [0]
+    for k, p in enumerate(parts):
+        ends.append(ends[-1] + (k > 0) + len(p))
+    return ends
+
+
+def _bennett_names(trace: BennettTrace) -> list[str]:
+    """``[g.render(blank) for g in trace.global_configs]``, with each
+    configuration rendered once and every history and output prefix
+    sliced from one joined string."""
+    blank = trace.forward.blank
+    hist_parts = [f"{q},{s}" for q, s in trace.history_records]
+    hist, hist_ends = ";".join(hist_parts), _prefix_ends(hist_parts)
+    out, out_ends = ",".join(trace.output_tape), _prefix_ends(trace.output_tape)
+    rendered: dict[int, str] = {}
+    names = []
+    for g in trace.global_configs:
+        config = rendered.get(g.history_length)
+        if config is None:
+            config = rendered[g.history_length] = g.config.render(blank)
+        names.append(_snapshot_name(
+            g.phase, config, hist[: hist_ends[g.history_length]], out[: out_ends[g.output_length]]
+        ))
+    return names
 
 
 def bennett_simulate(
@@ -478,20 +630,18 @@ def bennett_simulate(
     forward = tm_run(tm, tape, max_steps=max_steps, tape_cap=tape_cap)
     if not forward.halted:
         raise NotHalting(max_steps)
-    configs = forward.configurations
+    configs = tuple(forward.configurations)
+    history = forward.log
     n = forward.steps
-    history = tuple(
-        (configs[t].control, configs[t].read(tm.blank)) for t in range(n)
-    )
     result = forward.result or ()
     r = len(result)
+    record = _BennettRecord(configs, history, result)
 
-    snapshots = [GlobalConfig("compute", configs[0], (), ())]
-    for t in range(1, n + 1):
-        snapshots.append(GlobalConfig("compute", configs[t], history[:t], ()))
+    snapshots = [GlobalConfig("compute", t, 0, record) for t in range(n + 1)]
     for j in range(1, r + 1):
-        snapshots.append(GlobalConfig("copy", configs[n], history, result[:j]))
+        snapshots.append(GlobalConfig("copy", n, j, record))
 
+    store = dict(configs[n].cells)
     current = configs[n]
     for k in range(1, n + 1):
         q, s = history[n - k]
@@ -501,7 +651,6 @@ def bennett_simulate(
                 f"backward step {k}: control {current.control!r}, expected {q2!r}"
             )
         prev_head = current.head - MOVES[move]
-        store = dict(current.cells)
         if store.get(prev_head, tm.blank) != w:
             raise IrreversibleStep(
                 f"backward step {k}: cell {prev_head} does not hold {w!r}"
@@ -513,9 +662,13 @@ def bennett_simulate(
         current = Configuration(control=q, head=prev_head, cells=tuple(sorted(store.items())))
         if current != configs[n - k]:
             raise IrreversibleStep(f"backward step {k} diverges from the forward run")
-        snapshots.append(GlobalConfig("uncompute", current, history[: n - k], result))
+        snapshots.append(GlobalConfig("uncompute", n - k, r, record))
 
-    if len(set(snapshots)) != len(snapshots):
+    # Within each phase the history length (compute, uncompute) or the
+    # output length (copy) is strictly monotone, so the (phase, history
+    # length, output length) keys are distinct, and snapshots with distinct
+    # keys differ.
+    if len({g._key() for g in snapshots}) != len(snapshots):
         raise RepeatedConfiguration("augmented trajectory revisits a configuration")
 
     return BennettTrace(

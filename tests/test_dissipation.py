@@ -240,6 +240,12 @@ def test_landauer_energy_rejects_bad_arguments():
         landauer_energy(1, -5)
     with pytest.raises(ValueError):
         landauer_energy(-1, 300)
+    for temperature in (math.nan, math.inf):
+        with pytest.raises(NonPositiveTemperature):
+            landauer_energy(1, temperature)
+    for bits in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            landauer_energy(bits, 300)
 
 
 def test_input_model_validation(onebit):
@@ -248,6 +254,11 @@ def test_input_model_validation(onebit):
         InputModel.from_arrow_probs(auto, {"0": {("0", "0"): 0.2, ("0", "1"): 0.2}})
     with pytest.raises(InvalidDistribution):
         InputModel.from_arrow_probs(auto, {"0": {("0", "0"): -0.5, ("0", "1"): 1.5}})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidDistribution):
+            InputModel.from_arrow_probs(auto, {"0": {("0", "0"): bad, ("0", "1"): 1.0}})
+        with pytest.raises(InvalidDistribution):
+            InputModel.from_arrow_probs(auto, {"0": {("0", "0"): 1.0, ("0", "1"): bad}})
     model = InputModel.from_arrow_probs(auto, {"0": {("0", "0"): 0.3, ("0", "1"): 0.7}})
     assert model.probs["0"][("0", "1")] == pytest.approx(0.7)
     assert model.probs["1"][("1", "0")] == pytest.approx(0.5)  # untouched: uniform

@@ -121,6 +121,16 @@ output q o   # another
             "bad probability",
         ),
         (
+            "automaton x\nstates q\ninputs a\noutputs o\noutput q o\n"
+            "trans q a q\nprob q a nan",
+            "non-finite probability",
+        ),
+        (
+            "automaton x\nstates q\ninputs a\noutputs o\noutput q o\n"
+            "trans q a q\nprob q a inf",
+            "non-finite probability",
+        ),
+        (
             "automaton x\nstates q\ninputs a b\noutputs o\noutput q o\n"
             "trans q a q\nprob q b 1.0",
             "no transition",
@@ -173,3 +183,15 @@ def test_wiring_parse_errors(tmp_path):
     assert "cannot read module file" in str(exc.value)
     with pytest.raises(ParseError):
         parse_wiring("wiring w\nconnect a b Q0-T0\n")
+
+
+def test_wiring_module_parse_error_names_the_module_file(tmp_path):
+    module = tmp_path / "broken.aut"
+    module.write_text("automaton m\nbogus q\n")
+    wiring = tmp_path / "w.wiring"
+    wiring.write_text("wiring w\nmodule a broken.aut\n")
+    with pytest.raises(ParseError) as exc:
+        load_wiring(str(wiring))
+    assert exc.value.path == str(module)
+    assert exc.value.line_number == 2
+    assert str(exc.value) == f"{module}: line 2: unknown directive 'bogus'"

@@ -330,3 +330,13 @@ def test_bennett_restores_arbitrary_inputs(bb2):
         assert trace.global_configs[-1].config == initial_configuration(bb2, tape)
         assert trace.output_tape == trace.forward.result
         assert trace.total_steps == 2 * trace.forward.steps + trace.forward.result_length
+
+
+def test_bennett_snapshots_compare_by_value_across_simulations(bb2):
+    first, again = bennett_simulate(bb2), bennett_simulate(bb2)
+    assert first.global_configs == again.global_configs
+    assert hash(first.global_configs) == hash(again.global_configs)
+    other = bennett_simulate(bb2, ["1"])
+    for t in range(other.forward.steps + 1):
+        # same phase and prefix lengths, different tape and history
+        assert first.global_configs[t] != other.global_configs[t]
