@@ -9,7 +9,6 @@ it, whichever of its labels is presented.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -43,19 +42,55 @@ class Verdict:
     first_discrepancy: Optional[tuple[int, str, str]] = None
 
 
-def _bfs(a: Automaton, start: str):
-    """Distances and predecessor arrows over the full graph."""
-    dist = {start: 0}
-    parent: dict[str, Arrow] = {}
-    queue = deque([start])
-    while queue:
-        q = queue.popleft()
-        for ar in a.by_source[q]:
-            if ar.target not in dist:
-                dist[ar.target] = dist[q] + 1
-                parent[ar.target] = ar
-                queue.append(ar.target)
-    return dist, parent
+def _components(a: Automaton) -> tuple[dict[str, int], list[int]]:
+    """Strongly connected components and what each one reaches.
+
+    Returns every state's component number and, per component, the set
+    of components reachable from it (itself included) as an int bitset.
+    One iterative Tarjan pass closes components sinks first, so the
+    reach of every successor is known when a component closes.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    comp: dict[str, int] = {}
+    reach: list[int] = []
+    stack: list[str] = []
+    for root in a.states:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(a.by_source[root]))]
+        while work:
+            q, arrows = work[-1]
+            for ar in arrows:
+                t = ar.target
+                if t not in index:
+                    index[t] = low[t] = len(index)
+                    stack.append(t)
+                    work.append((t, iter(a.by_source[t])))
+                    break
+                if t not in comp:  # still on the stack: same component
+                    low[q] = min(low[q], index[t])
+            else:
+                work.pop()
+                if work:
+                    p = work[-1][0]
+                    low[p] = min(low[p], low[q])
+                if low[q] != index[q]:
+                    continue
+                c = len(reach)
+                members = []
+                while not members or members[-1] != q:
+                    members.append(stack.pop())
+                    comp[members[-1]] = c
+                bits = 1 << c
+                for v in members:
+                    for ar in a.by_source[v]:
+                        if comp[ar.target] != c:
+                            bits |= reach[comp[ar.target]]
+                reach.append(bits)
+    return comp, reach
 
 
 def _path_to(parent: dict[str, Arrow], start: str, goal: str) -> list[Arrow]:
@@ -79,6 +114,15 @@ def transition_tour(a: Automaton, start: str) -> TestTour:
     break on the (source, target) pair, and each traversal presents the
     lexicographically smallest label of its arrow.
 
+    Cost: one iterative SCC pass, O(states + arrows) plus a bitset of
+    reachable components per component.  Then, per walk to an uncovered
+    arrow, one breadth-first search from the current state that stops at
+    the first level holding an acceptable arrow; each candidate is judged
+    in O(path length) from per-source counts of uncovered arrows.  The
+    worst case stays O(arrows * (states + arrows)), but on a strongly
+    connected graph every arrow is acceptable, so each search stops at
+    the nearest uncovered arrow.
+
     Raises :class:`Untestable` when some arrow cannot be reached, and
     :class:`SizeLimit` on graphs too large to tour monolithically.
     """
@@ -89,54 +133,95 @@ def transition_tour(a: Automaton, start: str) -> TestTour:
 
     uncovered = {ar.key for ar in a.arrows}
     all_keys = frozenset(uncovered)
+    left = {q: len(out) for q, out in a.by_source.items()}  # uncovered per source
+    comp, reach = _components(a)
+    pending: dict[int, set[str]] = {}  # component -> its sources with work left
+    for q, n in left.items():
+        if n:
+            pending.setdefault(comp[q], set()).add(q)
+    pending_bits = sum(1 << c for c in pending)  # components in ``pending``
     word: list[str] = []
     pos = start
-    reach_cache: dict[str, set[str]] = {}
 
-    def reach(q: str) -> set[str]:
-        if q not in reach_cache:
-            reach_cache[q] = core.reachable_states(a, q)
-        return reach_cache[q]
+    # The helpers below judge a candidate arrow against the current
+    # search from ``pos``, whose tree is ``parent``.
+    def walked_from(ar: Arrow) -> dict[str, tuple[str, str]]:
+        """Source -> arrow key along the path to ``ar`` and ``ar`` itself;
+        the path is simple, so each source occurs once."""
+        return {p.source: p.key for p in _path_to(parent, pos, ar.source) + [ar]}
+
+    def acceptable(ar: Arrow) -> bool:
+        # Every source left with work after the walk must be reachable
+        # from the target: a pending source outside reach(target) is
+        # allowed only if the walk covers its last uncovered arrow.
+        outside = pending_bits & ~reach[comp[ar.target]]
+        if not outside:
+            return True
+        walked = walked_from(ar)
+        while outside:
+            c = (outside & -outside).bit_length() - 1
+            outside &= outside - 1
+            for s in pending[c]:
+                if left[s] != 1 or walked.get(s) not in uncovered:
+                    return False
+        return True
+
+    def keeps_going(ar: Arrow) -> bool:
+        # Some arrow out of the target is still uncovered after the walk.
+        n = left[ar.target]
+        if n != 1:
+            return n > 1
+        return walked_from(ar).get(ar.target) not in uncovered
 
     while uncovered:
-        dist, parent = _bfs(a, pos)
-        candidates = [
-            a.by_pair[key] for key in uncovered if key[0] in dist
-        ]
-        if not candidates:
-            raise Untestable(uncovered, f"stranded in {pos!r}")
-        by_level: dict[int, list[Arrow]] = {}
-        for ar in candidates:
-            by_level.setdefault(dist[ar.source] + 1, []).append(ar)
-
-        def remaining_after(ar: Arrow) -> set[tuple[str, str]]:
-            walked = {p.key for p in _path_to(parent, pos, ar.source)}
-            return uncovered - walked - {ar.key}
-
-        chosen_pool: list[Arrow] = []
-        for level in sorted(by_level):
-            ok = [
-                ar
-                for ar in by_level[level]
-                if all(src in reach(ar.target) for src, _ in remaining_after(ar))
+        parent: dict[str, Arrow] = {}
+        seen = {pos}
+        frontier = [pos]
+        # A pending source unreachable from here is unreachable from any
+        # target, so no arrow is acceptable: take the nearest level.
+        hopeless = pending_bits & ~reach[comp[pos]]
+        nearest: list[Arrow] = []
+        pool: list[Arrow] = []
+        # Expanding each level in discovery order builds the same tree as
+        # a first-in-first-out search; level L holds the uncovered arrows
+        # whose sources lie L - 1 steps away.
+        while frontier:
+            level = [
+                ar for q in frontier if left[q]
+                for ar in a.by_source[q] if ar.key in uncovered
             ]
-            if ok:
-                chosen_pool = ok
-                break
-        if not chosen_pool:
-            chosen_pool = by_level[min(by_level)]
-
-        keeps_going = [
-            ar for ar in chosen_pool
-            if any(src == ar.target for src, _ in remaining_after(ar))
-        ]
-        if keeps_going:
-            chosen_pool = keeps_going
-        chosen = min(chosen_pool, key=lambda ar: ar.key)
+            if level:
+                if not nearest:
+                    nearest = level
+                    if hopeless:
+                        break
+                pool = [ar for ar in level if acceptable(ar)]
+                if pool:
+                    break
+            nxt = []
+            for q in frontier:
+                for ar in a.by_source[q]:
+                    if ar.target not in seen:
+                        seen.add(ar.target)
+                        parent[ar.target] = ar
+                        nxt.append(ar.target)
+            frontier = nxt
+        if not nearest:
+            raise Untestable(uncovered, f"stranded in {pos!r}")
+        pool = pool or nearest
+        pool = [ar for ar in pool if keeps_going(ar)] or pool
+        chosen = min(pool, key=lambda ar: ar.key)
 
         for ar in _path_to(parent, pos, chosen.source) + [chosen]:
             word.append(ar.labels[0])
-            uncovered.discard(ar.key)
+            if ar.key in uncovered:
+                uncovered.remove(ar.key)
+                left[ar.source] -= 1
+                if not left[ar.source]:
+                    c = comp[ar.source]
+                    pending[c].remove(ar.source)
+                    if not pending[c]:
+                        pending_bits &= ~(1 << c)
         pos = chosen.target
 
     return TestTour(start=start, word=tuple(word), covered=all_keys)

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Arrow, Automaton, Path, convergent_states, run
 from .errors import InvalidDistribution, NonPositiveTemperature, UnknownState
+
+if TYPE_CHECKING:  # numpy is imported on first use, by the ensemble functions
+    import numpy as np
 
 BOLTZMANN_K = 1.38e-23  # Joules per Kelvin
 
@@ -129,6 +130,8 @@ class EnsembleTrace:
 
 def entropy_bits(pi: np.ndarray) -> float:
     """Shannon entropy in bits; zero entries contribute nothing."""
+    import numpy as np
+
     p = np.asarray(pi, dtype=float)
     p = p[p > 0]
     return float(-np.dot(p, np.log2(p)))
@@ -174,11 +177,15 @@ def path_choice_information(
 
 
 def _check_distribution(a: Automaton, pi: Sequence[float]) -> np.ndarray:
+    import numpy as np
+
     p = np.asarray(pi, dtype=float)
     if p.shape != (len(a.states),):
         raise InvalidDistribution(
             f"expected {len(a.states)} entries, got {p.shape}"
         )
+    if not np.isfinite(p).all():
+        raise InvalidDistribution("non-finite probability mass")
     if np.any(p < -1e-12):
         raise InvalidDistribution("negative probability mass")
     total = float(p.sum())
@@ -187,22 +194,33 @@ def _check_distribution(a: Automaton, pi: Sequence[float]) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def _transition_matrix(a: Automaton, m: InputModel) -> np.ndarray:
-    """Row-stochastic matrix of the induced state chain; sinks hold mass."""
+def _arrow_arrays(
+    a: Automaton, m: InputModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source index, target index and probability of every arrow of the
+    induced state chain; a sink becomes a self-loop of weight one, so it
+    holds its mass."""
+    import numpy as np
+
     index = {q: i for i, q in enumerate(a.states)}
-    mat = np.zeros((len(a.states), len(a.states)))
-    for q in a.states:
+    source: list[int] = []
+    target: list[int] = []
+    weight: list[float] = []
+    for i, q in enumerate(a.states):
         arrows = a.by_source[q]
         if not arrows:
-            mat[index[q], index[q]] = 1.0
-            continue
+            source.append(i)
+            target.append(i)
+            weight.append(1.0)
         for ar in arrows:
-            mat[index[q], index[ar.target]] += m.arrow_probability(q, ar)
-    return mat
-
-
-def _input_bits_vector(a: Automaton, m: InputModel) -> np.ndarray:
-    return np.array([choice_information(a, m, q) for q in a.states])
+            source.append(i)
+            target.append(index[ar.target])
+            weight.append(m.arrow_probability(q, ar))
+    return (
+        np.array(source, dtype=np.intp),
+        np.array(target, dtype=np.intp),
+        np.array(weight, dtype=float),
+    )
 
 
 def ensemble_step(
@@ -215,27 +233,29 @@ def ensemble_step(
     maps deterministically onto the next state; mass on sink states is
     carried unchanged and injects nothing.
     """
-    p = _check_distribution(a, pi)
-    mat = _transition_matrix(a, m)
-    nxt = p @ mat
-    input_bits = float(p @ _input_bits_vector(a, m))
-    loss = entropy_bits(p) + input_bits - entropy_bits(nxt)
-    return nxt, loss
+    trace = ensemble_dissipation(a, m, pi, 1)
+    return trace.distributions[1], trace.per_step_loss_bits[0]
 
 
 def ensemble_dissipation(
     a: Automaton, m: InputModel, pi0: Sequence[float], horizon: int
 ) -> EnsembleTrace:
-    """Iterate :func:`ensemble_step` for ``horizon`` steps.
+    """Propagate a distribution for ``horizon`` steps, as
+    :func:`ensemble_step` does for one.
 
-    The trace satisfies, exactly up to float error:
+    Each step pushes the mass along the arrow list with one
+    ``np.bincount``, O(states + arrows) time and memory; no
+    state-by-state matrix is built.  The trace satisfies, exactly up to
+    float error:
     cumulative_loss(T) = sum_t input_bits(t) + H(pi_0) - H(pi_T).
     """
+    import numpy as np
+
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     p = _check_distribution(a, pi0)
-    mat = _transition_matrix(a, m)
-    cvec = _input_bits_vector(a, m)
+    source, target, weight = _arrow_arrays(a, m)
+    cvec = np.array([choice_information(a, m, q) for q in a.states])
     dists = [p]
     losses = []
     inputs = []
@@ -243,7 +263,7 @@ def ensemble_dissipation(
     total = 0.0
     for _ in range(horizon):
         cur = dists[-1]
-        nxt = cur @ mat
+        nxt = np.bincount(target, weights=cur[source] * weight, minlength=len(cur))
         inj = float(cur @ cvec)
         loss = entropy_bits(cur) + inj - entropy_bits(nxt)
         dists.append(nxt)
@@ -262,6 +282,8 @@ def ensemble_dissipation(
 
 def point_distribution(a: Automaton, q: str) -> np.ndarray:
     """All probability mass on one state."""
+    import numpy as np
+
     if q not in a.by_source:
         raise UnknownState(q)
     p = np.zeros(len(a.states))
@@ -270,6 +292,8 @@ def point_distribution(a: Automaton, q: str) -> np.ndarray:
 
 
 def uniform_distribution(a: Automaton) -> np.ndarray:
+    import numpy as np
+
     return np.full(len(a.states), 1.0 / len(a.states))
 
 

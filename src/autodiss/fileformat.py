@@ -43,7 +43,7 @@ from typing import Optional
 from .composition import Connection, Wiring
 from .core import Automaton, validate
 from .dissipation import InputModel
-from .errors import ParseError
+from .errors import AutomataError, ParseError
 from .turing import TuringMachine, make_machine
 
 
@@ -252,7 +252,12 @@ def load_machine(path: str) -> TuringMachine:
 
 
 def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
-    """Parse a wiring file, loading the module automata it references."""
+    """Parse a wiring file, loading the module automata it references.
+
+    An error inside a module file names that file: a :class:`ParseError`
+    carries it as ``path``, and any other :class:`AutomataError` keeps its
+    type, gains a ``path`` attribute and has its message prefixed with it.
+    """
     directives = _collect(text, "wiring")
     name = directives[0][1][1]
     modules: list[tuple[str, Automaton]] = []
@@ -272,6 +277,11 @@ def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
                 raise ParseError(lineno, f"cannot read module file: {e}") from None
             except ParseError as e:
                 raise ParseError(e.line_number, e.message, path=path) from None
+            except AutomataError as e:
+                # A validation error keeps its type and gains the file name.
+                e.path = path
+                e.args = (f"{path}: {e}",)
+                raise
             modules.append((inst, auto))
         elif key == "connect":
             if len(rest) < 2:

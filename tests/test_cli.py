@@ -1,9 +1,13 @@
 """End-to-end command-line checks: reports, exit codes, file emission."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import autodiss
 from autodiss.assets import asset_path
 from autodiss.cli import main
 
@@ -140,6 +144,29 @@ def test_tour_untestable_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "test", str(bad), "--start", "q0")
     assert code == 1
     assert "cannot cover" in err
+
+
+def test_wire_module_validation_error_names_the_module_file(capsys, tmp_path):
+    module = tmp_path / "shared.aut"
+    module.write_text(
+        "automaton m\ninputs x\noutputs A\nstates a b\n"
+        "output a A\noutput b A\n"
+    )
+    wiring = tmp_path / "w.wiring"
+    wiring.write_text("wiring w\nmodule a shared.aut\n")
+    code, _, err = run_cli(capsys, "wire", str(wiring))
+    assert code == 1
+    assert err == f"error: {module}: states 'a' and 'b' share an output symbol\n"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    probe = "import autodiss.cli, sys; assert 'numpy' not in sys.modules"
+    src = os.path.dirname(os.path.dirname(autodiss.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_dot_output_deterministic(capsys):

@@ -17,6 +17,7 @@ from autodiss import (
 from autodiss import core as core_module
 from autodiss.errors import DeviceRefused, SizeLimit, UnknownState, Untestable
 from helpers import random_automaton, random_strongly_connected
+import tour_oracle
 
 
 def replay_covers(auto, tour):
@@ -113,6 +114,94 @@ def test_tour_builder_matches_exhaustive_coverability():
             continue
         assert truth
         assert replay_covers(auto, tour) == {ar.key for ar in auto.arrows}
+
+
+def _tour_outcome(build, auto, start):
+    """The word, or for an untestable graph its uncovered set and message."""
+    try:
+        return "word", build(auto, start).word
+    except Untestable as e:
+        return "untestable", e.uncovered, str(e)
+
+
+def _with_sinks_and_unreachable(rng):
+    """A random graph, some of whose states are sinks and some of whose
+    arrows sit in a part the start state cannot reach."""
+    auto = random_automaton(rng, max_states=10, max_symbols=3, density=0.5)
+    extra = [f"u{i}" for i in range(rng.randint(1, 3))]
+    states = list(auto.states) + extra
+    transitions = [
+        (q, s, t) for (q, s), t in auto.transitions.items()
+        if rng.random() < 0.8  # drop some arrows, leaving sinks
+    ]
+    for u in extra:  # never a target of the original states
+        for s in auto.input_alphabet:
+            if rng.random() < 0.5:
+                transitions.append((u, s, rng.choice(states)))
+    return validate(
+        "sinks", auto.input_alphabet, [f"o{i}" for i in range(len(states))],
+        states, initial=auto.initial,
+        output_map={q: f"o{i}" for i, q in enumerate(states)},
+        transitions=transitions,
+    ), rng.choice(auto.states)
+
+
+def test_tour_matches_the_oracle_on_random_graphs():
+    rng = random.Random(45)
+    kinds = {"word": 0, "untestable": 0}
+    for i in range(2400):
+        kind = i % 4
+        if kind == 0:
+            auto = random_strongly_connected(rng, max_states=12, max_symbols=4)
+        elif kind < 3:
+            auto = random_automaton(rng, max_states=12, max_symbols=4,
+                                    density=rng.random(), ensure_out=kind == 2)
+        if kind == 3:
+            auto, start = _with_sinks_and_unreachable(rng)
+        else:
+            start = rng.choice(auto.states)
+        want = _tour_outcome(tour_oracle.transition_tour, auto, start)
+        assert _tour_outcome(transition_tour, auto, start) == want, (auto, start)
+        kinds[want[0]] += 1
+    assert min(kinds.values()) > 500
+
+
+def _large(rng, n, blocks):
+    """A graph of ``n`` states in ``blocks`` strongly connected blocks,
+    each a random cycle plus random arrows, chained one after another by
+    a single ``link`` arrow: one block is strongly connected, several
+    are not, and each block must be finished before its link is taken."""
+    states = [f"s{i}" for i in range(n)]
+    symbols = ["0", "1", "2"]
+    size = n // blocks
+    parts = [states[b * size:(b + 1) * size] for b in range(blocks - 1)]
+    parts.append(states[(blocks - 1) * size:])
+    trans = {}
+    for part in parts:
+        for q in part:
+            for s in symbols:
+                if rng.random() < 0.5:
+                    trans[(q, s)] = rng.choice(part)
+        order = part[:]
+        rng.shuffle(order)
+        for i, q in enumerate(order):
+            trans[(q, rng.choice(symbols))] = order[(i + 1) % len(order)]
+    for part, after in zip(parts, parts[1:]):
+        trans[(rng.choice(part), "link")] = rng.choice(after)
+    return validate(
+        "large", symbols + ["link"], [f"o{i}" for i in range(n)], states,
+        initial=states[0],
+        output_map={q: f"o{i}" for i, q in enumerate(states)},
+        transitions=[(q, s, t) for (q, s), t in trans.items()],
+    )
+
+
+@pytest.mark.parametrize("blocks", [1, 30])
+def test_tour_matches_the_oracle_on_300_states(blocks):
+    auto = _large(random.Random(46), 300, blocks)
+    want = _tour_outcome(tour_oracle.transition_tour, auto, auto.initial)
+    assert want[0] == "word"
+    assert _tour_outcome(transition_tour, auto, auto.initial) == want
 
 
 def test_tour_size_guard(monkeypatch, onebit):

@@ -148,6 +148,15 @@ def test_ensemble_step_rejects_bad_distributions(onebit):
         ensemble_step(auto, model, [1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ensembles_reject_non_finite_distributions(onebit, bad):
+    auto, model = onebit
+    with pytest.raises(InvalidDistribution, match="non-finite"):
+        ensemble_step(auto, model, [bad, 1.0])
+    with pytest.raises(InvalidDistribution, match="non-finite"):
+        ensemble_dissipation(auto, model, [1.0, bad], 3)
+
+
 def test_ensemble_dissipation_memory(onebit):
     auto, model = onebit
     trace = ensemble_dissipation(auto, model, uniform_distribution(auto), 10)
@@ -196,6 +205,59 @@ def test_accounting_identity_random():
         assert abs(lhs - sum(trace.per_step_input_bits)) <= math.log2(
             len(auto.states)
         ) + 1e-9
+
+
+def _dense_ensemble(auto, model, pi0, horizon):
+    """Reference propagation through the full state-by-state matrix; a
+    sink keeps its mass."""
+    index = {q: i for i, q in enumerate(auto.states)}
+    mat = np.zeros((len(auto.states), len(auto.states)))
+    for q in auto.states:
+        if not auto.by_source[q]:
+            mat[index[q], index[q]] = 1.0
+        for ar in auto.by_source[q]:
+            mat[index[q], index[ar.target]] += model.arrow_probability(q, ar)
+    bits = np.array([choice_information(auto, model, q) for q in auto.states])
+    dists, losses = [np.asarray(pi0, dtype=float)], []
+    for _ in range(horizon):
+        cur = dists[-1]
+        nxt = cur @ mat
+        losses.append(entropy_bits(cur) + float(cur @ bits) - entropy_bits(nxt))
+        dists.append(nxt)
+    return dists, losses
+
+
+def _with_zero_probability_arrow(rng, auto):
+    """A model that gives one arrow of a divergent state probability 0."""
+    forks = [q for q in auto.states if len(auto.by_source[q]) >= 2]
+    if not forks:
+        return random_model(rng, auto)
+    q = rng.choice(forks)
+    arrows = auto.by_source[q]
+    dist = {ar.key: 1.0 / (len(arrows) - 1) for ar in arrows[1:]}
+    dist[arrows[0].key] = 0.0
+    return InputModel.from_arrow_probs(auto, {q: dist})
+
+
+def test_ensemble_matches_the_dense_matrix_oracle():
+    rng = random.Random(24)
+    sinks = zeros = 0
+    for i in range(150):
+        auto = random_automaton(rng, max_states=10, density=0.4)
+        model = (_with_zero_probability_arrow if i % 2 else random_model)(rng, auto)
+        sinks += any(not auto.by_source[q] for q in auto.states)
+        zeros += any(p == 0.0 for d in model.probs.values() for p in d.values())
+        pi0 = random_distribution(rng, auto)
+        horizon = rng.randint(1, 30)
+        want_dists, want_losses = _dense_ensemble(auto, model, pi0, horizon)
+        trace = ensemble_dissipation(auto, model, pi0, horizon)
+        for got, want in zip(trace.distributions, want_dists, strict=True):
+            assert np.abs(got - want).max() <= 1e-12
+        assert trace.per_step_loss_bits == pytest.approx(want_losses, abs=1e-9)
+        nxt, loss = ensemble_step(auto, model, pi0)
+        assert np.abs(nxt - want_dists[1]).max() <= 1e-12
+        assert loss == pytest.approx(want_losses[0], abs=1e-9)
+    assert sinks > 20 and zeros > 20
 
 
 def test_stationary_distribution_loses_exactly_the_input(onebit):

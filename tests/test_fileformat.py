@@ -11,7 +11,7 @@ from autodiss import (
     write_automaton,
 )
 from autodiss.assets import asset_names, asset_path
-from autodiss.errors import InvalidDistribution, ParseError
+from autodiss.errors import InvalidDistribution, NonInjectiveOutput, ParseError
 
 
 @pytest.mark.parametrize(
@@ -195,3 +195,18 @@ def test_wiring_module_parse_error_names_the_module_file(tmp_path):
     assert exc.value.path == str(module)
     assert exc.value.line_number == 2
     assert str(exc.value) == f"{module}: line 2: unknown directive 'bogus'"
+
+
+SHARED_OUTPUT = (
+    "automaton m\ninputs x\noutputs A\nstates a b\n"
+    "output a A\noutput b A\n"
+)
+
+
+def test_wiring_module_validation_error_names_the_module_file(tmp_path):
+    module = tmp_path / "shared.aut"
+    module.write_text(SHARED_OUTPUT)
+    with pytest.raises(NonInjectiveOutput) as exc:
+        parse_wiring("wiring w\nmodule a shared.aut\n", base_dir=str(tmp_path))
+    assert exc.value.path == str(module)
+    assert str(exc.value) == f"{module}: states 'a' and 'b' share an output symbol"
