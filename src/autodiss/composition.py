@@ -10,6 +10,7 @@ graph.  Tuple states serialize as ``(q1,q2)``, tuple symbols as ``s1|s2``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -18,6 +19,7 @@ from .core import Automaton, reachable_states, validate
 from .dissipation import InputModel
 from .errors import (
     AlphabetMismatch,
+    ArityMismatch,
     DuplicateIdentifier,
     MissingInitial,
     MultiplyDrivenPort,
@@ -56,65 +58,68 @@ def _flatten(modules: Sequence[Automaton]) -> list[Automaton]:
     return comps
 
 
+def _tuple_graph(comps: Sequence[Automaton], inputs: Sequence[str]):
+    """Tuple state names and output map, with the three checks of
+    :func:`validate` that tuple names can fail: component names holding
+    ``,``, ``(``, ``)`` or ``|`` can make two tuples join to one name."""
+    inputs = core._ordered_unique(inputs, "input alphabet")
+    states = core._ordered_unique(
+        (_tuple_state(p) for p in itertools.product(*(c.states for c in comps))), "states"
+    )
+    outputs = itertools.product(*([c.output_map[q] for q in c.states] for c in comps))
+    output_map = dict(zip(states, map(_tuple_symbol, outputs)))
+    core._check_injective(states, output_map)
+    return inputs, states, output_map
+
+
+def _assemble(cls, inputs, states, output_map, transitions, **fields):
+    """The tuple graph as a ``cls``.  Past the checks of
+    :func:`_tuple_graph`, every check of :func:`validate` holds by
+    construction."""
+    arrows, by_source, by_pair = core._merge_arrows(states, transitions)
+    return cls(input_alphabet=inputs, output_alphabet=tuple(sorted(set(output_map.values()))),
+               states=states, output_map=output_map, transitions=transitions,
+               arrows=arrows, by_source=by_source, by_pair=by_pair, **fields)
+
+
 def product_many(modules: Sequence[Automaton], name: Optional[str] = None) -> ProductAutomaton:
     """N-ary Cartesian product; nested products are flattened, so the
-    binary form is associative up to tuple flattening."""
+    binary form is associative up to tuple flattening.
+
+    Costs O(product transitions).  Raises :class:`SizeLimit` when the
+    product has more states, or more transitions, than
+    ``core.MONOLITHIC_STATE_LIMIT``.
+    """
     comps = _flatten(modules)
     if not comps:
-        raise ValueError("need at least one module")
-    size = 1
+        raise ArityMismatch("need at least one module")
+    for size, unit in ((math.prod(len(c.states) for c in comps), "states"),
+                       (math.prod(len(c.transitions) for c in comps), "transitions")):
+        if size > core.MONOLITHIC_STATE_LIMIT:
+            raise SizeLimit(size, core.MONOLITHIC_STATE_LIMIT, unit)
+    inputs, states, output_map = _tuple_graph(comps, [
+        _tuple_symbol(parts) for parts in itertools.product(*(c.input_alphabet for c in comps))
+    ])
+
+    # Per tuple state of the components so far: its defined moves as
+    # (symbol index, target index), symbols in itertools.product order.
+    moves = [[(0, 0)]]
     for c in comps:
-        size *= len(c.states)
-    if size > core.MONOLITHIC_STATE_LIMIT:
-        raise SizeLimit(size, core.MONOLITHIC_STATE_LIMIT)
-
-    states = [_tuple_state(parts) for parts in itertools.product(*(c.states for c in comps))]
-    inputs = [
-        _tuple_symbol(parts)
-        for parts in itertools.product(*(c.input_alphabet for c in comps))
-    ]
-    output_map = {}
-    for parts in itertools.product(*(c.states for c in comps)):
-        output_map[_tuple_state(parts)] = _tuple_symbol(
-            c.output_map[q] for c, q in zip(comps, parts)
-        )
-    outputs = sorted(set(output_map.values()))
-
-    transitions = []
-    for qparts in itertools.product(*(c.states for c in comps)):
-        for sparts in itertools.product(*(c.input_alphabet for c in comps)):
-            targets = []
-            for c, q, s in zip(comps, qparts, sparts):
-                t = c.transitions.get((q, s))
-                if t is None:
-                    break
-                targets.append(t)
-            else:
-                transitions.append(
-                    (_tuple_state(qparts), _tuple_symbol(sparts), _tuple_state(targets))
-                )
+        index = {q: i for i, q in enumerate(c.states)}
+        own = [[(i, index[c.transitions[q, s]])
+                for i, s in enumerate(c.input_alphabet) if (q, s) in c.transitions]
+               for q in c.states]
+        k, n = len(c.input_alphabet), len(c.states)
+        moves = [[(s * k + s2, t * n + t2) for s, t in pre for s2, t2 in mine]
+                 for pre in moves for mine in own]
+    transitions = {(q, inputs[s]): states[t] for q, out in zip(states, moves) for s, t in out}
 
     initial = None
     if all(c.initial is not None for c in comps):
         initial = _tuple_state([c.initial for c in comps])
-
-    base = validate(
-        name=name or "*".join(c.name for c in comps),
-        input_alphabet=inputs,
-        output_alphabet=outputs,
-        states=states,
-        initial=initial,
-        output_map=output_map,
-        transitions=transitions,
-    )
-    return ProductAutomaton(
-        **{f: getattr(base, f) for f in (
-            "name", "input_alphabet", "output_alphabet", "states", "initial",
-            "output_map", "transitions", "arrows", "by_source", "by_pair",
-        )},
-        module_names=tuple(c.name for c in comps),
-        components=tuple(comps),
-    )
+    return _assemble(ProductAutomaton, inputs, states, output_map, transitions,
+                     name=name or "*".join(c.name for c in comps), initial=initial,
+                     module_names=tuple(c.name for c in comps), components=tuple(comps))
 
 
 def product(a: Automaton, b: Automaton, name: Optional[str] = None) -> ProductAutomaton:
@@ -130,21 +135,19 @@ def product_input_model(p: ProductAutomaton, models: Sequence[InputModel]) -> In
     """
     comps = p.components
     if len(models) != len(comps):
-        raise ValueError("one model per component required")
-    probs: dict[str, dict[tuple[str, str], float]] = {}
-    for qparts in itertools.product(*(c.states for c in comps)):
-        q = _tuple_state(qparts)
-        dist: dict[tuple[str, str], float] = {}
-        arrow_choices = [c.by_source[src] for c, src in zip(comps, qparts)]
-        if all(arrow_choices):
-            for combo in itertools.product(*arrow_choices):
-                target = _tuple_state([ar.target for ar in combo])
-                weight = 1.0
-                for m, src, ar in zip(models, qparts, combo):
-                    weight *= m.probs[src].get(ar.key, 0.0)
-                dist[(q, target)] = weight
-        probs[q] = dist
-    return InputModel(probs)
+        raise ArityMismatch("one model per component required")
+    # Per tuple state of the components so far: (target index, weight)
+    # per arrow, weights multiplied in component order.
+    moves = [[(0, 1.0)]]
+    for c, m in zip(comps, models):
+        index = {q: i for i, q in enumerate(c.states)}
+        own = [[(index[ar.target], m.probs[q].get(ar.key, 0.0)) for ar in c.by_source[q]]
+               for q in c.states]
+        n = len(c.states)
+        moves = [[(t * n + t2, w * w2) for t, w in pre for t2, w2 in mine]
+                 for pre in moves for mine in own]
+    states = [_tuple_state(parts) for parts in itertools.product(*(c.states for c in comps))]
+    return InputModel({q: {(q, states[t]): w for t, w in dist} for q, dist in zip(states, moves)})
 
 
 @dataclass(frozen=True)
@@ -248,43 +251,7 @@ def wire(w: Wiring) -> ClosedSystem:
             )
         return ClosedSystem(automaton=only, wiring=w, free_modules=free)
 
-    free_alphabets = [autos[n].input_alphabet for n in free]
-    if free:
-        inputs = [_tuple_symbol(parts) for parts in itertools.product(*free_alphabets)]
-    else:
-        inputs = [CLOCK_SYMBOL]
-
     comps = [autos[n] for n in names]
-    output_map = {}
-    for qparts in itertools.product(*(c.states for c in comps)):
-        output_map[_tuple_state(qparts)] = _tuple_symbol(
-            c.output_map[q] for c, q in zip(comps, qparts)
-        )
-
-    transitions = []
-    for qparts in itertools.product(*(c.states for c in comps)):
-        by_name = dict(zip(names, qparts))
-        for sparts in itertools.product(*free_alphabets) if free else [()]:
-            free_syms = dict(zip(free, sparts))
-            targets = []
-            for n, c, q in zip(names, comps, qparts):
-                kind_driver = drivers.get(n)
-                if kind_driver is None:
-                    s = free_syms[n]
-                elif kind_driver[0] == "constant":
-                    s = kind_driver[1]
-                else:
-                    conn = kind_driver[1]
-                    src_auto = autos[conn.source]
-                    s = conn.mapping[src_auto.output_map[by_name[conn.source]]]
-                t = c.transitions.get((q, s))
-                if t is None:
-                    break
-                targets.append(t)
-            else:
-                sym = _tuple_symbol(sparts) if free else CLOCK_SYMBOL
-                transitions.append((_tuple_state(qparts), sym, _tuple_state(targets)))
-
     init_parts = []
     for n, c in zip(names, comps):
         q0 = w.initials.get(n, c.initial)
@@ -293,15 +260,50 @@ def wire(w: Wiring) -> ClosedSystem:
         init_parts.append(q0)
     initial = _tuple_state(init_parts) if all(q is not None for q in init_parts) else None
 
-    auto = validate(
-        name=w.name,
-        input_alphabet=inputs,
-        output_alphabet=sorted(set(output_map.values())),
-        states=[_tuple_state(p) for p in itertools.product(*(c.states for c in comps))],
-        initial=initial,
-        output_map=output_map,
-        transitions=transitions,
-    )
+    free_alphabets = [autos[n].input_alphabet for n in free]
+    size = math.prod(len(c.states) for c in comps) * math.prod(map(len, free_alphabets))
+    if size > core.MONOLITHIC_STATE_LIMIT:
+        raise SizeLimit(size, core.MONOLITHIC_STATE_LIMIT, "transitions")
+    inputs, states, output_map = _tuple_graph(comps, [
+        _tuple_symbol(parts) for parts in itertools.product(*free_alphabets)
+    ] if free else [CLOCK_SYMBOL])
+
+    # Per module: which entry of (module state indices + free symbol
+    # indices) selects its symbol, the symbol index for each value of
+    # that entry, and its target offset per (state, symbol), or None.
+    plan = []
+    for k, (n, c) in enumerate(zip(names, comps)):
+        sym_at = {s: i for i, s in enumerate(c.input_alphabet)}
+        index = {q: i for i, q in enumerate(c.states)}
+        feed = drivers.get(n)
+        if feed is None:
+            read = (len(names) + free.index(n), range(len(c.input_alphabet)))
+        elif feed[0] == "constant":
+            read = (k, [sym_at[feed[1]]] * len(c.states))
+        else:
+            conn, src = feed[1], autos[feed[1].source]
+            read = (names.index(conn.source),
+                    [sym_at[conn.mapping[src.output_map[q]]] for q in src.states])
+        stride = math.prod(len(d.states) for d in comps[k + 1:])
+        rows = [[None] * len(c.input_alphabet) for _ in c.states]
+        for (q, s), t in c.transitions.items():
+            rows[index[q]][sym_at[s]] = index[t] * stride
+        plan.append((k, *read, rows))
+
+    transitions = {}
+    combos = list(zip(inputs, itertools.product(*(range(len(a)) for a in free_alphabets))))
+    for q, qidx in zip(states, itertools.product(*(range(len(c.states)) for c in comps))):
+        for sym, sidx in combos:
+            at, target = qidx + sidx, 0
+            for k, pos, read, rows in plan:
+                t = rows[qidx[k]][read[at[pos]]]
+                if t is None:
+                    break
+                target += t
+            else:
+                transitions[q, sym] = states[target]
+    auto = _assemble(Automaton, inputs, states, output_map, transitions,
+                     name=w.name, initial=initial)
     return ClosedSystem(automaton=auto, wiring=w, free_modules=free)
 
 

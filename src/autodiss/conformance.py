@@ -14,7 +14,9 @@ from typing import Optional, Sequence
 
 from . import core
 from .core import Arrow, Automaton, run, step
-from .errors import DeviceRefused, AutomataError, SizeLimit, UnknownState, Untestable
+from .errors import (
+    ArityMismatch, AutomataError, DeviceRefused, SizeLimit, UnknownState, Untestable,
+)
 
 
 @dataclass(frozen=True)
@@ -237,7 +239,7 @@ def modular_test_cost(modules: Sequence[Automaton], starts: Sequence[str]) -> in
     """Sum of per-module tour lengths: the cost of testing the parts
     separately instead of touring their product."""
     if len(modules) != len(starts):
-        raise ValueError("one start state per module required")
+        raise ArityMismatch("one start state per module required")
     total = 0
     for m, s in zip(modules, starts):
         try:

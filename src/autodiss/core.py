@@ -47,8 +47,9 @@ class Automaton:
 
     Build instances through :func:`validate`, which enforces determinism,
     output injectivity and token declarations, and precomputes the merged
-    arrow structure.  Every operation in this package treats the object
-    as read-only.
+    arrow structure (:mod:`.composition` builds tuple graphs directly,
+    through the same arrow merge).  Every operation in this package
+    treats the object as read-only.
     """
 
     name: str
@@ -106,6 +107,36 @@ def _ordered_unique(tokens: Iterable[str], kind: str) -> tuple[str, ...]:
     return tuple(ordered)
 
 
+def _check_injective(states: Sequence[str], output_map: dict[str, str]) -> None:
+    """Raise :class:`NonInjectiveOutput` on the first state, in order,
+    whose output an earlier state already emits."""
+    emitted: dict[str, str] = {}
+    for q in states:
+        r = output_map[q]
+        if r in emitted:
+            raise NonInjectiveOutput(emitted[r], q)
+        emitted[r] = q
+
+
+def _merge_arrows(states: Sequence[str], transitions: dict[tuple[str, str], str]):
+    """Merge the symbols leading from one state to another into arrows.
+
+    Returns ``(arrows, by_source, by_pair)``: ``arrows`` sorted by
+    (source, target), ``by_source`` keyed by every state in order with
+    its arrows sorted by target, and ``by_pair`` in ``arrows`` order.
+    Labels are sorted.
+    """
+    grouped: dict[str, dict[str, list[str]]] = {q: {} for q in states}
+    for (src, sym), tgt in transitions.items():
+        grouped[src].setdefault(tgt, []).append(sym)
+    by_source = {
+        q: tuple([Arrow(q, t, tuple(sorted(out[t]))) for t in sorted(out)])
+        for q, out in grouped.items()
+    }
+    arrows = tuple([ar for q in sorted(by_source) for ar in by_source[q]])
+    return arrows, by_source, {(ar.source, ar.target): ar for ar in arrows}
+
+
 def validate(
     name: str,
     input_alphabet: Iterable[str],
@@ -140,12 +171,7 @@ def validate(
     for q in state_list:
         if q not in output_map:
             raise MissingOutput(q)
-    emitted: dict[str, str] = {}
-    for q in state_list:
-        r = output_map[q]
-        if r in emitted:
-            raise NonInjectiveOutput(emitted[r], q)
-        emitted[r] = q
+    _check_injective(state_list, output_map)
 
     trans: dict[tuple[str, str], str] = {}
     for src, sym, tgt in transitions:
@@ -160,18 +186,7 @@ def validate(
             raise Nondeterministic(src, sym)
         trans[(src, sym)] = tgt
 
-    labels: dict[tuple[str, str], list[str]] = {}
-    for (src, sym), tgt in trans.items():
-        labels.setdefault((src, tgt), []).append(sym)
-    arrows = tuple(
-        Arrow(src, tgt, tuple(sorted(syms)))
-        for (src, tgt), syms in sorted(labels.items())
-    )
-    grouped: dict[str, list[Arrow]] = {q: [] for q in state_list}
-    for ar in arrows:  # already sorted by (source, target)
-        grouped[ar.source].append(ar)
-    by_source = {q: tuple(out) for q, out in grouped.items()}
-    by_pair = {ar.key: ar for ar in arrows}
+    arrows, by_source, by_pair = _merge_arrows(state_list, trans)
 
     return Automaton(
         name=name,

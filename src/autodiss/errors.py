@@ -99,10 +99,14 @@ class Untestable(AutomataError):
 
 
 class SizeLimit(AutomataError):
-    def __init__(self, size, limit):
+    def __init__(self, size, limit, unit="states"):
         self.size = size
         self.limit = limit
-        super().__init__(f"{size} states exceed the monolithic limit of {limit}")
+        super().__init__(f"{size} {unit} exceed the monolithic limit of {limit}")
+
+
+class ArityMismatch(AutomataError, ValueError):
+    """A call got the wrong number of parts (modules, models, starts)."""
 
 
 class DeviceRefused(AutomataError):

@@ -111,11 +111,12 @@ def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
 
     state_set = set(states)
     input_set = set(inputs)
+    output_set = set(outputs)
     output_map: dict[str, str] = {}
     for lineno, (q, r) in output_lines:
         if q not in state_set:
             raise ParseError(lineno, f"unknown state {q!r}")
-        if r not in outputs:
+        if r not in output_set:
             raise ParseError(lineno, f"unknown output symbol {r!r}")
         if q in output_map:
             raise ParseError(lineno, f"output of {q!r} declared twice")

@@ -5,14 +5,18 @@ import random
 
 import pytest
 
+import composition_oracle
 from autodiss import (
+    Arrow,
     Connection,
+    InputModel,
     Wiring,
     cell_automaton,
     choice_information,
     divergent_states,
     ensemble_dissipation,
     equivalent,
+    modular_test_cost,
     product,
     product_input_model,
     product_many,
@@ -21,8 +25,12 @@ from autodiss import (
     validate,
     wire,
 )
+from autodiss import core
 from autodiss.errors import (
     AlphabetMismatch,
+    ArityMismatch,
+    AutomataError,
+    DuplicateIdentifier,
     MissingInitial,
     MultiplyDrivenPort,
     SizeLimit,
@@ -293,3 +301,186 @@ def test_equivalent_needs_initials(tff):
     auto = dataclasses.replace(tff[0], initial=None)
     with pytest.raises(MissingInitial):
         equivalent(auto, tff[0])
+
+
+# ------------------------------------------------- oracle comparisons
+#
+# ``composition_oracle`` holds the builders as they were before they
+# were rebuilt on integer indices.  The production builders must return
+# equal objects with every field, dict included, in the same order.
+
+# Plain tokens, then tokens whose tuples can join to one name.
+_STATES = (["0", "1", "q", "a"], ["a", "b", "a,b", "b,a", "(a", "a)"])
+_INPUTS = (["x", "y", "z"], ["x", "y", "x|y", "y|x"])
+_OUTPUTS = (["o", "p", "r", "s"], ["o", "p", "o|p", "p|o"])
+
+
+def _fields(obj):
+    """Class plus every dataclass field, dicts as item lists so that
+    their iteration order is compared too."""
+    if isinstance(obj, InputModel):
+        return InputModel, [(q, list(d.items())) for q, d in obj.probs.items()]
+    out = []
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if dataclasses.is_dataclass(v) and not isinstance(v, Wiring):
+            v = _fields(v)
+        elif isinstance(v, dict):
+            v = list(v.items())
+        out.append((f.name, v))
+    return type(obj), out
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", _fields(fn(*args))
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _check_name(outcome):
+    """Which check a raising outcome failed, for coverage asserts."""
+    kind, message = outcome
+    return message.rsplit(" (", 1)[-1] if kind is DuplicateIdentifier else kind.__name__
+
+
+def _module(rng, name, tricky):
+    """A small valid automaton: partial, possibly with sinks, tokens in
+    random order; ``tricky`` draws names holding ``,()|``, which can
+    make tuple names collide."""
+    n, k = rng.randint(1, 3), rng.randint(1, 3)
+    states = rng.sample(_STATES[tricky], n)
+    inputs = rng.sample(_INPUTS[tricky], k)
+    outputs = rng.sample(_OUTPUTS[tricky], n)
+    density = rng.random()
+    transitions = [(q, s, rng.choice(states)) for q in states for s in inputs
+                   if rng.random() < density]
+    rng.shuffle(transitions)
+    return validate(
+        name, inputs, outputs, states,
+        initial=rng.choice(states + [None]),
+        output_map=dict(zip(states, outputs)),
+        transitions=transitions,
+    )
+
+
+def _model(rng, a):
+    if rng.random() < 0.3:
+        return InputModel.uniform(a)
+    given = {}
+    for q in a.states:
+        weights = [rng.choice([0.0, rng.random() + 0.05]) for _ in a.by_source[q]]
+        if sum(weights) > 0:
+            given[q] = {ar.key: w / sum(weights) for ar, w in zip(a.by_source[q], weights)}
+    return InputModel.from_arrow_probs(a, given)
+
+
+def test_products_match_the_oracle_on_random_modules():
+    rng = random.Random(47)
+    raised = set()
+    for case in range(2000):
+        tricky = rng.random() < 0.4
+        mods = [_module(rng, f"m{i}", tricky) for i in range(rng.randint(1, 4))]
+        if len(mods) >= 2 and rng.random() < 0.3:  # nested products flatten
+            try:
+                mods[:2] = [product_many(mods[:2])]
+            except AutomataError:
+                pass
+        want = _outcome(composition_oracle.product_many, mods)
+        assert _outcome(product_many, mods) == want, case
+        if want[0] != "ok":
+            raised.add(_check_name(want))
+            continue
+        prod = product_many(mods)
+        models = [_model(rng, c) for c in prod.components]
+        assert (_outcome(product_input_model, prod, models)
+                == _outcome(composition_oracle.product_input_model, prod, models)), case
+    assert raised == {"input alphabet)", "states)", "NonInjectiveOutput"}
+
+
+def _wiring(rng, case):
+    tricky = rng.random() < 0.4
+    mods = [(f"w{i}", _module(rng, f"m{i}", tricky)) for i in range(rng.randint(1, 4))]
+    connections, constants = [], []
+    for name, auto in mods:
+        kind = rng.random()
+        if kind < 0.25:
+            constants.append((name, rng.choice(auto.input_alphabet)))
+        elif kind < 0.75:
+            src_name, src = rng.choice(mods)
+            mapping = {} if rng.random() < 0.05 else {
+                r: rng.choice(auto.input_alphabet) for r in src.output_alphabet}
+            connections.append(Connection(src_name, name, mapping))
+    initials = {}
+    for name, auto in mods:
+        if rng.random() < 0.3:
+            initials[name] = rng.choice(auto.states) if rng.random() < 0.8 else "nowhere"
+    return Wiring(f"wiring{case}", tuple(mods), tuple(connections), tuple(constants),
+                  initials)
+
+
+def test_wirings_match_the_oracle():
+    rng = random.Random(48)
+    raised = set()
+    for case in range(1200):
+        w = _wiring(rng, case)
+        want = _outcome(composition_oracle.wire, w)
+        assert _outcome(wire, w) == want, case
+        if want[0] != "ok":
+            raised.add(_check_name(want))
+    assert raised == {"UnknownState", "AlphabetMismatch", "input alphabet)", "states)",
+                      "NonInjectiveOutput"}
+
+
+def test_validate_keeps_arrow_orders_on_shuffled_transitions():
+    rng = random.Random(49)
+    for _ in range(200):
+        states = [f"q{i}" for i in range(rng.randint(1, 7))]
+        symbols = [f"s{j}" for j in range(rng.randint(1, 4))]
+        rng.shuffle(states)
+        rng.shuffle(symbols)
+        transitions = [(q, s, rng.choice(states)) for q in states for s in symbols
+                       if rng.random() < 0.7]
+        rng.shuffle(transitions)
+        a = validate("shuffled", symbols, states, states,
+                     output_map={q: q for q in states}, transitions=transitions)
+        labels = {}
+        for (src, sym), tgt in a.transitions.items():
+            labels.setdefault((src, tgt), []).append(sym)
+        arrows = tuple(Arrow(src, tgt, tuple(sorted(syms)))
+                       for (src, tgt), syms in sorted(labels.items()))
+        assert a.arrows == arrows
+        assert list(a.by_source.items()) == [
+            (q, tuple(ar for ar in arrows if ar.source == q)) for q in states]
+        assert list(a.by_pair.items()) == [(ar.key, ar) for ar in arrows]
+
+
+def test_size_guards_bound_transitions(monkeypatch, tff, tff_wiring):
+    auto, _ = tff
+    with pytest.raises(SizeLimit, match="^16777216 transitions exceed"):
+        product_many([auto] * 12)
+    monkeypatch.setattr(core, "MONOLITHIC_STATE_LIMIT", 15)
+    with pytest.raises(SizeLimit, match="^16 transitions exceed the monolithic limit of 15$"):
+        product_many([auto, auto])
+    # two free flip-flops: 4 tuple states times 4 free symbol pairs
+    with pytest.raises(SizeLimit, match="^16 transitions exceed the monolithic limit of 15$"):
+        wire(Wiring("free", (("a", auto), ("b", auto))))
+    monkeypatch.setattr(core, "MONOLITHIC_STATE_LIMIT", 7)
+    with pytest.raises(SizeLimit, match="^8 states exceed"):  # checked first
+        product_many([auto] * 3)
+    monkeypatch.setattr(core, "MONOLITHIC_STATE_LIMIT", 2)
+    with pytest.raises(SizeLimit, match="^4 transitions exceed the monolithic limit of 2$"):
+        wire(tff_wiring)
+    monkeypatch.setattr(core, "MONOLITHIC_STATE_LIMIT", 4)
+    assert len(wire(tff_wiring).automaton.states) == 4
+
+
+def test_arity_errors_are_automata_errors(tff):
+    auto, model = tff
+    with pytest.raises(ArityMismatch, match="^need at least one module$"):
+        product_many([])
+    with pytest.raises(ArityMismatch, match="^one model per component required$"):
+        product_input_model(product(auto, auto), [model])
+    with pytest.raises(ArityMismatch, match="^one start state per module required$"):
+        modular_test_cost([auto, auto], ["0"])
+    assert issubclass(ArityMismatch, AutomataError) and issubclass(ArityMismatch, ValueError)
