@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -23,10 +24,14 @@ from .errors import AutomataError, ParseError
 DEFAULT_TEMPERATURE = 300.0
 
 
-def _temperature(args) -> float:
-    if args.temp is not None:
-        return args.temp
-    return float(os.environ.get("AUTODISS_TEMP", DEFAULT_TEMPERATURE))
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _fmt(v: float) -> str:
@@ -72,10 +77,10 @@ def _split_word(word: str, alphabet) -> list[str]:
     return symbols
 
 
-def _write_out(args, text: str) -> None:
+def _write_out(args, automaton) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(fileformat.write_automaton(automaton))
 
 
 def cmd_analyze(args) -> dict:
@@ -100,7 +105,6 @@ def cmd_run(args) -> dict:
         raise AutomataError("no start state: give --start or declare initial")
     word = _split_word(args.word, auto.input_alphabet)
     report = dissipation.path_choice_information(auto, model, start, word)
-    temp = _temperature(args)
     return {
         "name": auto.name,
         "start": start,
@@ -110,8 +114,8 @@ def cmd_run(args) -> dict:
         "total_bits": report.total_bits,
         "per_step_bits": [round(b, 9) for b in report.per_step_bits],
         "convergences_entered": list(report.convergences_entered),
-        "temperature_kelvin": temp,
-        "landauer_joules": dissipation.landauer_energy(report.total_bits, temp),
+        "temperature_kelvin": args.temp,
+        "landauer_joules": dissipation.landauer_energy(report.total_bits, args.temp),
     }
 
 
@@ -119,7 +123,7 @@ def cmd_product(args) -> dict:
     a, _ = fileformat.load_automaton(args.file_a)
     b, _ = fileformat.load_automaton(args.file_b)
     prod = composition.product(a, b)
-    _write_out(args, fileformat.write_automaton(prod))
+    _write_out(args, prod)
     return {
         "name": prod.name,
         "modules": list(prod.module_names),
@@ -135,43 +139,34 @@ def cmd_product(args) -> dict:
 def cmd_wire(args) -> dict:
     wiring = fileformat.load_wiring(args.file)
     closed = composition.wire(wiring)
-    _write_out(args, fileformat.write_automaton(closed.automaton))
+    auto = closed.automaton
+    _write_out(args, auto)
+    shown = auto.states if auto.initial is None else sorted(reachable_states(auto, auto.initial))
     # Dissipation is owed on the open graph (what the per-module tests
-    # certify), even though the wired loop itself may be choice-free.
-    modules = [m for _, m in wiring.modules]
-    open_graph = (
-        composition.product_many(modules) if len(modules) > 1 else modules[0]
-    )
-    open_model = dissipation.InputModel.uniform(open_graph)
-    closed_model = dissipation.InputModel.uniform(closed.automaton)
-    if closed.automaton.initial is not None:
-        shown = sorted(
-            reachable_states(closed.automaton, closed.automaton.initial)
-        )
-    else:
-        shown = list(closed.automaton.states)
+    # certify), even though the wired loop itself may be choice-free.  Its
+    # uniform choice is summed term by term, as choice_information sums
+    # it, so that the floats agree.
+    degree = composition.open_out_degrees(closed)
+    model = dissipation.InputModel.uniform(auto)
     return {
-        "name": closed.automaton.name,
+        "name": auto.name,
         "modules": [n for n, _ in wiring.modules],
         "free_inputs": list(closed.free_modules),
-        "state_count": len(closed.automaton.states),
-        "arrow_count": closed.automaton.arrow_count,
-        "initial": closed.automaton.initial,
+        "state_count": len(auto.states),
+        "arrow_count": auto.arrow_count,
+        "initial": auto.initial,
         "open_choice_bits": {
-            q: dissipation.choice_information(open_graph, open_model, q)
+            q: float(sum(-p * math.log2(p) for p in [1 / max(degree[q], 1)] * degree[q]))
             for q in shown
         },
-        "closed_choice_bits": {
-            q: dissipation.choice_information(closed.automaton, closed_model, q)
-            for q in shown
-        },
+        "closed_choice_bits": {q: dissipation.choice_information(auto, model, q) for q in shown},
     }
 
 
 def cmd_reach(args) -> dict:
     auto, _ = fileformat.load_automaton(args.file)
     sub = composition.reachable_subgraph(auto)
-    _write_out(args, fileformat.write_automaton(sub))
+    _write_out(args, sub)
     return {
         "name": sub.name,
         "state_count": len(sub.states),
@@ -230,7 +225,7 @@ def cmd_tm_head(args) -> dict:
     tm = fileformat.load_machine(args.file)
     head = turing.head_automaton(tm)
     report = turing.check_convergence_lemma(tm)
-    _write_out(args, fileformat.write_automaton(head))
+    _write_out(args, head)
     return {
         "name": head.name,
         "control_states": len(head.states),
@@ -259,7 +254,7 @@ def cmd_tm_linear(args) -> dict:
     tm = fileformat.load_machine(args.file)
     trace = turing.tm_run(tm, _tape(args), max_steps=args.max_steps)
     graph = turing.global_graph(trace)
-    _write_out(args, fileformat.write_automaton(graph))
+    _write_out(args, graph)
     return {
         "name": graph.name,
         "state_count": len(graph.states),
@@ -314,7 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--start")
     p.add_argument("--word", required=True)
-    p.add_argument("--temp", type=float, default=None, help="temperature in Kelvin")
+    # argparse converts a string default as it converts the flag, so a
+    # non-numeric AUTODISS_TEMP is a usage error
+    p.add_argument("--temp", type=float,
+                   default=os.environ.get("AUTODISS_TEMP", DEFAULT_TEMPERATURE),
+                   help="temperature in Kelvin (default: $AUTODISS_TEMP, else 300)")
     p.set_defaults(func=cmd_run)
 
     p = add("product", "Cartesian product of two module graphs")
@@ -356,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = tmadd("run", "run a machine")
     p.add_argument("file")
     p.add_argument("--tape", default="", help="whitespace-separated input symbols")
-    p.add_argument("--max-steps", type=int, default=10_000)
+    p.add_argument("--max-steps", type=_non_negative_int, default=10_000)
     p.set_defaults(func=cmd_tm_run)
 
     p = tmadd("head", "the finite control as an automaton")
@@ -367,20 +366,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = tmadd("dissip", "modular per-step information charges")
     p.add_argument("file")
     p.add_argument("--tape", default="")
-    p.add_argument("--max-steps", type=int, default=1000)
+    p.add_argument("--max-steps", type=_non_negative_int, default=1000)
     p.set_defaults(func=cmd_tm_dissip)
 
     p = tmadd("linear", "global graph of a halted run")
     p.add_argument("file")
     p.add_argument("--tape", default="")
-    p.add_argument("--max-steps", type=int, default=10_000)
+    p.add_argument("--max-steps", type=_non_negative_int, default=10_000)
     p.add_argument("-o", "--output", help="write the linear automaton here")
     p.set_defaults(func=cmd_tm_linear)
 
     p = tmadd("bennett", "record, copy, uncompute simulation")
     p.add_argument("file")
     p.add_argument("--tape", default="")
-    p.add_argument("--max-steps", type=int, default=10_000)
+    p.add_argument("--max-steps", type=_non_negative_int, default=10_000)
     p.set_defaults(func=cmd_tm_bennett)
 
     return parser

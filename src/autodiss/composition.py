@@ -307,6 +307,16 @@ def wire(w: Wiring) -> ClosedSystem:
     return ClosedSystem(automaton=auto, wiring=w, free_modules=free)
 
 
+def open_out_degrees(c: ClosedSystem) -> dict[str, int]:
+    """Each closed state's merged-arrow out-degree in the open graph, the
+    product of the module graphs, without building it: the product of
+    the modules' out-degrees at their component states (0 at any sink).
+    Closed states follow :func:`wire`'s order, the product of the module
+    state lists in wiring order."""
+    degrees = ([len(m.by_source[q]) for q in m.states] for _, m in c.wiring.modules)
+    return dict(zip(c.automaton.states, map(math.prod, itertools.product(*degrees))))
+
+
 def reachable_subgraph(c) -> Automaton:
     """Restrict to the part actually followed from the initial state."""
     a = c.automaton if isinstance(c, ClosedSystem) else c

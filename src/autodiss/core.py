@@ -150,9 +150,9 @@ def validate(
 
     ``transitions`` is an iterable of ``(state, input symbol, state)``
     triples; symbols that trigger the same state pair are merged into one
-    arrow.  Raises :class:`Nondeterministic`, :class:`NonInjectiveOutput`,
-    :class:`UnknownState`, :class:`UnknownSymbol` or :class:`MissingOutput`
-    on violations.
+    arrow.  Raises :class:`DuplicateIdentifier`, :class:`Nondeterministic`,
+    :class:`NonInjectiveOutput`, :class:`UnknownState`,
+    :class:`UnknownSymbol` or :class:`MissingOutput` on violations.
     """
     inputs = _ordered_unique(input_alphabet, "input alphabet")
     outputs = _ordered_unique(output_alphabet, "output alphabet")

@@ -217,14 +217,6 @@ class GlobalConfig:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    def render(self, blank: str) -> str:
-        hist = ";".join(f"{q},{s}" for q, s in self.history)
-        return _snapshot_name(self.phase, self.config.render(blank), hist, ",".join(self.output))
-
-
-def _snapshot_name(phase: str, config: str, history: str, output: str) -> str:
-    return f"{phase}#{config}#h[{history}]#o[{output}]"
-
 
 @dataclass(frozen=True)
 class BennettTrace:
@@ -590,9 +582,11 @@ def _prefix_ends(parts: Sequence[str]) -> list[int]:
 
 
 def _bennett_names(trace: BennettTrace) -> list[str]:
-    """``[g.render(blank) for g in trace.global_configs]``, with each
-    configuration rendered once and every history and output prefix
-    sliced from one joined string."""
+    """One state name per snapshot, ``phase#config#h[history]#o[output]``:
+    the working configuration's render, the ``;``-joined ``control,read``
+    records so far and the ``,``-joined output cells so far.  Each
+    configuration is rendered once, and every history and output prefix
+    is sliced from one joined string."""
     blank = trace.forward.blank
     hist_parts = [f"{q},{s}" for q, s in trace.history_records]
     hist, hist_ends = ";".join(hist_parts), _prefix_ends(hist_parts)
@@ -603,9 +597,8 @@ def _bennett_names(trace: BennettTrace) -> list[str]:
         config = rendered.get(g.history_length)
         if config is None:
             config = rendered[g.history_length] = g.config.render(blank)
-        names.append(_snapshot_name(
-            g.phase, config, hist[: hist_ends[g.history_length]], out[: out_ends[g.output_length]]
-        ))
+        names.append(f"{g.phase}#{config}#h[{hist[: hist_ends[g.history_length]]}]"
+                     f"#o[{out[: out_ends[g.output_length]]}]")
     return names
 
 

@@ -86,6 +86,43 @@ def test_run_temperature_env(capsys, monkeypatch):
     assert low["landauer_joules"] == pytest.approx(normal["landauer_joules"] / 2)
 
 
+def test_run_non_numeric_temperature_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("AUTODISS_TEMP", "warm")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", LOSSY, "--word", "0 1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --temp: invalid float value: 'warm'" in err
+    # an explicit flag overrides the environment
+    code, out, _ = run_cli(capsys, "run", LOSSY, "--word", "0 1", "--temp", "20")
+    assert code == 0
+    assert "temperature_kelvin: 20.000000" in out
+
+
+@pytest.mark.parametrize("command", ["run", "dissip", "linear", "bennett"])
+def test_tm_negative_max_steps_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(["tm", command, BB2, "--max-steps", "-1"])
+    assert exc.value.code == 2
+    assert "argument --max-steps: must be non-negative, got -1" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["tm", command, BB2, "--max-steps", "x"])
+    assert "argument --max-steps: invalid int value: 'x'" in capsys.readouterr().err
+    code, _, err = run_cli(capsys, "tm", command, BB2, "--max-steps", "0")
+    assert code in (0, 1)  # a zero budget runs no step; some reports need a halt
+    assert "usage" not in err
+
+
+def test_reports_serialize_only_on_output_flag(capsys, monkeypatch):
+    def refuse(automaton):
+        raise AssertionError("write_automaton called without -o")
+
+    monkeypatch.setattr(autodiss.fileformat, "write_automaton", refuse)
+    for argv in (["product", TFF, TFF], ["wire", TFF_WIRING], ["reach", LOSSY],
+                 ["tm", "head", BB2], ["tm", "linear", BB2]):
+        assert run_cli(capsys, "--json", *argv)[0] == 0, argv
+
+
 def test_json_outputs_are_stable(capsys):
     _, first, _ = run_cli(capsys, "analyze", LOSSY, "--json")
     _, second, _ = run_cli(capsys, "--json", "analyze", LOSSY)

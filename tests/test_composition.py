@@ -1,7 +1,10 @@
 """Products, wirings, closed systems, and graph equivalence."""
 
 import dataclasses
+import json
+import math
 import random
+import shutil
 
 import pytest
 
@@ -25,7 +28,8 @@ from autodiss import (
     validate,
     wire,
 )
-from autodiss import core
+from autodiss import cli, core, fileformat
+from autodiss.assets import asset_path
 from autodiss.errors import (
     AlphabetMismatch,
     ArityMismatch,
@@ -398,9 +402,9 @@ def test_products_match_the_oracle_on_random_modules():
     assert raised == {"input alphabet)", "states)", "NonInjectiveOutput"}
 
 
-def _wiring(rng, case):
+def _wiring(rng, case, module=_module):
     tricky = rng.random() < 0.4
-    mods = [(f"w{i}", _module(rng, f"m{i}", tricky)) for i in range(rng.randint(1, 4))]
+    mods = [(f"w{i}", module(rng, f"m{i}", tricky)) for i in range(rng.randint(1, 4))]
     connections, constants = [], []
     for name, auto in mods:
         kind = rng.random()
@@ -430,6 +434,61 @@ def test_wirings_match_the_oracle():
             raised.add(_check_name(want))
     assert raised == {"UnknownState", "AlphabetMismatch", "input alphabet)", "states)",
                       "NonInjectiveOutput"}
+
+
+def _wide_module(rng, name, tricky):
+    return random_automaton(rng, max_states=6, max_symbols=6, density=0.9, name=name)
+
+
+def test_cli_open_choice_bits_match_the_open_product(capsys, monkeypatch):
+    """``wire``'s open bits equal, float for float, choice information on
+    the open ``product_many`` under a uniform model, which the report
+    no longer builds.  A lone module is its own open graph when it is
+    left free, as it is its own closed system.  Wide modules reach the
+    out-degrees (11, 13, 14, ...) at which the summed bits and
+    ``log2`` of the out-degree differ in the last bits."""
+    rng = random.Random(50)
+    compared, uneven = 0, 0
+    for case in range(600):
+        w = _wiring(rng, case) if case < 400 else _wiring(rng, case, _wide_module)
+        modules = [m for _, m in w.modules]
+        try:
+            lone = wire(w).free_modules and len(modules) == 1
+            open_graph = modules[0] if lone else product_many(modules)
+        except AutomataError:
+            continue
+        monkeypatch.setattr(fileformat, "load_wiring", lambda path: w)
+        assert cli.main(["--json", "wire", "w.wiring"]) == 0, case
+        got = json.loads(capsys.readouterr().out)["open_choice_bits"]
+        model = InputModel.uniform(open_graph)
+        assert got == {q: choice_information(open_graph, model, q) for q in got}, case
+        compared += len(got)
+        uneven += sum(got[q] != math.log2(open_graph.out_degree(q) or 1) for q in got)
+    assert compared > 300 and uneven > 5
+
+
+def test_cli_wires_a_ring_of_eleven_flipflops(capsys, tmp_path):
+    """The open product of 11 T-flip-flops has 4^11 transitions, past
+    ``product_many``'s limit; the report does not build it."""
+    shutil.copy(asset_path("tff.aut"), tmp_path)
+    lines = ["wiring ring11"] + [f"module m{i} tff.aut" for i in range(11)]
+    lines += [f"connect m{i} m{(i + 1) % 11} Q0=T0 Q1=T1" for i in range(11)]
+    (tmp_path / "ring.wiring").write_text("\n".join(lines) + "\n")
+    assert cli.main(["--json", "wire", str(tmp_path / "ring.wiring")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["state_count"] == 2048
+    assert report["open_choice_bits"] == {"(" + ",".join("0" * 11) + ")": 11.0}
+
+
+def test_cli_wires_a_lone_module_held_by_a_constant(capsys, tmp_path):
+    """A wired lone module gets tuple state names, which its own graph
+    lacks; the open bits are still its out-degree's."""
+    shutil.copy(asset_path("tff.aut"), tmp_path)
+    (tmp_path / "one.wiring").write_text("wiring one\nmodule a tff.aut\nconstant a T1\n")
+    assert cli.main(["--json", "wire", str(tmp_path / "one.wiring")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["open_choice_bits"] == {"(0)": 1.0, "(1)": 1.0}
+    assert report["closed_choice_bits"] == {"(0)": 0.0, "(1)": 0.0}
 
 
 def test_validate_keeps_arrow_orders_on_shuffled_transitions():
