@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import core
-from .core import Automaton, reachable_states, validate
+from .core import Automaton, reachable_states
 from .dissipation import InputModel
 from .errors import (
     AlphabetMismatch,
     ArityMismatch,
-    DuplicateIdentifier,
     MissingInitial,
     MultiplyDrivenPort,
     SizeLimit,
@@ -59,9 +58,10 @@ def _flatten(modules: Sequence[Automaton]) -> list[Automaton]:
 
 
 def _tuple_graph(comps: Sequence[Automaton], inputs: Sequence[str]):
-    """Tuple state names and output map, with the three checks of
-    :func:`validate` that tuple names can fail: component names holding
-    ``,``, ``(``, ``)`` or ``|`` can make two tuples join to one name."""
+    """Tuple state names, output map and sorted output alphabet, with the
+    three checks of :func:`validate` that tuple names can fail: component
+    names holding ``,``, ``(``, ``)`` or ``|`` can make two tuples join to
+    one name.  Past these, every check holds by construction."""
     inputs = core._ordered_unique(inputs, "input alphabet")
     states = core._ordered_unique(
         (_tuple_state(p) for p in itertools.product(*(c.states for c in comps))), "states"
@@ -69,17 +69,7 @@ def _tuple_graph(comps: Sequence[Automaton], inputs: Sequence[str]):
     outputs = itertools.product(*([c.output_map[q] for q in c.states] for c in comps))
     output_map = dict(zip(states, map(_tuple_symbol, outputs)))
     core._check_injective(states, output_map)
-    return inputs, states, output_map
-
-
-def _assemble(cls, inputs, states, output_map, transitions, **fields):
-    """The tuple graph as a ``cls``.  Past the checks of
-    :func:`_tuple_graph`, every check of :func:`validate` holds by
-    construction."""
-    arrows, by_source, by_pair = core._merge_arrows(states, transitions)
-    return cls(input_alphabet=inputs, output_alphabet=tuple(sorted(set(output_map.values()))),
-               states=states, output_map=output_map, transitions=transitions,
-               arrows=arrows, by_source=by_source, by_pair=by_pair, **fields)
+    return inputs, tuple(sorted(set(output_map.values()))), states, output_map
 
 
 def product_many(modules: Sequence[Automaton], name: Optional[str] = None) -> ProductAutomaton:
@@ -97,7 +87,7 @@ def product_many(modules: Sequence[Automaton], name: Optional[str] = None) -> Pr
                        (math.prod(len(c.transitions) for c in comps), "transitions")):
         if size > core.MONOLITHIC_STATE_LIMIT:
             raise SizeLimit(size, core.MONOLITHIC_STATE_LIMIT, unit)
-    inputs, states, output_map = _tuple_graph(comps, [
+    inputs, outputs, states, output_map = _tuple_graph(comps, [
         _tuple_symbol(parts) for parts in itertools.product(*(c.input_alphabet for c in comps))
     ])
 
@@ -117,9 +107,9 @@ def product_many(modules: Sequence[Automaton], name: Optional[str] = None) -> Pr
     initial = None
     if all(c.initial is not None for c in comps):
         initial = _tuple_state([c.initial for c in comps])
-    return _assemble(ProductAutomaton, inputs, states, output_map, transitions,
-                     name=name or "*".join(c.name for c in comps), initial=initial,
-                     module_names=tuple(c.name for c in comps), components=tuple(comps))
+    return core._assemble(ProductAutomaton, name or "*".join(c.name for c in comps), inputs,
+                          outputs, states, initial, output_map, transitions,
+                          module_names=tuple(c.name for c in comps), components=tuple(comps))
 
 
 def product(a: Automaton, b: Automaton, name: Optional[str] = None) -> ProductAutomaton:
@@ -192,11 +182,7 @@ def wire(w: Wiring) -> ClosedSystem:
     system's inputs; with none, the system is clock-driven and gets the
     single implicit symbol ``ck``.
     """
-    names = [n for n, _ in w.modules]
-    if len(set(names)) != len(names):
-        raise DuplicateIdentifier(
-            next(n for i, n in enumerate(names) if n in names[:i]), "modules"
-        )
+    names = core._ordered_unique((n for n, _ in w.modules), "modules")
     autos = dict(w.modules)
 
     drivers: dict[str, tuple[str, object]] = {}
@@ -240,15 +226,8 @@ def wire(w: Wiring) -> ClosedSystem:
         if q0 is not None and q0 not in only.states:
             raise UnknownState(q0, f"initial of module {names[0]!r}")
         if q0 != only.initial:
-            only = validate(
-                name=only.name,
-                input_alphabet=only.input_alphabet,
-                output_alphabet=only.output_alphabet,
-                states=only.states,
-                initial=q0,
-                output_map=only.output_map,
-                transitions=[(s, sym, t) for (s, sym), t in only.transitions.items()],
-            )
+            only = core._assemble(Automaton, only.name, only.input_alphabet, only.output_alphabet,
+                                  only.states, q0, only.output_map, only.transitions)
         return ClosedSystem(automaton=only, wiring=w, free_modules=free)
 
     comps = [autos[n] for n in names]
@@ -264,7 +243,7 @@ def wire(w: Wiring) -> ClosedSystem:
     size = math.prod(len(c.states) for c in comps) * math.prod(map(len, free_alphabets))
     if size > core.MONOLITHIC_STATE_LIMIT:
         raise SizeLimit(size, core.MONOLITHIC_STATE_LIMIT, "transitions")
-    inputs, states, output_map = _tuple_graph(comps, [
+    inputs, outputs, states, output_map = _tuple_graph(comps, [
         _tuple_symbol(parts) for parts in itertools.product(*free_alphabets)
     ] if free else [CLOCK_SYMBOL])
 
@@ -302,8 +281,8 @@ def wire(w: Wiring) -> ClosedSystem:
                 target += t
             else:
                 transitions[q, sym] = states[target]
-    auto = _assemble(Automaton, inputs, states, output_map, transitions,
-                     name=w.name, initial=initial)
+    auto = core._assemble(Automaton, w.name, inputs, outputs, states, initial, output_map,
+                          transitions)
     return ClosedSystem(automaton=auto, wiring=w, free_modules=free)
 
 
@@ -323,18 +302,10 @@ def reachable_subgraph(c) -> Automaton:
     if a.initial is None:
         raise MissingInitial(a.name)
     keep = reachable_states(a, a.initial)
-    states = [q for q in a.states if q in keep]
-    return validate(
-        name=a.name,
-        input_alphabet=a.input_alphabet,
-        output_alphabet=a.output_alphabet,
-        states=states,
-        initial=a.initial,
-        output_map={q: a.output_map[q] for q in states},
-        transitions=[
-            (q, s, t) for (q, s), t in a.transitions.items() if q in keep
-        ],
-    )
+    states = tuple(q for q in a.states if q in keep)
+    return core._assemble(Automaton, a.name, a.input_alphabet, a.output_alphabet, states,
+                          a.initial, {q: a.output_map[q] for q in states},
+                          {key: t for key, t in a.transitions.items() if key[0] in keep})
 
 
 def _forced_isomorphism(a: Automaton, b: Automaton, sigma: dict[str, str],

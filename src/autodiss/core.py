@@ -46,10 +46,12 @@ class Automaton:
     """An immutable deterministic automaton with merged arrows.
 
     Build instances through :func:`validate`, which enforces determinism,
-    output injectivity and token declarations, and precomputes the merged
-    arrow structure (:mod:`.composition` builds tuple graphs directly,
-    through the same arrow merge).  Every operation in this package
-    treats the object as read-only.
+    output injectivity and token declarations.  Every instance in this
+    package comes from :func:`_assemble`, which precomputes the merged
+    arrow structure and checks nothing: :func:`validate` calls it once its
+    checks pass, and graphs derived from valid ones (products, wirings,
+    reachable parts, run chains) call it directly.  Every operation in
+    this package treats the object as read-only.
     """
 
     name: str
@@ -118,13 +120,15 @@ def _check_injective(states: Sequence[str], output_map: dict[str, str]) -> None:
         emitted[r] = q
 
 
-def _merge_arrows(states: Sequence[str], transitions: dict[tuple[str, str], str]):
-    """Merge the symbols leading from one state to another into arrows.
+def _assemble(cls, name, inputs, outputs, states, initial, output_map, transitions,
+              **fields):
+    """The package's one constructor of graphs: a ``cls`` whose symbols
+    leading from one state to another are merged into arrows.
 
-    Returns ``(arrows, by_source, by_pair)``: ``arrows`` sorted by
-    (source, target), ``by_source`` keyed by every state in order with
-    its arrows sorted by target, and ``by_pair`` in ``arrows`` order.
-    Labels are sorted.
+    Checks nothing; the caller's parts must already pass every check of
+    :func:`validate`.  ``arrows`` is sorted by (source, target),
+    ``by_source`` keyed by every state in order with its arrows sorted
+    by target, ``by_pair`` in ``arrows`` order, and labels are sorted.
     """
     grouped: dict[str, dict[str, list[str]]] = {q: {} for q in states}
     for (src, sym), tgt in transitions.items():
@@ -134,7 +138,10 @@ def _merge_arrows(states: Sequence[str], transitions: dict[tuple[str, str], str]
         for q, out in grouped.items()
     }
     arrows = tuple([ar for q in sorted(by_source) for ar in by_source[q]])
-    return arrows, by_source, {(ar.source, ar.target): ar for ar in arrows}
+    return cls(name=name, input_alphabet=inputs, output_alphabet=outputs, states=states,
+               initial=initial, output_map=output_map, transitions=transitions,
+               arrows=arrows, by_source=by_source,
+               by_pair={(ar.source, ar.target): ar for ar in arrows}, **fields)
 
 
 def validate(
@@ -152,7 +159,9 @@ def validate(
     triples; symbols that trigger the same state pair are merged into one
     arrow.  Raises :class:`DuplicateIdentifier`, :class:`Nondeterministic`,
     :class:`NonInjectiveOutput`, :class:`UnknownState`,
-    :class:`UnknownSymbol` or :class:`MissingOutput` on violations.
+    :class:`UnknownSymbol` or :class:`MissingOutput` on violations, and
+    otherwise builds the graph through :func:`_assemble`.  It is the entry
+    point for outside descriptions; graphs derived from valid ones skip it.
     """
     inputs = _ordered_unique(input_alphabet, "input alphabet")
     outputs = _ordered_unique(output_alphabet, "output alphabet")
@@ -186,20 +195,7 @@ def validate(
             raise Nondeterministic(src, sym)
         trans[(src, sym)] = tgt
 
-    arrows, by_source, by_pair = _merge_arrows(state_list, trans)
-
-    return Automaton(
-        name=name,
-        input_alphabet=inputs,
-        output_alphabet=outputs,
-        states=state_list,
-        initial=initial,
-        output_map=output_map,
-        transitions=trans,
-        arrows=arrows,
-        by_source=by_source,
-        by_pair=by_pair,
-    )
+    return _assemble(Automaton, name, inputs, outputs, state_list, initial, output_map, trans)
 
 
 def arrows_from(a: Automaton, q: str) -> list[Arrow]:

@@ -215,6 +215,8 @@ def parse_machine(text: str) -> TuringMachine:
         if key == "blank":
             if len(rest) != 1:
                 raise ParseError(lineno, "blank takes one symbol")
+            if blank is not None:
+                raise ParseError(lineno, "blank declared twice")
             blank = rest[0]
         elif key == "tape":
             tape.extend(rest)
@@ -223,6 +225,8 @@ def parse_machine(text: str) -> TuringMachine:
         elif key == "initial":
             if len(rest) != 1:
                 raise ParseError(lineno, "initial takes one state")
+            if initial is not None:
+                raise ParseError(lineno, "initial declared twice")
             initial = rest[0]
         elif key == "halting":
             halting.extend(rest)
@@ -301,6 +305,8 @@ def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
         elif key == "initial":
             if len(rest) != 2:
                 raise ParseError(lineno, "initial takes <module> <state>")
+            if rest[0] in initials:
+                raise ParseError(lineno, f"initial of {rest[0]!r} declared twice")
             initials[rest[0]] = rest[1]
         else:
             raise ParseError(lineno, f"unknown directive {key!r}")

@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import Automaton, convergent_states, validate
+from .core import Automaton, _assemble, _ordered_unique, convergent_states, validate
 from .dissipation import InputModel, choice_information
 from .errors import (
     AlphabetTooSmall,
-    DuplicateIdentifier,
     Halted,
     IrreversibleStep,
     Nondeterministic,
@@ -289,31 +288,25 @@ def make_machine(
     rules: Iterable[tuple[str, str, str, str, str]] = (),
 ) -> TuringMachine:
     """Validate a rule table.  Rules are (state, read, state', write, move)."""
-    alphabet = []
-    for s in tape_alphabet:
-        if s in alphabet:
-            raise DuplicateIdentifier(s, "tape alphabet")
-        alphabet.append(s)
-    if blank not in alphabet:
+    alphabet = _ordered_unique(tape_alphabet, "tape alphabet")
+    symbol_set = set(alphabet)
+    if blank not in symbol_set:
         raise UnknownSymbol(blank, "blank")
-    states = []
-    for q in control_states:
-        if q in states:
-            raise DuplicateIdentifier(q, "control states")
-        states.append(q)
-    if initial not in states:
+    states = _ordered_unique(control_states, "control states")
+    state_set = set(states)
+    if initial not in state_set:
         raise UnknownState(initial, "initial")
     halting_set = frozenset(halting)
     for q in halting_set:
-        if q not in states:
+        if q not in state_set:
             raise UnknownState(q, "halting")
     table: dict[tuple[str, str], tuple[str, str, str]] = {}
     for q, s, q2, w, move in rules:
         for state in (q, q2):
-            if state not in states:
+            if state not in state_set:
                 raise UnknownState(state, "rule")
         for sym in (s, w):
-            if sym not in alphabet:
+            if sym not in symbol_set:
                 raise UnknownSymbol(sym, "rule")
         if move not in MOVES:
             raise ValidationError(f"bad move {move!r}, want L, R or N")
@@ -324,8 +317,8 @@ def make_machine(
         table[(q, s)] = (q2, w, move)
     return TuringMachine(
         name=name,
-        control_states=tuple(states),
-        tape_alphabet=tuple(alphabet),
+        control_states=states,
+        tape_alphabet=alphabet,
         blank=blank,
         initial=initial,
         halting=halting_set,
@@ -432,11 +425,7 @@ def cell_automaton(alphabet: Sequence[str], name: str = "cell") -> Automaton:
     Each state has |alphabet| outgoing and |alphabet| incoming arrows, so
     every write lands on a convergence.
     """
-    symbols = []
-    for s in alphabet:
-        if s in symbols:
-            raise DuplicateIdentifier(s, "cell alphabet")
-        symbols.append(s)
+    symbols = _ordered_unique(alphabet, "cell alphabet")
     if len(symbols) < 2:
         raise AlphabetTooSmall(len(symbols))
     return validate(
@@ -537,38 +526,26 @@ def modular_tm_dissipation(
 def _linear_automaton(name: str, node_ids: Sequence[str]) -> Automaton:
     if len(set(node_ids)) != len(node_ids):
         raise RepeatedConfiguration("trajectory revisits a configuration")
-    return validate(
-        name=name,
-        input_alphabet=["ck"],
-        output_alphabet=[f"o{i}" for i in range(len(node_ids))],
-        states=node_ids,
-        initial=node_ids[0] if node_ids else None,
-        output_map={q: f"o{i}" for i, q in enumerate(node_ids)},
-        transitions=[
-            (node_ids[i], "ck", node_ids[i + 1]) for i in range(len(node_ids) - 1)
-        ],
-    )
+    outputs = tuple(f"o{i}" for i in range(len(node_ids)))
+    return _assemble(Automaton, name, ("ck",), outputs, tuple(node_ids),
+                     node_ids[0] if node_ids else None, dict(zip(node_ids, outputs)),
+                     {(q, "ck"): t for q, t in zip(node_ids, node_ids[1:])})
 
 
 def global_graph(trace) -> Automaton:
     """The whole machine (head + tape) of a finished run as one automaton:
     a linear inputless chain that never revisits a state.
 
-    Accepts a halted :class:`RunTrace` or a :class:`BennettTrace`.
+    Accepts a halted :class:`RunTrace` or a :class:`BennettTrace`.  The
+    chain is built from its state names without :func:`validate`; a name
+    seen twice, that is a revisited configuration, raises
+    :class:`RepeatedConfiguration` there.
     """
     if isinstance(trace, BennettTrace):
         return _linear_automaton(f"{trace.machine}_global", _bennett_names(trace))
     if not trace.halted:
         raise NotHalted(f"run of {trace.machine!r} did not halt")
-    seen = set()
-    ids = []
-    for c in trace.configurations:
-        if c in seen:
-            raise RepeatedConfiguration(
-                "halted run revisited a configuration"
-            )
-        seen.add(c)
-        ids.append(c.render(trace.blank))
+    ids = [c.render(trace.blank) for c in trace.configurations]
     return _linear_automaton(f"{trace.machine}_global", ids)
 
 

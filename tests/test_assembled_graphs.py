@@ -1,0 +1,93 @@
+"""Graphs derived from valid ones skip ``validate``: products, wirings
+(the lone module with an overridden initial too), reachable parts and the
+global graphs of runs and Bennett traces.  Each must equal, field by
+field with dict orders, what ``validate`` builds from the same parts, and
+all but Bennett graphs must survive a round trip through the text
+format, which validates them again."""
+
+import random
+
+from hypothesis import given, settings
+
+from autodiss import (
+    Automaton,
+    ProductAutomaton,
+    bennett_simulate,
+    global_graph,
+    product_many,
+    reachable_subgraph,
+    tm_run,
+    validate,
+    wire,
+)
+from autodiss.errors import AutomataError
+from autodiss.fileformat import parse_automaton, write_automaton
+from test_composition import _fields, _module, _wiring
+from test_tm_properties import machines
+
+
+def check_as_validated(x, cls=Automaton, text_form=True):
+    want = validate(
+        x.name, x.input_alphabet, x.output_alphabet, x.states, x.initial, x.output_map,
+        [(q, s, t) for (q, s), t in x.transitions.items()],
+    )
+    _, want_fields = _fields(want)
+    kind, got = _fields(x)
+    # a product carries its module provenance after the graph's fields
+    assert kind is cls and got[: len(want_fields)] == want_fields
+    if text_form:
+        assert parse_automaton(write_automaton(x))[0] == want
+
+
+def test_products_and_their_reachable_parts_match_validate():
+    rng = random.Random(51)
+    built = 0
+    for _ in range(600):
+        tricky = rng.random() < 0.4
+        mods = [_module(rng, f"m{i}", tricky) for i in range(rng.randint(1, 4))]
+        try:
+            prod = product_many(mods)
+        except AutomataError:
+            continue
+        check_as_validated(prod, ProductAutomaton)
+        if prod.initial is not None:
+            check_as_validated(reachable_subgraph(prod))
+        built += 1
+    assert built > 300
+
+
+def test_wirings_and_their_reachable_parts_match_validate():
+    rng = random.Random(52)
+    built, overridden = 0, 0
+    for case in range(1200):
+        w = _wiring(rng, case)
+        try:
+            closed = wire(w)
+        except AutomataError:
+            continue
+        check_as_validated(closed.automaton)
+        if closed.automaton.initial is not None:
+            check_as_validated(reachable_subgraph(closed))
+        built += 1
+        # a lone free module is its own closed system unless its initial
+        # is overridden
+        lone = len(w.modules) == 1 and bool(closed.free_modules)
+        overridden += lone and closed.automaton is not w.modules[0][1]
+    assert built > 300 and overridden > 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(machines())
+def test_global_graphs_match_validate(case):
+    tm, _, tape, budget = case
+    try:
+        trace = tm_run(tm, tape, max_steps=budget)
+    except AutomataError:
+        return
+    if not trace.halted:
+        return
+    check_as_validated(global_graph(trace))
+    # Bennett state names join their parts with ``#``, the comment
+    # marker of the text format, so they have no text form.
+    check_as_validated(global_graph(bennett_simulate(tm, tape, max_steps=budget)),
+                       text_form=False)

@@ -157,6 +157,8 @@ def test_machine_parse(bb2):
         ("tm x\ntape 0\nblank 0\nstates a", "missing initial"),
         ("tm x\nrule a 0 a 0", "takes"),
         ("tm x\nweird", "unknown directive"),
+        ("tm x\nblank 0\ntape 0 1\nblank 1", "line 4: blank declared twice"),
+        ("tm x\ninitial a\nstates a b\ninitial b", "line 4: initial declared twice"),
     ],
 )
 def test_machine_parse_errors(text, fragment):
@@ -183,6 +185,22 @@ def test_wiring_parse_errors(tmp_path):
     assert "cannot read module file" in str(exc.value)
     with pytest.raises(ParseError):
         parse_wiring("wiring w\nconnect a b Q0-T0\n")
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("wiring w\nconnect a b Q0-T0", "line 2: bad mapping"),
+        (
+            "wiring w\ninitial a 0\ninitial b 0\ninitial a 1",
+            "line 4: initial of 'a' declared twice",
+        ),
+    ],
+)
+def test_wiring_parse_errors_carry_line_numbers(text, fragment):
+    with pytest.raises(ParseError) as exc:
+        parse_wiring(text)
+    assert fragment in str(exc.value)
 
 
 def test_wiring_module_parse_error_names_the_module_file(tmp_path):

@@ -1,0 +1,106 @@
+"""Seeded fuzzing of the three text parsers: on any input, only an
+``AutomataError`` may escape.
+
+Inputs are token soup in each grammar (directive keywords followed by
+words from a shared pool) and mutations of the bundled asset files
+and of one automaton with arrow probabilities (lines dropped, repeated
+or swapped, tokens replaced).  Wirings are
+parsed against a directory that does not exist, so every module line
+fails to load.
+"""
+
+import os
+import random
+
+from autodiss.assets import asset_names, asset_path
+from autodiss.errors import AutomataError
+from autodiss.fileformat import parse_automaton, parse_machine, parse_wiring
+
+GRAMMARS = {
+    ".aut": ("automaton", ("inputs", "outputs", "states", "initial", "output", "trans", "prob"),
+             parse_automaton),
+    ".tm": ("tm", ("blank", "tape", "states", "initial", "halting", "rule"), parse_machine),
+    ".wiring": ("wiring", ("module", "connect", "constant", "initial"),
+                lambda text: parse_wiring(text, base_dir=os.path.join("no", "such", "dir"))),
+}
+
+POOL = ["q", "r", "0", "1", "_", "a", "x", "o", "ck", "L", "R", "N", "X", "0.5", "-1", "1e400",
+        "nan", "inf", "a=x", "=", "x=", "(q,r)", "q|r", "é", "#", "automaton", "tm", "wiring"]
+
+
+# No bundled automaton sets arrow probabilities.
+PROB_SEED = """automaton skew
+inputs x y z
+outputs o0 o1
+states q0 q1
+initial q0
+output q0 o0
+output q1 o1
+trans q0 x q0
+trans q0 y q1
+trans q0 z q1
+trans q1 x q0
+prob q0 x 0.25
+prob q0 y 0.5
+prob q0 z 0.25
+"""
+
+
+def _seeds():
+    seeds = {ext: [] for ext in GRAMMARS}
+    seeds[".aut"].append(PROB_SEED.splitlines())
+    for name in asset_names():
+        ext = os.path.splitext(name)[1]
+        if ext in seeds:
+            with open(asset_path(name), encoding="utf-8") as fh:
+                seeds[ext].append(fh.read().splitlines())
+    return seeds
+
+
+def _soup(rng, header, keys, pool):
+    lines = [f"{header} {rng.choice(pool)}"] if rng.random() < 0.9 else []
+    for _ in range(rng.randint(0, 12)):
+        key = rng.choice(keys) if rng.random() < 0.9 else rng.choice(pool)
+        lines.append(" ".join([key] + rng.choices(pool, k=rng.randint(0, 5))))
+    return "\n".join(lines)
+
+
+def _mutant(rng, lines, pool):
+    lines = list(lines)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(4)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, rng.choice(lines))
+        elif op == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            words = lines[i].split() or [""]
+            words[rng.randrange(len(words))] = rng.choice(pool)
+            lines[i] = " ".join(words)
+        if not lines:
+            break
+    return "\n".join(lines)
+
+
+def test_parsers_raise_only_automata_errors():
+    rng = random.Random(53)
+    seeds = _seeds()
+    for ext, (header, keys, parse) in GRAMMARS.items():
+        pool = POOL + sorted({w for text in seeds[ext] for line in text for w in line.split()})
+        parsed = 0
+        for case in range(6000):
+            if case % 2:
+                text = _soup(rng, header, keys, pool)
+            else:
+                text = _mutant(rng, rng.choice(seeds[ext]), pool)
+            try:
+                parse(text)
+            except AutomataError:
+                continue
+            parsed += 1
+        # mutants that stay valid reach the builders behind the parser
+        assert parsed > 30, ext
