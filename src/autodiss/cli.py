@@ -105,6 +105,12 @@ def cmd_run(args) -> dict:
         raise AutomataError("no start state: give --start or declare initial")
     word = _split_word(args.word, auto.input_alphabet)
     report = dissipation.path_choice_information(auto, model, start, word)
+    if math.isinf(report.total_bits):
+        i = report.per_step_bits.index(math.inf)
+        raise AutomataError(
+            f"input {word[i]!r} has probability 0 in state {report.path.states[i]!r} "
+            f"(word position {i}), so its choice information is infinite"
+        )
     return {
         "name": auto.name,
         "start": start,
@@ -267,18 +273,19 @@ def cmd_tm_linear(args) -> dict:
 def cmd_tm_bennett(args) -> dict:
     tm = fileformat.load_machine(args.file)
     trace = turing.bennett_simulate(tm, _tape(args), max_steps=args.max_steps)
-    graph = turing.global_graph(trace)
+    snapshots = trace.global_configs
+    # One global state per snapshot, and distinct snapshots have distinct
+    # names, so the chain has no convergence; its O(n^2) names are not built.
     return {
         "name": tm.name,
         "forward_steps": trace.forward.steps,
         "result_length": trace.forward.result_length,
         "total_steps": trace.total_steps,
-        "history_empty": not trace.global_configs[-1].history,
-        "input_restored": trace.global_configs[-1].config
-        == trace.global_configs[0].config,
+        "history_empty": not snapshots[-1].history,
+        "input_restored": snapshots[-1].config == snapshots[0].config,
         "output": list(trace.output_tape),
-        "global_states": len(graph.states),
-        "global_reversible": is_reversible(graph),
+        "global_states": len(snapshots),
+        "global_reversible": len(set(snapshots)) == len(snapshots),
         "classic_step_count": trace.classic_step_count,
     }
 

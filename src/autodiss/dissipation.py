@@ -58,13 +58,12 @@ class InputModel:
         cls,
         a: Automaton,
         given: dict[str, dict[tuple[str, str], float]],
-        tolerance: float = PROB_SUM_TOL,
     ) -> "InputModel":
         """Build a model from explicit per-arrow probabilities.
 
         States absent from ``given`` default to uniform.  Each provided
         state must assign finite non-negative weights to its own arrows summing
-        to one within ``tolerance``; weights are renormalized exactly.
+        to one within ``PROB_SUM_TOL``; weights are renormalized exactly.
         """
         model = cls.uniform(a)
         for q, dist in given.items():
@@ -87,7 +86,7 @@ class InputModel:
                 if p < 0:
                     raise InvalidDistribution(f"negative probability on {key}")
                 total += p
-            if abs(total - 1.0) > tolerance:
+            if abs(total - 1.0) > PROB_SUM_TOL:
                 raise InvalidDistribution(
                     f"probabilities for state {q!r} sum to {total!r}"
                 )

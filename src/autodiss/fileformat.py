@@ -43,7 +43,7 @@ from typing import Optional
 from .composition import Connection, Wiring
 from .core import Automaton, validate
 from .dissipation import InputModel
-from .errors import AutomataError, ParseError
+from .errors import AutomataError, ParseError, ValidationError
 from .turing import TuringMachine, make_machine
 
 
@@ -166,12 +166,21 @@ def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
         dist = given.setdefault(q, {})
         dist[(q, tgt)] = dist.get((q, tgt), 0.0) + weight
 
-    model = InputModel.from_arrow_probs(auto, given, tolerance=1e-9)
+    model = InputModel.from_arrow_probs(auto, given)
     return auto, model
 
 
 def write_automaton(a: Automaton, model: Optional[InputModel] = None) -> str:
-    """Canonical text form; parsing it back yields an equal automaton."""
+    """Canonical text form; parsing it back yields an equal automaton.
+
+    Raises :class:`ValidationError` for a name, symbol or state that is
+    empty or holds whitespace or ``#``, since it would not read back as
+    one token.
+    """
+    for token in (a.name, *a.input_alphabet, *a.output_alphabet, *a.states):
+        if "#" in token or token.split() != [token]:
+            raise ValidationError(f"token {token!r} has no text form: it is empty "
+                                  "or holds whitespace or '#'")
     lines = [f"automaton {a.name}"]
     if a.input_alphabet:
         lines.append("inputs " + " ".join(a.input_alphabet))

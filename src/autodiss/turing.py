@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import Automaton, _assemble, _ordered_unique, convergent_states, validate
 from .dissipation import InputModel, choice_information
@@ -162,43 +162,38 @@ class RunTrace:
         return self.configurations.log
 
 
-class _BennettRecord(NamedTuple):
-    """What every snapshot of one simulation shares."""
-
-    configurations: tuple[Configuration, ...]  # the forward run, n + 1 of them
-    history: tuple[tuple[str, str], ...]  # the full record, n pairs
-    output: tuple[str, ...]  # the full result, r symbols
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class GlobalConfig:
     """One snapshot of the augmented machine: phase, working tape state,
     recorded history, and output tape.
 
     A snapshot stores its phase and the lengths of its history and output
-    prefixes over a record shared by all snapshots of a simulation, so it
-    costs O(1) to build.  ``config``, ``history`` and ``output`` return the
-    same values a snapshot holding its own copies would.
+    prefixes over the forward run shared by all snapshots of a
+    simulation, so it costs O(1) to build.  ``history`` and ``output``
+    slice that run's log and result.  ``config`` is the forward
+    configuration after ``history_length`` steps: O(1) when the history is
+    empty or full, as at the first and last snapshots and throughout the
+    copy phase, and a log replay of O(steps * tape window) in between.
     """
 
     phase: str  # compute | copy | uncompute
     history_length: int
     output_length: int
-    record: _BennettRecord = field(repr=False)
+    run: RunTrace = field(repr=False)
 
     @property
     def config(self) -> Configuration:
         # the working tape has taken exactly as many forward steps as the
         # history holds records
-        return self.record.configurations[self.history_length]
+        return self.run.configurations[self.history_length]
 
     @property
     def history(self) -> tuple[tuple[str, str], ...]:
-        return self.record.history[: self.history_length]
+        return self.run.log[: self.history_length]
 
     @property
     def output(self) -> tuple[str, ...]:
-        return self.record.output[: self.output_length]
+        return self.run.result[: self.output_length]
 
     def _key(self) -> tuple[str, int, int]:
         return (self.phase, self.history_length, self.output_length)
@@ -208,7 +203,7 @@ class GlobalConfig:
             return NotImplemented
         if self._key() != other._key():
             return False
-        return self.record is other.record or (
+        return self.run is other.run or (
             (self.config, self.history, self.output)
             == (other.config, other.history, other.output)
         )
@@ -223,11 +218,15 @@ class BennettTrace:
 
     The history is empty at the start and the end; the input tape is
     restored and the output tape holds the result.  ``phase_boundaries``
-    gives the snapshot indices at which each phase ends.  The simulation
-    takes O(steps) rule applications and keeps one history record of n
-    pairs, shared by all 2n + r + 1 snapshots; only a global graph spells
-    each snapshot's history prefix out, so the names of
-    ``global_graph(trace)`` hold O(n^2) characters in total.
+    gives the snapshot indices at which each phase ends.
+
+    The simulation takes O(steps) rule applications and O(steps + tape
+    window) memory: the forward :class:`RunTrace`, whose log is the
+    history record of n pairs, is stored once and shared by all
+    2n + r + 1 snapshots.  A snapshot's ``config`` costs O(1) at both ends
+    of the history and a log replay in between.  Only
+    :func:`global_graph` spells each snapshot's history prefix out, so
+    the names of ``global_graph(trace)`` hold O(n^2) characters in total.
     """
 
     machine: str
@@ -502,24 +501,14 @@ def modular_tm_dissipation(
     m = model or InputModel.uniform(head)
     head_charge = {q: choice_information(head, m, q) for q in head.states}
     cell_charge = math.log2(len(tm.tape_alphabet))
-    head_bits = []
-    cell_bits = []
-    per_step = []
-    cumulative = []
-    total = 0.0
-    for q, _ in trace.log:
-        hb = head_charge[q]
-        head_bits.append(hb)
-        cell_bits.append(cell_charge)
-        per_step.append(hb + cell_charge)
-        total += hb + cell_charge
-        cumulative.append(total)
+    head_bits = tuple(head_charge[q] for q, _ in trace.log)
+    per_step = tuple(hb + cell_charge for hb in head_bits)
     return TmDissipation(
         trace=trace,
-        per_step_bits=tuple(per_step),
-        head_bits=tuple(head_bits),
-        cell_bits=tuple(cell_bits),
-        cumulative_bits=tuple(cumulative),
+        per_step_bits=per_step,
+        head_bits=head_bits,
+        cell_bits=(cell_charge,) * len(per_step),
+        cumulative_bits=tuple(itertools.accumulate(per_step)),
     )
 
 
@@ -561,22 +550,16 @@ def _prefix_ends(parts: Sequence[str]) -> list[int]:
 def _bennett_names(trace: BennettTrace) -> list[str]:
     """One state name per snapshot, ``phase#config#h[history]#o[output]``:
     the working configuration's render, the ``;``-joined ``control,read``
-    records so far and the ``,``-joined output cells so far.  Each
-    configuration is rendered once, and every history and output prefix
-    is sliced from one joined string."""
+    records so far and the ``,``-joined output cells so far.  The forward
+    configurations are rendered in one pass over the trajectory, and
+    every history and output prefix is sliced from one joined string."""
     blank = trace.forward.blank
+    rendered = [c.render(blank) for c in trace.forward.configurations]
     hist_parts = [f"{q},{s}" for q, s in trace.history_records]
     hist, hist_ends = ";".join(hist_parts), _prefix_ends(hist_parts)
     out, out_ends = ",".join(trace.output_tape), _prefix_ends(trace.output_tape)
-    rendered: dict[int, str] = {}
-    names = []
-    for g in trace.global_configs:
-        config = rendered.get(g.history_length)
-        if config is None:
-            config = rendered[g.history_length] = g.config.render(blank)
-        names.append(f"{g.phase}#{config}#h[{hist[: hist_ends[g.history_length]]}]"
-                     f"#o[{out[: out_ends[g.output_length]]}]")
-    return names
+    return [f"{g.phase}#{rendered[g.history_length]}#h[{hist[: hist_ends[g.history_length]]}]"
+            f"#o[{out[: out_ends[g.output_length]]}]" for g in trace.global_configs]
 
 
 def bennett_simulate(
@@ -595,44 +578,38 @@ def bennett_simulate(
 
     Raises :class:`NotHalting` if the budget runs out and
     :class:`IrreversibleStep` if a backward step disagrees with the
-    recorded forward run.
+    recorded forward run or the backward pass does not restore the start
+    configuration.
     """
     forward = tm_run(tm, tape, max_steps=max_steps, tape_cap=tape_cap)
     if not forward.halted:
         raise NotHalting(max_steps)
-    configs = tuple(forward.configurations)
-    history = forward.log
-    n = forward.steps
-    result = forward.result or ()
-    r = len(result)
-    record = _BennettRecord(configs, history, result)
+    n, r = forward.steps, forward.result_length
+    snapshots = [GlobalConfig("compute", t, 0, forward) for t in range(n + 1)]
+    snapshots += [GlobalConfig("copy", n, j, forward) for j in range(1, r + 1)]
 
-    snapshots = [GlobalConfig("compute", t, 0, record) for t in range(n + 1)]
-    for j in range(1, r + 1):
-        snapshots.append(GlobalConfig("copy", n, j, record))
-
-    store = dict(configs[n].cells)
-    current = configs[n]
+    # Each step is undone on one tape; the two checks below make every
+    # undone step the inverse of its recorded one, so restoring the start
+    # configuration at the end means every intermediate one was restored.
+    end = forward.configurations[-1]
+    store, head, control = dict(end.cells), end.head, end.control
     for k in range(1, n + 1):
-        q, s = history[n - k]
+        q, s = forward.log[n - k]
         q2, w, move = tm.rules[(q, s)]
-        if current.control != q2:
-            raise IrreversibleStep(
-                f"backward step {k}: control {current.control!r}, expected {q2!r}"
-            )
-        prev_head = current.head - MOVES[move]
-        if store.get(prev_head, tm.blank) != w:
-            raise IrreversibleStep(
-                f"backward step {k}: cell {prev_head} does not hold {w!r}"
-            )
+        if control != q2:
+            raise IrreversibleStep(f"backward step {k}: control {control!r}, expected {q2!r}")
+        head -= MOVES[move]
+        if store.get(head, tm.blank) != w:
+            raise IrreversibleStep(f"backward step {k}: cell {head} does not hold {w!r}")
         if s == tm.blank:
-            store.pop(prev_head, None)
+            store.pop(head, None)
         else:
-            store[prev_head] = s
-        current = Configuration(control=q, head=prev_head, cells=tuple(sorted(store.items())))
-        if current != configs[n - k]:
-            raise IrreversibleStep(f"backward step {k} diverges from the forward run")
-        snapshots.append(GlobalConfig("uncompute", n - k, r, record))
+            store[head] = s
+        control = q
+        snapshots.append(GlobalConfig("uncompute", n - k, r, forward))
+    restored = Configuration(control=control, head=head, cells=tuple(sorted(store.items())))
+    if restored != forward.configurations[0]:
+        raise IrreversibleStep("backward pass does not restore the start configuration")
 
     # Within each phase the history length (compute, uncompute) or the
     # output length (copy) is strictly monotone, so the (phase, history
@@ -645,9 +622,9 @@ def bennett_simulate(
         machine=tm.name,
         input_tape=tuple(tape),
         forward=forward,
-        history_records=history,
+        history_records=forward.log,
         global_configs=tuple(snapshots),
         phase_boundaries=(n, n + r, 2 * n + r),
-        output_tape=result,
+        output_tape=forward.result,
         total_steps=2 * n + r,
     )

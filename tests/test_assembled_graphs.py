@@ -3,10 +3,12 @@
 global graphs of runs and Bennett traces.  Each must equal, field by
 field with dict orders, what ``validate`` builds from the same parts, and
 all but Bennett graphs must survive a round trip through the text
-format, which validates them again."""
+format, which validates them again; writing a Bennett graph is refused."""
 
 import random
+import re
 
+import pytest
 from hypothesis import given, settings
 
 from autodiss import (
@@ -20,7 +22,7 @@ from autodiss import (
     validate,
     wire,
 )
-from autodiss.errors import AutomataError
+from autodiss.errors import AutomataError, ValidationError
 from autodiss.fileformat import parse_automaton, write_automaton
 from test_composition import _fields, _module, _wiring
 from test_tm_properties import machines
@@ -88,6 +90,8 @@ def test_global_graphs_match_validate(case):
         return
     check_as_validated(global_graph(trace))
     # Bennett state names join their parts with ``#``, the comment
-    # marker of the text format, so they have no text form.
-    check_as_validated(global_graph(bennett_simulate(tm, tape, max_steps=budget)),
-                       text_form=False)
+    # marker of the text format, so writing them is refused.
+    bennett = global_graph(bennett_simulate(tm, tape, max_steps=budget))
+    check_as_validated(bennett, text_form=False)
+    with pytest.raises(ValidationError, match=re.escape(repr(bennett.states[0]))):
+        write_automaton(bennett)

@@ -74,6 +74,23 @@ def test_run_forbidden_input(capsys):
     assert "position 0" in err
 
 
+def test_run_zero_probability_step_is_a_domain_error(capsys, tmp_path):
+    aut = tmp_path / "zero.aut"
+    aut.write_text(
+        "automaton z\ninputs x y\noutputs a b\nstates q0 q1\ninitial q0\n"
+        "output q0 a\noutput q1 b\ntrans q0 x q1\ntrans q0 y q0\n"
+        "prob q0 x 0\nprob q0 y 1\n"
+    )
+    for flags in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "run", str(aut), "--word", "y x", *flags)
+        assert code == 1
+        assert out == ""
+        assert err == ("error: input 'x' has probability 0 in state 'q0' (word position 1), "
+                       "so its choice information is infinite\n")
+    code, out, _ = run_cli(capsys, "run", str(aut), "--word", "y y", "--json")
+    assert code == 0 and json.loads(out)["total_bits"] == 0.0
+
+
 def test_run_temperature_env(capsys, monkeypatch):
     monkeypatch.setenv("AUTODISS_TEMP", "150")
     _, out, _ = run_cli(capsys, "run", LOSSY, "--word", "0100001010", "--json")
@@ -262,6 +279,23 @@ def test_tm_bennett(capsys):
     assert "history_empty: True" in out
     assert "input_restored: True" in out
     assert "classic_step_count: 45" in out
+
+
+@pytest.mark.parametrize("key, extra", [
+    ("bb2/default/bennett", []),
+    ("bb2/tape/bennett", ["--tape", "1 1 0 1"]),
+])
+def test_tm_bennett_reports_without_the_global_graph(capsys, monkeypatch, key, extra):
+    golden = os.path.join(os.path.dirname(__file__), "golden", "tm_outputs.json")
+    with open(golden, encoding="utf-8") as fh:
+        want = json.load(fh)["cli"][key]
+
+    def refuse(trace):
+        raise AssertionError("tm bennett built the global graph")
+
+    monkeypatch.setattr(autodiss.turing, "global_graph", refuse)
+    code, out, err = run_cli(capsys, "--json", "tm", "bennett", BB2, *extra)
+    assert {"code": code, "out": out, "err": err} == want
 
 
 def test_tm_bennett_not_halting(capsys):

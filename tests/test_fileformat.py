@@ -1,5 +1,7 @@
 """Text format round trips and parse diagnostics."""
 
+import re
+
 import pytest
 
 from autodiss import (
@@ -8,10 +10,11 @@ from autodiss import (
     parse_automaton,
     parse_machine,
     parse_wiring,
+    validate,
     write_automaton,
 )
 from autodiss.assets import asset_names, asset_path
-from autodiss.errors import InvalidDistribution, NonInjectiveOutput, ParseError
+from autodiss.errors import InvalidDistribution, NonInjectiveOutput, ParseError, ValidationError
 
 
 @pytest.mark.parametrize(
@@ -23,6 +26,17 @@ def test_round_trip(name):
     again, _ = parse_automaton(text)
     assert again == auto
     assert write_automaton(again) == text
+
+
+@pytest.mark.parametrize("where", ["name", "input", "output", "state"])
+@pytest.mark.parametrize("bad", ["", "a b", "a\tb", "a\u2028b", "a#b", "#"])
+def test_write_refuses_tokens_without_a_text_form(where, bad):
+    parts = {"name": "m", "input": "i", "output": "o", "state": "q"}
+    parts[where] = bad
+    name, i, o, q = parts.values()
+    auto = validate(name, [i], [o], [q], q, {q: o}, [(q, i, q)])
+    with pytest.raises(ValidationError, match=re.escape(f"token {bad!r} has no text form")):
+        write_automaton(auto)
 
 
 def test_round_trip_with_probabilities():

@@ -1,11 +1,14 @@
 """Machine runs cross-checked against the brute-force oracle, head/cell
 decomposition, dissipation growth, and the reversible simulation."""
 
+import dataclasses
 import math
 
 import pytest
 
 from autodiss import (
+    Configuration,
+    RunTrace,
     bennett_simulate,
     cell_automaton,
     check_convergence_lemma,
@@ -27,15 +30,18 @@ from autodiss import (
 from autodiss.errors import (
     AlphabetTooSmall,
     Halted,
+    IrreversibleStep,
     Nondeterministic,
     NoRule,
     NotHalted,
     NotHalting,
+    RepeatedConfiguration,
     TapeOverflow,
     UnknownSymbol,
     ValidationError,
 )
-from autodiss.turing import detect_eventual_period
+from autodiss import turing
+from autodiss.turing import Trajectory, detect_eventual_period
 from tm_oracle import BB2_RULES, oracle_run
 
 
@@ -340,3 +346,47 @@ def test_bennett_snapshots_compare_by_value_across_simulations(bb2):
     for t in range(other.forward.steps + 1):
         # same phase and prefix lengths, different tape and history
         assert first.global_configs[t] != other.global_configs[t]
+
+
+def eraser():
+    """Erases the one input cell, steps right and halts: two steps."""
+    return make_machine(
+        "eraser", ["_", "a", "b"], "_", ["q", "r", "h"], initial="q", halting=["h"],
+        rules=[("q", "a", "r", "_", "R"), ("q", "b", "r", "_", "R"), ("r", "_", "h", "_", "N")],
+    )
+
+
+@pytest.mark.parametrize("log, end, message", [
+    # read 'b' where 'a' was: every backward step checks out, but the
+    # input comes back as 'b'
+    ((("q", "b"), ("r", "_")), None, "does not restore the start configuration"),
+    ((("q", "a"), ("q", "a")), None, "backward step 1: control 'h', expected 'r'"),
+    (None, Configuration("h", 1, ((1, "a"),)), "backward step 1: cell 1 does not hold '_'"),
+])
+def test_bennett_refuses_a_tampered_forward_run(monkeypatch, log, end, message):
+    tm = eraser()
+    assert bennett_simulate(tm, ["a"]).total_steps == 4
+    real = turing.tm_run
+
+    def tampered(*args, **kwargs):
+        run = real(*args, **kwargs)
+        t = run.configurations
+        return dataclasses.replace(
+            run, configurations=Trajectory(t.tm, t.start, log or t.log, end or t.end))
+
+    monkeypatch.setattr(turing, "tm_run", tampered)
+    with pytest.raises(IrreversibleStep, match=message):
+        bennett_simulate(tm, ["a"])
+
+
+def test_global_graph_refuses_a_run_that_revisits_a_configuration():
+    stay = make_machine(
+        "stay", ["_", "a"], "_", ["q", "h"], initial="q", halting=["h"],
+        rules=[("q", "a", "q", "a", "N"), ("q", "_", "h", "_", "N")],
+    )
+    start = initial_configuration(stay, ["a"])
+    # claimed halted, but its one step leads back to the start
+    run = RunTrace("stay", "_", Trajectory(stay, start, (("q", "a"),), start),
+                   halted=True, steps=1, result=("a",), result_length=1)
+    with pytest.raises(RepeatedConfiguration, match="revisits a configuration"):
+        global_graph(run)
