@@ -142,6 +142,12 @@ def cmd_product(args) -> dict:
     }
 
 
+def _uniform_bits(degree: int) -> float:
+    """Choice bits of ``degree`` equally likely arrows, 0.0 at a sink, summed
+    term by term as choice_information sums them, so that the floats agree."""
+    return float(sum(-p * math.log2(p) for p in [1 / max(degree, 1)] * degree))
+
+
 def cmd_wire(args) -> dict:
     wiring = fileformat.load_wiring(args.file)
     closed = composition.wire(wiring)
@@ -149,11 +155,8 @@ def cmd_wire(args) -> dict:
     _write_out(args, auto)
     shown = auto.states if auto.initial is None else sorted(reachable_states(auto, auto.initial))
     # Dissipation is owed on the open graph (what the per-module tests
-    # certify), even though the wired loop itself may be choice-free.  Its
-    # uniform choice is summed term by term, as choice_information sums
-    # it, so that the floats agree.
+    # certify), even though the wired loop itself may be choice-free.
     degree = composition.open_out_degrees(closed)
-    model = dissipation.InputModel.uniform(auto)
     return {
         "name": auto.name,
         "modules": [n for n, _ in wiring.modules],
@@ -161,11 +164,8 @@ def cmd_wire(args) -> dict:
         "state_count": len(auto.states),
         "arrow_count": auto.arrow_count,
         "initial": auto.initial,
-        "open_choice_bits": {
-            q: float(sum(-p * math.log2(p) for p in [1 / max(degree[q], 1)] * degree[q]))
-            for q in shown
-        },
-        "closed_choice_bits": {q: dissipation.choice_information(auto, model, q) for q in shown},
+        "open_choice_bits": {q: _uniform_bits(degree[q]) for q in shown},
+        "closed_choice_bits": {q: _uniform_bits(auto.out_degree(q)) for q in shown},
     }
 
 
@@ -230,14 +230,14 @@ def cmd_tm_run(args) -> dict:
 def cmd_tm_head(args) -> dict:
     tm = fileformat.load_machine(args.file)
     head = turing.head_automaton(tm)
-    report = turing.check_convergence_lemma(tm)
+    convergent = sorted(convergent_states(head))
     _write_out(args, head)
     return {
         "name": head.name,
         "control_states": len(head.states),
         "arrow_count": head.arrow_count,
-        "has_convergence": report.has_convergence,
-        "convergent": list(report.witnesses),
+        "has_convergence": bool(convergent),
+        "convergent": convergent,
     }
 
 

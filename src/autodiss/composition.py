@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -136,8 +137,8 @@ def product_input_model(p: ProductAutomaton, models: Sequence[InputModel]) -> In
         n = len(c.states)
         moves = [[(t * n + t2, w * w2) for t, w in pre for t2, w2 in mine]
                  for pre in moves for mine in own]
-    states = [_tuple_state(parts) for parts in itertools.product(*(c.states for c in comps))]
-    return InputModel({q: {(q, states[t]): w for t, w in dist} for q, dist in zip(states, moves)})
+    return InputModel({q: {(q, p.states[t]): w for t, w in dist}
+                       for q, dist in zip(p.states, moves)})
 
 
 @dataclass(frozen=True)
@@ -308,34 +309,53 @@ def reachable_subgraph(c) -> Automaton:
                           {key: t for key, t in a.transitions.items() if key[0] in keep})
 
 
-def _forced_isomorphism(a: Automaton, b: Automaton, sigma: dict[str, str],
-                        ra: set[str], rb: set[str]) -> bool:
-    """Check the state bijection forced by a full symbol bijection."""
-    smap = {a.initial: b.initial}
-    rmap = {b.initial: a.initial}
-    stack = [a.initial]
-    while stack:
-        p = stack.pop()
-        q = smap[p]
-        syms_p = [s for s in a.input_alphabet if (p, s) in a.transitions]
-        syms_q = {s for s in b.input_alphabet if (q, s) in b.transitions}
-        if len(syms_p) != len(syms_q):
-            return False
-        if {sigma[s] for s in syms_p} != syms_q:
-            return False
-        for s in syms_p:
-            t = a.transitions[(p, s)]
-            u = b.transitions[(q, sigma[s])]
-            if t in smap:
-                if smap[t] != u:
-                    return False
-            else:
-                if u in rmap:
-                    return False
-                smap[t] = u
-                rmap[u] = t
-                stack.append(t)
-    return len(smap) == len(ra) == len(rb)
+def _moves(a: Automaton) -> dict[str, dict[str, str]]:
+    """Each state reachable from the initial one, with its moves."""
+    if a.initial is None:
+        raise MissingInitial(a.name)
+    return {q: {s: ar.target for ar in a.by_source[q] for s in ar.labels}
+            for q in reachable_states(a, a.initial)}
+
+
+def _propagate(ma, mb, ua, ub, sigma: dict[str, str], smap: dict[str, str]):
+    """Add to the symbol map ``sigma`` and the state map ``smap`` every pair
+    they force.  A symbol at a mapped state fits a symbol of the image state
+    that is its image, or else unused with the same usage count, and whose
+    target is its own target's image, or else no image yet.  Returns ``None``
+    once both maps are complete, else a symbol and its fits (none on a
+    contradiction) to branch on; the maps only ever gain items."""
+    used, image = set(sigma.values()), set(smap.values())
+    while True:
+        forced, pending = False, None
+        order = list(smap)
+        for p in order:  # grows as targets are mapped, so one pass can map all
+            here, there = ma[p], mb[smap[p]]
+            if len(here) != len(there):
+                return None, []
+            free = [t for t in there if t not in used]
+            for s, x in here.items():
+                mapped, image_x = s in sigma, smap.get(x)
+                fits = []
+                for t in [sigma[s]] if mapped else free:
+                    u = there.get(t)
+                    if (u is not None and (u == image_x if image_x is not None else u not in image)
+                            and (mapped or t not in used and ub[t] == ua[s])):
+                        fits.append(t)
+                        if len(fits) > 1 and pending is not None:
+                            break  # only the first pending symbol's fits are kept
+                if len(fits) > 1:
+                    pending = pending or (s, fits)
+                elif not fits:
+                    return None, []
+                elif not mapped or image_x is None:
+                    t = fits[0]
+                    sigma[s], smap[x], forced = t, there[t], True
+                    used.add(t)
+                    image.add(there[t])
+                    if image_x is None:
+                        order.append(x)
+        if pending is None or not forced:
+            return pending
 
 
 def equivalent(a: Automaton, b: Automaton,
@@ -344,57 +364,33 @@ def equivalent(a: Automaton, b: Automaton,
     renaming of input symbols.  Output maps are not compared; the graph
     structure and arrow label sets are.
 
-    Pass ``symbol_map`` to fix the renaming; otherwise one is searched
-    (symbols are matched by usage counts first, so the search stays
-    small on the alphabets automata files use).
+    Symbols and states are mapped together from the initial pair, and the
+    search branches on one symbol's fits only once nothing more is forced.
+    A ``symbol_map`` fixes the renaming of the used symbols (if partial or
+    not injective, the answer is ``False``): nothing branches, and the check
+    is one O(transitions) pass.  Without it, a renamed copy is found fast,
+    but refuting a near-miss on a very symmetric graph, such as a product
+    of equal modules, can take exponential time.
     """
-    if a.initial is None:
-        raise MissingInitial(a.name)
-    if b.initial is None:
-        raise MissingInitial(b.name)
-    ra = reachable_states(a, a.initial)
-    rb = reachable_states(b, b.initial)
-    if len(ra) != len(rb):
+    ma, mb = _moves(a), _moves(b)
+    if len(ma) != len(mb):
         return False
-
-    def usage(auto, reach):
-        counts: dict[str, int] = {}
-        for (q, s), _ in auto.transitions.items():
-            if q in reach:
-                counts[s] = counts.get(s, 0) + 1
-        return counts
-
-    ua, ub = usage(a, ra), usage(b, rb)
+    ua, ub = (Counter(s for moves in m.values() for s in moves) for m in (ma, mb))
     if sorted(ua.values()) != sorted(ub.values()):
         return False
-
-    if symbol_map is not None:
-        sigma = dict(symbol_map)
-        if set(ua) - set(sigma):
-            return False
-        return _forced_isomorphism(a, b, sigma, ra, rb)
-
-    if ua == ub and _forced_isomorphism(a, b, {s: s for s in ua}, ra, rb):
-        return True
-
-    syms_a = sorted(ua)
-    by_count: dict[int, list[str]] = {}
-    for s, n in ub.items():
-        by_count.setdefault(n, []).append(s)
-
-    def assign(i: int, sigma: dict[str, str], used: set[str]) -> bool:
-        if i == len(syms_a):
-            return _forced_isomorphism(a, b, sigma, ra, rb)
-        s = syms_a[i]
-        for t in sorted(by_count.get(ua[s], [])):
-            if t in used:
-                continue
-            sigma[s] = t
-            used.add(t)
-            if assign(i + 1, sigma, used):
-                return True
-            del sigma[s]
-            used.remove(t)
-        return False
-
-    return assign(0, {}, set())
+    sigma = {} if symbol_map is None else {s: symbol_map[s] for s in ua if s in symbol_map}
+    if symbol_map is not None and len(set(sigma.values())) < len(ua):
+        return False  # partial or not injective
+    # Depth-first on an explicit stack, as products can have thousands of symbols.
+    # Per branch point: map sizes to truncate back to, its symbol, untried fits.
+    smap, stack = {a.initial: b.initial}, []
+    while (branch := _propagate(ma, mb, ua, ub, sigma, smap)) is not None:
+        stack.append((len(sigma), len(smap), branch[0], iter(branch[1])))
+        while (t := next(stack[-1][3], None)) is None:
+            stack.pop()
+            if not stack:
+                return False
+        n_sigma, n_smap, s, _ = stack[-1]
+        sigma = dict([*itertools.islice(sigma.items(), n_sigma), (s, t)])
+        smap = dict(itertools.islice(smap.items(), n_smap))
+    return True

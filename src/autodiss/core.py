@@ -22,7 +22,8 @@ from .errors import (
     UnknownSymbol,
 )
 
-# Largest state count on which monolithic whole-graph operations (product
+# Largest state count, and for products and wirings also the largest
+# transition count, on which monolithic whole-graph operations (product
 # materialization, transition tours) are allowed to run.  Beyond this,
 # only modular, per-part analysis is practical.
 MONOLITHIC_STATE_LIMIT = 2**20

@@ -305,6 +305,8 @@ def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
                 if "=" not in pair:
                     raise ParseError(lineno, f"bad mapping {pair!r}, want out=in")
                 out_sym, in_sym = pair.split("=", 1)
+                if out_sym in mapping:
+                    raise ParseError(lineno, f"output {out_sym!r} mapped twice")
                 mapping[out_sym] = in_sym
             connections.append(Connection(rest[0], rest[1], mapping))
         elif key == "constant":

@@ -1,4 +1,5 @@
-"""The original product and wiring builders, kept as an oracle.
+"""The original product and wiring builders, and the original graph
+equivalence, kept as oracles.
 
 These are ``product_many``, ``product_input_model`` and ``wire`` as the
 package shipped them before they were rebuilt on integer indices,
@@ -8,6 +9,12 @@ name is joined from strings, and every graph goes through
 documented construction, so the production builders must return equal
 objects, with every field in the same iteration order, and raise the
 same exception types with the same messages.
+
+``equivalent`` and its ``_forced_isomorphism`` are copied verbatim from
+before the symbol search became a joint symbol/state propagation: they
+try every usage-preserving bijection of the used symbols, which takes
+factorial time but is plainly exhaustive, so the production
+``equivalent`` must give the same answer on every pair.
 """
 
 from __future__ import annotations
@@ -17,11 +24,12 @@ from typing import Optional, Sequence
 
 from autodiss import core
 from autodiss.composition import CLOCK_SYMBOL, ClosedSystem, Connection, ProductAutomaton, Wiring
-from autodiss.core import Automaton, validate
+from autodiss.core import Automaton, reachable_states, validate
 from autodiss.dissipation import InputModel
 from autodiss.errors import (
     AlphabetMismatch,
     DuplicateIdentifier,
+    MissingInitial,
     MultiplyDrivenPort,
     SizeLimit,
     UnknownState,
@@ -255,3 +263,95 @@ def wire(w: Wiring) -> ClosedSystem:
         transitions=transitions,
     )
     return ClosedSystem(automaton=auto, wiring=w, free_modules=free)
+
+
+def _forced_isomorphism(a: Automaton, b: Automaton, sigma: dict[str, str],
+                        ra: set[str], rb: set[str]) -> bool:
+    """Check the state bijection forced by a full symbol bijection."""
+    smap = {a.initial: b.initial}
+    rmap = {b.initial: a.initial}
+    stack = [a.initial]
+    while stack:
+        p = stack.pop()
+        q = smap[p]
+        syms_p = [s for s in a.input_alphabet if (p, s) in a.transitions]
+        syms_q = {s for s in b.input_alphabet if (q, s) in b.transitions}
+        if len(syms_p) != len(syms_q):
+            return False
+        if {sigma[s] for s in syms_p} != syms_q:
+            return False
+        for s in syms_p:
+            t = a.transitions[(p, s)]
+            u = b.transitions[(q, sigma[s])]
+            if t in smap:
+                if smap[t] != u:
+                    return False
+            else:
+                if u in rmap:
+                    return False
+                smap[t] = u
+                rmap[u] = t
+                stack.append(t)
+    return len(smap) == len(ra) == len(rb)
+
+
+def equivalent(a: Automaton, b: Automaton,
+               symbol_map: Optional[dict[str, str]] = None) -> bool:
+    """Rooted isomorphism of the reachable graphs, up to a bijective
+    renaming of input symbols.  Output maps are not compared; the graph
+    structure and arrow label sets are.
+
+    Pass ``symbol_map`` to fix the renaming; otherwise one is searched
+    (symbols are matched by usage counts first, so the search stays
+    small on the alphabets automata files use).
+    """
+    if a.initial is None:
+        raise MissingInitial(a.name)
+    if b.initial is None:
+        raise MissingInitial(b.name)
+    ra = reachable_states(a, a.initial)
+    rb = reachable_states(b, b.initial)
+    if len(ra) != len(rb):
+        return False
+
+    def usage(auto, reach):
+        counts: dict[str, int] = {}
+        for (q, s), _ in auto.transitions.items():
+            if q in reach:
+                counts[s] = counts.get(s, 0) + 1
+        return counts
+
+    ua, ub = usage(a, ra), usage(b, rb)
+    if sorted(ua.values()) != sorted(ub.values()):
+        return False
+
+    if symbol_map is not None:
+        sigma = dict(symbol_map)
+        if set(ua) - set(sigma):
+            return False
+        return _forced_isomorphism(a, b, sigma, ra, rb)
+
+    if ua == ub and _forced_isomorphism(a, b, {s: s for s in ua}, ra, rb):
+        return True
+
+    syms_a = sorted(ua)
+    by_count: dict[int, list[str]] = {}
+    for s, n in ub.items():
+        by_count.setdefault(n, []).append(s)
+
+    def assign(i: int, sigma: dict[str, str], used: set[str]) -> bool:
+        if i == len(syms_a):
+            return _forced_isomorphism(a, b, sigma, ra, rb)
+        s = syms_a[i]
+        for t in sorted(by_count.get(ua[s], [])):
+            if t in used:
+                continue
+            sigma[s] = t
+            used.add(t)
+            if assign(i + 1, sigma, used):
+                return True
+            del sigma[s]
+            used.remove(t)
+        return False
+
+    return assign(0, {}, set())

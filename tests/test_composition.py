@@ -1,10 +1,12 @@
 """Products, wirings, closed systems, and graph equivalence."""
 
 import dataclasses
+import inspect
 import json
 import math
 import random
 import shutil
+import sys
 
 import pytest
 
@@ -28,7 +30,7 @@ from autodiss import (
     validate,
     wire,
 )
-from autodiss import cli, core, fileformat
+from autodiss import cli, composition, core, fileformat
 from autodiss.assets import asset_path
 from autodiss.errors import (
     AlphabetMismatch,
@@ -305,6 +307,130 @@ def test_equivalent_needs_initials(tff):
     auto = dataclasses.replace(tff[0], initial=None)
     with pytest.raises(MissingInitial):
         equivalent(auto, tff[0])
+
+
+def _relabel(rng, a, transitions=None):
+    """``a`` with ``transitions`` (its own by default), its states and
+    symbols renamed at random and every list shuffled; also the symbol
+    renaming."""
+    states, symbols = list(a.states), list(a.input_alphabet)
+    rng.shuffle(states)
+    rng.shuffle(symbols)
+    st = {q: f"p{i}" for i, q in enumerate(states)}
+    sy = {s: f"t{i}" for i, s in enumerate(symbols)}
+    moves = [(st[q], sy[s], st[t]) for (q, s), t in (transitions or a.transitions).items()]
+    rng.shuffle(moves)
+    return validate(
+        "relabeled", list(sy.values()), a.output_alphabet, list(st.values()),
+        initial=st[a.initial], output_map={st[q]: a.output_map[q] for q in a.states},
+        transitions=moves,
+    ), sy
+
+
+def _near_miss(rng, a):
+    """``a``'s transitions with one merged arrow retargeted, or one label
+    moved to another arrow of its state."""
+    moves = dict(a.transitions)
+    if not moves:
+        return moves
+    q, s = rng.choice(list(moves))
+    if rng.random() < 0.5:
+        arrow = a.by_pair[q, moves[q, s]]
+        target = rng.choice([p for p in a.states if p != arrow.target] or a.states)
+        moves.update({(q, label): target for label in arrow.labels})
+    else:
+        others = [ar.target for ar in a.by_source[q] if ar.target != moves[q, s]]
+        moves[q, s] = rng.choice(others or a.states)
+    return moves
+
+
+def _symbol_maps(rng, a, sy):
+    """The renaming ``sy`` of ``a``'s symbols, and wrong ones: two used
+    symbols swapped, two used symbols sent to one, a used symbol left
+    out, a used symbol sent to a symbol no graph has."""
+    reach = core.reachable_states(a, a.initial)
+    used = sorted({s for (q, s) in a.transitions if q in reach})
+    maps = [sy]
+    if used:
+        s = rng.choice(used)
+        maps += [{k: v for k, v in sy.items() if k != s}, {**sy, s: "nowhere"}]
+    if len(used) > 1:
+        s, r = rng.sample(used, 2)
+        maps += [{**sy, s: sy[r], r: sy[s]}, {**sy, s: sy[r]}]
+    return maps
+
+
+def test_equivalent_matches_the_oracle_on_random_pairs():
+    """Renamed copies, near-misses and unrelated pairs of small partial
+    automata, each compared both ways, with no symbol map and with right
+    and wrong ones: every answer is the exhaustive oracle's."""
+    rng = random.Random(51)
+    answers = {}
+    for case in range(3000):
+        a = random_automaton(rng, max_states=7, max_symbols=5, density=rng.random())
+        kind = ("renamed", "near-miss", "unrelated")[case % 3]
+        if kind == "unrelated":
+            b = _relabel(rng, random_automaton(rng, max_states=7, max_symbols=5,
+                                               density=rng.random()))[0]
+            sy = {s: rng.choice(b.input_alphabet) for s in a.input_alphabet}
+        else:
+            b, sy = _relabel(rng, a, _near_miss(rng, a) if kind == "near-miss" else None)
+        for symbol_map in [None] + _symbol_maps(rng, a, sy):
+            want = composition_oracle.equivalent(a, b, symbol_map)
+            assert equivalent(a, b, symbol_map) == want, (case, symbol_map)
+            answers.setdefault((kind, symbol_map is None), set()).add(want)
+            back = None if symbol_map is None else {v: k for k, v in symbol_map.items()}
+            assert equivalent(b, a, back) == composition_oracle.equivalent(b, a, back), case
+    assert answers["renamed", True] == {True} and answers["renamed", False] == {True, False}
+    assert all(answers[kind, search] == {True, False}
+               for kind in ("near-miss", "unrelated") for search in (True, False))
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_equivalent_finds_the_renaming_of_a_flipflop_product(tff, monkeypatch, k):
+    """Products of equal modules have symbols of equal usage everywhere,
+    so trying whole symbol bijections is factorial in the 2**k symbols.
+    With the renaming given, the propagation never branches."""
+    rng = random.Random(52 + k)
+    prod = product_many([tff[0]] * k)
+    renamed, sy = _relabel(rng, prod)
+    assert equivalent(prod, renamed)
+    calls = []
+    propagate = composition._propagate
+    monkeypatch.setattr(composition, "_propagate", lambda *args: calls.append(1) or propagate(*args))
+    assert equivalent(prod, renamed, sy)
+    assert len(calls) == 1
+
+
+def test_equivalent_refutes_a_retargeted_flipflop_product(tff):
+    """One transition of a 3-flip-flop product sent elsewhere, then every
+    state and symbol renamed."""
+    rng = random.Random(53)
+    prod = product_many([tff[0]] * 3)
+    for _ in range(5):
+        moves = dict(prod.transitions)
+        key = rng.choice(list(moves))
+        moves[key] = rng.choice([q for q in prod.states if q != moves[key]])
+        assert not equivalent(prod, _relabel(rng, prod, moves)[0])
+
+
+def test_equivalent_searches_past_the_recursion_limit():
+    """All 300 symbols of a star are interchangeable, so the search takes
+    one branch point per symbol: deeper than the lowered recursion limit."""
+    def star(prefix):
+        leaves = [f"l{i}" for i in range(300)]
+        return validate(
+            "star", [prefix + q for q in leaves], ["r"] + leaves, ["r"] + leaves, initial="r",
+            output_map={q: q for q in ["r"] + leaves},
+            transitions=[("r", prefix + q, q) for q in leaves],
+        )
+    a, b = star("s"), star("t")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        assert equivalent(a, b)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ------------------------------------------------- oracle comparisons

@@ -205,6 +205,7 @@ def test_wiring_parse_errors(tmp_path):
     "text, fragment",
     [
         ("wiring w\nconnect a b Q0-T0", "line 2: bad mapping"),
+        ("wiring w\nconnect a b Q1=T1\nconnect a b Q0=T0 Q0=T1", "line 3: output 'Q0' mapped twice"),
         (
             "wiring w\ninitial a 0\ninitial b 0\ninitial a 1",
             "line 4: initial of 'a' declared twice",
