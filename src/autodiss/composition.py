@@ -58,19 +58,66 @@ def _flatten(modules: Sequence[Automaton]) -> list[Automaton]:
     return comps
 
 
-def _tuple_graph(comps: Sequence[Automaton], inputs: Sequence[str]):
-    """Tuple state names, output map and sorted output alphabet, with the
-    three checks of :func:`validate` that tuple names can fail: component
-    names holding ``,``, ``(``, ``)`` or ``|`` can make two tuples join to
-    one name.  Past these, every check holds by construction."""
-    inputs = core._ordered_unique(inputs, "input alphabet")
+def _tuple_graph(comps: Sequence[Automaton], reads):
+    """The tuple graph's parts, modules reading as :func:`_tuple_transitions`
+    says, with the three checks of :func:`validate` that tuple names can
+    fail: component names holding ``,``, ``(``, ``)`` or ``|`` can make two
+    tuples join to one name.  Past these, every check holds by construction."""
+    free = [c.input_alphabet for c, read in zip(comps, reads) if read is None]
+    inputs = core._ordered_unique(
+        map(_tuple_symbol, itertools.product(*free)) if free else [CLOCK_SYMBOL], "input alphabet"
+    )
     states = core._ordered_unique(
         (_tuple_state(p) for p in itertools.product(*(c.states for c in comps))), "states"
     )
     outputs = itertools.product(*([c.output_map[q] for q in c.states] for c in comps))
     output_map = dict(zip(states, map(_tuple_symbol, outputs)))
     core._check_injective(states, output_map)
-    return inputs, tuple(sorted(set(output_map.values()))), states, output_map
+    return (inputs, tuple(sorted(set(output_map.values()))), states, output_map,
+            _tuple_transitions(comps, reads, states, inputs))
+
+
+def _tuple_transitions(comps: Sequence[Automaton], reads, states, inputs):
+    """Transitions of ``states``, the product of the module state lists,
+    on ``inputs``, the free modules' tuple symbols in product order (or
+    one clock symbol if none is free).  Module k takes its symbol from
+    ``reads[k]``: ``None`` if free, else ``(j, symbols)``, the symbol
+    listed for module j's current state (a constant is ``(k, [sym] * n)``).
+    A tuple moves iff every module does: O(tuple states × driven modules
+    + transitions)."""
+    # Per module: per state, its target per symbol index, pre-multiplied
+    # by the module's stride; free modules keep only the defined ones.
+    driven, free = [], []
+    for k, (c, read) in enumerate(zip(comps, reads)):
+        index = {q: i for i, q in enumerate(c.states)}
+        sym_at = {s: i for i, s in enumerate(c.input_alphabet)}
+        stride = math.prod(len(d.states) for d in comps[k + 1:])
+        rows = [[None] * len(sym_at) for _ in index]
+        for (q, s), t in c.transitions.items():
+            rows[index[q]][sym_at[s]] = index[t] * stride
+        if read is None:
+            free.append((k, len(sym_at), [[(s, t) for s, t in enumerate(row) if t is not None]
+                                          for row in rows]))
+        else:
+            driven.append((k, read[0], [sym_at[s] for s in read[1]], rows))
+
+    transitions = {}
+    for q, at in zip(states, itertools.product(*(range(len(c.states)) for c in comps))):
+        base = 0
+        for k, j, syms, rows in driven:
+            t = rows[at[k]][syms[at[j]]]
+            if t is None:
+                break
+            base += t
+        else:
+            # (symbol index, target index) of the defined moves, folded
+            # across free modules in mixed radix.
+            moves = [(0, base)]
+            for k, n, own in free:
+                moves = [(s * n + s2, t + t2) for s, t in moves for s2, t2 in own[at[k]]]
+            for s, t in moves:
+                transitions[q, inputs[s]] = states[t]
+    return transitions
 
 
 def product_many(modules: Sequence[Automaton], name: Optional[str] = None) -> ProductAutomaton:
@@ -88,23 +135,7 @@ def product_many(modules: Sequence[Automaton], name: Optional[str] = None) -> Pr
                        (math.prod(len(c.transitions) for c in comps), "transitions")):
         if size > core.MONOLITHIC_STATE_LIMIT:
             raise SizeLimit(size, core.MONOLITHIC_STATE_LIMIT, unit)
-    inputs, outputs, states, output_map = _tuple_graph(comps, [
-        _tuple_symbol(parts) for parts in itertools.product(*(c.input_alphabet for c in comps))
-    ])
-
-    # Per tuple state of the components so far: its defined moves as
-    # (symbol index, target index), symbols in itertools.product order.
-    moves = [[(0, 0)]]
-    for c in comps:
-        index = {q: i for i, q in enumerate(c.states)}
-        own = [[(i, index[c.transitions[q, s]])
-                for i, s in enumerate(c.input_alphabet) if (q, s) in c.transitions]
-               for q in c.states]
-        k, n = len(c.input_alphabet), len(c.states)
-        moves = [[(s * k + s2, t * n + t2) for s, t in pre for s2, t2 in mine]
-                 for pre in moves for mine in own]
-    transitions = {(q, inputs[s]): states[t] for q, out in zip(states, moves) for s, t in out}
-
+    inputs, outputs, states, output_map, transitions = _tuple_graph(comps, [None] * len(comps))
     initial = None
     if all(c.initial is not None for c in comps):
         initial = _tuple_state([c.initial for c in comps])
@@ -181,12 +212,16 @@ def wire(w: Wiring) -> ClosedSystem:
     Wired inputs take the source module's output for the current state,
     which is causal within one synchronous step.  Free inputs remain the
     system's inputs; with none, the system is clock-driven and gets the
-    single implicit symbol ``ck``.
+    single implicit symbol ``ck``.  With every module free this is
+    :func:`product_many`'s graph; both come from one builder, at
+    O(tuple states × driven modules + transitions).
     """
     names = core._ordered_unique((n for n, _ in w.modules), "modules")
     autos = dict(w.modules)
 
-    drivers: dict[str, tuple[str, object]] = {}
+    # Per driven module: its source's position and the symbol it reads
+    # per source state (a constant's source is the module itself).
+    drivers: dict[str, tuple[int, list[str]]] = {}
     for conn in w.connections:
         for end, role in ((conn.source, "source"), (conn.dest, "dest")):
             if end not in autos:
@@ -207,7 +242,8 @@ def wire(w: Wiring) -> ClosedSystem:
                 raise AlphabetMismatch(
                     f"{mapping[r]!r} is not an input of module {conn.dest!r}"
                 )
-        drivers[conn.dest] = ("connection", Connection(conn.source, conn.dest, mapping))
+        drivers[conn.dest] = (names.index(conn.source),
+                              [mapping[src_auto.output_map[q]] for q in src_auto.states])
     for mod, sym in w.constants:
         if mod not in autos:
             raise UnknownState(mod, "constant module")
@@ -215,22 +251,9 @@ def wire(w: Wiring) -> ClosedSystem:
             raise MultiplyDrivenPort(mod)
         if sym not in autos[mod].input_alphabet:
             raise UnknownSymbol(sym, f"constant for module {mod!r}")
-        drivers[mod] = ("constant", sym)
+        drivers[mod] = (names.index(mod), [sym] * len(autos[mod].states))
 
     free = tuple(n for n in names if n not in drivers)
-
-    # A lone unwired module is already the closed system; no tuple
-    # wrapping, so the result stays identical to the module itself.
-    if len(names) == 1 and free:
-        only = autos[names[0]]
-        q0 = w.initials.get(names[0], only.initial)
-        if q0 is not None and q0 not in only.states:
-            raise UnknownState(q0, f"initial of module {names[0]!r}")
-        if q0 != only.initial:
-            only = core._assemble(Automaton, only.name, only.input_alphabet, only.output_alphabet,
-                                  only.states, q0, only.output_map, only.transitions)
-        return ClosedSystem(automaton=only, wiring=w, free_modules=free)
-
     comps = [autos[n] for n in names]
     init_parts = []
     for n, c in zip(names, comps):
@@ -238,50 +261,23 @@ def wire(w: Wiring) -> ClosedSystem:
         if q0 is not None and q0 not in c.states:
             raise UnknownState(q0, f"initial of module {n!r}")
         init_parts.append(q0)
-    initial = _tuple_state(init_parts) if all(q is not None for q in init_parts) else None
 
-    free_alphabets = [autos[n].input_alphabet for n in free]
-    size = math.prod(len(c.states) for c in comps) * math.prod(map(len, free_alphabets))
+    # A lone unwired module is already the closed system; no tuple
+    # wrapping, so the result stays identical to the module itself.
+    if len(names) == 1 and free:
+        only = comps[0]
+        if init_parts[0] != only.initial:
+            only = core._assemble(Automaton, only.name, only.input_alphabet, only.output_alphabet,
+                                  only.states, init_parts[0], only.output_map, only.transitions)
+        return ClosedSystem(automaton=only, wiring=w, free_modules=free)
+
+    initial = _tuple_state(init_parts) if all(q is not None for q in init_parts) else None
+    size = math.prod(len(c.states) for c in comps)
+    size *= math.prod(len(autos[n].input_alphabet) for n in free)
     if size > core.MONOLITHIC_STATE_LIMIT:
         raise SizeLimit(size, core.MONOLITHIC_STATE_LIMIT, "transitions")
-    inputs, outputs, states, output_map = _tuple_graph(comps, [
-        _tuple_symbol(parts) for parts in itertools.product(*free_alphabets)
-    ] if free else [CLOCK_SYMBOL])
-
-    # Per module: which entry of (module state indices + free symbol
-    # indices) selects its symbol, the symbol index for each value of
-    # that entry, and its target offset per (state, symbol), or None.
-    plan = []
-    for k, (n, c) in enumerate(zip(names, comps)):
-        sym_at = {s: i for i, s in enumerate(c.input_alphabet)}
-        index = {q: i for i, q in enumerate(c.states)}
-        feed = drivers.get(n)
-        if feed is None:
-            read = (len(names) + free.index(n), range(len(c.input_alphabet)))
-        elif feed[0] == "constant":
-            read = (k, [sym_at[feed[1]]] * len(c.states))
-        else:
-            conn, src = feed[1], autos[feed[1].source]
-            read = (names.index(conn.source),
-                    [sym_at[conn.mapping[src.output_map[q]]] for q in src.states])
-        stride = math.prod(len(d.states) for d in comps[k + 1:])
-        rows = [[None] * len(c.input_alphabet) for _ in c.states]
-        for (q, s), t in c.transitions.items():
-            rows[index[q]][sym_at[s]] = index[t] * stride
-        plan.append((k, *read, rows))
-
-    transitions = {}
-    combos = list(zip(inputs, itertools.product(*(range(len(a)) for a in free_alphabets))))
-    for q, qidx in zip(states, itertools.product(*(range(len(c.states)) for c in comps))):
-        for sym, sidx in combos:
-            at, target = qidx + sidx, 0
-            for k, pos, read, rows in plan:
-                t = rows[qidx[k]][read[at[pos]]]
-                if t is None:
-                    break
-                target += t
-            else:
-                transitions[q, sym] = states[target]
+    inputs, outputs, states, output_map, transitions = _tuple_graph(
+        comps, [drivers.get(n) for n in names])
     auto = core._assemble(Automaton, w.name, inputs, outputs, states, initial, output_map,
                           transitions)
     return ClosedSystem(automaton=auto, wiring=w, free_modules=free)

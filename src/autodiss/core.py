@@ -233,15 +233,16 @@ def step(a: Automaton, q: str, s: str) -> str:
     """Apply the transition function once.
 
     Raises :class:`ForbiddenInput` when ``s`` triggers no transition in
-    ``q``: the environment stepped outside the compatible class.
+    ``q``: the environment stepped outside the compatible class.  The
+    alphabet is scanned only on a miss, so a step costs O(1).
     """
     if q not in a.by_source:
         raise UnknownState(q)
-    if s not in a.input_alphabet:
-        raise UnknownSymbol(s)
     try:
-        return a.transitions[(q, s)]
-    except KeyError:
+        return a.transitions[q, s]
+    except (KeyError, TypeError):  # TypeError: ``s`` cannot be hashed
+        if s not in a.input_alphabet:
+            raise UnknownSymbol(s) from None
         raise ForbiddenInput(q, s) from None
 
 
@@ -253,11 +254,12 @@ def run(a: Automaton, start: str, word: Sequence[str]) -> Path:
     steps = []
     outputs = [a.output_map[q]]
     for i, s in enumerate(word):
-        if s not in a.input_alphabet:
-            raise UnknownSymbol(s, f"word position {i}")
-        nxt = a.transitions.get((q, s))
-        if nxt is None:
-            raise ForbiddenInput(q, s, position=i)
+        try:
+            nxt = a.transitions[q, s]
+        except (KeyError, TypeError):  # as in :func:`step`
+            if s not in a.input_alphabet:
+                raise UnknownSymbol(s, f"word position {i}") from None
+            raise ForbiddenInput(q, s, position=i) from None
         steps.append((s, a.by_pair[(q, nxt)], nxt))
         outputs.append(a.output_map[nxt])
         q = nxt

@@ -64,13 +64,8 @@ class Configuration:
 
     def render(self, blank: str) -> str:
         """Canonical one-line form; distinct configurations render apart."""
-        if not self.cells:
-            window = ""
-        else:
-            store = dict(self.cells)
-            lo, hi = min(store), max(store)
-            window = f"{lo}:" + ",".join(store.get(i, blank) for i in range(lo, hi + 1))
-        return f"{self.control}|{self.head}|{window}"
+        lo, window = _trimmed_window(dict(self.cells), blank)
+        return f"{self.control}|{self.head}|" + (f"{lo}:" + ",".join(window) if window else "")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -359,11 +354,13 @@ def tm_step(tm: TuringMachine, c: Configuration) -> Configuration:
     return Configuration(control=control, head=head, cells=tuple(sorted(store.items())))
 
 
-def _trimmed_window(store: dict[int, str], blank: str) -> tuple[str, ...]:
+def _trimmed_window(store: dict[int, str], blank: str) -> tuple[int, tuple[str, ...]]:
+    """The lowest stored index, and the cells from it to the highest stored
+    index with gaps blank; ``(0, ())`` for an empty tape."""
     if not store:
-        return ()
+        return 0, ()
     lo, hi = min(store), max(store)
-    return tuple(store.get(i, blank) for i in range(lo, hi + 1))
+    return lo, tuple(store.get(i, blank) for i in range(lo, hi + 1))
 
 
 def tm_run(
@@ -392,7 +389,7 @@ def tm_run(
         if hi - lo + 1 > tape_cap:
             raise TapeOverflow(hi - lo + 1, tape_cap)
     halted = control in tm.halting
-    result = _trimmed_window(store, tm.blank) if halted else None
+    result = _trimmed_window(store, tm.blank)[1] if halted else None
     end = Configuration(control=control, head=head, cells=tuple(sorted(store.items())))
     return RunTrace(
         machine=tm.name,

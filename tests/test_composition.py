@@ -528,6 +528,36 @@ def test_products_match_the_oracle_on_random_modules():
     assert raised == {"input alphabet)", "states)", "NonInjectiveOutput"}
 
 
+def _graph(a):
+    return (a.states, a.input_alphabet, a.output_alphabet, list(a.transitions.items()),
+            list(a.output_map.items()), a.arrows, a.initial)
+
+
+def test_a_product_is_the_wiring_with_every_module_free():
+    """``product_many`` and ``wire`` share one tuple-transition builder,
+    which relies on this: with no connection and no constant, the closed
+    system is the product graph, with every dict in the same order, and
+    the same tuple-name check fails first when one does."""
+    rng = random.Random(51)
+    built = 0
+    for case in range(600):
+        tricky = rng.random() < 0.4
+        mods = [_module(rng, f"m{i}", tricky) for i in range(rng.randint(2, 4))]
+        w = Wiring(f"free{case}", tuple((f"w{i}", m) for i, m in enumerate(mods)))
+        try:
+            prod = _graph(product_many(mods))
+        except AutomataError as e:
+            with pytest.raises(type(e)) as exc:
+                wire(w)
+            assert str(exc.value) == str(e), case
+            continue
+        closed = wire(w)
+        assert closed.free_modules == tuple(n for n, _ in w.modules)
+        assert _graph(closed.automaton) == prod, case
+        built += 1
+    assert built > 300
+
+
 def _wiring(rng, case, module=_module):
     tricky = rng.random() < 0.4
     mods = [(f"w{i}", module(rng, f"m{i}", tricky)) for i in range(rng.randint(1, 4))]

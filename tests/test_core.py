@@ -173,6 +173,24 @@ def test_run_reports_failing_position(lossy):
     assert exc.value.state == "D"
 
 
+@pytest.mark.parametrize("symbol", ["9", ["0"], {"0": 1}])
+def test_step_and_run_name_undeclared_symbols(lossy, symbol):
+    """Transitions are looked up before the alphabet is scanned; a symbol
+    that is not declared, hashable or not, is still an UnknownSymbol."""
+    auto, _ = lossy
+    with pytest.raises(UnknownSymbol, match=r"^symbol .* is not declared$") as exc:
+        step(auto, "A", symbol)
+    assert exc.value.symbol == symbol
+    with pytest.raises(UnknownSymbol) as exc:
+        run(auto, "A", ["0", symbol])
+    assert str(exc.value) == f"symbol {symbol!r} is not declared (word position 1)"
+    with pytest.raises(UnknownState):
+        step(auto, "nowhere", symbol)
+    with pytest.raises(ForbiddenInput) as exc:  # declared, but D accepts only 0
+        run(auto, "A", list("011") + ["1", symbol])
+    assert exc.value.position == 3
+
+
 def test_label_sets_partition_defined_symbols():
     rng = random.Random(7)
     for _ in range(60):

@@ -1,18 +1,22 @@
-"""One seeded round of the benchmark's ``modular_product`` and
-``tm_history`` jobs.
+"""One seeded round of each in-process benchmark workload:
+``tm_history``, ``modular_product`` and ``tour_ensemble``.
 
-The jobs are the ones ``perfbench/run.py`` times: products of 5-8
-modules with input models and choice bits, then a ring wiring reduced
-to its reachable part and compared with the expected automaton; and
-sweeper machines through runs, modular bits, the convergence lemma,
-Bennett simulations and global graphs, plus budgeted runs of the binary
-counter.  Their expected values come from the benchmark's own
-plain-Python references, which never call autodiss.
+The jobs are the ones ``perfbench/run.py`` times: sweeper machines
+through runs, modular bits, the convergence lemma, Bennett simulations
+and global graphs, plus budgeted runs of the binary counter; products of
+5-8 modules with input models and choice bits, then a ring wiring
+reduced to its reachable part and compared with the expected automaton;
+and transition tours and ensembles on random strongly connected
+automata.  Each job goes through the worker's own (prepare, job, check)
+triple; expected values come from the benchmark's plain-Python
+references, which never call autodiss.
 """
 
 import json
 import os
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -31,18 +35,12 @@ def _round(workload, tmp_path, monkeypatch):
     return gen, worker, worker.Env(str(tmp_path)), json.loads(json.dumps(jobs.jobs))
 
 
-def test_benchmark_product_round_passes_its_checks(tmp_path, monkeypatch):
-    gen, worker, env, specs = _round("modular_product", tmp_path, monkeypatch)
-    assert len(specs) == len(gen.PRODUCT_CLASSES)
+@pytest.mark.parametrize("workload", ["tm_history", "modular_product", "tour_ensemble"])
+def test_benchmark_round_passes_its_checks(workload, tmp_path, monkeypatch):
+    gen, worker, env, specs = _round(workload, tmp_path, monkeypatch)
+    assert len(specs) == gen.JOBS_PER_ROUND[workload]
     for spec in specs:
-        spec = worker.prepare_product(spec, env)
-        out = worker.job_product(spec, worker.Tracer(False), env)
-        assert worker.check_product(spec, out) == [], spec["wiring"]
-
-
-def test_benchmark_tm_round_passes_its_checks(tmp_path, monkeypatch):
-    gen, worker, env, specs = _round("tm_history", tmp_path, monkeypatch)
-    assert len(specs) == gen.JOBS_PER_ROUND["tm_history"] == 11
-    for spec in specs:
-        out = worker.job_tm(spec, worker.Tracer(False), env)
-        assert worker.check_tm(spec, out) == [], spec["file"]
+        prepare, job, check = worker.JOBS[spec["kind"]]
+        spec = prepare(spec, env)
+        out = job(spec, worker.Tracer(False), env)
+        assert check(spec, out) == [], (spec["kind"], spec.get("file", spec.get("wiring")))
