@@ -58,12 +58,27 @@ def _flatten(modules: Sequence[Automaton]) -> list[Automaton]:
     return comps
 
 
-def _tuple_graph(comps: Sequence[Automaton], reads):
-    """The tuple graph's parts, modules reading as :func:`_tuple_transitions`
-    says, with the three checks of :func:`validate` that tuple names can
-    fail: component names holding ``,``, ``(``, ``)`` or ``|`` can make two
-    tuples join to one name.  Past these, every check holds by construction."""
+def _tuple_graph(cls, name: str, comps: Sequence[Automaton], reads, initials, **fields):
+    """The one constructor of products and wirings: a ``cls`` on tuples of
+    ``comps``'s states, module k reading as ``reads[k]`` says (see
+    :func:`_tuple_transitions`), started at the tuple of ``initials`` unless
+    one is ``None``.  Raises :class:`ArityMismatch` with no module; then,
+    before building anything, :class:`SizeLimit` when tuple states, free
+    tuple symbols or transitions exceed ``core.MONOLITHIC_STATE_LIMIT``;
+    then the three :func:`validate` checks that tuple names can fail, as
+    names holding ``,()|`` can join two tuples to one.  Past these, every
+    check holds by construction."""
+    if not comps:
+        raise ArityMismatch("need at least one module")
     free = [c.input_alphabet for c, read in zip(comps, reads) if read is None]
+    for size, unit in (
+        (math.prod(len(c.states) for c in comps), "states"),
+        (math.prod(map(len, free)), "input symbols"),
+        (math.prod(len(c.transitions if read is None else c.states)
+                   for c, read in zip(comps, reads)), "transitions"),
+    ):
+        if size > core.MONOLITHIC_STATE_LIMIT:
+            raise SizeLimit(size, core.MONOLITHIC_STATE_LIMIT, unit)
     inputs = core._ordered_unique(
         map(_tuple_symbol, itertools.product(*free)) if free else [CLOCK_SYMBOL], "input alphabet"
     )
@@ -73,8 +88,10 @@ def _tuple_graph(comps: Sequence[Automaton], reads):
     outputs = itertools.product(*([c.output_map[q] for q in c.states] for c in comps))
     output_map = dict(zip(states, map(_tuple_symbol, outputs)))
     core._check_injective(states, output_map)
-    return (inputs, tuple(sorted(set(output_map.values()))), states, output_map,
-            _tuple_transitions(comps, reads, states, inputs))
+    initial = None if None in initials else _tuple_state(initials)
+    return core._assemble(cls, name, inputs, tuple(sorted(set(output_map.values()))), states,
+                          initial, output_map, _tuple_transitions(comps, reads, states, inputs),
+                          **fields)
 
 
 def _tuple_transitions(comps: Sequence[Automaton], reads, states, inputs):
@@ -124,24 +141,12 @@ def product_many(modules: Sequence[Automaton], name: Optional[str] = None) -> Pr
     """N-ary Cartesian product; nested products are flattened, so the
     binary form is associative up to tuple flattening.
 
-    Costs O(product transitions).  Raises :class:`SizeLimit` when the
-    product has more states, or more transitions, than
-    ``core.MONOLITHIC_STATE_LIMIT``.
+    Costs O(product transitions); raises as :func:`_tuple_graph` does.
     """
     comps = _flatten(modules)
-    if not comps:
-        raise ArityMismatch("need at least one module")
-    for size, unit in ((math.prod(len(c.states) for c in comps), "states"),
-                       (math.prod(len(c.transitions) for c in comps), "transitions")):
-        if size > core.MONOLITHIC_STATE_LIMIT:
-            raise SizeLimit(size, core.MONOLITHIC_STATE_LIMIT, unit)
-    inputs, outputs, states, output_map, transitions = _tuple_graph(comps, [None] * len(comps))
-    initial = None
-    if all(c.initial is not None for c in comps):
-        initial = _tuple_state([c.initial for c in comps])
-    return core._assemble(ProductAutomaton, name or "*".join(c.name for c in comps), inputs,
-                          outputs, states, initial, output_map, transitions,
-                          module_names=tuple(c.name for c in comps), components=tuple(comps))
+    return _tuple_graph(ProductAutomaton, name or "*".join(c.name for c in comps), comps,
+                        [None] * len(comps), [c.initial for c in comps],
+                        module_names=tuple(c.name for c in comps), components=tuple(comps))
 
 
 def product(a: Automaton, b: Automaton, name: Optional[str] = None) -> ProductAutomaton:
@@ -212,8 +217,9 @@ def wire(w: Wiring) -> ClosedSystem:
     Wired inputs take the source module's output for the current state,
     which is causal within one synchronous step.  Free inputs remain the
     system's inputs; with none, the system is clock-driven and gets the
-    single implicit symbol ``ck``.  With every module free this is
-    :func:`product_many`'s graph; both come from one builder, at
+    single implicit symbol ``ck``.  A lone module closes to a tuple graph
+    too.  With every module free this is :func:`product_many`'s graph: both
+    come from :func:`_tuple_graph`, which says what they raise, at
     O(tuple states × driven modules + transitions).
     """
     names = core._ordered_unique((n for n, _ in w.modules), "modules")
@@ -253,7 +259,6 @@ def wire(w: Wiring) -> ClosedSystem:
             raise UnknownSymbol(sym, f"constant for module {mod!r}")
         drivers[mod] = (names.index(mod), [sym] * len(autos[mod].states))
 
-    free = tuple(n for n in names if n not in drivers)
     comps = [autos[n] for n in names]
     init_parts = []
     for n, c in zip(names, comps):
@@ -261,26 +266,9 @@ def wire(w: Wiring) -> ClosedSystem:
         if q0 is not None and q0 not in c.states:
             raise UnknownState(q0, f"initial of module {n!r}")
         init_parts.append(q0)
-
-    # A lone unwired module is already the closed system; no tuple
-    # wrapping, so the result stays identical to the module itself.
-    if len(names) == 1 and free:
-        only = comps[0]
-        if init_parts[0] != only.initial:
-            only = core._assemble(Automaton, only.name, only.input_alphabet, only.output_alphabet,
-                                  only.states, init_parts[0], only.output_map, only.transitions)
-        return ClosedSystem(automaton=only, wiring=w, free_modules=free)
-
-    initial = _tuple_state(init_parts) if all(q is not None for q in init_parts) else None
-    size = math.prod(len(c.states) for c in comps)
-    size *= math.prod(len(autos[n].input_alphabet) for n in free)
-    if size > core.MONOLITHIC_STATE_LIMIT:
-        raise SizeLimit(size, core.MONOLITHIC_STATE_LIMIT, "transitions")
-    inputs, outputs, states, output_map, transitions = _tuple_graph(
-        comps, [drivers.get(n) for n in names])
-    auto = core._assemble(Automaton, w.name, inputs, outputs, states, initial, output_map,
-                          transitions)
-    return ClosedSystem(automaton=auto, wiring=w, free_modules=free)
+    auto = _tuple_graph(Automaton, w.name, comps, [drivers.get(n) for n in names], init_parts)
+    return ClosedSystem(automaton=auto, wiring=w,
+                        free_modules=tuple(n for n in names if n not in drivers))
 
 
 def open_out_degrees(c: ClosedSystem) -> dict[str, int]:

@@ -23,9 +23,9 @@ from .errors import (
 )
 
 # Largest state count, and for products and wirings also the largest
-# transition count, on which monolithic whole-graph operations (product
-# materialization, transition tours) are allowed to run.  Beyond this,
-# only modular, per-part analysis is practical.
+# input alphabet and transition count, on which monolithic whole-graph
+# operations (product materialization, transition tours) are allowed to
+# run.  Beyond this, only modular, per-part analysis is practical.
 MONOLITHIC_STATE_LIMIT = 2**20
 
 

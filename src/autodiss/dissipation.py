@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .core import Arrow, Automaton, Path, convergent_states, run
-from .errors import InvalidDistribution, NonPositiveTemperature, UnknownState
+from .errors import InvalidArgument, InvalidDistribution, NonPositiveTemperature, UnknownState
 
 if TYPE_CHECKING:  # numpy is imported on first use, by the ensemble functions
     import numpy as np
@@ -251,7 +251,7 @@ def ensemble_dissipation(
     import numpy as np
 
     if horizon < 0:
-        raise ValueError("horizon must be non-negative")
+        raise InvalidArgument("horizon must be non-negative")
     p = _check_distribution(a, pi0)
     source, target, weight = _arrow_arrays(a, m)
     cvec = np.array([choice_information(a, m, q) for q in a.states])
@@ -316,7 +316,7 @@ def landauer_energy(bits: float, temperature: float) -> float:
     if not 0 < temperature < math.inf:
         raise NonPositiveTemperature(temperature)
     if not math.isfinite(bits):
-        raise ValueError("bits must be finite")
+        raise InvalidArgument("bits must be finite")
     if bits < 0:
-        raise ValueError("bits must be non-negative")
+        raise InvalidArgument("bits must be non-negative")
     return bits * BOLTZMANN_K * temperature * math.log(2)

@@ -109,6 +109,10 @@ class ArityMismatch(AutomataError, ValueError):
     """A call got the wrong number of parts (modules, models, starts)."""
 
 
+class InvalidArgument(AutomataError, ValueError):
+    """A number is outside its domain (step budgets, horizons, bit counts)."""
+
+
 class DeviceRefused(AutomataError):
     def __init__(self, step_index, reason=""):
         self.step_index = step_index

@@ -21,6 +21,7 @@ from .dissipation import InputModel, choice_information
 from .errors import (
     AlphabetTooSmall,
     Halted,
+    InvalidArgument,
     IrreversibleStep,
     Nondeterministic,
     NoRule,
@@ -372,7 +373,7 @@ def tm_run(
     """Run until halt or budget, recording the (control, read) pair of
     every step; O(1) work per step."""
     if max_steps < 0:
-        raise ValueError("max_steps must be non-negative")
+        raise InvalidArgument("max_steps must be non-negative")
     start = initial_configuration(tm, tape)
     store = dict(start.cells)
     head, control = start.head, start.control

@@ -189,25 +189,6 @@ def wire(w: Wiring) -> ClosedSystem:
 
     free = tuple(n for n in names if n not in drivers)
 
-    # A lone unwired module is already the closed system; no tuple
-    # wrapping, so the result stays identical to the module itself.
-    if len(names) == 1 and free:
-        only = autos[names[0]]
-        q0 = w.initials.get(names[0], only.initial)
-        if q0 is not None and q0 not in only.states:
-            raise UnknownState(q0, f"initial of module {names[0]!r}")
-        if q0 != only.initial:
-            only = validate(
-                name=only.name,
-                input_alphabet=only.input_alphabet,
-                output_alphabet=only.output_alphabet,
-                states=only.states,
-                initial=q0,
-                output_map=only.output_map,
-                transitions=[(s, sym, t) for (s, sym), t in only.transitions.items()],
-            )
-        return ClosedSystem(automaton=only, wiring=w, free_modules=free)
-
     free_alphabets = [autos[n].input_alphabet for n in free]
     if free:
         inputs = [_tuple_symbol(parts) for parts in itertools.product(*free_alphabets)]

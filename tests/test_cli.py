@@ -189,6 +189,14 @@ def test_tour_command(capsys):
     assert "word: set0 set1 set1 set0" in out
 
 
+@pytest.mark.parametrize("argv", [["run", "--word", "a"], ["test"]])
+def test_no_start_state_is_a_domain_error(capsys, tmp_path, argv):
+    aut = tmp_path / "free.aut"
+    aut.write_text("automaton free\ninputs a\noutputs o\nstates q\noutput q o\ntrans q a q\n")
+    code, out, err = run_cli(capsys, argv[0], str(aut), *argv[1:])
+    assert (code, out, err) == (1, "", "error: no start state: give --start or declare initial\n")
+
+
 def test_tour_untestable_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.aut"
     bad.write_text(
@@ -211,6 +219,12 @@ def test_wire_module_validation_error_names_the_module_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "wire", str(wiring))
     assert code == 1
     assert err == f"error: {module}: states 'a' and 'b' share an output symbol\n"
+
+
+def test_wire_without_modules_is_a_domain_error(capsys, tmp_path):
+    wiring = tmp_path / "w.wiring"
+    wiring.write_text("wiring w\n")
+    assert run_cli(capsys, "wire", str(wiring)) == (1, "", "error: need at least one module\n")
 
 
 def test_cli_import_leaves_numpy_unloaded():

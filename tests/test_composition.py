@@ -13,6 +13,7 @@ import pytest
 import composition_oracle
 from autodiss import (
     Arrow,
+    Automaton,
     Connection,
     InputModel,
     Wiring,
@@ -40,6 +41,7 @@ from autodiss.errors import (
     MissingInitial,
     MultiplyDrivenPort,
     SizeLimit,
+    UnknownState,
     UnknownSymbol,
 )
 from helpers import random_automaton, random_model
@@ -197,11 +199,24 @@ def test_closed_system_is_subrelation_of_product(tff_wiring, mixed_wiring):
             assert ar.key in product_pairs
 
 
-def test_wire_single_module_passthrough(tff):
-    auto, _ = tff
-    closed = wire(Wiring(name="solo", modules=(("m", auto),)))
-    assert closed.automaton == auto
-    assert closed.free_modules == ("m",)
+def test_wire_single_module_is_a_tuple_graph():
+    """A lone free module closes like any other wiring: the wiring's
+    name, one-tuple states, and only the output symbols it emits, sorted."""
+    auto = validate(
+        "m", ["b", "a"], ["z", "x", "y"], ["1", "0"], initial="1",
+        output_map={"1": "z", "0": "y"},
+        transitions=[("1", "b", "0"), ("0", "a", "0"), ("0", "b", "1")],
+    )
+    for initials, initial in (({}, "(1)"), ({"m": "0"}, "(0)")):
+        closed = wire(Wiring(name="solo", modules=(("m", auto),), initials=initials))
+        a = closed.automaton
+        assert closed.free_modules == ("m",)
+        assert type(a) is Automaton and a.name == "solo" and a.initial == initial
+        assert (a.states, a.input_alphabet, a.output_alphabet) == (("(1)", "(0)"), ("b", "a"),
+                                                                   ("y", "z"))
+        assert list(a.output_map.items()) == [("(1)", "z"), ("(0)", "y")]
+        assert list(a.transitions.items()) == [
+            (("(1)", "b"), "(0)"), (("(0)", "b"), "(1)"), (("(0)", "a"), "(0)")]
 
 
 def test_wire_rejects_double_driving(tff, counter2):
@@ -213,6 +228,10 @@ def test_wire_rejects_double_driving(tff, counter2):
     )
     with pytest.raises(MultiplyDrivenPort):
         wire(wiring)
+    twice = dataclasses.replace(wiring, constants=(),
+                                connections=wiring.connections + (Connection("b", "b", {}),))
+    with pytest.raises(MultiplyDrivenPort, match="^input of module 'b' is driven more than once$"):
+        wire(twice)
 
 
 def test_wire_rejects_unmapped_outputs(tff, counter2):
@@ -231,6 +250,17 @@ def test_wire_rejects_unknown_constant(tff):
     )
     with pytest.raises(UnknownSymbol):
         wire(wiring)
+
+
+def test_wire_rejects_unknown_modules(tff):
+    for connections, constants, context in (
+        ((Connection("z", "m", {}),), (), "connection source module"),
+        ((Connection("m", "z", {}),), (), "connection dest module"),
+        ((), (("z", "T0"),), "constant module"),
+    ):
+        w = Wiring("bad", (("m", tff[0]),), connections, constants)
+        with pytest.raises(UnknownState, match=rf"^state 'z' is not declared \({context}\)$"):
+            wire(w)
 
 
 def test_wire_allows_mutual_connections(tff):
@@ -533,16 +563,19 @@ def _graph(a):
             list(a.output_map.items()), a.arrows, a.initial)
 
 
-def test_a_product_is_the_wiring_with_every_module_free():
-    """``product_many`` and ``wire`` share one tuple-transition builder,
-    which relies on this: with no connection and no constant, the closed
-    system is the product graph, with every dict in the same order, and
-    the same tuple-name check fails first when one does."""
+def test_a_product_is_the_wiring_with_every_module_free(monkeypatch):
+    """``product_many`` and ``wire`` share one constructor, which relies
+    on this: with no connection and no constant, the closed system of any
+    number of modules, one included, is the product graph, with every dict
+    in the same order, and the same tuple-name check or size guard fails
+    first when one does, here also under lowered limits."""
     rng = random.Random(51)
-    built = 0
+    built, lone, refused = 0, 0, set()
     for case in range(600):
+        limit = rng.choice([core.MONOLITHIC_STATE_LIMIT] * 2 + [rng.randint(1, 40)])
+        monkeypatch.setattr(core, "MONOLITHIC_STATE_LIMIT", limit)
         tricky = rng.random() < 0.4
-        mods = [_module(rng, f"m{i}", tricky) for i in range(rng.randint(2, 4))]
+        mods = [_module(rng, f"m{i}", tricky) for i in range(rng.randint(1, 4))]
         w = Wiring(f"free{case}", tuple((f"w{i}", m) for i, m in enumerate(mods)))
         try:
             prod = _graph(product_many(mods))
@@ -550,12 +583,16 @@ def test_a_product_is_the_wiring_with_every_module_free():
             with pytest.raises(type(e)) as exc:
                 wire(w)
             assert str(exc.value) == str(e), case
+            if isinstance(e, SizeLimit):
+                refused.add(str(e).split(" exceed")[0].split(" ", 1)[1])
             continue
         closed = wire(w)
         assert closed.free_modules == tuple(n for n, _ in w.modules)
         assert _graph(closed.automaton) == prod, case
         built += 1
-    assert built > 300
+        lone += len(mods) == 1
+    assert built > 300 and lone > 100
+    assert refused == {"states", "input symbols", "transitions"}
 
 
 def _wiring(rng, case, module=_module):
@@ -599,18 +636,17 @@ def _wide_module(rng, name, tricky):
 def test_cli_open_choice_bits_match_the_open_product(capsys, monkeypatch):
     """``wire``'s open bits equal, float for float, choice information on
     the open ``product_many`` under a uniform model, which the report
-    no longer builds.  A lone module is its own open graph when it is
-    left free, as it is its own closed system.  Wide modules reach the
-    out-degrees (11, 13, 14, ...) at which the summed bits and
-    ``log2`` of the out-degree differ in the last bits."""
+    no longer builds.  Wide modules reach the out-degrees (11, 13, 14,
+    ...) at which the summed bits and ``log2`` of the out-degree differ
+    in the last bits."""
     rng = random.Random(50)
     compared, uneven = 0, 0
     for case in range(600):
         w = _wiring(rng, case) if case < 400 else _wiring(rng, case, _wide_module)
         modules = [m for _, m in w.modules]
         try:
-            lone = wire(w).free_modules and len(modules) == 1
-            open_graph = modules[0] if lone else product_many(modules)
+            wire(w)
+            open_graph = product_many(modules)
         except AutomataError:
             continue
         monkeypatch.setattr(fileformat, "load_wiring", lambda path: w)
@@ -684,10 +720,25 @@ def test_size_guards_bound_transitions(monkeypatch, tff, tff_wiring):
     with pytest.raises(SizeLimit, match="^8 states exceed"):  # checked first
         product_many([auto] * 3)
     monkeypatch.setattr(core, "MONOLITHIC_STATE_LIMIT", 2)
-    with pytest.raises(SizeLimit, match="^4 transitions exceed the monolithic limit of 2$"):
+    with pytest.raises(SizeLimit, match="^4 states exceed the monolithic limit of 2$"):
         wire(tff_wiring)
     monkeypatch.setattr(core, "MONOLITHIC_STATE_LIMIT", 4)
     assert len(wire(tff_wiring).automaton.states) == 4
+    # a free module with no input symbols must not hide the tuple states
+    idle = validate("idle", [], ["i0", "i1"], ["0", "1"], output_map={"0": "i0", "1": "i1"})
+    held = Wiring("held", (("idle", idle),) + tuple((f"t{i}", auto) for i in range(4)),
+                  constants=tuple((f"t{i}", "T1") for i in range(4)))
+    with pytest.raises(SizeLimit, match="^32 states exceed the monolithic limit of 4$"):
+        wire(held)
+    with pytest.raises(ArityMismatch, match="^need at least one module$"):
+        wire(Wiring("empty", ()))
+    # one state and one transition each, but 10**3 tuple input symbols
+    monkeypatch.setattr(core, "MONOLITHIC_STATE_LIMIT", 999)
+    wide = validate("wide", [f"s{i}" for i in range(10)], ["o"], ["q"], output_map={"q": "o"},
+                    transitions=[("q", "s0", "q")])
+    with pytest.raises(SizeLimit, match="^1000 input symbols exceed the monolithic limit of 999$"):
+        product_many([wide] * 3)
+    assert len(product_many([wide] * 2).input_alphabet) == 100
 
 
 def test_arity_errors_are_automata_errors(tff):

@@ -313,6 +313,9 @@ def test_mutation_detected_at_first_divergence(onebit):
     index, expected, observed = verdict.first_discrepancy
     assert index == 4
     assert (expected, observed) == ("Q0", "Q1")
+    # a device started elsewhere differs before the first symbol
+    verdict = simulate_test(auto, AutomatonOracle(auto, "1"), tour)
+    assert verdict.first_discrepancy == (0, "Q0", "Q1")
 
 
 def test_device_refusal_is_reported(lossy):

@@ -5,10 +5,14 @@ import random
 import pytest
 
 from autodiss import (
+    AutomatonOracle,
+    InputModel,
     arrows_from,
     convergent_states,
     divergent_states,
     is_reversible,
+    point_distribution,
+    reachable_states,
     run,
     step,
     validate,
@@ -65,6 +69,8 @@ def test_validate_rejects_shared_output():
         (dict(transitions=[("qz", "a", "q0")]), UnknownState),
         (dict(transitions=[("q0", "a", "qz")]), UnknownState),
         (dict(initial="qz"), UnknownState),
+        (dict(output_map={"q0": "o0", "q1": "o1", "qz": "o0"}), UnknownState),
+        (dict(output_map={"q0": "o0", "q1": "oz"}), UnknownSymbol),
     ],
 )
 def test_validate_rejects_unknown_tokens(kwargs, error):
@@ -78,6 +84,18 @@ def test_validate_rejects_unknown_tokens(kwargs, error):
     base.update(kwargs)
     with pytest.raises(error):
         validate(**base)
+
+
+@pytest.mark.parametrize("call", [
+    lambda a: run(a, "nowhere", []),
+    lambda a: reachable_states(a, "nowhere"),
+    lambda a: point_distribution(a, "nowhere"),
+    lambda a: InputModel.from_arrow_probs(a, {"nowhere": {}}),
+    lambda a: AutomatonOracle(a, "nowhere"),
+])
+def test_an_undeclared_state_is_named(lossy, call):
+    with pytest.raises(UnknownState, match="^state 'nowhere' is not declared"):
+        call(lossy[0])
 
 
 def test_validate_requires_every_output():

@@ -8,19 +8,25 @@ import pytest
 
 from autodiss import (
     InputModel,
+    bennett_simulate,
+    check_convergence_lemma,
     choice_information,
     ensemble_dissipation,
     ensemble_step,
     entropy_bits,
     landauer_energy,
+    modular_tm_dissipation,
     path_choice_information,
     point_distribution,
     szilard_check,
+    tm_run,
     uniform_distribution,
     validate,
     BOLTZMANN_K,
 )
 from autodiss.errors import (
+    AutomataError,
+    InvalidArgument,
     InvalidDistribution,
     NonPositiveTemperature,
     UnknownState,
@@ -310,8 +316,31 @@ def test_landauer_energy_rejects_bad_arguments():
             landauer_energy(bits, 300)
 
 
-def test_input_model_validation(onebit):
+@pytest.mark.parametrize("call, message", [
+    (lambda tm, a: tm_run(tm, max_steps=-1), "max_steps must be non-negative"),
+    (lambda tm, a: bennett_simulate(tm, max_steps=-1), "max_steps must be non-negative"),
+    (lambda tm, a: modular_tm_dissipation(tm, max_steps=-1), "max_steps must be non-negative"),
+    (lambda tm, a: check_convergence_lemma(tm, horizon=-1), "max_steps must be non-negative"),
+    (lambda tm, a: ensemble_dissipation(a, InputModel.uniform(a), [0.0, 1.0, 0.0], -1),
+     "horizon must be non-negative"),
+    (lambda tm, a: landauer_energy(-1, 300), "bits must be non-negative"),
+    (lambda tm, a: landauer_energy(math.nan, 300), "bits must be finite"),
+    (lambda tm, a: landauer_energy(math.inf, 300), "bits must be finite"),
+])
+def test_out_of_domain_numbers_are_automata_errors(bb2, call, message):
+    """Still ``ValueError``s, as they were, and now also ``AutomataError``s."""
+    with pytest.raises(InvalidArgument, match=f"^{message}$") as exc:
+        call(bb2, two_arrow_automaton())
+    assert isinstance(exc.value, AutomataError) and isinstance(exc.value, ValueError)
+
+
+def test_input_model_validation(onebit, lossy):
     auto, _ = onebit
+    with pytest.raises(InvalidDistribution, match="^state 'Stop' is a sink$"):
+        InputModel.from_arrow_probs(lossy[0], {"Stop": {("Stop", "A"): 1.0}})
+    assert InputModel.from_arrow_probs(lossy[0], {"Stop": {}}).probs["Stop"] == {}
+    with pytest.raises(InvalidDistribution, match=r"^state '0' has no arrow \('1', '0'\)$"):
+        InputModel.from_arrow_probs(auto, {"0": {("0", "0"): 0.5, ("1", "0"): 0.5}})
     with pytest.raises(InvalidDistribution):
         InputModel.from_arrow_probs(auto, {"0": {("0", "0"): 0.2, ("0", "1"): 0.2}})
     with pytest.raises(InvalidDistribution):

@@ -149,6 +149,11 @@ output q o   # another
             "trans q a q\nprob q b 1.0",
             "no transition",
         ),
+        (
+            "automaton x\nstates q\ninputs a\noutputs o\noutput q o\n"
+            "trans q a q\nprob q a -0.5",
+            "line 7: negative probability '-0.5'",
+        ),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment):

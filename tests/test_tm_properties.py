@@ -101,6 +101,12 @@ def test_step_log_runs_match_oracle_and_stepping(case):
     assert tuple(trace.configurations) == configs
     assert trace.configurations == configs and configs == trace.configurations
     assert hash(trace.configurations) == hash(configs)
+    assert trace.configurations[1:-1] == configs[1:-1]
+    assert tuple(reversed(trace.configurations)) == configs[::-1]
+    assert trace.configurations != configs[-1]  # not a sequence
+    for i in (len(configs), -len(configs) - 1):
+        with pytest.raises(IndexError):
+            trace.configurations[i]
     assert trace.log == tuple((c.control, c.read(BLANK)) for c in configs[:-1])
     if not halted:
         return

@@ -139,6 +139,8 @@ def test_machine_validation():
         )
     with pytest.raises(UnknownSymbol):
         make_machine("bad", ["0"], "1", ["a"], initial="a")
+    with pytest.raises(UnknownSymbol, match=r"^symbol 'x' is not declared \(input tape\)$"):
+        initial_configuration(make_machine("ok", ["0"], "0", ["a"], initial="a"), ["0", "x"])
     with pytest.raises(ValidationError):
         make_machine(
             "bad", ["0"], "0", ["a"], initial="a",
@@ -346,6 +348,9 @@ def test_bennett_snapshots_compare_by_value_across_simulations(bb2):
     for t in range(other.forward.steps + 1):
         # same phase and prefix lengths, different tape and history
         assert first.global_configs[t] != other.global_configs[t]
+    # different prefix lengths, and not a snapshot at all
+    assert first.global_configs[0] != again.global_configs[1]
+    assert first.global_configs[0] != first.global_configs[0].config
 
 
 def eraser():
