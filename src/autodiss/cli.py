@@ -52,11 +52,8 @@ def _emit(report: dict, as_json: bool) -> None:
         elif isinstance(value, (list, tuple)):
             print(f"{key}: {' '.join(str(v) for v in value)}")
         elif isinstance(value, dict):
-            for sub, v in value.items():
-                if isinstance(v, float):
-                    print(f"{key}.{sub}: {_fmt(v)}")
-                else:
-                    print(f"{key}.{sub}: {v}")
+            for sub, v in value.items():  # every dict in a report maps to bits
+                print(f"{key}.{sub}: {_fmt(v)}")
         else:
             print(f"{key}: {value}")
 

@@ -1,37 +1,16 @@
-"""Line-oriented text formats for automata, machines and wirings.
+"""Line-oriented text formats for automata (``.aut``), machines (``.tm``)
+and wirings (``.wiring``).
 
 All three formats share the same lexical rules: UTF-8 text, whitespace
-separated tokens, ``#`` starts a comment anywhere on a line.  Parse
-errors carry line numbers.
-
-Automaton files (``.aut``)::
-
-    automaton <name>
-    inputs <sym> ...
-    outputs <sym> ...
-    states <id> ...
-    initial <id>
-    output <state> <sym>            # one per state
-    trans <state> <insym> <state>   # repeatable; arrows merge on load
-    prob <state> <insym> <p>        # optional arrow probabilities
-
-Machine files (``.tm``)::
-
-    tm <name>
-    blank <sym>
-    tape <sym> ...
-    states <id> ...
-    initial <id>
-    halting <id> ...
-    rule <state> <read> <state> <write> <L|R|N>
-
-Wiring files (``.wiring``)::
-
-    wiring <name>
-    module <instname> <file.aut>    # path relative to the wiring file
-    connect <src> <dst> [out=in ...]
-    constant <module> <insym>
-    initial <module> <state>
+separated tokens, ``#`` starts a comment anywhere on a line.  A file
+opens with ``<header> <name>`` and every later line is a directive: a
+keyword and its tokens.  Each format's grammar is one table below, which
+gives every keyword its token count, the usage message raised when the
+count is wrong, and whether it may appear only once.  One reader checks
+that syntax for all three formats in one pass, in file order; only then
+does a parser check what the directives mean.  A wiring loads its module
+files, named relative to the wiring file, before it checks its
+``connect`` mappings.  Parse errors carry line numbers.
 """
 
 from __future__ import annotations
@@ -54,7 +33,42 @@ def _lines(text: str):
             yield i, line.split()
 
 
-def _collect(text: str, header: str) -> list[tuple[int, list[str]]]:
+# A format's grammar: keyword -> (least, most, usage, once).  A directive
+# holds least..most tokens after its keyword (``most`` None: no bound),
+# else its usage message is raised; a ``once`` keyword may not repeat.
+_AUTOMATON_GRAMMAR = {
+    "inputs": (0, None, "", False),
+    "outputs": (0, None, "", False),
+    "states": (0, None, "", False),
+    "initial": (1, 1, "initial takes one state", True),
+    "output": (2, 2, "output takes <state> <symbol>", False),
+    "trans": (3, 3, "trans takes <state> <insym> <state>", False),
+    "prob": (3, 3, "prob takes <state> <insym> <p>", False),
+}
+_MACHINE_GRAMMAR = {
+    "blank": (1, 1, "blank takes one symbol", True),
+    "tape": (0, None, "", False),
+    "states": (0, None, "", False),
+    "initial": (1, 1, "initial takes one state", True),
+    "halting": (0, None, "", False),
+    "rule": (5, 5, "rule takes <state> <read> <state> <write> <move>", False),
+}
+_WIRING_GRAMMAR = {
+    "module": (2, 2, "module takes <name> <file>", False),
+    "connect": (2, None, "connect takes <src> <dst> [out=in ...]", False),
+    "constant": (2, 2, "constant takes <module> <insym>", False),
+    "initial": (2, 2, "initial takes <module> <state>", False),
+}
+
+
+def _read(text: str, header: str, grammar: dict) -> tuple[str, dict[str, list]]:
+    """The name after ``header`` and, per keyword of ``grammar``, the
+    ``(line, tokens after the keyword)`` of its directives in file order.
+
+    Raises the first syntax error in file order: a missing or wrong
+    header, an unknown directive, a token count outside the keyword's
+    rule, or a second directive of a ``once`` keyword.
+    """
     directives = list(_lines(text))
     if not directives:
         raise ParseError(0, "empty file")
@@ -63,57 +77,41 @@ def _collect(text: str, header: str) -> list[tuple[int, list[str]]]:
         raise ParseError(lineno, f"expected {header!r} header, got {first[0]!r}")
     if len(first) != 2:
         raise ParseError(lineno, f"{header} takes exactly one name")
-    return directives
+    found: dict[str, list] = {key: [] for key in grammar}
+    for lineno, (key, *rest) in directives[1:]:
+        if key not in grammar:
+            raise ParseError(lineno, f"unknown directive {key!r}")
+        least, most, usage, once = grammar[key]
+        if len(rest) < least or (most is not None and len(rest) > most):
+            raise ParseError(lineno, usage)
+        if once and found[key]:
+            raise ParseError(lineno, f"{key} declared twice")
+        found[key].append((lineno, rest))
+    return first[1], found
+
+
+def _joined(entries: list) -> list[str]:
+    """Every token of a list directive's lines, in file order."""
+    return [token for _, tokens in entries for token in tokens]
+
+
+def _single(entries: list) -> Optional[str]:
+    """The one token of a once-only directive, or None when it is absent."""
+    return entries[0][1][0] if entries else None
 
 
 def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
     """Parse automaton text; returns the automaton and its input model
     (uniform unless ``prob`` directives override it)."""
-    directives = _collect(text, "automaton")
-    name = directives[0][1][1]
-
-    inputs: list[str] = []
-    outputs: list[str] = []
-    states: list[str] = []
-    initial: Optional[str] = None
-    output_lines: list[tuple[int, list[str]]] = []
-    trans_lines: list[tuple[int, list[str]]] = []
-    prob_lines: list[tuple[int, list[str]]] = []
-
-    for lineno, tokens in directives[1:]:
-        key, rest = tokens[0], tokens[1:]
-        if key == "inputs":
-            inputs.extend(rest)
-        elif key == "outputs":
-            outputs.extend(rest)
-        elif key == "states":
-            states.extend(rest)
-        elif key == "initial":
-            if len(rest) != 1:
-                raise ParseError(lineno, "initial takes one state")
-            if initial is not None:
-                raise ParseError(lineno, "initial declared twice")
-            initial = rest[0]
-        elif key == "output":
-            if len(rest) != 2:
-                raise ParseError(lineno, "output takes <state> <symbol>")
-            output_lines.append((lineno, rest))
-        elif key == "trans":
-            if len(rest) != 3:
-                raise ParseError(lineno, "trans takes <state> <insym> <state>")
-            trans_lines.append((lineno, rest))
-        elif key == "prob":
-            if len(rest) != 3:
-                raise ParseError(lineno, "prob takes <state> <insym> <p>")
-            prob_lines.append((lineno, rest))
-        else:
-            raise ParseError(lineno, f"unknown directive {key!r}")
+    name, found = _read(text, "automaton", _AUTOMATON_GRAMMAR)
+    inputs, outputs, states = (_joined(found[k]) for k in ("inputs", "outputs", "states"))
+    initial = _single(found["initial"])
 
     state_set = set(states)
     input_set = set(inputs)
     output_set = set(outputs)
     output_map: dict[str, str] = {}
-    for lineno, (q, r) in output_lines:
+    for lineno, (q, r) in found["output"]:
         if q not in state_set:
             raise ParseError(lineno, f"unknown state {q!r}")
         if r not in output_set:
@@ -124,7 +122,7 @@ def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
 
     transitions: list[tuple[str, str, str]] = []
     seen: dict[tuple[str, str], tuple[int, str]] = {}
-    for lineno, (src, sym, tgt) in trans_lines:
+    for lineno, (src, sym, tgt) in found["trans"]:
         for q in (src, tgt):
             if q not in state_set:
                 raise ParseError(lineno, f"unknown state {q!r}")
@@ -149,7 +147,7 @@ def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
     )
 
     given: dict[str, dict[tuple[str, str], float]] = {}
-    for lineno, (q, sym, p) in prob_lines:
+    for lineno, (q, sym, p) in found["prob"]:
         if q not in state_set:
             raise ParseError(lineno, f"unknown state {q!r}")
         tgt = auto.transitions.get((q, sym))
@@ -211,52 +209,20 @@ def load_automaton(path: str) -> tuple[Automaton, InputModel]:
 
 
 def parse_machine(text: str) -> TuringMachine:
-    directives = _collect(text, "tm")
-    name = directives[0][1][1]
-    blank: Optional[str] = None
-    tape: list[str] = []
-    states: list[str] = []
-    initial: Optional[str] = None
-    halting: list[str] = []
-    rules: list[tuple[str, str, str, str, str]] = []
-    for lineno, tokens in directives[1:]:
-        key, rest = tokens[0], tokens[1:]
-        if key == "blank":
-            if len(rest) != 1:
-                raise ParseError(lineno, "blank takes one symbol")
-            if blank is not None:
-                raise ParseError(lineno, "blank declared twice")
-            blank = rest[0]
-        elif key == "tape":
-            tape.extend(rest)
-        elif key == "states":
-            states.extend(rest)
-        elif key == "initial":
-            if len(rest) != 1:
-                raise ParseError(lineno, "initial takes one state")
-            if initial is not None:
-                raise ParseError(lineno, "initial declared twice")
-            initial = rest[0]
-        elif key == "halting":
-            halting.extend(rest)
-        elif key == "rule":
-            if len(rest) != 5:
-                raise ParseError(lineno, "rule takes <state> <read> <state> <write> <move>")
-            rules.append(tuple(rest))  # type: ignore[arg-type]
-        else:
-            raise ParseError(lineno, f"unknown directive {key!r}")
+    name, found = _read(text, "tm", _MACHINE_GRAMMAR)
+    blank, initial = _single(found["blank"]), _single(found["initial"])
     if blank is None:
         raise ParseError(0, "missing blank directive")
     if initial is None:
         raise ParseError(0, "missing initial directive")
     return make_machine(
         name=name,
-        tape_alphabet=tape,
+        tape_alphabet=_joined(found["tape"]),
         blank=blank,
-        control_states=states,
+        control_states=_joined(found["states"]),
         initial=initial,
-        halting=halting,
-        rules=rules,
+        halting=_joined(found["halting"]),
+        rules=[tuple(tokens) for _, tokens in found["rule"]],
     )
 
 
@@ -272,60 +238,43 @@ def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
     carries it as ``path``, and any other :class:`AutomataError` keeps its
     type, gains a ``path`` attribute and has its message prefixed with it.
     """
-    directives = _collect(text, "wiring")
-    name = directives[0][1][1]
+    name, found = _read(text, "wiring", _WIRING_GRAMMAR)
     modules: list[tuple[str, Automaton]] = []
+    for lineno, (inst, rel) in found["module"]:
+        path = rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
+        try:
+            auto, _ = load_automaton(path)
+        except OSError as e:
+            raise ParseError(lineno, f"cannot read module file: {e}") from None
+        except ParseError as e:
+            raise ParseError(e.line_number, e.message, path=path) from None
+        except AutomataError as e:
+            # A validation error keeps its type and gains the file name.
+            e.path = path
+            e.args = (f"{path}: {e}",)
+            raise
+        modules.append((inst, auto))
     connections: list[Connection] = []
-    constants: list[tuple[str, str]] = []
+    for lineno, (src, dst, *pairs) in found["connect"]:
+        mapping = {}
+        for pair in pairs:
+            if "=" not in pair:
+                raise ParseError(lineno, f"bad mapping {pair!r}, want out=in")
+            out_sym, in_sym = pair.split("=", 1)
+            if out_sym in mapping:
+                raise ParseError(lineno, f"output {out_sym!r} mapped twice")
+            mapping[out_sym] = in_sym
+        connections.append(Connection(src, dst, mapping))
     initials: dict[str, str] = {}
-    for lineno, tokens in directives[1:]:
-        key, rest = tokens[0], tokens[1:]
-        if key == "module":
-            if len(rest) != 2:
-                raise ParseError(lineno, "module takes <name> <file>")
-            inst, rel = rest
-            path = rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
-            try:
-                auto, _ = load_automaton(path)
-            except OSError as e:
-                raise ParseError(lineno, f"cannot read module file: {e}") from None
-            except ParseError as e:
-                raise ParseError(e.line_number, e.message, path=path) from None
-            except AutomataError as e:
-                # A validation error keeps its type and gains the file name.
-                e.path = path
-                e.args = (f"{path}: {e}",)
-                raise
-            modules.append((inst, auto))
-        elif key == "connect":
-            if len(rest) < 2:
-                raise ParseError(lineno, "connect takes <src> <dst> [out=in ...]")
-            mapping = {}
-            for pair in rest[2:]:
-                if "=" not in pair:
-                    raise ParseError(lineno, f"bad mapping {pair!r}, want out=in")
-                out_sym, in_sym = pair.split("=", 1)
-                if out_sym in mapping:
-                    raise ParseError(lineno, f"output {out_sym!r} mapped twice")
-                mapping[out_sym] = in_sym
-            connections.append(Connection(rest[0], rest[1], mapping))
-        elif key == "constant":
-            if len(rest) != 2:
-                raise ParseError(lineno, "constant takes <module> <insym>")
-            constants.append((rest[0], rest[1]))
-        elif key == "initial":
-            if len(rest) != 2:
-                raise ParseError(lineno, "initial takes <module> <state>")
-            if rest[0] in initials:
-                raise ParseError(lineno, f"initial of {rest[0]!r} declared twice")
-            initials[rest[0]] = rest[1]
-        else:
-            raise ParseError(lineno, f"unknown directive {key!r}")
+    for lineno, (inst, state) in found["initial"]:
+        if inst in initials:
+            raise ParseError(lineno, f"initial of {inst!r} declared twice")
+        initials[inst] = state
     return Wiring(
         name=name,
         modules=tuple(modules),
         connections=tuple(connections),
-        constants=tuple(constants),
+        constants=tuple(tuple(tokens) for _, tokens in found["constant"]),
         initials=initials,
     )
 

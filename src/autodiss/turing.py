@@ -609,13 +609,7 @@ def bennett_simulate(
     if restored != forward.configurations[0]:
         raise IrreversibleStep("backward pass does not restore the start configuration")
 
-    # Within each phase the history length (compute, uncompute) or the
-    # output length (copy) is strictly monotone, so the (phase, history
-    # length, output length) keys are distinct, and snapshots with distinct
-    # keys differ.
-    if len({g._key() for g in snapshots}) != len(snapshots):
-        raise RepeatedConfiguration("augmented trajectory revisits a configuration")
-
+    # No two snapshots share a key: within each phase one counter is strictly monotone.
     return BennettTrace(
         machine=tm.name,
         input_tape=tuple(tape),

@@ -74,6 +74,12 @@ def test_run_forbidden_input(capsys):
     assert "position 0" in err
 
 
+def test_run_undeclared_symbol_is_a_domain_error(capsys):
+    # "zz" is neither a symbol nor a string of symbols, so it is passed on whole
+    code, out, err = run_cli(capsys, "run", TFF, "--word", "zz")
+    assert (code, out, err) == (1, "", "error: symbol 'zz' is not declared (word position 0)\n")
+
+
 def test_run_zero_probability_step_is_a_domain_error(capsys, tmp_path):
     aut = tmp_path / "zero.aut"
     aut.write_text(

@@ -249,6 +249,7 @@ def test_run_is_compositional():
         first = run(auto, q, word[:cut])
         second = run(auto, first.end, word[cut:])
         assert run(auto, q, word).end == second.end
+        assert len(run(auto, q, word)) == len(word)
 
 
 def test_arrow_counts_consistent():

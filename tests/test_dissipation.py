@@ -293,6 +293,7 @@ def test_szilard_boundary():
     assert not szilard_check(0.0, 10 * BOLTZMANN_K)
     assert not szilard_check(-BOLTZMANN_K, 100 * BOLTZMANN_K)
     assert szilard_check(1.0, 1.0)  # huge entropies, both terms vanish
+    assert szilard_check(-1e-20, 0.0) is False  # exp overflows
 
 
 def test_landauer_energy_values():

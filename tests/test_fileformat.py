@@ -163,6 +163,32 @@ def test_parse_errors_carry_line_numbers(text, fragment):
     assert str(exc.value).startswith("line ")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_automaton, "automaton x\ninitial", "line 2: initial takes one state"),
+        (parse_automaton, "automaton x\noutput q", "line 2: output takes <state> <symbol>"),
+        (parse_automaton, "automaton x\ntrans q a", "line 2: trans takes <state> <insym> <state>"),
+        (parse_automaton, "automaton x\nprob q a 1 2", "line 2: prob takes <state> <insym> <p>"),
+        (parse_automaton, "automaton x\ninitial q\ninitial q", "line 3: initial declared twice"),
+        (parse_machine, "tm x\nblank", "line 2: blank takes one symbol"),
+        (parse_machine, "tm x\ninitial a b", "line 2: initial takes one state"),
+        (parse_machine, "tm x\nrule a 0 a 0 R N",
+         "line 2: rule takes <state> <read> <state> <write> <move>"),
+        (parse_machine, "tm x\nblank 0\nblank 0", "line 3: blank declared twice"),
+        (parse_machine, "tm x\ninitial a\ninitial a", "line 3: initial declared twice"),
+        (parse_wiring, "wiring w\nmodule a", "line 2: module takes <name> <file>"),
+        (parse_wiring, "wiring w\nconnect a", "line 2: connect takes <src> <dst> [out=in ...]"),
+        (parse_wiring, "wiring w\nconstant a x y", "line 2: constant takes <module> <insym>"),
+        (parse_wiring, "wiring w\ninitial a", "line 2: initial takes <module> <state>"),
+    ],
+)
+def test_grammar_messages(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_machine_parse(bb2):
     assert bb2.name == "bb2"
     assert bb2.rules[("a", "0")] == ("b", "1", "R")
@@ -215,6 +241,10 @@ def test_wiring_parse_errors(tmp_path):
             "wiring w\ninitial a 0\ninitial b 0\ninitial a 1",
             "line 4: initial of 'a' declared twice",
         ),
+        # every syntax error comes before any module file is read ...
+        ("wiring w\nmodule a nowhere.aut\nwat", "line 3: unknown directive 'wat'"),
+        # ... and module files are read before connect mappings are checked
+        ("wiring w\nconnect a b Q0-T0\nmodule a nowhere.aut", "line 3: cannot read module file"),
     ],
 )
 def test_wiring_parse_errors_carry_line_numbers(text, fragment):

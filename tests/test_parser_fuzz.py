@@ -14,6 +14,7 @@ import random
 
 from autodiss.assets import asset_names, asset_path
 from autodiss.errors import AutomataError
+from autodiss import fileformat
 from autodiss.fileformat import parse_automaton, parse_machine, parse_wiring
 
 GRAMMARS = {
@@ -104,3 +105,11 @@ def test_parsers_raise_only_automata_errors():
             parsed += 1
         # mutants that stay valid reach the builders behind the parser
         assert parsed > 30, ext
+
+
+def test_fuzzed_keywords_are_the_grammar_tables():
+    """A keyword added to a format's table is fuzzed, or this fails."""
+    tables = {".aut": fileformat._AUTOMATON_GRAMMAR, ".tm": fileformat._MACHINE_GRAMMAR,
+              ".wiring": fileformat._WIRING_GRAMMAR}
+    for ext, (_, keys, _) in GRAMMARS.items():
+        assert sorted(keys) == sorted(tables[ext]), ext

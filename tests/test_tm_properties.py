@@ -15,6 +15,7 @@ from autodiss import (
     tm_step,
 )
 from autodiss.errors import NoRule
+from autodiss.fileformat import parse_machine
 from tm_oracle import oracle_run
 
 BLANK = "0"
@@ -130,3 +131,19 @@ def test_step_log_runs_match_oracle_and_stepping(case):
     assert len(bennett_graph.states) == 2 * n + r + 1
     assert not convergent_states(linear)
     assert not convergent_states(bennett_graph)
+
+
+def machine_text(tm):
+    """``tm`` as ``.tm`` text."""
+    lines = [f"tm {tm.name}", f"blank {tm.blank}", "tape " + " ".join(tm.tape_alphabet),
+             "states " + " ".join(tm.control_states), f"initial {tm.initial}",
+             "halting " + " ".join(sorted(tm.halting))]
+    lines += [f"rule {q} {s} {' '.join(rule)}" for (q, s), rule in tm.rules.items()]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(machines())
+def test_machine_text_round_trips(case):
+    tm = case[0]
+    assert parse_machine(machine_text(tm)) == tm
