@@ -258,6 +258,9 @@ def wire(w: Wiring) -> ClosedSystem:
         if sym not in autos[mod].input_alphabet:
             raise UnknownSymbol(sym, f"constant for module {mod!r}")
         drivers[mod] = (names.index(mod), [sym] * len(autos[mod].states))
+    for mod in w.initials:
+        if mod not in autos:
+            raise UnknownState(mod, "initial module")
 
     comps = [autos[n] for n in names]
     init_parts = []

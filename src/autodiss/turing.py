@@ -65,8 +65,12 @@ class Configuration:
 
     def render(self, blank: str) -> str:
         """Canonical one-line form; distinct configurations render apart."""
-        lo, window = _trimmed_window(dict(self.cells), blank)
-        return f"{self.control}|{self.head}|" + (f"{lo}:" + ",".join(window) if window else "")
+        return _config_name(self.control, self.head, *_trimmed_window(dict(self.cells), blank))
+
+
+def _config_name(control: str, head: int, lo: int, window: Sequence[str]) -> str:
+    """``control|head|lo:window`` from cell ``lo``, or ``control|head|`` if empty."""
+    return f"{control}|{head}|{lo}:" + ",".join(window) if window else f"{control}|{head}|"
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -76,15 +80,18 @@ class Trajectory(Sequence[Configuration]):
     ``log`` holds the (control state, read symbol) pair of every rule
     application; with the rule table and the start configuration it fixes
     the whole run.  ``start`` and ``end`` are kept, so ``len``, ``[0]`` and
-    ``[-1]`` cost O(1); other indices and iteration replay the log at
-    O(tape window) per configuration.  Equality and hashing are those of
-    the tuple of configurations.
+    ``[-1]`` cost O(1).  The first other index replays the log once to keep
+    every ⌈√n⌉-th of the n + 1 configurations; then any index replays at most
+    ⌈√n⌉ steps from the checkpoint below it.  Iteration costs O(tape window)
+    per configuration; :meth:`renders` names them all in one pass.
+    Equality and hashing are those of the tuple of configurations.
     """
 
     tm: TuringMachine = field(repr=False)
     start: Configuration
     log: tuple[tuple[str, str], ...]
     end: Configuration
+    _checkpoints: Optional[tuple[Configuration, ...]] = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.log) + 1
@@ -97,26 +104,44 @@ class Trajectory(Sequence[Configuration]):
             i += n + 1
         if not 0 <= i <= n:
             raise IndexError("configuration index out of range")
-        if i == n:
-            return self.end
-        return next(itertools.islice(iter(self), i, None))
+        if i == 0 or i == n:
+            return self.start if i == 0 else self.end
+        every = math.isqrt(n - 1) + 1
+        if self._checkpoints is None:
+            object.__setattr__(self, "_checkpoints", tuple(itertools.islice(self, 0, None, every)))
+        c = self._checkpoints[i // every]
+        for c in _replay(self.tm, c, self.log[i - i % every: i]):
+            pass
+        return c
 
     def __iter__(self):
-        rules, blank = self.tm.rules, self.tm.blank
         yield self.start
-        # (position, symbol) pairs are shared between the configurations
-        # until their cell is rewritten
-        cells = {pair[0]: pair for pair in self.start.cells}
-        head = self.start.head
+        yield from _replay(self.tm, self.start, self.log)
+
+    def renders(self) -> list[str]:
+        """``[c.render(blank) for c in self]`` in one O(steps + summed windows)
+        replay of the log.  The tape is one list from cell ``base``, padded
+        for n head moves either way; ``lo`` and ``hi`` are its outermost
+        non-blank cells (``lo > hi`` if none), moved inward by a scan."""
+        blank, rules, head = self.tm.blank, self.tm.rules, self.start.head
+        lo, window = _trimmed_window(dict(self.start.cells), blank)
+        hi, pad = lo + len(window) - 1, len(self.log) + abs(head - lo) + 1
+        tape, base = [blank] * pad + list(window) + [blank] * pad, lo - pad
+        names = [self.start.render(blank)]
         for q, s in self.log:
             control, write, move = rules[(q, s)]
             if write != s:
-                if write == blank:
-                    del cells[head]
+                tape[head - base] = write
+                if write != blank:
+                    lo, hi = (min(lo, head), max(hi, head)) if lo <= hi else (head, head)
                 else:
-                    cells[head] = (head, write)
+                    while lo <= hi and tape[lo - base] == blank:
+                        lo += 1
+                    while hi >= lo and tape[hi - base] == blank:
+                        hi -= 1
             head += MOVES[move]
-            yield Configuration(control=control, head=head, cells=tuple(sorted(cells.values())))
+            names.append(_config_name(control, head, lo, tape[lo - base: hi - base + 1]))
+        return names
 
     def __eq__(self, other):
         if not isinstance(other, (Trajectory, tuple)):
@@ -169,7 +194,8 @@ class GlobalConfig:
     slice that run's log and result.  ``config`` is the forward
     configuration after ``history_length`` steps: O(1) when the history is
     empty or full, as at the first and last snapshots and throughout the
-    copy phase, and a log replay of O(steps * tape window) in between.
+    copy phase, and in between a replay of at most ⌈√n⌉ of the n steps
+    from the run's checkpoints (see :class:`Trajectory`).
     """
 
     phase: str  # compute | copy | uncompute
@@ -220,7 +246,7 @@ class BennettTrace:
     window) memory: the forward :class:`RunTrace`, whose log is the
     history record of n pairs, is stored once and shared by all
     2n + r + 1 snapshots.  A snapshot's ``config`` costs O(1) at both ends
-    of the history and a log replay in between.  Only
+    of the history and a replay of at most ⌈√n⌉ steps in between.  Only
     :func:`global_graph` spells each snapshot's history prefix out, so
     the names of ``global_graph(trace)`` hold O(n^2) characters in total.
     """
@@ -330,29 +356,32 @@ def initial_configuration(tm: TuringMachine, tape: Sequence[str] = ()) -> Config
     return Configuration(control=tm.initial, head=0, cells=cells)
 
 
-def _apply_rule(tm: TuringMachine, store: dict[int, str], head: int, control: str):
-    """Apply one rule to ``store`` in place; returns (read symbol, new head,
-    new control)."""
-    read = store.get(head, tm.blank)
-    rule = tm.rules.get((control, read))
-    if rule is None:
-        raise NoRule(control, read)
-    control2, write, move = rule
-    if write == tm.blank:
-        store.pop(head, None)
-    else:
-        store[head] = write
-    return read, head + MOVES[move], control2
-
-
 def tm_step(tm: TuringMachine, c: Configuration) -> Configuration:
     """Apply one rule.  Raises :class:`Halted` on halting configurations
     and :class:`NoRule` when the table has no entry."""
     if c.control in tm.halting:
         raise Halted(f"control state {c.control!r} is halting")
-    store = dict(c.cells)
-    _, head, control = _apply_rule(tm, store, c.head, c.control)
-    return Configuration(control=control, head=head, cells=tuple(sorted(store.items())))
+    read = c.read(tm.blank)
+    if (c.control, read) not in tm.rules:
+        raise NoRule(c.control, read)
+    return next(_replay(tm, c, [(c.control, read)]))
+
+
+def _replay(tm: TuringMachine, c: Configuration, log: Iterable[tuple[str, str]]):
+    """The configurations after each step of ``log``, applied from ``c``."""
+    rules, blank = tm.rules, tm.blank
+    # (position, symbol) pairs are shared between the configurations
+    # until their cell is rewritten
+    cells, head = {pair[0]: pair for pair in c.cells}, c.head
+    for q, s in log:
+        control, write, move = rules[(q, s)]
+        if write != s:
+            if write == blank:
+                del cells[head]
+            else:
+                cells[head] = (head, write)
+        head += MOVES[move]
+        yield Configuration(control=control, head=head, cells=tuple(sorted(cells.values())))
 
 
 def _trimmed_window(store: dict[int, str], blank: str) -> tuple[int, tuple[str, ...]]:
@@ -375,32 +404,42 @@ def tm_run(
     if max_steps < 0:
         raise InvalidArgument("max_steps must be non-negative")
     start = initial_configuration(tm, tape)
+    rules, halting, blank = tm.rules, tm.halting, tm.blank
     store = dict(start.cells)
     head, control = start.head, start.control
     log = []
-    # Writes happen under the head, so the materialized window is the
-    # initial extent widened by head excursions.
-    lo = min([0] + [i for i, _ in start.cells])
-    hi = max([0] + [i for i, _ in start.cells])
-    while control not in tm.halting and len(log) < max_steps:
-        read, head, control2 = _apply_rule(tm, store, head, control)
+    # Writes happen under the head, so the window is the input's extent widened
+    # by head excursions; an input wider than the cap fails at the first step.
+    lo, hi = 0, max([0] + [i for i, _ in start.cells])
+    if hi - lo >= tape_cap:
+        max_steps = min(max_steps, 1)
+    for _ in range(max_steps):
+        if control in halting:
+            break
+        read = store.get(head, blank)
+        rule = rules.get((control, read))
+        if rule is None:
+            raise NoRule(control, read)
         log.append((control, read))
-        control = control2
-        lo, hi = min(lo, head), max(hi, head)
-        if hi - lo + 1 > tape_cap:
-            raise TapeOverflow(hi - lo + 1, tape_cap)
-    halted = control in tm.halting
-    result = _trimmed_window(store, tm.blank)[1] if halted else None
+        control, write, move = rule
+        if write == blank:
+            store.pop(head, None)
+        else:
+            store[head] = write
+        head += MOVES[move]
+        if not lo <= head <= hi:
+            lo, hi = min(lo, head), max(hi, head)
+            if hi - lo >= tape_cap:
+                break
+    if log and hi - lo >= tape_cap:
+        raise TapeOverflow(hi - lo + 1, tape_cap)
+    halted = control in halting
+    result = _trimmed_window(store, blank)[1] if halted else None
     end = Configuration(control=control, head=head, cells=tuple(sorted(store.items())))
-    return RunTrace(
-        machine=tm.name,
-        blank=tm.blank,
-        configurations=Trajectory(tm, start, tuple(log), end),
-        halted=halted,
-        steps=len(log),
-        result=result,
-        result_length=len(result) if result is not None else None,
-    )
+    return RunTrace(machine=tm.name, blank=blank,
+                    configurations=Trajectory(tm, start, tuple(log), end),
+                    halted=halted, steps=len(log), result=result,
+                    result_length=len(result) if result is not None else None)
 
 
 def head_automaton(tm: TuringMachine) -> Automaton:
@@ -523,7 +562,8 @@ def global_graph(trace) -> Automaton:
     """The whole machine (head + tape) of a finished run as one automaton:
     a linear inputless chain that never revisits a state.
 
-    Accepts a halted :class:`RunTrace` or a :class:`BennettTrace`.  The
+    Accepts a halted :class:`RunTrace` or a :class:`BennettTrace`, whose
+    forward configurations :meth:`Trajectory.renders` names in one pass.  The
     chain is built from its state names without :func:`validate`; a name
     seen twice, that is a revisited configuration, raises
     :class:`RepeatedConfiguration` there.
@@ -532,8 +572,7 @@ def global_graph(trace) -> Automaton:
         return _linear_automaton(f"{trace.machine}_global", _bennett_names(trace))
     if not trace.halted:
         raise NotHalted(f"run of {trace.machine!r} did not halt")
-    ids = [c.render(trace.blank) for c in trace.configurations]
-    return _linear_automaton(f"{trace.machine}_global", ids)
+    return _linear_automaton(f"{trace.machine}_global", trace.configurations.renders())
 
 
 def _prefix_ends(parts: Sequence[str]) -> list[int]:
@@ -548,11 +587,9 @@ def _prefix_ends(parts: Sequence[str]) -> list[int]:
 def _bennett_names(trace: BennettTrace) -> list[str]:
     """One state name per snapshot, ``phase#config#h[history]#o[output]``:
     the working configuration's render, the ``;``-joined ``control,read``
-    records so far and the ``,``-joined output cells so far.  The forward
-    configurations are rendered in one pass over the trajectory, and
-    every history and output prefix is sliced from one joined string."""
-    blank = trace.forward.blank
-    rendered = [c.render(blank) for c in trace.forward.configurations]
+    records so far and the ``,``-joined output cells so far.  Every
+    history and output prefix is sliced from one joined string."""
+    rendered = trace.forward.configurations.renders()
     hist_parts = [f"{q},{s}" for q, s in trace.history_records]
     hist, hist_ends = ";".join(hist_parts), _prefix_ends(hist_parts)
     out, out_ends = ",".join(trace.output_tape), _prefix_ends(trace.output_tape)

@@ -227,6 +227,14 @@ def test_wire_module_validation_error_names_the_module_file(capsys, tmp_path):
     assert err == f"error: {module}: states 'a' and 'b' share an output symbol\n"
 
 
+def test_wire_refuses_an_initial_for_an_undeclared_module(capsys, tmp_path):
+    wiring = tmp_path / "w.wiring"
+    wiring.write_text(f"wiring w\nmodule a {TFF}\nconstant a T1\ninitial zz 0\n")
+    code, out, err = run_cli(capsys, "wire", str(wiring))
+    assert (code, out) == (1, "")
+    assert err == "error: state 'zz' is not declared (initial module)\n"
+
+
 def test_wire_without_modules_is_a_domain_error(capsys, tmp_path):
     wiring = tmp_path / "w.wiring"
     wiring.write_text("wiring w\n")

@@ -263,6 +263,12 @@ def test_wire_rejects_unknown_modules(tff):
             wire(w)
 
 
+def test_wire_rejects_an_initial_for_an_undeclared_module(tff):
+    w = Wiring("bad", (("a", tff[0]),), constants=(("a", "T1"),), initials={"zz": "0"})
+    with pytest.raises(UnknownState, match=r"^state 'zz' is not declared \(initial module\)$"):
+        wire(w)
+
+
 def test_wire_allows_mutual_connections(tff):
     auto, _ = tff
     wiring = Wiring(

@@ -37,6 +37,32 @@ def oracle_run(rules, initial, halting, blank, tape=(), max_steps=10_000):
     return halted, steps, result
 
 
+def oracle_names(rules, initial, halting, blank, tape=(), max_steps=10_000):
+    """The state name of every configuration of a run, start included:
+    ``control|head|lo:cells`` with the cells from the lowest to the highest
+    non-blank one ``,``-joined, or ``control|head|`` for a blank tape.
+
+    The tape is rescanned in full at every step, with no window kept
+    between steps."""
+    cells = {i: s for i, s in enumerate(tape) if s != blank}
+    head, state = 0, initial
+    names = []
+    while True:
+        name = f"{state}|{head}|"
+        if cells:
+            lo, hi = min(cells), max(cells)
+            name += f"{lo}:" + ",".join(cells.get(i, blank) for i in range(lo, hi + 1))
+        names.append(name)
+        if state in halting or len(names) > max_steps:
+            return names
+        state, write, move = rules[(state, cells.get(head, blank))]
+        if write == blank:
+            cells.pop(head, None)
+        else:
+            cells[head] = write
+        head += {"L": -1, "R": 1, "N": 0}[move]
+
+
 BB2_RULES = {
     ("a", "0"): ("b", "1", "R"),
     ("a", "1"): ("b", "1", "L"),
