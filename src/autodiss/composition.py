@@ -89,9 +89,8 @@ def _tuple_graph(cls, name: str, comps: Sequence[Automaton], reads, initials, **
     output_map = dict(zip(states, map(_tuple_symbol, outputs)))
     core._check_injective(states, output_map)
     initial = None if None in initials else _tuple_state(initials)
-    return core._assemble(cls, name, inputs, tuple(sorted(set(output_map.values()))), states,
-                          initial, output_map, _tuple_transitions(comps, reads, states, inputs),
-                          **fields)
+    return cls(name, inputs, tuple(sorted(set(output_map.values()))), states, initial,
+               output_map, _tuple_transitions(comps, reads, states, inputs), **fields)
 
 
 def _tuple_transitions(comps: Sequence[Automaton], reads, states, inputs):
@@ -106,8 +105,7 @@ def _tuple_transitions(comps: Sequence[Automaton], reads, states, inputs):
     # by the module's stride; free modules keep only the defined ones.
     driven, free = [], []
     for k, (c, read) in enumerate(zip(comps, reads)):
-        index = {q: i for i, q in enumerate(c.states)}
-        sym_at = {s: i for i, s in enumerate(c.input_alphabet)}
+        index, sym_at = c.index, {s: i for i, s in enumerate(c.input_alphabet)}
         stride = math.prod(len(d.states) for d in comps[k + 1:])
         rows = [[None] * len(sym_at) for _ in index]
         for (q, s), t in c.transitions.items():
@@ -167,8 +165,7 @@ def product_input_model(p: ProductAutomaton, models: Sequence[InputModel]) -> In
     # per arrow, weights multiplied in component order.
     moves = [[(0, 1.0)]]
     for c, m in zip(comps, models):
-        index = {q: i for i, q in enumerate(c.states)}
-        own = [[(index[ar.target], m.probs[q].get(ar.key, 0.0)) for ar in c.by_source[q]]
+        own = [[(c.index[ar.target], m.probs[q].get(ar.key, 0.0)) for ar in c.by_source[q]]
                for q in c.states]
         n = len(c.states)
         moves = [[(t * n + t2, w * w2) for t, w in pre for t2, w2 in mine]
@@ -291,9 +288,9 @@ def reachable_subgraph(c) -> Automaton:
         raise MissingInitial(a.name)
     keep = reachable_states(a, a.initial)
     states = tuple(q for q in a.states if q in keep)
-    return core._assemble(Automaton, a.name, a.input_alphabet, a.output_alphabet, states,
-                          a.initial, {q: a.output_map[q] for q in states},
-                          {key: t for key, t in a.transitions.items() if key[0] in keep})
+    return Automaton(a.name, a.input_alphabet, a.output_alphabet, states, a.initial,
+                     {q: a.output_map[q] for q in states},
+                     {key: t for key, t in a.transitions.items() if key[0] in keep})
 
 
 def _moves(a: Automaton) -> dict[str, dict[str, str]]:

@@ -128,7 +128,7 @@ def transition_tour(a: Automaton, start: str) -> TestTour:
     Raises :class:`Untestable` when some arrow cannot be reached, and
     :class:`SizeLimit` on graphs too large to tour monolithically.
     """
-    if start not in a.by_source:
+    if start not in a.index:
         raise UnknownState(start)
     if len(a.states) > core.MONOLITHIC_STATE_LIMIT:
         raise SizeLimit(len(a.states), core.MONOLITHIC_STATE_LIMIT)
@@ -257,7 +257,7 @@ class AutomatonOracle:
     """
 
     def __init__(self, a: Automaton, state: str):
-        if state not in a.by_source:
+        if state not in a.index:
             raise UnknownState(state)
         self.automaton = a
         self.state = state

@@ -9,7 +9,8 @@ this package (degrees, divergences, convergences).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -47,12 +48,12 @@ class Automaton:
     """An immutable deterministic automaton with merged arrows.
 
     Build instances through :func:`validate`, which enforces determinism,
-    output injectivity and token declarations.  Every instance in this
-    package comes from :func:`_assemble`, which precomputes the merged
-    arrow structure and checks nothing: :func:`validate` calls it once its
-    checks pass, and graphs derived from valid ones (products, wirings,
-    reachable parts, run chains) call it directly.  Every operation in
-    this package treats the object as read-only.
+    output injectivity and token declarations; graphs derived from valid
+    ones (products, wirings, reachable parts, run chains) call the
+    constructor, which checks nothing.  Only the seven defining fields are
+    stored: ``index`` and the arrow views are built on first read, so they
+    match ``transitions`` by construction.  Every operation in this
+    package treats the object as read-only.
     """
 
     name: str
@@ -62,9 +63,30 @@ class Automaton:
     initial: Optional[str]
     output_map: dict[str, str]
     transitions: dict[tuple[str, str], str]
-    arrows: tuple[Arrow, ...] = field(compare=False)
-    by_source: dict[str, tuple[Arrow, ...]] = field(repr=False, compare=False)
-    by_pair: dict[tuple[str, str], Arrow] = field(repr=False, compare=False)
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Each state's position in ``states``."""
+        return {q: i for i, q in enumerate(self.states)}
+
+    @cached_property
+    def by_source(self) -> dict[str, tuple[Arrow, ...]]:
+        """Every state in order, its arrows sorted by target, labels sorted."""
+        grouped: dict[str, dict[str, list[str]]] = {q: {} for q in self.states}
+        for (src, sym), tgt in self.transitions.items():
+            grouped[src].setdefault(tgt, []).append(sym)
+        return {q: tuple([Arrow(q, t, tuple(sorted(out[t]))) for t in sorted(out)])
+                for q, out in grouped.items()}
+
+    @cached_property
+    def arrows(self) -> tuple[Arrow, ...]:
+        """Every merged arrow, sorted by (source, target)."""
+        return tuple([ar for q in sorted(self.by_source) for ar in self.by_source[q]])
+
+    @cached_property
+    def by_pair(self) -> dict[tuple[str, str], Arrow]:
+        """Each arrow by its (source, target) key, in ``arrows`` order."""
+        return {ar.key: ar for ar in self.arrows}
 
     @property
     def arrow_count(self) -> int:
@@ -121,30 +143,6 @@ def _check_injective(states: Sequence[str], output_map: dict[str, str]) -> None:
         emitted[r] = q
 
 
-def _assemble(cls, name, inputs, outputs, states, initial, output_map, transitions,
-              **fields):
-    """The package's one constructor of graphs: a ``cls`` whose symbols
-    leading from one state to another are merged into arrows.
-
-    Checks nothing; the caller's parts must already pass every check of
-    :func:`validate`.  ``arrows`` is sorted by (source, target),
-    ``by_source`` keyed by every state in order with its arrows sorted
-    by target, ``by_pair`` in ``arrows`` order, and labels are sorted.
-    """
-    grouped: dict[str, dict[str, list[str]]] = {q: {} for q in states}
-    for (src, sym), tgt in transitions.items():
-        grouped[src].setdefault(tgt, []).append(sym)
-    by_source = {
-        q: tuple([Arrow(q, t, tuple(sorted(out[t]))) for t in sorted(out)])
-        for q, out in grouped.items()
-    }
-    arrows = tuple([ar for q in sorted(by_source) for ar in by_source[q]])
-    return cls(name=name, input_alphabet=inputs, output_alphabet=outputs, states=states,
-               initial=initial, output_map=output_map, transitions=transitions,
-               arrows=arrows, by_source=by_source,
-               by_pair={(ar.source, ar.target): ar for ar in arrows}, **fields)
-
-
 def validate(
     name: str,
     input_alphabet: Iterable[str],
@@ -161,7 +159,7 @@ def validate(
     arrow.  Raises :class:`DuplicateIdentifier`, :class:`Nondeterministic`,
     :class:`NonInjectiveOutput`, :class:`UnknownState`,
     :class:`UnknownSymbol` or :class:`MissingOutput` on violations, and
-    otherwise builds the graph through :func:`_assemble`.  It is the entry
+    otherwise calls the :class:`Automaton` constructor.  It is the entry
     point for outside descriptions; graphs derived from valid ones skip it.
     """
     inputs = _ordered_unique(input_alphabet, "input alphabet")
@@ -196,12 +194,12 @@ def validate(
             raise Nondeterministic(src, sym)
         trans[(src, sym)] = tgt
 
-    return _assemble(Automaton, name, inputs, outputs, state_list, initial, output_map, trans)
+    return Automaton(name, inputs, outputs, state_list, initial, output_map, trans)
 
 
 def arrows_from(a: Automaton, q: str) -> list[Arrow]:
     """Merged arrows leaving ``q``, sorted by target; empty for sinks."""
-    if q not in a.by_source:
+    if q not in a.index:
         raise UnknownState(q)
     return list(a.by_source[q])
 
@@ -236,7 +234,7 @@ def step(a: Automaton, q: str, s: str) -> str:
     ``q``: the environment stepped outside the compatible class.  The
     alphabet is scanned only on a miss, so a step costs O(1).
     """
-    if q not in a.by_source:
+    if q not in a.index:
         raise UnknownState(q)
     try:
         return a.transitions[q, s]
@@ -248,7 +246,7 @@ def step(a: Automaton, q: str, s: str) -> str:
 
 def run(a: Automaton, start: str, word: Sequence[str]) -> Path:
     """Iterate :func:`step` over an input word and record the path."""
-    if start not in a.by_source:
+    if start not in a.index:
         raise UnknownState(start)
     q = start
     steps = []
@@ -268,10 +266,9 @@ def run(a: Automaton, start: str, word: Sequence[str]) -> Path:
 
 def reachable_states(a: Automaton, start: str) -> set[str]:
     """States reachable from ``start`` by following arrows."""
-    if start not in a.by_source:
+    if start not in a.index:
         raise UnknownState(start)
-    seen = {start}
-    frontier = [start]
+    seen, frontier = {start}, [start]
     while frontier:
         q = frontier.pop()
         for ar in a.by_source[q]:

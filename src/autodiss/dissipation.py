@@ -67,7 +67,7 @@ class InputModel:
         """
         model = cls.uniform(a)
         for q, dist in given.items():
-            if q not in a.by_source:
+            if q not in a.index:
                 raise UnknownState(q, "input model")
             keys = {ar.key for ar in a.by_source[q]}
             if not keys:
@@ -142,7 +142,7 @@ def choice_information(a: Automaton, m: InputModel, q: str) -> float:
     Zero for sinks and for states with a single arrow (indifferent or
     implicit input); at most log2 of the out-arrow count.
     """
-    if q not in a.by_source:
+    if q not in a.index:
         raise UnknownState(q)
     ps = [m.arrow_probability(q, ar) for ar in a.by_source[q]]
     return float(sum(-p * math.log2(p) for p in ps if p > 0))
@@ -201,7 +201,6 @@ def _arrow_arrays(
     holds its mass."""
     import numpy as np
 
-    index = {q: i for i, q in enumerate(a.states)}
     source: list[int] = []
     target: list[int] = []
     weight: list[float] = []
@@ -213,7 +212,7 @@ def _arrow_arrays(
             weight.append(1.0)
         for ar in arrows:
             source.append(i)
-            target.append(index[ar.target])
+            target.append(a.index[ar.target])
             weight.append(m.arrow_probability(q, ar))
     return (
         np.array(source, dtype=np.intp),
@@ -283,10 +282,10 @@ def point_distribution(a: Automaton, q: str) -> np.ndarray:
     """All probability mass on one state."""
     import numpy as np
 
-    if q not in a.by_source:
+    if q not in a.index:
         raise UnknownState(q)
     p = np.zeros(len(a.states))
-    p[a.states.index(q)] = 1.0
+    p[a.index[q]] = 1.0
     return p
 
 

@@ -32,7 +32,7 @@ def export_dot(a: Automaton) -> str:
         lines.append(f"  {_quote(q)} [{', '.join(attrs)}];")
     if a.initial is not None:
         lines.append(f"  __start__ -> {_quote(a.initial)};")
-    for ar in a.arrows:  # in (source, target) order, as core._assemble builds them
+    for ar in a.arrows:  # in (source, target) order, as Automaton.arrows sorts them
         label = ",".join(ar.labels)
         lines.append(f"  {_quote(ar.source)} -> {_quote(ar.target)} [label={_quote(label)}];")
     lines.append("}")

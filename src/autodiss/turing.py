@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .core import Automaton, _assemble, _ordered_unique, convergent_states, validate
+from .core import Automaton, _ordered_unique, convergent_states, validate
 from .dissipation import InputModel, choice_information
 from .errors import (
     AlphabetTooSmall,
@@ -80,10 +80,11 @@ class Trajectory(Sequence[Configuration]):
     ``log`` holds the (control state, read symbol) pair of every rule
     application; with the rule table and the start configuration it fixes
     the whole run.  ``start`` and ``end`` are kept, so ``len``, ``[0]`` and
-    ``[-1]`` cost O(1).  The first other index replays the log once to keep
-    every ⌈√n⌉-th of the n + 1 configurations; then any index replays at most
-    ⌈√n⌉ steps from the checkpoint below it.  Iteration costs O(tape window)
-    per configuration; :meth:`renders` names them all in one pass.
+    ``[-1]`` cost O(1).  The first other lookup applies the log to one dict
+    tape, building only every ⌈√n⌉-th of the n + 1 configurations; then an
+    index replays at most ⌈√n⌉ steps from the checkpoint below it, a slice
+    from below its smallest index to its largest.  Iteration costs O(tape
+    window) per configuration; :meth:`renders` names them all in one pass.
     Equality and hashing are those of the tuple of configurations.
     """
 
@@ -97,22 +98,27 @@ class Trajectory(Sequence[Configuration]):
         return len(self.log) + 1
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
         n = len(self.log)
+        if isinstance(i, slice):
+            picks = range(n + 1)[i]
+            lo, hi = sorted((picks[0], picks[-1])) if picks else (0, -1)
+            span = self._span(lo, hi) if picks else ()
+            return tuple(span[j - lo] for j in picks)
         if i < 0:
             i += n + 1
         if not 0 <= i <= n:
             raise IndexError("configuration index out of range")
-        if i == 0 or i == n:
-            return self.start if i == 0 else self.end
-        every = math.isqrt(n - 1) + 1
+        return self.start if i == 0 else self.end if i == n else self._span(i, i)[0]
+
+    def _span(self, lo: int, hi: int) -> list[Configuration]:
+        """Configurations ``lo`` to ``hi``, from the checkpoint at or below ``lo``."""
+        every = math.isqrt(max(len(self.log) - 1, 0)) + 1
         if self._checkpoints is None:
-            object.__setattr__(self, "_checkpoints", tuple(itertools.islice(self, 0, None, every)))
-        c = self._checkpoints[i // every]
-        for c in _replay(self.tm, c, self.log[i - i % every: i]):
-            pass
-        return c
+            object.__setattr__(self, "_checkpoints",
+                               (self.start, *_replay(self.tm, self.start, self.log, every)))
+        k = lo - lo % every
+        c = self._checkpoints[k // every]
+        return [c, *_replay(self.tm, c, self.log[k:hi])][lo - k:]
 
     def __iter__(self):
         yield self.start
@@ -367,13 +373,13 @@ def tm_step(tm: TuringMachine, c: Configuration) -> Configuration:
     return next(_replay(tm, c, [(c.control, read)]))
 
 
-def _replay(tm: TuringMachine, c: Configuration, log: Iterable[tuple[str, str]]):
-    """The configurations after each step of ``log``, applied from ``c``."""
+def _replay(tm: TuringMachine, c: Configuration, log: Iterable[tuple[str, str]], every=1):
+    """The configuration after every ``every``-th step of ``log``, applied from ``c``."""
     rules, blank = tm.rules, tm.blank
     # (position, symbol) pairs are shared between the configurations
     # until their cell is rewritten
     cells, head = {pair[0]: pair for pair in c.cells}, c.head
-    for q, s in log:
+    for k, (q, s) in enumerate(log, 1):
         control, write, move = rules[(q, s)]
         if write != s:
             if write == blank:
@@ -381,7 +387,8 @@ def _replay(tm: TuringMachine, c: Configuration, log: Iterable[tuple[str, str]])
             else:
                 cells[head] = (head, write)
         head += MOVES[move]
-        yield Configuration(control=control, head=head, cells=tuple(sorted(cells.values())))
+        if k % every == 0:
+            yield Configuration(control=control, head=head, cells=tuple(sorted(cells.values())))
 
 
 def _trimmed_window(store: dict[int, str], blank: str) -> tuple[int, tuple[str, ...]]:
@@ -553,8 +560,8 @@ def _linear_automaton(name: str, node_ids: Sequence[str]) -> Automaton:
     if len(set(node_ids)) != len(node_ids):
         raise RepeatedConfiguration("trajectory revisits a configuration")
     outputs = tuple(f"o{i}" for i in range(len(node_ids)))
-    return _assemble(Automaton, name, ("ck",), outputs, tuple(node_ids),
-                     node_ids[0] if node_ids else None, dict(zip(node_ids, outputs)),
+    return Automaton(name, ("ck",), outputs, tuple(node_ids), node_ids[0] if node_ids else None,
+                     dict(zip(node_ids, outputs)),
                      {(q, "ck"): t for q, t in zip(node_ids, node_ids[1:])})
 
 

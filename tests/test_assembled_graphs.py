@@ -3,7 +3,8 @@
 runs and Bennett traces.  Each must equal, field by field with dict
 orders, what ``validate`` builds from the same parts, and all but
 Bennett graphs must survive a round trip through the text format, which
-validates them again; writing a Bennett graph is refused."""
+validates them again; writing a Bennett graph is refused.  Their arrow
+views are built on first read only, once."""
 
 import random
 import re
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from autodiss import (
+    Arrow,
     Automaton,
     ProductAutomaton,
     bennett_simulate,
@@ -22,6 +24,7 @@ from autodiss import (
     validate,
     wire,
 )
+from autodiss import core
 from autodiss.errors import AutomataError, ValidationError
 from autodiss.fileformat import parse_automaton, write_automaton
 from test_composition import _fields, _module, _wiring
@@ -92,3 +95,18 @@ def test_global_graphs_match_validate(case):
     check_as_validated(bennett, text_form=False)
     with pytest.raises(ValidationError, match=re.escape(repr(bennett.states[0]))):
         write_automaton(bennett)
+
+
+def test_arrow_views_are_built_on_first_read_only(monkeypatch, tff, tff_wiring, bb2):
+    built = []
+    monkeypatch.setattr(core, "Arrow", lambda *parts: built.append(parts) or Arrow(*parts))
+    auto, _ = tff
+    graphs = [product_many([auto] * 4), wire(tff_wiring).automaton, global_graph(tm_run(bb2))]
+    for g in graphs:
+        assert built == []
+        views = (g.arrows, g.by_source, g.by_pair)
+        assert len(built) == g.arrow_count > 0  # one Arrow per merged arrow
+        check_as_validated(g, type(g), text_form=False)
+        built.clear()
+        assert all(again is view for again, view in zip((g.arrows, g.by_source, g.by_pair), views))
+        assert built == []

@@ -482,8 +482,9 @@ _OUTPUTS = (["o", "p", "r", "s"], ["o", "p", "o|p", "p|o"])
 
 
 def _fields(obj):
-    """Class plus every dataclass field, dicts as item lists so that
-    their iteration order is compared too."""
+    """Class plus every dataclass field, an automaton's arrow views right
+    after its transitions, dicts as item lists so that their iteration
+    order is compared too."""
     if isinstance(obj, InputModel):
         return InputModel, [(q, list(d.items())) for q, d in obj.probs.items()]
     out = []
@@ -494,6 +495,9 @@ def _fields(obj):
         elif isinstance(v, dict):
             v = list(v.items())
         out.append((f.name, v))
+        if f.name == "transitions" and isinstance(obj, Automaton):
+            out += [("arrows", obj.arrows), ("by_source", list(obj.by_source.items())),
+                    ("by_pair", list(obj.by_pair.items()))]
     return type(obj), out
 
 

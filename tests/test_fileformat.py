@@ -3,13 +3,17 @@
 import re
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
 from autodiss import (
+    InputModel,
     load_automaton,
     load_wiring,
     parse_automaton,
     parse_machine,
     parse_wiring,
+    reachable_states,
     validate,
     write_automaton,
 )
@@ -278,3 +282,63 @@ def test_wiring_module_validation_error_names_the_module_file(tmp_path):
         parse_wiring("wiring w\nmodule a shared.aut\n", base_dir=str(tmp_path))
     assert exc.value.path == str(module)
     assert str(exc.value) == f"{module}: states 'a' and 'b' share an output symbol"
+
+
+@st.composite
+def graphs_with_models(draw):
+    """A validated graph with tokens in drawn order, possibly with sinks,
+    unreachable states, arrows of several symbols and no initial state,
+    and a model with drawn arrow weights, zeros included, on some states."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    states = draw(st.permutations([f"q{i}" for i in range(n)]))
+    inputs = draw(st.permutations([f"s{j}" for j in range(k)]))
+    outputs = draw(st.permutations([f"o{i}" for i in range(n + draw(st.integers(0, 2)))]))
+    moves = draw(st.lists(st.tuples(*map(st.sampled_from, (states, inputs, states))), max_size=20))
+    table = {(q, s): t for q, s, t in moves}
+    a = validate("drawn", inputs, outputs, states, draw(st.sampled_from([None, *states])),
+                 dict(zip(states, outputs)), [(q, s, t) for (q, s), t in table.items()])
+    given = {}
+    for q in draw(st.lists(st.sampled_from(states), unique=True)):
+        arrows = a.by_source[q]
+        weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                                min_size=len(arrows), max_size=len(arrows)))
+        if sum(weights) > 0:
+            given[q] = {ar.key: w / sum(weights) for ar, w in zip(arrows, weights)}
+    return a, InputModel.from_arrow_probs(a, given)
+
+
+def _views(a):
+    """The derived views, dicts as item lists so that their order is compared too."""
+    return a.arrows, list(a.by_source.items()), list(a.by_pair.items()), list(a.index.items())
+
+
+def _features(a, m):
+    """Each shape the drawn cases must cover, and whether ``a`` and ``m`` show it."""
+    reached = reachable_states(a, a.initial) if a.initial is not None else set(a.states)
+    return {
+        "sink": any(not arrows for arrows in a.by_source.values()),
+        "unreachable": len(reached) < len(a.states),
+        "multi-label": any(len(ar.labels) > 1 for ar in a.arrows),
+        "no initial": a.initial is None,
+        "non-uniform": m.probs != InputModel.uniform(a).probs,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_models())
+def test_write_then_parse_gives_back_the_graph_its_views_and_model(case):
+    a, m = case
+    b, m2 = parse_automaton(write_automaton(a, m))
+    assert b == a
+    assert _views(b) == _views(a)
+    assert [(q, list(d)) for q, d in m2.probs.items()] == [(q, list(d)) for q, d in m.probs.items()]
+    # a weight can move by a rounding error: reading divides again by its state's sum
+    for q, dist in m.probs.items():
+        assert list(m2.probs[q].values()) == pytest.approx(list(dist.values()), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("feature", ["sink", "unreachable", "multi-label", "no initial",
+                                     "non-uniform"])
+def test_drawn_graphs_cover(feature):
+    find(graphs_with_models(), lambda case: _features(*case)[feature],
+         settings=settings(database=None, max_examples=500, phases=[Phase.generate]))

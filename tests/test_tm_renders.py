@@ -1,10 +1,14 @@
 """State names of whole runs, rendered in one pass, against the oracle's
-dict tape; the tape cap at its boundary; configurations read back from
-the step log's checkpoints."""
+dict tape; the tape cap at its boundary; configurations and slices read
+back from the step log's checkpoints, and what they cost."""
+
+import math
+import random
 
 import pytest
 
 from autodiss import bennett_simulate, global_graph, initial_configuration, make_machine, tm_run, tm_step
+from autodiss import turing
 from autodiss.errors import TapeOverflow
 from tm_oracle import oracle_names
 
@@ -152,3 +156,42 @@ def test_every_snapshot_config_equals_the_stepped_configuration():
     ben = bennett_simulate(tm)
     r = ben.forward.result_length
     assert [g.config for g in ben.global_configs] == configs + [configs[n]] * r + configs[-2::-1]
+
+
+def test_lookups_build_only_checkpoints_and_the_steps_after_one(monkeypatch):
+    tm = sweeper(20, 25)
+    run = tm_run(tm)
+    n = run.steps
+    configs = list(run.configurations)
+    made = []
+    real = turing.Configuration
+    monkeypatch.setattr(turing, "Configuration", lambda **kw: made.append(kw) or real(**kw))
+    root = math.ceil(math.sqrt(n))
+    trajectory = tm_run(tm).configurations
+    made.clear()
+    assert trajectory[1] == configs[1]
+    assert len(made) <= root + 2  # the checkpoints, then one step
+    for i in (n // 2, n - 1, 2, root, root - 1):
+        made.clear()
+        assert trajectory[i] == configs[i]
+        assert len(made) < root
+    made.clear()
+    assert tm_run(tm).configurations[n // 2: n // 2 + 2] == tuple(configs[n // 2: n // 2 + 2])
+    assert len(made) <= 2 * root + 2
+
+
+def test_slices_equal_the_slices_of_every_configuration():
+    rng = random.Random(53)
+    halts_at_once = make_machine("idle", [BLANK], BLANK, ["h"], initial="h", halting=["h"])
+    for tm, tape in [(sweeper(4, 3), []), (machine("eraser", ERASER[0]), ERASER[1]),
+                     (halts_at_once, [])]:
+        full = tuple(tm_run(tm, tape).configurations)
+        n = len(full)
+        cases = [slice(None), slice(None, None, -1), slice(2, 2), slice(5, 1), slice(-1, 0, -1),
+                 slice(-3 * n, 3 * n), slice(n, n + 4), slice(None, -n - 2, -1)]
+        cases += [slice(rng.randint(-n - 3, n + 3), rng.randint(-n - 3, n + 3),
+                        rng.choice([None, 1, 2, 3, 7, -1, -2, -5])) for _ in range(60)]
+        trajectory = tm_run(tm, tape).configurations
+        for sl in cases:
+            assert tm_run(tm, tape).configurations[sl] == full[sl], sl  # first lookup
+            assert trajectory[sl] == full[sl], sl
