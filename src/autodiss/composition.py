@@ -21,6 +21,7 @@ from .dissipation import InputModel
 from .errors import (
     AlphabetMismatch,
     ArityMismatch,
+    InvalidDistribution,
     MissingInitial,
     MultiplyDrivenPort,
     SizeLimit,
@@ -74,7 +75,7 @@ def _tuple_graph(cls, name: str, comps: Sequence[Automaton], reads, initials, **
     for size, unit in (
         (math.prod(len(c.states) for c in comps), "states"),
         (math.prod(map(len, free)), "input symbols"),
-        (math.prod(len(c.transitions if read is None else c.states)
+        (math.prod(sum(map(len, c.moves)) if read is None else len(c.states)
                    for c, read in zip(comps, reads)), "transitions"),
     ):
         if size > core.MONOLITHIC_STATE_LIMIT:
@@ -90,49 +91,53 @@ def _tuple_graph(cls, name: str, comps: Sequence[Automaton], reads, initials, **
     core._check_injective(states, output_map)
     initial = None if None in initials else _tuple_state(initials)
     return cls(name, inputs, tuple(sorted(set(output_map.values()))), states, initial,
-               output_map, _tuple_transitions(comps, reads, states, inputs), **fields)
+               output_map, _tuple_transitions(comps, reads), **fields)
 
 
-def _tuple_transitions(comps: Sequence[Automaton], reads, states, inputs):
-    """Transitions of ``states``, the product of the module state lists,
-    on ``inputs``, the free modules' tuple symbols in product order (or
-    one clock symbol if none is free).  Module k takes its symbol from
-    ``reads[k]``: ``None`` if free, else ``(j, symbols)``, the symbol
-    listed for module j's current state (a constant is ``(k, [sym] * n)``).
-    A tuple moves iff every module does: O(tuple states × driven modules
-    + transitions)."""
-    # Per module: per state, its target per symbol index, pre-multiplied
-    # by the module's stride; free modules keep only the defined ones.
-    driven, free = [], []
+def _tuple_transitions(comps: Sequence[Automaton], reads):
+    """The ``moves`` rows of the tuple graph: tuple states are the product
+    of the module state lists, tuple symbols the product of the free
+    modules' alphabets (or one clock symbol if none is free), both in
+    product order.  Module k takes its symbol from ``reads[k]``: ``None``
+    if free, else ``(j, symbols)``, the symbol listed for module j's
+    current state (a constant is ``(k, [sym] * n)``).  A tuple moves iff
+    every module does: O(tuple states × driven modules + transitions)."""
+    # The free modules' moves alone, per tuple of their states in product
+    # order: (symbol index, target index) pairs folded module by module in
+    # mixed radix, targets pre-multiplied by each module's stride.  A driven
+    # module keeps its target per symbol index, or None where undefined.
+    free, free_at, driven = [((0, 0),)], [], []
     for k, (c, read) in enumerate(zip(comps, reads)):
-        index, sym_at = c.index, {s: i for i, s in enumerate(c.input_alphabet)}
         stride = math.prod(len(d.states) for d in comps[k + 1:])
-        rows = [[None] * len(sym_at) for _ in index]
-        for (q, s), t in c.transitions.items():
-            rows[index[q]][sym_at[s]] = index[t] * stride
         if read is None:
-            free.append((k, len(sym_at), [[(s, t) for s, t in enumerate(row) if t is not None]
-                                          for row in rows]))
-        else:
-            driven.append((k, read[0], [sym_at[s] for s in read[1]], rows))
+            n = len(c.input_alphabet)
+            own = [[(s, t * stride) for s, t in row] for row in c.moves]
+            free = [tuple([(s * n + s2, t + t2) for s, t in pre for s2, t2 in mine])
+                    for pre in free for mine in own]
+            free_at = [(j, m * len(c.states)) for j, m in free_at] + [(k, 1)]
+            continue
+        rows = [[None] * len(c.input_alphabet) for _ in c.states]
+        for row, dense in zip(c.moves, rows):
+            for s, t in row:
+                dense[s] = t * stride
+        sym_at = {s: i for i, s in enumerate(c.input_alphabet)}
+        driven.append((k, read[0], [sym_at[s] for s in read[1]], rows))
+    if not driven:
+        return tuple(free)
 
-    transitions = {}
-    for q, at in zip(states, itertools.product(*(range(len(c.states)) for c in comps))):
+    out = []
+    for at in itertools.product(*(range(len(c.states)) for c in comps)):
         base = 0
         for k, j, syms, rows in driven:
             t = rows[at[k]][syms[at[j]]]
             if t is None:
+                out.append(())
                 break
             base += t
         else:
-            # (symbol index, target index) of the defined moves, folded
-            # across free modules in mixed radix.
-            moves = [(0, base)]
-            for k, n, own in free:
-                moves = [(s * n + s2, t + t2) for s, t in moves for s2, t2 in own[at[k]]]
-            for s, t in moves:
-                transitions[q, inputs[s]] = states[t]
-    return transitions
+            moves = free[sum(at[k] * m for k, m in free_at)]
+            out.append(tuple([(s, t + base) for s, t in moves]))
+    return tuple(out)
 
 
 def product_many(modules: Sequence[Automaton], name: Optional[str] = None) -> ProductAutomaton:
@@ -158,15 +163,21 @@ def product_input_model(p: ProductAutomaton, models: Sequence[InputModel]) -> In
     The probability of a product arrow is the product of its component
     arrow probabilities, so choice information adds across components.
     """
-    comps = p.components
+    comps = p.components if isinstance(p, ProductAutomaton) else ()
+    if not comps:
+        raise ArityMismatch(f"{p.name!r} is not a product of modules")
     if len(models) != len(comps):
         raise ArityMismatch("one model per component required")
     # Per tuple state of the components so far: (target index, weight)
     # per arrow, weights multiplied in component order.
     moves = [[(0, 1.0)]]
     for c, m in zip(comps, models):
-        own = [[(c.index[ar.target], m.probs[q].get(ar.key, 0.0)) for ar in c.by_source[q]]
-               for q in c.states]
+        own = []
+        for q, targets in zip(c.states, c.successors):
+            if targets and q not in m.probs:
+                raise InvalidDistribution(f"input model of module {c.name!r} has no entry "
+                                          f"for state {q!r}")
+            own.append([(t, m.probs[q].get((q, c.states[t]), 0.0)) for t in targets])
         n = len(c.states)
         moves = [[(t * n + t2, w * w2) for t, w in pre for t2, w2 in mine]
                  for pre in moves for mine in own]
@@ -277,7 +288,7 @@ def open_out_degrees(c: ClosedSystem) -> dict[str, int]:
     the modules' out-degrees at their component states (0 at any sink).
     Closed states follow :func:`wire`'s order, the product of the module
     state lists in wiring order."""
-    degrees = ([len(m.by_source[q]) for q in m.states] for _, m in c.wiring.modules)
+    degrees = (map(len, m.successors) for _, m in c.wiring.modules)
     return dict(zip(c.automaton.states, map(math.prod, itertools.product(*degrees))))
 
 
@@ -286,11 +297,12 @@ def reachable_subgraph(c) -> Automaton:
     a = c.automaton if isinstance(c, ClosedSystem) else c
     if a.initial is None:
         raise MissingInitial(a.name)
-    keep = reachable_states(a, a.initial)
-    states = tuple(q for q in a.states if q in keep)
+    keep = sorted(map(a.index.__getitem__, reachable_states(a, a.initial)))
+    new = dict(zip(keep, range(len(keep))))
+    states = tuple(a.states[i] for i in keep)
     return Automaton(a.name, a.input_alphabet, a.output_alphabet, states, a.initial,
                      {q: a.output_map[q] for q in states},
-                     {key: t for key, t in a.transitions.items() if key[0] in keep})
+                     tuple([tuple([(s, new[t]) for s, t in a.moves[i]]) for i in keep]))
 
 
 def _moves(a: Automaton) -> dict[str, dict[str, str]]:

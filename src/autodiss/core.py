@@ -5,6 +5,11 @@ symbol and a (possibly partial) deterministic transition function.  All
 symbols that trigger the same state-to-state move are merged into a
 single arrow; merged arrows are the unit of every structural count in
 this package (degrees, divergences, convergences).
+
+The graph is stored as integer rows: states and symbols are numbered by
+their position.  Counts, reachability and information measures read
+integer views; named views and :class:`Arrow` objects are built on first
+read, for callers that print or walk named arrows.
 """
 
 from __future__ import annotations
@@ -50,10 +55,12 @@ class Automaton:
     Build instances through :func:`validate`, which enforces determinism,
     output injectivity and token declarations; graphs derived from valid
     ones (products, wirings, reachable parts, run chains) call the
-    constructor, which checks nothing.  Only the seven defining fields are
-    stored: ``index`` and the arrow views are built on first read, so they
-    match ``transitions`` by construction.  Every operation in this
-    package treats the object as read-only.
+    constructor, which checks nothing.  The graph is stored once, as
+    integers: ``moves[i]`` holds state ``states[i]``'s moves as
+    ``(symbol index, target index)`` pairs in input-alphabet order.  The
+    views ``index``, ``transitions``, ``successors`` and the arrow views
+    are built on first read, so they match ``moves`` by construction.  Every operation in this package treats the object as
+    read-only.
     """
 
     name: str
@@ -62,7 +69,7 @@ class Automaton:
     states: tuple[str, ...]
     initial: Optional[str]
     output_map: dict[str, str]
-    transitions: dict[tuple[str, str], str]
+    moves: tuple[tuple[tuple[int, int], ...], ...]
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -70,13 +77,30 @@ class Automaton:
         return {q: i for i, q in enumerate(self.states)}
 
     @cached_property
+    def transitions(self) -> dict[tuple[str, str], str]:
+        """``(state, symbol) -> target``, in ``moves`` order."""
+        inputs, states = self.input_alphabet, self.states
+        return {(q, inputs[s]): states[t]
+                for q, row in zip(states, self.moves) for s, t in row}
+
+    @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Per state, the target index of each merged arrow, in
+        ``by_source`` order (by target name)."""
+        by_name = self.states.__getitem__
+        return tuple([tuple(sorted({t for _, t in row}, key=by_name)) for row in self.moves])
+
+    @cached_property
     def by_source(self) -> dict[str, tuple[Arrow, ...]]:
         """Every state in order, its arrows sorted by target, labels sorted."""
-        grouped: dict[str, dict[str, list[str]]] = {q: {} for q in self.states}
-        for (src, sym), tgt in self.transitions.items():
-            grouped[src].setdefault(tgt, []).append(sym)
-        return {q: tuple([Arrow(q, t, tuple(sorted(out[t]))) for t in sorted(out)])
-                for q, out in grouped.items()}
+        inputs, states = self.input_alphabet, self.states
+        grouped = {}
+        for q, row in zip(states, self.moves):
+            labels: dict[str, list[str]] = {}
+            for s, t in row:
+                labels.setdefault(states[t], []).append(inputs[s])
+            grouped[q] = tuple([Arrow(q, t, tuple(sorted(labels[t]))) for t in sorted(labels)])
+        return grouped
 
     @cached_property
     def arrows(self) -> tuple[Arrow, ...]:
@@ -90,10 +114,12 @@ class Automaton:
 
     @property
     def arrow_count(self) -> int:
-        return len(self.arrows)
+        return sum(map(len, self.successors))
 
     def out_degree(self, q: str) -> int:
-        return len(self.by_source.get(q, ()))
+        if q not in self.index:
+            raise UnknownState(q)
+        return len(self.successors[self.index[q]])
 
 
 @dataclass(frozen=True)
@@ -152,12 +178,12 @@ def validate(
     output_map: Optional[dict[str, str]] = None,
     transitions: Iterable[tuple[str, str, str]] = (),
 ) -> Automaton:
-    """Check a raw automaton description and build the merged-arrow graph.
+    """Check a raw automaton description and build its integer rows.
 
     ``transitions`` is an iterable of ``(state, input symbol, state)``
-    triples; symbols that trigger the same state pair are merged into one
-    arrow.  Raises :class:`DuplicateIdentifier`, :class:`Nondeterministic`,
-    :class:`NonInjectiveOutput`, :class:`UnknownState`,
+    triples, in any order; symbols that trigger the same state pair are
+    merged into one arrow.  Raises :class:`DuplicateIdentifier`,
+    :class:`Nondeterministic`, :class:`NonInjectiveOutput`, :class:`UnknownState`,
     :class:`UnknownSymbol` or :class:`MissingOutput` on violations, and
     otherwise calls the :class:`Automaton` constructor.  It is the entry
     point for outside descriptions; graphs derived from valid ones skip it.
@@ -165,14 +191,15 @@ def validate(
     inputs = _ordered_unique(input_alphabet, "input alphabet")
     outputs = _ordered_unique(output_alphabet, "output alphabet")
     state_list = _ordered_unique(states, "states")
-    input_set, output_set, state_set = set(inputs), set(outputs), set(state_list)
+    output_set = set(outputs)
+    index = {q: i for i, q in enumerate(state_list)}
 
-    if initial is not None and initial not in state_set:
+    if initial is not None and initial not in index:
         raise UnknownState(initial, "initial")
 
     output_map = dict(output_map or {})
     for q, r in output_map.items():
-        if q not in state_set:
+        if q not in index:
             raise UnknownState(q, "output map")
         if r not in output_set:
             raise UnknownSymbol(r, f"output of state {q!r}")
@@ -181,20 +208,21 @@ def validate(
             raise MissingOutput(q)
     _check_injective(state_list, output_map)
 
-    trans: dict[tuple[str, str], str] = {}
+    sym_at = {s: i for i, s in enumerate(inputs)}
+    rows: list[dict[int, int]] = [{} for _ in state_list]
     for src, sym, tgt in transitions:
-        if src not in state_set:
+        if src not in index:
             raise UnknownState(src, "transition source")
-        if tgt not in state_set:
+        if tgt not in index:
             raise UnknownState(tgt, "transition target")
-        if sym not in input_set:
+        if sym not in sym_at:
             raise UnknownSymbol(sym, f"transition from {src!r}")
-        prior = trans.get((src, sym))
-        if prior is not None and prior != tgt:
+        row, s, t = rows[index[src]], sym_at[sym], index[tgt]
+        if row.setdefault(s, t) != t:
             raise Nondeterministic(src, sym)
-        trans[(src, sym)] = tgt
 
-    return Automaton(name, inputs, outputs, state_list, initial, output_map, trans)
+    return Automaton(name, inputs, outputs, state_list, initial, output_map,
+                     tuple([tuple(sorted(row.items())) for row in rows]))
 
 
 def arrows_from(a: Automaton, q: str) -> list[Arrow]:
@@ -206,7 +234,7 @@ def arrows_from(a: Automaton, q: str) -> list[Arrow]:
 
 def divergent_states(a: Automaton) -> set[str]:
     """States with at least two outgoing merged arrows."""
-    return {q for q in a.states if a.out_degree(q) >= 2}
+    return {q for q, targets in zip(a.states, a.successors) if len(targets) >= 2}
 
 
 def convergent_states(a: Automaton) -> set[str]:
@@ -215,10 +243,11 @@ def convergent_states(a: Automaton) -> set[str]:
     Self-loops count; the initial-state marker does not (it is not an
     arrow of the graph).
     """
-    indeg: dict[str, int] = {}
-    for ar in a.arrows:
-        indeg[ar.target] = indeg.get(ar.target, 0) + 1
-    return {q for q, d in indeg.items() if d >= 2}
+    indeg = [0] * len(a.states)
+    for targets in a.successors:
+        for t in targets:
+            indeg[t] += 1
+    return {q for q, d in zip(a.states, indeg) if d >= 2}
 
 
 def is_reversible(a: Automaton) -> bool:
@@ -265,14 +294,14 @@ def run(a: Automaton, start: str, word: Sequence[str]) -> Path:
 
 
 def reachable_states(a: Automaton, start: str) -> set[str]:
-    """States reachable from ``start`` by following arrows."""
+    """States reachable from ``start`` by following arrows; the walk reads
+    ``moves`` and names only the states it reaches."""
     if start not in a.index:
         raise UnknownState(start)
-    seen, frontier = {start}, [start]
+    seen, frontier = {a.index[start]}, [a.index[start]]
     while frontier:
-        q = frontier.pop()
-        for ar in a.by_source[q]:
-            if ar.target not in seen:
-                seen.add(ar.target)
-                frontier.append(ar.target)
-    return seen
+        for _, t in a.moves[frontier.pop()]:
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return {a.states[i] for i in seen}

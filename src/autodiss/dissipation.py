@@ -43,15 +43,8 @@ class InputModel:
     @classmethod
     def uniform(cls, a: Automaton) -> "InputModel":
         """Equal probability on every arrow leaving each state."""
-        probs = {}
-        for q in a.states:
-            arrows = a.by_source[q]
-            if arrows:
-                p = 1.0 / len(arrows)
-                probs[q] = {ar.key: p for ar in arrows}
-            else:
-                probs[q] = {}
-        return cls(probs)
+        return cls({q: {(q, a.states[t]): 1.0 / len(targets) for t in targets}
+                    for q, targets in zip(a.states, a.successors)})
 
     @classmethod
     def from_arrow_probs(
@@ -69,7 +62,7 @@ class InputModel:
         for q, dist in given.items():
             if q not in a.index:
                 raise UnknownState(q, "input model")
-            keys = {ar.key for ar in a.by_source[q]}
+            keys = {(q, a.states[t]) for t in a.successors[a.index[q]]}
             if not keys:
                 if dist:
                     raise InvalidDistribution(f"state {q!r} is a sink")
@@ -144,7 +137,7 @@ def choice_information(a: Automaton, m: InputModel, q: str) -> float:
     """
     if q not in a.index:
         raise UnknownState(q)
-    ps = [m.arrow_probability(q, ar) for ar in a.by_source[q]]
+    ps = [m.probs[q].get((q, a.states[t]), 0.0) for t in a.successors[a.index[q]]]
     return float(sum(-p * math.log2(p) for p in ps if p > 0))
 
 
@@ -204,16 +197,15 @@ def _arrow_arrays(
     source: list[int] = []
     target: list[int] = []
     weight: list[float] = []
-    for i, q in enumerate(a.states):
-        arrows = a.by_source[q]
-        if not arrows:
+    for i, (q, targets) in enumerate(zip(a.states, a.successors)):
+        if not targets:
             source.append(i)
             target.append(i)
             weight.append(1.0)
-        for ar in arrows:
+        for t in targets:
             source.append(i)
-            target.append(a.index[ar.target])
-            weight.append(m.arrow_probability(q, ar))
+            target.append(t)
+            weight.append(m.probs[q].get((q, a.states[t]), 0.0))
     return (
         np.array(source, dtype=np.intp),
         np.array(target, dtype=np.intp),

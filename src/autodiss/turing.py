@@ -559,10 +559,11 @@ def modular_tm_dissipation(
 def _linear_automaton(name: str, node_ids: Sequence[str]) -> Automaton:
     if len(set(node_ids)) != len(node_ids):
         raise RepeatedConfiguration("trajectory revisits a configuration")
-    outputs = tuple(f"o{i}" for i in range(len(node_ids)))
+    n = len(node_ids)
+    outputs = tuple(f"o{i}" for i in range(n))
     return Automaton(name, ("ck",), outputs, tuple(node_ids), node_ids[0] if node_ids else None,
                      dict(zip(node_ids, outputs)),
-                     {(q, "ck"): t for q, t in zip(node_ids, node_ids[1:])})
+                     tuple([((0, i + 1),) if i + 1 < n else () for i in range(n)]))
 
 
 def global_graph(trace) -> Automaton:

@@ -109,7 +109,7 @@ def product_many(modules: Sequence[Automaton], name: Optional[str] = None) -> Pr
     return ProductAutomaton(
         **{f: getattr(base, f) for f in (
             "name", "input_alphabet", "output_alphabet", "states", "initial",
-            "output_map", "transitions",
+            "output_map", "moves",
         )},
         module_names=tuple(c.name for c in comps),
         components=tuple(comps),

@@ -4,7 +4,8 @@ runs and Bennett traces.  Each must equal, field by field with dict
 orders, what ``validate`` builds from the same parts, and all but
 Bennett graphs must survive a round trip through the text format, which
 validates them again; writing a Bennett graph is refused.  Their arrow
-views are built on first read only, once."""
+views are built on first read only, once, and the product, wiring and
+reachability paths build none."""
 
 import random
 import re
@@ -15,9 +16,13 @@ from hypothesis import given, settings
 from autodiss import (
     Arrow,
     Automaton,
+    Connection,
     ProductAutomaton,
+    Wiring,
     bennett_simulate,
+    choice_information,
     global_graph,
+    product_input_model,
     product_many,
     reachable_subgraph,
     tm_run,
@@ -97,11 +102,27 @@ def test_global_graphs_match_validate(case):
         write_automaton(bennett)
 
 
-def test_arrow_views_are_built_on_first_read_only(monkeypatch, tff, tff_wiring, bb2):
+def _count_arrows(monkeypatch):
+    """The list of parts of every ``Arrow`` built from now on."""
     built = []
     monkeypatch.setattr(core, "Arrow", lambda *parts: built.append(parts) or Arrow(*parts))
-    auto, _ = tff
-    graphs = [product_many([auto] * 4), wire(tff_wiring).automaton, global_graph(tm_run(bb2))]
+    return built
+
+
+def test_arrow_views_are_built_on_first_read_only(monkeypatch, tff, tff_wiring, bb2):
+    built = _count_arrows(monkeypatch)
+    auto, model = tff
+    # Products, their input models and choice bits, wirings and reachable
+    # parts read the integer views only.
+    prod = product_many([auto] * 4)
+    pm = product_input_model(prod, [model] * 4)
+    bits = [choice_information(prod, pm, q) for q in prod.states]
+    closed = wire(tff_wiring).automaton
+    sub = reachable_subgraph(closed)
+    assert (prod.arrow_count, bits, len(sub.states)) == (256, [4.0] * 16, 4)
+    assert built == []
+    assert not any("transitions" in vars(g) for g in (prod, closed, sub))
+    graphs = [prod, closed, global_graph(tm_run(bb2))]
     for g in graphs:
         assert built == []
         views = (g.arrows, g.by_source, g.by_pair)
@@ -110,3 +131,18 @@ def test_arrow_views_are_built_on_first_read_only(monkeypatch, tff, tff_wiring, 
         built.clear()
         assert all(again is view for again, view in zip((g.arrows, g.by_source, g.by_pair), views))
         assert built == []
+
+
+def test_reachable_part_of_a_ring_builds_no_arrow(monkeypatch, tff):
+    """A clock-driven ring of 14 T-flip-flops has 2**14 tuple states, of
+    which 16 are reached; finding them walks the integer rows."""
+    built = _count_arrows(monkeypatch)
+    auto, _ = tff
+    n = 14
+    ring = Wiring("ring", tuple((f"m{i}", auto) for i in range(n)),
+                  tuple(Connection(f"m{i - 1}", f"m{i}", {"Q0": "T0", "Q1": "T1"})
+                        for i in range(1, n)),
+                  (("m0", "T1"),))
+    sub = reachable_subgraph(wire(ring))
+    assert len(sub.states) == 16 and sub.arrow_count == 16
+    assert built == []

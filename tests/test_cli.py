@@ -241,13 +241,37 @@ def test_wire_without_modules_is_a_domain_error(capsys, tmp_path):
     assert run_cli(capsys, "wire", str(wiring)) == (1, "", "error: need at least one module\n")
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    probe = "import autodiss.cli, sys; assert 'numpy' not in sys.modules"
+def _fresh_interpreter(probe):
+    """Run ``probe`` in a new interpreter that imports this ``autodiss``."""
     src = os.path.dirname(os.path.dirname(autodiss.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+    return subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    proc = _fresh_interpreter("import autodiss.cli, sys; assert 'numpy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_product_path_leaves_numpy_unloaded():
+    """Products, their input models and choice bits, wirings and reachable
+    parts run on plain Python: numpy is loaded by the ensemble functions
+    only."""
+    proc = _fresh_interpreter("""if True:
+        import sys
+        from autodiss import (choice_information, load_automaton, load_wiring,
+                              product_input_model, product_many, reachable_subgraph, wire)
+        from autodiss.assets import asset_path
+        tff, model = load_automaton(asset_path("tff.aut"))
+        prod = product_many([tff] * 4)
+        pm = product_input_model(prod, [model] * 4)
+        bits = [choice_information(prod, pm, q) for q in prod.states]
+        sub = reachable_subgraph(wire(load_wiring(asset_path("counter4_tff.wiring"))))
+        assert (prod.arrow_count, bits, len(sub.states)) == (256, [4.0] * 16, 4)
+        assert "numpy" not in sys.modules
+    """)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -38,6 +38,7 @@ from autodiss.errors import (
     ArityMismatch,
     AutomataError,
     DuplicateIdentifier,
+    InvalidDistribution,
     MissingInitial,
     MultiplyDrivenPort,
     SizeLimit,
@@ -482,8 +483,8 @@ _OUTPUTS = (["o", "p", "r", "s"], ["o", "p", "o|p", "p|o"])
 
 
 def _fields(obj):
-    """Class plus every dataclass field, an automaton's arrow views right
-    after its transitions, dicts as item lists so that their iteration
+    """Class plus every dataclass field, an automaton's name views right
+    after its ``moves`` rows, dicts as item lists so that their iteration
     order is compared too."""
     if isinstance(obj, InputModel):
         return InputModel, [(q, list(d.items())) for q, d in obj.probs.items()]
@@ -495,8 +496,10 @@ def _fields(obj):
         elif isinstance(v, dict):
             v = list(v.items())
         out.append((f.name, v))
-        if f.name == "transitions" and isinstance(obj, Automaton):
-            out += [("arrows", obj.arrows), ("by_source", list(obj.by_source.items())),
+        if f.name == "moves" and isinstance(obj, Automaton):
+            out += [("transitions", list(obj.transitions.items())),
+                    ("successors", obj.successors), ("arrows", obj.arrows),
+                    ("by_source", list(obj.by_source.items())),
                     ("by_pair", list(obj.by_pair.items()))]
     return type(obj), out
 
@@ -760,3 +763,20 @@ def test_arity_errors_are_automata_errors(tff):
     with pytest.raises(ArityMismatch, match="^one start state per module required$"):
         modular_test_cost([auto, auto], ["0"])
     assert issubclass(ArityMismatch, AutomataError) and issubclass(ArityMismatch, ValueError)
+
+
+def test_product_input_model_names_what_it_cannot_use(tff, tff_wiring):
+    auto, model = tff
+    closed = wire(tff_wiring).automaton  # a tuple graph, but no product of modules
+    for graph in (auto, closed):
+        with pytest.raises(ArityMismatch, match=f"^{graph.name!r} is not a product of modules$"):
+            product_input_model(graph, [model])
+    with pytest.raises(InvalidDistribution,
+                       match="^input model of module 'tff' has no entry for state '0'$"):
+        product_input_model(product(auto, auto), [model, InputModel({})])
+    # a sink has no arrow to weigh, so a model may leave it out
+    sink = validate("sink", ["a"], ["o", "p"], ["0", "1"], "0", {"0": "o", "1": "p"},
+                    [("0", "a", "1")])
+    pm = product_input_model(product(auto, sink), [model, InputModel({"0": {("0", "1"): 1.0}})])
+    assert pm.probs["(0,0)"] == {("(0,0)", "(0,1)"): 0.5, ("(0,0)", "(1,1)"): 0.5}
+    assert pm.probs["(0,1)"] == {}

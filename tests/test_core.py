@@ -130,6 +130,13 @@ def test_arrows_from_sorted_by_target(lossy):
         arrows_from(auto, "nope")
 
 
+def test_out_degree_names_an_undeclared_state(tff):
+    auto, _ = tff
+    assert [auto.out_degree(q) for q in auto.states] == [2, 2]
+    with pytest.raises(UnknownState, match="^state 'nope' is not declared$"):
+        auto.out_degree("nope")
+
+
 def test_arrows_from_memory(onebit):
     auto, _ = onebit
     assert [(a.target, a.labels) for a in arrows_from(auto, "0")] == [
