@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import core
-from .core import Automaton, reachable_states
+from .core import Automaton
 from .dissipation import InputModel
 from .errors import (
     AlphabetMismatch,
@@ -297,7 +297,7 @@ def reachable_subgraph(c) -> Automaton:
     a = c.automaton if isinstance(c, ClosedSystem) else c
     if a.initial is None:
         raise MissingInitial(a.name)
-    keep = sorted(map(a.index.__getitem__, reachable_states(a, a.initial)))
+    keep = sorted(core._reached(a, a.initial))
     new = dict(zip(keep, range(len(keep))))
     states = tuple(a.states[i] for i in keep)
     return Automaton(a.name, a.input_alphabet, a.output_alphabet, states, a.initial,
@@ -305,15 +305,7 @@ def reachable_subgraph(c) -> Automaton:
                      tuple([tuple([(s, new[t]) for s, t in a.moves[i]]) for i in keep]))
 
 
-def _moves(a: Automaton) -> dict[str, dict[str, str]]:
-    """Each state reachable from the initial one, with its moves."""
-    if a.initial is None:
-        raise MissingInitial(a.name)
-    return {q: {s: ar.target for ar in a.by_source[q] for s in ar.labels}
-            for q in reachable_states(a, a.initial)}
-
-
-def _propagate(ma, mb, ua, ub, sigma: dict[str, str], smap: dict[str, str]):
+def _propagate(ma, mb, ua, ub, sigma: dict[int, int], smap: dict[int, int]):
     """Add to the symbol map ``sigma`` and the state map ``smap`` every pair
     they force.  A symbol at a mapped state fits a symbol of the image state
     that is its image, or else unused with the same usage count, and whose
@@ -368,18 +360,23 @@ def equivalent(a: Automaton, b: Automaton,
     but refuting a near-miss on a very symmetric graph, such as a product
     of equal modules, can take exponential time.
     """
-    ma, mb = _moves(a), _moves(b)
+    for g in (a, b):  # move tables of the reached states, all by index
+        if g.initial is None:
+            raise MissingInitial(g.name)
+    ma, mb = ({i: dict(g.moves[i]) for i in core._reached(g, g.initial)} for g in (a, b))
     if len(ma) != len(mb):
         return False
     ua, ub = (Counter(s for moves in m.values() for s in moves) for m in (ma, mb))
     if sorted(ua.values()) != sorted(ub.values()):
         return False
-    sigma = {} if symbol_map is None else {s: symbol_map[s] for s in ua if s in symbol_map}
-    if symbol_map is not None and len(set(sigma.values())) < len(ua):
-        return False  # partial or not injective
+    at = {t: i for i, t in enumerate(b.input_alphabet)}
+    sigma = {} if symbol_map is None else {
+        s: at.get(symbol_map.get(a.input_alphabet[s])) for s in ua}
+    if None in sigma.values() or len(set(sigma.values())) < len(sigma):
+        return False  # ``symbol_map`` is partial, not injective or not into ``b``'s symbols
     # Depth-first on an explicit stack, as products can have thousands of symbols.
     # Per branch point: map sizes to truncate back to, its symbol, untried fits.
-    smap, stack = {a.initial: b.initial}, []
+    smap, stack = {a.states.index(a.initial): b.states.index(b.initial)}, []
     while (branch := _propagate(ma, mb, ua, ub, sigma, smap)) is not None:
         stack.append((len(sigma), len(smap), branch[0], iter(branch[1])))
         while (t := next(stack[-1][3], None)) is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import core
-from .core import Arrow, Automaton, run, step
+from .core import Automaton, run, step
 from .errors import (
     ArityMismatch, AutomataError, DeviceRefused, SizeLimit, UnknownState, Untestable,
 )
@@ -44,33 +44,30 @@ class Verdict:
     first_discrepancy: Optional[tuple[int, str, str]] = None
 
 
-def _components(a: Automaton) -> tuple[dict[str, int], list[int]]:
+def _components(successors) -> tuple[dict[int, int], list[int]]:
     """Strongly connected components and what each one reaches.
 
-    Returns every state's component number and, per component, the set
-    of components reachable from it (itself included) as an int bitset.
+    Returns every state index's component number and, per component, the
+    set of components reachable from it (itself included) as an int bitset.
     One iterative Tarjan pass closes components sinks first, so the
     reach of every successor is known when a component closes.
     """
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    comp: dict[str, int] = {}
+    index, low, comp = {}, {}, {}  # per state index, as in Tarjan's paper
     reach: list[int] = []
-    stack: list[str] = []
-    for root in a.states:
+    stack: list[int] = []
+    for root in range(len(successors)):
         if root in index:
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
-        work = [(root, iter(a.by_source[root]))]
+        work = [(root, iter(successors[root]))]
         while work:
-            q, arrows = work[-1]
-            for ar in arrows:
-                t = ar.target
+            q, targets = work[-1]
+            for t in targets:
                 if t not in index:
                     index[t] = low[t] = len(index)
                     stack.append(t)
-                    work.append((t, iter(a.by_source[t])))
+                    work.append((t, iter(successors[t])))
                     break
                 if t not in comp:  # still on the stack: same component
                     low[q] = min(low[q], index[t])
@@ -86,24 +83,20 @@ def _components(a: Automaton) -> tuple[dict[str, int], list[int]]:
                 while not members or members[-1] != q:
                     members.append(stack.pop())
                     comp[members[-1]] = c
-                bits = 1 << c
+                reach.append(1 << c)
                 for v in members:
-                    for ar in a.by_source[v]:
-                        if comp[ar.target] != c:
-                            bits |= reach[comp[ar.target]]
-                reach.append(bits)
+                    for t in successors[v]:
+                        reach[c] |= reach[comp[t]]
     return comp, reach
 
 
-def _path_to(parent: dict[str, Arrow], start: str, goal: str) -> list[Arrow]:
-    path = []
-    q = goal
+def _path_to(parent: dict[int, int], start: int, goal: int) -> list[tuple[int, int]]:
+    """Arrows from ``start`` to ``goal`` in the search tree ``parent`` (target -> source)."""
+    path, q = [], goal
     while q != start:
-        ar = parent[q]
-        path.append(ar)
-        q = ar.source
-    path.reverse()
-    return path
+        path.append((parent[q], q))
+        q = parent[q]
+    return path[::-1]
 
 
 def transition_tour(a: Automaton, start: str) -> TestTour:
@@ -133,30 +126,34 @@ def transition_tour(a: Automaton, start: str) -> TestTour:
     if len(a.states) > core.MONOLITHIC_STATE_LIMIT:
         raise SizeLimit(len(a.states), core.MONOLITHIC_STATE_LIMIT)
 
-    uncovered = {ar.key for ar in a.arrows}
-    all_keys = frozenset(uncovered)
-    left = {q: len(out) for q, out in a.by_source.items()}  # uncovered per source
-    comp, reach = _components(a)
-    pending: dict[int, set[str]] = {}  # component -> its sources with work left
-    for q, n in left.items():
+    states, inputs, successors = a.states, a.input_alphabet, a.successors
+    label: dict[tuple[int, int], str] = {}  # each arrow's smallest label by name
+    for q, row in enumerate(a.moves):
+        for s, t in row:
+            label[q, t] = min(label.get((q, t), inputs[s]), inputs[s])
+    uncovered = set(label)
+    left = list(map(len, successors))  # uncovered per source
+    comp, reach = _components(successors)
+    pending: dict[int, set[int]] = {}  # component -> its sources with work left
+    for q, n in enumerate(left):
         if n:
             pending.setdefault(comp[q], set()).add(q)
     pending_bits = sum(1 << c for c in pending)  # components in ``pending``
     word: list[str] = []
-    pos = start
+    pos = a.index[start]
 
     # The helpers below judge a candidate arrow against the current
     # search from ``pos``, whose tree is ``parent``.
-    def walked_from(ar: Arrow) -> dict[str, tuple[str, str]]:
-        """Source -> arrow key along the path to ``ar`` and ``ar`` itself;
+    def walked_from(ar: tuple[int, int]) -> dict[int, tuple[int, int]]:
+        """Source -> arrow along the path to ``ar`` and ``ar`` itself;
         the path is simple, so each source occurs once."""
-        return {p.source: p.key for p in _path_to(parent, pos, ar.source) + [ar]}
+        return {p[0]: p for p in _path_to(parent, pos, ar[0]) + [ar]}
 
-    def acceptable(ar: Arrow) -> bool:
+    def acceptable(ar: tuple[int, int]) -> bool:
         # Every source left with work after the walk must be reachable
         # from the target: a pending source outside reach(target) is
         # allowed only if the walk covers its last uncovered arrow.
-        outside = pending_bits & ~reach[comp[ar.target]]
+        outside = pending_bits & ~reach[comp[ar[1]]]
         if not outside:
             return True
         walked = walked_from(ar)
@@ -168,30 +165,28 @@ def transition_tour(a: Automaton, start: str) -> TestTour:
                     return False
         return True
 
-    def keeps_going(ar: Arrow) -> bool:
+    def keeps_going(ar: tuple[int, int]) -> bool:
         # Some arrow out of the target is still uncovered after the walk.
-        n = left[ar.target]
+        n = left[ar[1]]
         if n != 1:
             return n > 1
-        return walked_from(ar).get(ar.target) not in uncovered
+        return walked_from(ar).get(ar[1]) not in uncovered
 
     while uncovered:
-        parent: dict[str, Arrow] = {}
+        parent: dict[int, int] = {}
         seen = {pos}
         frontier = [pos]
         # A pending source unreachable from here is unreachable from any
         # target, so no arrow is acceptable: take the nearest level.
         hopeless = pending_bits & ~reach[comp[pos]]
-        nearest: list[Arrow] = []
-        pool: list[Arrow] = []
+        nearest: list[tuple[int, int]] = []
+        pool: list[tuple[int, int]] = []
         # Expanding each level in discovery order builds the same tree as
         # a first-in-first-out search; level L holds the uncovered arrows
         # whose sources lie L - 1 steps away.
         while frontier:
-            level = [
-                ar for q in frontier if left[q]
-                for ar in a.by_source[q] if ar.key in uncovered
-            ]
+            level = [(q, t) for q in frontier if left[q]
+                     for t in successors[q] if (q, t) in uncovered]
             if level:
                 if not nearest:
                     nearest = level
@@ -202,31 +197,33 @@ def transition_tour(a: Automaton, start: str) -> TestTour:
                     break
             nxt = []
             for q in frontier:
-                for ar in a.by_source[q]:
-                    if ar.target not in seen:
-                        seen.add(ar.target)
-                        parent[ar.target] = ar
-                        nxt.append(ar.target)
+                for t in successors[q]:
+                    if t not in seen:
+                        seen.add(t)
+                        parent[t] = q
+                        nxt.append(t)
             frontier = nxt
         if not nearest:
-            raise Untestable(uncovered, f"stranded in {pos!r}")
+            raise Untestable({(states[q], states[t]) for q, t in uncovered},
+                             f"stranded in {states[pos]!r}")
         pool = pool or nearest
         pool = [ar for ar in pool if keeps_going(ar)] or pool
-        chosen = min(pool, key=lambda ar: ar.key)
+        chosen = min(pool, key=lambda ar: (states[ar[0]], states[ar[1]]))
 
-        for ar in _path_to(parent, pos, chosen.source) + [chosen]:
-            word.append(ar.labels[0])
-            if ar.key in uncovered:
-                uncovered.remove(ar.key)
-                left[ar.source] -= 1
-                if not left[ar.source]:
-                    c = comp[ar.source]
-                    pending[c].remove(ar.source)
+        for ar in _path_to(parent, pos, chosen[0]) + [chosen]:
+            word.append(label[ar])
+            if ar in uncovered:
+                uncovered.remove(ar)
+                left[ar[0]] -= 1
+                if not left[ar[0]]:
+                    c = comp[ar[0]]
+                    pending[c].remove(ar[0])
                     if not pending[c]:
                         pending_bits &= ~(1 << c)
-        pos = chosen.target
+        pos = chosen[1]
 
-    return TestTour(start=start, word=tuple(word), covered=all_keys)
+    return TestTour(start=start, word=tuple(word),
+                    covered=frozenset((states[q], states[t]) for q, t in label))
 
 
 def test_cost(a: Automaton, start: str) -> int:

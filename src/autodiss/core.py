@@ -7,9 +7,9 @@ single arrow; merged arrows are the unit of every structural count in
 this package (degrees, divergences, convergences).
 
 The graph is stored as integer rows: states and symbols are numbered by
-their position.  Counts, reachability and information measures read
-integer views; named views and :class:`Arrow` objects are built on first
-read, for callers that print or walk named arrows.
+their position.  Counts, reachability, tours, equivalence and information
+measures read integer views; named views and :class:`Arrow` objects are
+built on first read, for callers that print or return named arrows.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class Automaton:
     integers: ``moves[i]`` holds state ``states[i]``'s moves as
     ``(symbol index, target index)`` pairs in input-alphabet order.  The
     views ``index``, ``transitions``, ``successors`` and the arrow views
-    are built on first read, so they match ``moves`` by construction.  Every operation in this package treats the object as
-    read-only.
+    are built on first read, so they match ``moves`` by construction.
+    Every operation in this package treats the object as read-only.
     """
 
     name: str
@@ -293,15 +293,22 @@ def run(a: Automaton, start: str, word: Sequence[str]) -> Path:
     return Path(start=start, steps=tuple(steps), outputs=tuple(outputs))
 
 
-def reachable_states(a: Automaton, start: str) -> set[str]:
-    """States reachable from ``start`` by following arrows; the walk reads
-    ``moves`` and names only the states it reaches."""
-    if start not in a.index:
-        raise UnknownState(start)
-    seen, frontier = {a.index[start]}, [a.index[start]]
+def _reached(a: Automaton, start: str) -> set[int]:
+    """Indices of the states reachable from ``start``.  ``start`` is found
+    by a scan of ``states``, so a walk on a large graph builds no ``index``."""
+    try:
+        i = a.states.index(start)
+    except ValueError:
+        raise UnknownState(start) from None
+    seen, frontier = {i}, [i]
     while frontier:
         for _, t in a.moves[frontier.pop()]:
             if t not in seen:
                 seen.add(t)
                 frontier.append(t)
-    return {a.states[i] for i in seen}
+    return seen
+
+
+def reachable_states(a: Automaton, start: str) -> set[str]:
+    """States reachable from ``start`` by following arrows."""
+    return {a.states[i] for i in _reached(a, start)}

@@ -189,10 +189,8 @@ def write_automaton(a: Automaton, model: Optional[InputModel] = None) -> str:
         lines.append(f"initial {a.initial}")
     for q in a.states:
         lines.append(f"output {q} {a.output_map[q]}")
-    for q in a.states:
-        for s in a.input_alphabet:
-            if (q, s) in a.transitions:
-                lines.append(f"trans {q} {s} {a.transitions[(q, s)]}")
+    for q, row in zip(a.states, a.moves):  # each row in alphabet order
+        lines += [f"trans {q} {a.input_alphabet[s]} {a.states[t]}" for s, t in row]
     if model is not None:
         uniform = InputModel.uniform(a)
         for q in a.states:

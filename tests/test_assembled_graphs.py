@@ -4,8 +4,8 @@ runs and Bennett traces.  Each must equal, field by field with dict
 orders, what ``validate`` builds from the same parts, and all but
 Bennett graphs must survive a round trip through the text format, which
 validates them again; writing a Bennett graph is refused.  Their arrow
-views are built on first read only, once, and the product, wiring and
-reachability paths build none."""
+views are built on first read only, once, and the product, wiring,
+reachability, tour, equivalence and text-form paths build none."""
 
 import random
 import re
@@ -21,11 +21,13 @@ from autodiss import (
     Wiring,
     bennett_simulate,
     choice_information,
+    equivalent,
     global_graph,
     product_input_model,
     product_many,
     reachable_subgraph,
     tm_run,
+    transition_tour,
     validate,
     wire,
 )
@@ -121,6 +123,15 @@ def test_arrow_views_are_built_on_first_read_only(monkeypatch, tff, tff_wiring, 
     sub = reachable_subgraph(closed)
     assert (prod.arrow_count, bits, len(sub.states)) == (256, [4.0] * 16, 4)
     assert built == []
+    # Tours, equivalence, reachable parts and the text form walk the rows.
+    for g in (prod, closed):
+        same = {s: s for s in g.input_alphabet}
+        tour = transition_tour(g, g.initial)
+        assert len(tour.covered) == g.arrow_count <= tour.length
+        assert equivalent(g, g) and equivalent(g, g, same)
+        assert write_automaton(g).count("\ntrans ") == sum(map(len, g.moves))
+        assert reachable_subgraph(g).moves
+    assert built == []
     assert not any("transitions" in vars(g) for g in (prod, closed, sub))
     graphs = [prod, closed, global_graph(tm_run(bb2))]
     for g in graphs:
@@ -143,6 +154,9 @@ def test_reachable_part_of_a_ring_builds_no_arrow(monkeypatch, tff):
                   tuple(Connection(f"m{i - 1}", f"m{i}", {"Q0": "T0", "Q1": "T1"})
                         for i in range(1, n)),
                   (("m0", "T1"),))
-    sub = reachable_subgraph(wire(ring))
+    closed = wire(ring)
+    sub = reachable_subgraph(closed)
     assert len(sub.states) == 16 and sub.arrow_count == 16
     assert built == []
+    # The walk finds its start without indexing the 2**14 tuple states.
+    assert "index" not in vars(closed.automaton)

@@ -166,6 +166,44 @@ def test_tour_matches_the_oracle_on_random_graphs():
     assert min(kinds.values()) > 500
 
 
+def _unsorted(rng):
+    """A graph whose declared orders are not its sorted orders: 11 to 14
+    symbols, so that ``s10`` sorts before ``s2``, and states drawn from
+    ``q0``..``q11``, both lists shuffled.  Each state has few targets, so
+    most arrows carry several labels; half the graphs hold a cycle
+    through every state."""
+    n, k = rng.randint(2, 12), rng.randint(11, 14)
+    states = rng.sample([f"q{i}" for i in range(12)], n)
+    symbols = rng.sample([f"s{j}" for j in range(k)], k)
+    transitions = {}
+    if rng.random() < 0.5:
+        for q, t in zip(states, states[1:] + states[:1]):
+            transitions[q, rng.choice(symbols)] = t
+    for q in states:
+        targets = rng.sample(states, rng.randint(1, min(n, 3)))
+        for s in symbols:
+            if (q, s) not in transitions and rng.random() < 0.5:
+                transitions[q, s] = rng.choice(targets)
+    return validate("unsorted", symbols, [f"o{i}" for i in range(n)], states, states[0],
+                    {q: f"o{i}" for i, q in enumerate(states)},
+                    [(q, s, t) for (q, s), t in transitions.items()])
+
+
+def test_tour_matches_the_oracle_when_declared_order_is_not_sorted():
+    """Each arrow is presented by its smallest label by name, and ties
+    break on names, whatever order the alphabet and states declare."""
+    rng = random.Random(47)
+    kinds = {"word": 0, "untestable": 0}
+    for _ in range(300):
+        auto = _unsorted(rng)
+        assert list(auto.input_alphabet) != sorted(auto.input_alphabet)
+        start = rng.choice(auto.states)
+        want = _tour_outcome(tour_oracle.transition_tour, auto, start)
+        assert _tour_outcome(transition_tour, auto, start) == want, (auto, start)
+        kinds[want[0]] += 1
+    assert min(kinds.values()) > 50, kinds
+
+
 def _large(rng, n, blocks):
     """A graph of ``n`` states in ``blocks`` strongly connected blocks,
     each a random cycle plus random arrows, chained one after another by

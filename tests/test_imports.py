@@ -1,8 +1,11 @@
-"""Every name a module of ``autodiss`` imports is used in that module.
+"""Every name a module of ``autodiss`` imports is used in that module,
+and the graph walkers read only the integer rows.
 
 A standard-library stand-in for a linter's unused-import rule: an ``ast``
 scan of the package's modules.  ``__init__.py`` is skipped, since its
-imports are the public re-exports.
+imports are the public re-exports.  A second scan keeps ``conformance``
+and ``composition`` off the named arrow views and ``Arrow``: their tours,
+searches and tuple graphs walk ``moves`` and ``successors``.
 """
 
 import ast
@@ -39,4 +42,38 @@ def test_package_modules_use_every_import():
         if path.name != "__init__.py":
             found += [f"{path.name}:{line}: {name}"
                       for line, name in unused_imports(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+NAMED_VIEWS = {"by_source", "by_pair", "arrows"}
+
+
+def named_arrow_uses(source):
+    """(line, name) of each read of a named arrow view and each mention
+    of ``Arrow`` in ``source``: a name, an attribute or an import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in NAMED_VIEWS | {"Arrow"}:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id == "Arrow":
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name == "Arrow"]
+    return sorted(found)
+
+
+def test_the_scan_finds_named_arrow_uses():
+    source = ("from .core import Arrow as A, Automaton\n"
+              "def f(a: Automaton) -> list['A']:\n"
+              "    return [a.by_source, a.moves, a.arrows, a.successors]\n"
+              "g = lambda a: [core.Arrow(*k) for k in a.by_pair]\n"
+              "h: Arrow\n")
+    assert named_arrow_uses(source) == [
+        (1, "Arrow"), (3, "arrows"), (3, "by_source"), (4, "Arrow"), (4, "by_pair"), (5, "Arrow"),
+    ]
+
+
+def test_graph_walkers_read_only_the_integer_rows():
+    found = [f"{name}:{line}: {what}" for name in ("conformance.py", "composition.py")
+             for line, what in named_arrow_uses((PACKAGE / name).read_text(encoding="utf-8"))]
     assert found == []
