@@ -88,6 +88,10 @@ from .dot import export_dot
 from . import errors
 
 __version__ = "0.1.0"
+# glibc hands its heap top back once twice the largest block it ever mapped lies free, so
+# whether blocks of a few hundred kB were re-faulted on every call hung on incidental layout
+# (the checkout path's length); freeing one 1 MiB mapping here lifts that bar to 2 MiB.
+bytes(1 << 20)
 
 __all__ = [
     "Arrow", "Automaton", "Path", "arrows_from", "convergent_states",

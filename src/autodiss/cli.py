@@ -12,13 +12,14 @@ variable ``AUTODISS_TEMP`` or the ``--temp`` flag overrides it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 
-from . import composition, conformance, dissipation, dot, fileformat, turing
-from .core import convergent_states, divergent_states, is_reversible, reachable_states
+from . import composition, conformance, core, dissipation, dot, fileformat, turing
+from .core import convergent_states, divergent_states, is_reversible
 from .errors import AutomataError, ParseError
 
 DEFAULT_TEMPERATURE = 300.0
@@ -139,30 +140,35 @@ def cmd_product(args) -> dict:
     }
 
 
-def _uniform_bits(degree: int) -> float:
-    """Choice bits of ``degree`` equally likely arrows, 0.0 at a sink, summed
-    term by term as choice_information sums them, so that the floats agree."""
-    return float(sum(-p * math.log2(p) for p in [1 / max(degree, 1)] * degree))
-
-
 def cmd_wire(args) -> dict:
     wiring = fileformat.load_wiring(args.file)
     closed = composition.wire(wiring)
     auto = closed.automaton
     _write_out(args, auto)
-    shown = auto.states if auto.initial is None else sorted(reachable_states(auto, auto.initial))
-    # Dissipation is owed on the open graph (what the per-module tests
-    # certify), even though the wired loop itself may be choice-free.
-    degree = composition.open_out_degrees(closed)
+    shown = (range(len(auto.states)) if auto.initial is None
+             else sorted(core._reached(auto, auto.initial), key=auto.states.__getitem__))
+    # Degrees are read for the shown states only, by index, so no view over
+    # every tuple state is built.  Dissipation is owed on the open graph
+    # (what the per-module tests certify), even though the wired loop itself
+    # may be choice-free: there a state's out-degree is the product of its
+    # modules' out-degrees, at the module states its index gives in mixed radix.
+    mods = [m for _, m in wiring.modules]
+    strides = [math.prod(len(m.states) for m in mods[k + 1:]) for k in range(len(mods))]
+    # Choice bits of d equally likely arrows, summed as choice_information
+    # sums them so that the floats agree; once per degree, as one can be 2**20.
+    bits = functools.lru_cache(maxsize=None)(lambda d: dissipation._bits([1 / max(d, 1)] * d))
     return {
         "name": auto.name,
         "modules": [n for n, _ in wiring.modules],
         "free_inputs": list(closed.free_modules),
         "state_count": len(auto.states),
-        "arrow_count": auto.arrow_count,
+        "arrow_count": sum(len({t for _, t in row}) for row in auto.moves),
         "initial": auto.initial,
-        "open_choice_bits": {q: _uniform_bits(degree[q]) for q in shown},
-        "closed_choice_bits": {q: _uniform_bits(auto.out_degree(q)) for q in shown},
+        "open_choice_bits": {auto.states[i]: bits(math.prod(
+            len(m.successors[i // s % len(m.states)]) for m, s in zip(mods, strides)))
+            for i in shown},
+        "closed_choice_bits": {auto.states[i]: bits(len({t for _, t in auto.moves[i]}))
+                               for i in shown},
     }
 
 

@@ -17,11 +17,10 @@ from typing import Optional, Sequence
 
 from . import core
 from .core import Automaton
-from .dissipation import InputModel
+from .dissipation import InputModel, _weights
 from .errors import (
     AlphabetMismatch,
     ArityMismatch,
-    InvalidDistribution,
     MissingInitial,
     MultiplyDrivenPort,
     SizeLimit,
@@ -162,27 +161,26 @@ def product_input_model(p: ProductAutomaton, models: Sequence[InputModel]) -> In
 
     The probability of a product arrow is the product of its component
     arrow probabilities, so choice information adds across components.
+    Raises :class:`InvalidDistribution` when a model is not one of its
+    component's.
     """
     comps = p.components if isinstance(p, ProductAutomaton) else ()
     if not comps:
         raise ArityMismatch(f"{p.name!r} is not a product of modules")
     if len(models) != len(comps):
         raise ArityMismatch("one model per component required")
-    # Per tuple state of the components so far: (target index, weight)
-    # per arrow, weights multiplied in component order.
-    moves = [[(0, 1.0)]]
+    # Per tuple state of the components so far: the target index and the
+    # weight of each arrow, weights multiplied in component order; then
+    # each state's weights are put in the order of its ``successors``.
+    targets, weights = [(0,)], [(1.0,)]
     for c, m in zip(comps, models):
-        own = []
-        for q, targets in zip(c.states, c.successors):
-            if targets and q not in m.probs:
-                raise InvalidDistribution(f"input model of module {c.name!r} has no entry "
-                                          f"for state {q!r}")
-            own.append([(t, m.probs[q].get((q, c.states[t]), 0.0)) for t in targets])
         n = len(c.states)
-        moves = [[(t * n + t2, w * w2) for t, w in pre for t2, w2 in mine]
-                 for pre in moves for mine in own]
-    return InputModel({q: {(q, p.states[t]): w for t, w in dist}
-                       for q, dist in zip(p.states, moves)})
+        targets = [[t * n + t2 for t in pre for t2 in own]
+                   for pre in targets for own in c.successors]
+        weights = [[w * w2 for w in pre for w2 in own]
+                   for pre in weights for own in _weights(c, m)]
+    return InputModel(p, tuple([tuple(map(dict(zip(ts, ws)).__getitem__, order))
+                                for ts, ws, order in zip(targets, weights, p.successors)]))
 
 
 @dataclass(frozen=True)
@@ -280,16 +278,6 @@ def wire(w: Wiring) -> ClosedSystem:
     auto = _tuple_graph(Automaton, w.name, comps, [drivers.get(n) for n in names], init_parts)
     return ClosedSystem(automaton=auto, wiring=w,
                         free_modules=tuple(n for n in names if n not in drivers))
-
-
-def open_out_degrees(c: ClosedSystem) -> dict[str, int]:
-    """Each closed state's merged-arrow out-degree in the open graph, the
-    product of the module graphs, without building it: the product of
-    the modules' out-degrees at their component states (0 at any sink).
-    Closed states follow :func:`wire`'s order, the product of the module
-    state lists in wiring order."""
-    degrees = (map(len, m.successors) for _, m in c.wiring.modules)
-    return dict(zip(c.automaton.states, map(math.prod, itertools.product(*degrees))))
 
 
 def reachable_subgraph(c) -> Automaton:

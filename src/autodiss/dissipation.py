@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .core import Arrow, Automaton, Path, convergent_states, run
@@ -33,18 +34,26 @@ class InputModel:
     """Per-state probability distribution over outgoing merged arrows.
 
     A merged arrow is one choice regardless of how many symbols label it.
-    States with a single arrow carry probability one on it; sinks have an
-    empty distribution.
+    Stored as the graph is: ``weights[i]`` holds the probabilities of
+    ``automaton.states[i]``'s arrows in ``automaton.successors[i]`` order,
+    so a sink's row is empty.  The constructor checks nothing; ``probs``,
+    the weights keyed by state and ``(state, target)``, is built on first read.
     """
 
-    def __init__(self, probs: dict[str, dict[tuple[str, str], float]]):
-        self.probs = probs
+    def __init__(self, automaton: Automaton, weights: tuple[tuple[float, ...], ...]):
+        self.automaton = automaton
+        self.weights = weights
+
+    @cached_property
+    def probs(self) -> dict[str, dict[tuple[str, str], float]]:
+        states = self.automaton.states
+        return {q: {(q, states[t]): p for t, p in zip(targets, row)}
+                for q, targets, row in zip(states, self.automaton.successors, self.weights)}
 
     @classmethod
     def uniform(cls, a: Automaton) -> "InputModel":
         """Equal probability on every arrow leaving each state."""
-        return cls({q: {(q, a.states[t]): 1.0 / len(targets) for t in targets}
-                    for q, targets in zip(a.states, a.successors)})
+        return cls(a, tuple([(1.0 / len(ts),) * len(ts) if ts else () for ts in a.successors]))
 
     @classmethod
     def from_arrow_probs(
@@ -56,22 +65,23 @@ class InputModel:
 
         States absent from ``given`` default to uniform.  Each provided
         state must assign finite non-negative weights to its own arrows summing
-        to one within ``PROB_SUM_TOL``; weights are renormalized exactly.
+        to one within ``PROB_SUM_TOL``.  They are divided by their sum only
+        when it is off 1.0 by more than rounding (one ulp of 1.0 per arrow),
+        so weights written by ``write_automaton`` read back exactly.
         """
-        model = cls.uniform(a)
+        weights = list(cls.uniform(a).weights)
         for q, dist in given.items():
             if q not in a.index:
                 raise UnknownState(q, "input model")
-            keys = {(q, a.states[t]) for t in a.successors[a.index[q]]}
-            if not keys:
+            slot = {(q, a.states[t]): k for k, t in enumerate(a.successors[a.index[q]])}
+            if not slot:
                 if dist:
                     raise InvalidDistribution(f"state {q!r} is a sink")
                 continue
-            unknown = set(dist) - keys
+            unknown = set(dist).difference(slot)
             if unknown:
-                raise InvalidDistribution(
-                    f"state {q!r} has no arrow {sorted(unknown)[0]}"
-                )
+                raise InvalidDistribution(f"state {q!r} has no arrow {sorted(unknown)[0]}")
+            row = [0.0] * len(slot)
             total = 0.0
             for key, p in dist.items():
                 if not math.isfinite(p):
@@ -79,15 +89,29 @@ class InputModel:
                 if p < 0:
                     raise InvalidDistribution(f"negative probability on {key}")
                 total += p
+                row[slot[key]] = float(p)
             if abs(total - 1.0) > PROB_SUM_TOL:
-                raise InvalidDistribution(
-                    f"probabilities for state {q!r} sum to {total!r}"
-                )
-            model.probs[q] = {key: dist.get(key, 0.0) / total for key in sorted(keys)}
-        return model
+                raise InvalidDistribution(f"probabilities for state {q!r} sum to {total!r}")
+            if abs(total - 1.0) > len(row) * math.ulp(1.0):
+                row = [p / total for p in row]
+            weights[a.index[q]] = tuple(row)
+        return cls(a, tuple(weights))
 
     def arrow_probability(self, q: str, arrow: Arrow) -> float:
         return self.probs[q].get(arrow.key, 0.0)
+
+
+def _weights(a: Automaton, m: InputModel) -> tuple[tuple[float, ...], ...]:
+    """``m``'s rows, once ``m`` is known to be a model of ``a``; O(1) for ``a``'s own."""
+    if m.automaton is not a and m.automaton != a:
+        raise InvalidDistribution(f"input model of graph {m.automaton.name!r} is used on "
+                                  f"graph {a.name!r}, a different graph")
+    return m.weights
+
+
+def _bits(row: Sequence[float]) -> float:
+    """-sum p log2 p over one state's arrow probabilities."""
+    return float(sum(-p * math.log2(p) for p in row if p > 0))
 
 
 @dataclass(frozen=True)
@@ -137,8 +161,7 @@ def choice_information(a: Automaton, m: InputModel, q: str) -> float:
     """
     if q not in a.index:
         raise UnknownState(q)
-    ps = [m.probs[q].get((q, a.states[t]), 0.0) for t in a.successors[a.index[q]]]
-    return float(sum(-p * math.log2(p) for p in ps if p > 0))
+    return _bits(_weights(a, m)[a.index[q]])
 
 
 def path_choice_information(
@@ -151,12 +174,14 @@ def path_choice_information(
     indices whose target state is a convergence, where the charged
     information is subsequently lost.
     """
+    weights = _weights(a, m)
     path = run(a, start, word)
     conv = convergent_states(a)
     bits = []
     entered = []
     for i, (_, arrow, target) in enumerate(path.steps):
-        p = m.arrow_probability(arrow.source, arrow)
+        k = a.index[arrow.source]
+        p = weights[k][a.successors[k].index(a.index[target])]
         bits.append(-math.log2(p) if p > 0 else math.inf)
         if target in conv:
             entered.append(i)
@@ -186,33 +211,6 @@ def _check_distribution(a: Automaton, pi: Sequence[float]) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def _arrow_arrays(
-    a: Automaton, m: InputModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Source index, target index and probability of every arrow of the
-    induced state chain; a sink becomes a self-loop of weight one, so it
-    holds its mass."""
-    import numpy as np
-
-    source: list[int] = []
-    target: list[int] = []
-    weight: list[float] = []
-    for i, (q, targets) in enumerate(zip(a.states, a.successors)):
-        if not targets:
-            source.append(i)
-            target.append(i)
-            weight.append(1.0)
-        for t in targets:
-            source.append(i)
-            target.append(t)
-            weight.append(m.probs[q].get((q, a.states[t]), 0.0))
-    return (
-        np.array(source, dtype=np.intp),
-        np.array(target, dtype=np.intp),
-        np.array(weight, dtype=float),
-    )
-
-
 def ensemble_step(
     a: Automaton, m: InputModel, pi: Sequence[float]
 ) -> tuple[np.ndarray, float]:
@@ -233,9 +231,10 @@ def ensemble_dissipation(
     """Propagate a distribution for ``horizon`` steps, as
     :func:`ensemble_step` does for one.
 
-    Each step pushes the mass along the arrow list with one
-    ``np.bincount``, O(states + arrows) time and memory; no
-    state-by-state matrix is built.  The trace satisfies, exactly up to
+    Each step pushes the mass along the arrows, ``successors`` with their
+    ``weights``, with one ``np.bincount``, O(states + arrows) time and
+    memory; no state-by-state matrix is built.  A sink is a self-loop of
+    weight one, so it holds its mass.  The trace satisfies, exactly up to
     float error:
     cumulative_loss(T) = sum_t input_bits(t) + H(pi_0) - H(pi_T).
     """
@@ -244,8 +243,12 @@ def ensemble_dissipation(
     if horizon < 0:
         raise InvalidArgument("horizon must be non-negative")
     p = _check_distribution(a, pi0)
-    source, target, weight = _arrow_arrays(a, m)
-    cvec = np.array([choice_information(a, m, q) for q in a.states])
+    weights = _weights(a, m)
+    targets = [ts or (i,) for i, ts in enumerate(a.successors)]
+    source = np.repeat(np.arange(len(targets)), list(map(len, targets)))
+    target = np.array([t for ts in targets for t in ts], dtype=np.intp)
+    weight = np.array([w for ws in weights for w in ws or (1.0,)], dtype=float)
+    cvec = np.array(list(map(_bits, weights)))
     dists = [p]
     losses = []
     inputs = []

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .composition import Connection, Wiring
 from .core import Automaton, validate
-from .dissipation import InputModel
+from .dissipation import InputModel, _weights
 from .errors import AutomataError, ParseError, ValidationError
 from .turing import TuringMachine, make_machine
 
@@ -169,11 +169,12 @@ def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
 
 
 def write_automaton(a: Automaton, model: Optional[InputModel] = None) -> str:
-    """Canonical text form; parsing it back yields an equal automaton.
+    """Canonical text form; parsing it back yields an equal automaton and,
+    given ``model``, the same weights.
 
     Raises :class:`ValidationError` for a name, symbol or state that is
     empty or holds whitespace or ``#``, since it would not read back as
-    one token.
+    one token, and :class:`InvalidDistribution` for a model of another graph.
     """
     for token in (a.name, *a.input_alphabet, *a.output_alphabet, *a.states):
         if "#" in token or token.split() != [token]:
@@ -191,13 +192,10 @@ def write_automaton(a: Automaton, model: Optional[InputModel] = None) -> str:
         lines.append(f"output {q} {a.output_map[q]}")
     for q, row in zip(a.states, a.moves):  # each row in alphabet order
         lines += [f"trans {q} {a.input_alphabet[s]} {a.states[t]}" for s, t in row]
-    if model is not None:
-        uniform = InputModel.uniform(a)
-        for q in a.states:
-            if model.probs.get(q) and model.probs[q] != uniform.probs[q]:
-                for ar in a.by_source[q]:
-                    p = model.arrow_probability(q, ar)
-                    lines.append(f"prob {q} {ar.labels[0]} {p!r}")
+    if model is not None:  # the rows that are not uniform, by each arrow's first label
+        for q, row in zip(a.states, _weights(a, model)):
+            if any(p != 1.0 / len(row) for p in row):
+                lines += [f"prob {q} {ar.labels[0]} {p!r}" for ar, p in zip(a.by_source[q], row)]
     return "\n".join(lines) + "\n"
 
 

@@ -5,7 +5,9 @@ These are ``product_many``, ``product_input_model`` and ``wire`` as the
 package shipped them before they were rebuilt on integer indices,
 copied verbatim with the tuple-naming helpers they use: every tuple
 name is joined from strings, and every graph goes through
-``core.validate``.  They are slow but plainly faithful to the
+``core.validate``.  Only the last line of ``product_input_model`` has
+changed since: it wraps the weights it computes from named arrows as
+the rows an ``InputModel`` now stores.  They are slow but plainly faithful to the
 documented construction, so the production builders must return equal
 objects, with every field in the same iteration order, and raise the
 same exception types with the same messages.
@@ -138,7 +140,9 @@ def product_input_model(p: ProductAutomaton, models: Sequence[InputModel]) -> In
                     weight *= m.probs[src].get(ar.key, 0.0)
                 dist[(q, target)] = weight
         probs[q] = dist
-    return InputModel(probs)
+    # Models are stored as rows aligned with the graph's arrows, in ``by_source`` order.
+    return InputModel(p, tuple(tuple(probs[q][ar.key] for ar in arrows)
+                               for q, arrows in p.by_source.items()))
 
 
 def wire(w: Wiring) -> ClosedSystem:

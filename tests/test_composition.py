@@ -148,6 +148,30 @@ def test_ensemble_loss_is_extensive():
             assert abs(lj - (la + lb)) <= 1e-9
 
 
+def test_ensemble_loss_is_not_extensive_with_a_sink():
+    """The other half: once a module can stop, the product's loss is not
+    the sum of the modules' losses, because a tuple stops as soon as one
+    of its modules is at a sink while the other module would move on.
+    On random partial modules, as above, some pairs differ by whole bits."""
+    import numpy as np
+
+    rng = random.Random(35)
+    differ = []
+    for _ in range(60):
+        a, b = random_automaton(rng, max_states=4), random_automaton(rng, max_states=4)
+        if all(a.successors) and all(b.successors):
+            continue
+        ma, mb = random_model(rng, a), random_model(rng, b)
+        pm = product_input_model(product(a, b), [ma, mb])
+        pa, pb = (np.full(len(g.states), 1.0 / len(g.states)) for g in (a, b))
+        ta = ensemble_dissipation(a, ma, pa, 6)
+        tb = ensemble_dissipation(b, mb, pb, 6)
+        tj = ensemble_dissipation(pm.automaton, pm, np.outer(pa, pb).reshape(-1), 6)
+        differ.append(abs(tj.total_loss_bits - ta.total_loss_bits - tb.total_loss_bits))
+    assert len(differ) > 20 and max(differ) > 1.0
+    assert sum(d > 1e-9 for d in differ) > len(differ) / 4
+
+
 def _in_degrees(auto):
     indeg = {q: 0 for q in auto.states}
     for ar in auto.arrows:
@@ -649,24 +673,30 @@ def _wide_module(rng, name, tricky):
 def test_cli_open_choice_bits_match_the_open_product(capsys, monkeypatch):
     """``wire``'s open bits equal, float for float, choice information on
     the open ``product_many`` under a uniform model, which the report
-    no longer builds.  Wide modules reach the out-degrees (11, 13, 14,
-    ...) at which the summed bits and ``log2`` of the out-degree differ
-    in the last bits."""
+    no longer builds; its closed bits and arrow count are the closed
+    graph's.  Wide modules reach the out-degrees (11, 13, 14, ...) at
+    which the summed bits and ``log2`` of the out-degree differ in the
+    last bits."""
     rng = random.Random(50)
     compared, uneven = 0, 0
     for case in range(600):
         w = _wiring(rng, case) if case < 400 else _wiring(rng, case, _wide_module)
         modules = [m for _, m in w.modules]
         try:
-            wire(w)
+            closed = wire(w).automaton
             open_graph = product_many(modules)
         except AutomataError:
             continue
         monkeypatch.setattr(fileformat, "load_wiring", lambda path: w)
         assert cli.main(["--json", "wire", "w.wiring"]) == 0, case
-        got = json.loads(capsys.readouterr().out)["open_choice_bits"]
+        report = json.loads(capsys.readouterr().out)
+        got = report["open_choice_bits"]
         model = InputModel.uniform(open_graph)
         assert got == {q: choice_information(open_graph, model, q) for q in got}, case
+        model = InputModel.uniform(closed)
+        assert report["closed_choice_bits"] == {
+            q: choice_information(closed, model, q) for q in got}, case
+        assert report["arrow_count"] == closed.arrow_count, case
         compared += len(got)
         uneven += sum(got[q] != math.log2(open_graph.out_degree(q) or 1) for q in got)
     assert compared > 300 and uneven > 5
@@ -683,6 +713,25 @@ def test_cli_wires_a_ring_of_eleven_flipflops(capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert report["state_count"] == 2048
     assert report["open_choice_bits"] == {"(" + ",".join("0" * 11) + ")": 11.0}
+
+
+def test_cli_wire_reads_the_shown_states_only(capsys, tmp_path, monkeypatch):
+    """A clock-driven ring of 14 T-flip-flops has 2**14 tuple states, of
+    which 16 are reached: their degrees are read by index, so the closed
+    graph's ``index`` and ``successors`` over every tuple are never built."""
+    shutil.copy(asset_path("tff.aut"), tmp_path)
+    lines = ["wiring ring14", "constant m0 T1"] + [f"module m{i} tff.aut" for i in range(14)]
+    lines += [f"connect m{i - 1} m{i} Q0=T0 Q1=T1" for i in range(1, 14)]
+    (tmp_path / "ring.wiring").write_text("\n".join(lines) + "\n")
+    closed = []
+    monkeypatch.setattr(composition, "wire", lambda w: closed.append(wire(w)) or closed[-1])
+    assert cli.main(["--json", "wire", str(tmp_path / "ring.wiring")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["state_count"], report["arrow_count"]) == (2**14, 2**14)
+    shown = report["open_choice_bits"]
+    assert len(shown) == 16 and set(shown.values()) == {14.0}
+    assert report["closed_choice_bits"] == dict.fromkeys(shown, 0.0)
+    assert not {"index", "successors"} & set(vars(closed[0].automaton))
 
 
 def test_cli_wires_a_lone_module_held_by_a_constant(capsys, tmp_path):
@@ -771,12 +820,13 @@ def test_product_input_model_names_what_it_cannot_use(tff, tff_wiring):
     for graph in (auto, closed):
         with pytest.raises(ArityMismatch, match=f"^{graph.name!r} is not a product of modules$"):
             product_input_model(graph, [model])
-    with pytest.raises(InvalidDistribution,
-                       match="^input model of module 'tff' has no entry for state '0'$"):
-        product_input_model(product(auto, auto), [model, InputModel({})])
-    # a sink has no arrow to weigh, so a model may leave it out
+    # a sink has no arrow to weigh, so its row is empty
     sink = validate("sink", ["a"], ["o", "p"], ["0", "1"], "0", {"0": "o", "1": "p"},
                     [("0", "a", "1")])
-    pm = product_input_model(product(auto, sink), [model, InputModel({"0": {("0", "1"): 1.0}})])
+    sink_model = InputModel.from_arrow_probs(sink, {"0": {("0", "1"): 1.0}})
+    with pytest.raises(InvalidDistribution, match="^input model of graph 'sink' is used on "
+                                                  "graph 'tff', a different graph$"):
+        product_input_model(product(auto, auto), [model, sink_model])
+    pm = product_input_model(product(auto, sink), [model, sink_model])
     assert pm.probs["(0,0)"] == {("(0,0)", "(0,1)"): 0.5, ("(0,0)", "(1,1)"): 0.5}
     assert pm.probs["(0,1)"] == {}

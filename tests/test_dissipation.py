@@ -18,6 +18,8 @@ from autodiss import (
     modular_tm_dissipation,
     path_choice_information,
     point_distribution,
+    product_input_model,
+    product_many,
     szilard_check,
     tm_run,
     uniform_distribution,
@@ -31,6 +33,7 @@ from autodiss.errors import (
     NonPositiveTemperature,
     UnknownState,
 )
+from autodiss.fileformat import write_automaton
 from helpers import random_automaton, random_distribution, random_model
 
 LN2 = math.log(2)
@@ -354,3 +357,36 @@ def test_input_model_validation(onebit, lossy):
     model = InputModel.from_arrow_probs(auto, {"0": {("0", "0"): 0.3, ("0", "1"): 0.7}})
     assert model.probs["0"][("0", "1")] == pytest.approx(0.7)
     assert model.probs["1"][("1", "0")] == pytest.approx(0.5)  # untouched: uniform
+
+
+def test_a_model_is_bound_to_its_graph(bb2):
+    """A model of ``a`` used on ``b``, which has ``a``'s states, symbols and
+    out-degrees but other arrows, is refused wherever a model is read; read
+    by arrow names, its weights would miss ``b``'s arrows and leak mass.  An
+    equal graph built anew is the same graph."""
+    def fork(name, targets):
+        return validate(name, ["x", "y"], ["o0", "o1", "o2"], ["q0", "q1", "q2"], "q0",
+                        {f"q{i}": f"o{i}" for i in range(3)},
+                        [("q0", "x", targets[0]), ("q0", "y", targets[1]),
+                         ("q1", "x", "q0"), ("q2", "x", "q0")])
+
+    a, b = fork("a", ["q1", "q2"]), fork("b", ["q0", "q1"])
+    m = InputModel.uniform(a)
+    calls = {
+        "b": [lambda: choice_information(b, m, "q0"),
+              lambda: path_choice_information(b, m, "q0", ["x", "x"]),
+              lambda: ensemble_dissipation(b, m, [1.0, 0.0, 0.0], 3),
+              lambda: ensemble_step(b, m, [1.0, 0.0, 0.0]),
+              lambda: write_automaton(b, m),
+              lambda: product_input_model(product_many([b, b]), [m, m])],
+        "bb2_head": [lambda: modular_tm_dissipation(bb2, model=m)],
+    }
+    for name, refused in calls.items():
+        for call in refused:
+            with pytest.raises(InvalidDistribution) as exc:
+                call()
+            assert str(exc.value) == (f"input model of graph 'a' is used on graph {name!r}, "
+                                      "a different graph")
+    again = fork("a", ["q1", "q2"])
+    assert again is not a and choice_information(again, m, "q0") == 1.0
+    assert ensemble_dissipation(again, m, [1.0, 0.0, 0.0], 3).total_loss_bits == 1.0

@@ -5,7 +5,10 @@ A standard-library stand-in for a linter's unused-import rule: an ``ast``
 scan of the package's modules.  ``__init__.py`` is skipped, since its
 imports are the public re-exports.  A second scan keeps ``conformance``
 and ``composition`` off the named arrow views and ``Arrow``: their tours,
-searches and tuple graphs walk ``moves`` and ``successors``.
+searches and tuple graphs walk ``moves`` and ``successors``.  A third
+keeps every module off an input model's names-keyed ``probs`` view and
+``arrow_probability``, outside ``InputModel`` itself: models are read as
+weight rows.
 """
 
 import ast
@@ -76,4 +79,41 @@ def test_the_scan_finds_named_arrow_uses():
 def test_graph_walkers_read_only_the_integer_rows():
     found = [f"{name}:{line}: {what}" for name in ("conformance.py", "composition.py")
              for line, what in named_arrow_uses((PACKAGE / name).read_text(encoding="utf-8"))]
+    assert found == []
+
+
+NAMED_MODEL_READS = {"probs", "arrow_probability"}
+
+
+def named_model_reads(source):
+    """(line, name) of each read of ``probs`` or ``arrow_probability`` in
+    ``source``, outside the body of a class named ``InputModel``."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.ClassDef) and node.name == "InputModel":
+            return
+        if isinstance(node, ast.Attribute) and node.attr in NAMED_MODEL_READS:
+            found.append((node.lineno, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+def test_the_scan_finds_named_model_reads():
+    source = ("class InputModel:\n"
+              "    def p(self, q, ar):\n"
+              "        return self.probs[q].get(ar.key)\n"
+              "def f(m, q, ar):\n"
+              "    return m.probs[q], m.arrow_probability(q, ar), m.weights\n"
+              "class Other:\n"
+              "    x = staticmethod(lambda m: m.probs)\n")
+    assert named_model_reads(source) == [(5, "arrow_probability"), (5, "probs"), (7, "probs")]
+
+
+def test_models_are_read_as_weight_rows():
+    found = [f"{path.name}:{line}: {what}" for path in sorted(PACKAGE.glob("*.py"))
+             for line, what in named_model_reads(path.read_text(encoding="utf-8"))]
     assert found == []

@@ -5,7 +5,9 @@ Counts, degree sets, uniform models, choice bits and ensemble traces read
 arrows.  Each must equal, float for float and dict order included, what
 the same formula gives when it walks ``by_source`` instead; ``by_source``
 must equal the grouping of the named ``transitions``, and ``successors``
-list its targets in its order.
+list its targets in its order.  Input models are weight rows aligned with
+``successors``; a whole parse, product, measure and write path never
+builds their names-keyed ``probs`` view.
 Graphs are random: shuffled state names whose sorted order is not their
 index order, sinks, arrows with several labels, unreachable states and
 products of such graphs.
@@ -23,9 +25,13 @@ from autodiss import (
     divergent_states,
     ensemble_dissipation,
     entropy_bits,
+    parse_automaton,
+    path_choice_information,
+    product_input_model,
     product_many,
     reachable_states,
     validate,
+    write_automaton,
 )
 from autodiss.errors import AutomataError
 
@@ -144,3 +150,28 @@ def test_integer_views_match_references_from_named_arrows():
         checked["unreachable"] += len(reachable_states(a, a.initial)) < len(a.states)
         checked["product"] += "|" in a.input_alphabet[0]
     assert min(checked.values()) > 40, checked
+
+
+def test_models_build_no_names_until_asked():
+    """Parse, product, choice bits, ensemble, path bits and the text form
+    read every model as weight rows only."""
+    lossy, m_lossy = parse_automaton(
+        "automaton lossy\ninputs 0 1\noutputs a b c\nstates A B C\ninitial A\n"
+        "output A a\noutput B b\noutput C c\n"
+        "trans A 0 B\ntrans A 1 C\ntrans B 0 A\ntrans B 1 A\ntrans C 0 C\n"
+        "prob A 0 0.25\nprob A 1 0.75\n")
+    tff, m_tff = parse_automaton(
+        "automaton tff\ninputs T0 T1\noutputs Q0 Q1\nstates 0 1\ninitial 0\n"
+        "output 0 Q0\noutput 1 Q1\ntrans 0 T0 0\ntrans 0 T1 1\ntrans 1 T0 1\ntrans 1 T1 0\n")
+    prod = product_many([lossy, tff])
+    pm = product_input_model(prod, [m_lossy, m_tff])
+    bits = [choice_information(prod, pm, q) for q in prod.states]
+    n = len(prod.states)
+    trace = ensemble_dissipation(prod, pm, [1.0 / n] * n, 4)
+    report = path_choice_information(prod, pm, prod.initial, ["0|T1", "1|T0", "0|T0"])
+    text = write_automaton(prod, pm) + write_automaton(lossy, m_lossy)
+    assert bits[0] == choice_information(lossy, m_lossy, "A") + 1.0
+    assert trace.total_loss_bits > 0 and report.per_step_bits == (3.0, 1.0, 3.0)
+    assert text.count("\nprob ") == 4 * 2 + 2
+    for m in (m_lossy, m_tff, pm):
+        assert "probs" not in vars(m)
