@@ -4,6 +4,9 @@ Every command prints a report: ``key: value`` lines with numbers at six
 decimal places by default, or a stable JSON object (sorted keys) with
 ``--json``.  Exit codes: 0 success, 1 domain error (forbidden input,
 untestable graph, machine not halting, ...), 2 usage or parse error.
+Every ``.aut`` content error exits 2 naming its line, after the module
+file's path inside a wiring.  Three file errors exit 1 with no line:
+``.tm`` rules, ``.wiring`` semantics, and a ``prob`` row summing off 1.
 
 The default temperature for energy figures is 300 K; the environment
 variable ``AUTODISS_TEMP`` or the ``--temp`` flag overrides it.

@@ -242,7 +242,7 @@ def wire(w: Wiring) -> ClosedSystem:
             raise MultiplyDrivenPort(conn.dest)
         mapping = dict(conn.mapping)
         src_auto, dst_auto = autos[conn.source], autos[conn.dest]
-        emitted = set(src_auto.output_map.values())
+        emitted = dict.fromkeys(src_auto.output_map[q] for q in src_auto.states)
         if not mapping:
             mapping = {r: r for r in emitted}
         for r in emitted:

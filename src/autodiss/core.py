@@ -147,12 +147,12 @@ class Path:
         return len(self.steps)
 
 
-def _ordered_unique(tokens: Iterable[str], kind: str) -> tuple[str, ...]:
+def _ordered_unique(tokens: Iterable[str], kind: str, parameter=None) -> tuple[str, ...]:
     seen = set()
     ordered = []
-    for t in tokens:
+    for i, t in enumerate(tokens):
         if t in seen:
-            raise DuplicateIdentifier(t, kind)
+            raise DuplicateIdentifier(t, kind, entry=(parameter, i) if parameter else None)
         seen.add(t)
         ordered.append(t)
     return tuple(ordered)
@@ -160,12 +160,12 @@ def _ordered_unique(tokens: Iterable[str], kind: str) -> tuple[str, ...]:
 
 def _check_injective(states: Sequence[str], output_map: dict[str, str]) -> None:
     """Raise :class:`NonInjectiveOutput` on the first state, in order,
-    whose output an earlier state already emits."""
+    whose output an earlier state already emits, at its ``output_map`` entry."""
     emitted: dict[str, str] = {}
     for q in states:
         r = output_map[q]
         if r in emitted:
-            raise NonInjectiveOutput(emitted[r], q)
+            raise NonInjectiveOutput(emitted[r], q, ("output_map", list(output_map).index(q)))
         emitted[r] = q
 
 
@@ -185,41 +185,42 @@ def validate(
     merged into one arrow.  Raises :class:`DuplicateIdentifier`,
     :class:`Nondeterministic`, :class:`NonInjectiveOutput`, :class:`UnknownState`,
     :class:`UnknownSymbol` or :class:`MissingOutput` on violations, and
-    otherwise calls the :class:`Automaton` constructor.  It is the entry
-    point for outside descriptions; graphs derived from valid ones skip it.
+    otherwise calls the :class:`Automaton` constructor; an error's
+    ``entry`` names what it rejects.  It is the entry point for outside
+    descriptions; graphs derived from valid ones skip it.
     """
-    inputs = _ordered_unique(input_alphabet, "input alphabet")
-    outputs = _ordered_unique(output_alphabet, "output alphabet")
-    state_list = _ordered_unique(states, "states")
+    inputs = _ordered_unique(input_alphabet, "input alphabet", "input_alphabet")
+    outputs = _ordered_unique(output_alphabet, "output alphabet", "output_alphabet")
+    state_list = _ordered_unique(states, "states", "states")
     output_set = set(outputs)
     index = {q: i for i, q in enumerate(state_list)}
 
     if initial is not None and initial not in index:
-        raise UnknownState(initial, "initial")
+        raise UnknownState(initial, "initial", entry=("initial", 0))
 
     output_map = dict(output_map or {})
-    for q, r in output_map.items():
+    for i, (q, r) in enumerate(output_map.items()):
         if q not in index:
-            raise UnknownState(q, "output map")
+            raise UnknownState(q, "output map", entry=("output_map", i))
         if r not in output_set:
-            raise UnknownSymbol(r, f"output of state {q!r}")
+            raise UnknownSymbol(r, f"output of state {q!r}", entry=("output_map", i))
     for q in state_list:
         if q not in output_map:
-            raise MissingOutput(q)
+            raise MissingOutput(q, entry=("states", index[q]))
     _check_injective(state_list, output_map)
 
     sym_at = {s: i for i, s in enumerate(inputs)}
     rows: list[dict[int, int]] = [{} for _ in state_list]
-    for src, sym, tgt in transitions:
+    for i, (src, sym, tgt) in enumerate(transitions):
         if src not in index:
-            raise UnknownState(src, "transition source")
+            raise UnknownState(src, "transition source", entry=("transitions", i))
         if tgt not in index:
-            raise UnknownState(tgt, "transition target")
+            raise UnknownState(tgt, "transition target", entry=("transitions", i))
         if sym not in sym_at:
-            raise UnknownSymbol(sym, f"transition from {src!r}")
+            raise UnknownSymbol(sym, f"transition from {src!r}", entry=("transitions", i))
         row, s, t = rows[index[src]], sym_at[sym], index[tgt]
         if row.setdefault(s, t) != t:
-            raise Nondeterministic(src, sym)
+            raise Nondeterministic(src, sym, entry=("transitions", i))
 
     return Automaton(name, inputs, outputs, state_list, initial, output_map,
                      tuple([tuple(sorted(row.items())) for row in rows]))

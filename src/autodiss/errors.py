@@ -6,48 +6,56 @@ class AutomataError(Exception):
 
 
 class ValidationError(AutomataError):
-    """An automaton or machine description violates a structural rule."""
+    """An automaton or machine description violates a structural rule.
+
+    ``entry``, set by :func:`autodiss.core.validate`, names the rejected
+    entry as ``(parameter, position)``: ``("transitions", 4)`` is the
+    fifth triple."""
+
+    def __init__(self, message, entry=None):
+        super().__init__(message)
+        self.entry = entry
 
 
 class Nondeterministic(ValidationError):
-    def __init__(self, state, symbol):
+    def __init__(self, state, symbol, entry=None):
         self.state = state
         self.symbol = symbol
-        super().__init__(f"two transitions defined for ({state!r}, {symbol!r})")
+        super().__init__(f"two transitions defined for ({state!r}, {symbol!r})", entry)
 
 
 class NonInjectiveOutput(ValidationError):
-    def __init__(self, state1, state2):
+    def __init__(self, state1, state2, entry=None):
         self.state1 = state1
         self.state2 = state2
-        super().__init__(f"states {state1!r} and {state2!r} share an output symbol")
+        super().__init__(f"states {state1!r} and {state2!r} share an output symbol", entry)
 
 
 class UnknownSymbol(ValidationError):
-    def __init__(self, symbol, context=""):
+    def __init__(self, symbol, context="", entry=None):
         self.symbol = symbol
         msg = f"symbol {symbol!r} is not declared"
-        super().__init__(msg + (f" ({context})" if context else ""))
+        super().__init__(msg + (f" ({context})" if context else ""), entry)
 
 
 class UnknownState(ValidationError):
-    def __init__(self, state, context=""):
+    def __init__(self, state, context="", entry=None):
         self.state = state
         msg = f"state {state!r} is not declared"
-        super().__init__(msg + (f" ({context})" if context else ""))
+        super().__init__(msg + (f" ({context})" if context else ""), entry)
 
 
 class MissingOutput(ValidationError):
-    def __init__(self, state):
+    def __init__(self, state, entry=None):
         self.state = state
-        super().__init__(f"state {state!r} has no output symbol")
+        super().__init__(f"state {state!r} has no output symbol", entry)
 
 
 class DuplicateIdentifier(ValidationError):
-    def __init__(self, token, context=""):
+    def __init__(self, token, context="", entry=None):
         self.token = token
         msg = f"identifier {token!r} declared twice"
-        super().__init__(msg + (f" ({context})" if context else ""))
+        super().__init__(msg + (f" ({context})" if context else ""), entry)
 
 
 class ForbiddenInput(AutomataError):

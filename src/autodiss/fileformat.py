@@ -100,55 +100,41 @@ def _single(entries: list) -> Optional[str]:
     return entries[0][1][0] if entries else None
 
 
+# The directive holding each argument of ``validate``, and whether each
+# of its tokens, not each line, is one entry of it.
+_DIRECTIVE_OF = {"input_alphabet": ("inputs", True), "output_alphabet": ("outputs", True),
+                 "states": ("states", True), "initial": ("initial", False),
+                 "output_map": ("output", False), "transitions": ("trans", False)}
+
+
 def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
     """Parse automaton text; returns the automaton and its input model
-    (uniform unless ``prob`` directives override it)."""
+    (uniform unless ``prob`` directives override it).  An error of
+    :func:`validate` becomes the ``__cause__`` of a :class:`ParseError`."""
     name, found = _read(text, "automaton", _AUTOMATON_GRAMMAR)
-    inputs, outputs, states = (_joined(found[k]) for k in ("inputs", "outputs", "states"))
-    initial = _single(found["initial"])
-
-    state_set = set(states)
-    input_set = set(inputs)
-    output_set = set(outputs)
     output_map: dict[str, str] = {}
     for lineno, (q, r) in found["output"]:
-        if q not in state_set:
-            raise ParseError(lineno, f"unknown state {q!r}")
-        if r not in output_set:
-            raise ParseError(lineno, f"unknown output symbol {r!r}")
         if q in output_map:
             raise ParseError(lineno, f"output of {q!r} declared twice")
         output_map[q] = r
-
-    transitions: list[tuple[str, str, str]] = []
-    seen: dict[tuple[str, str], tuple[int, str]] = {}
-    for lineno, (src, sym, tgt) in found["trans"]:
-        for q in (src, tgt):
-            if q not in state_set:
-                raise ParseError(lineno, f"unknown state {q!r}")
-        if sym not in input_set:
-            raise ParseError(lineno, f"unknown input symbol {sym!r}")
-        prior = seen.get((src, sym))
-        if prior is not None and prior[1] != tgt:
-            raise ParseError(
-                lineno, f"({src!r}, {sym!r}) already goes to {prior[1]!r} (line {prior[0]})"
-            )
-        seen[(src, sym)] = (lineno, tgt)
-        transitions.append((src, sym, tgt))
-
-    auto = validate(
-        name=name,
-        input_alphabet=inputs,
-        output_alphabet=outputs,
-        states=states,
-        initial=initial,
-        output_map=output_map,
-        transitions=transitions,
-    )
+    try:
+        auto = validate(
+            name=name,
+            input_alphabet=_joined(found["inputs"]),
+            output_alphabet=_joined(found["outputs"]),
+            states=_joined(found["states"]),
+            initial=_single(found["initial"]),
+            output_map=output_map,
+            transitions=[tokens for _, tokens in found["trans"]],
+        )
+    except ValidationError as e:  # name the line of the entry it rejects
+        key, per_token = _DIRECTIVE_OF[e.entry[0]]
+        lines = [n for n, tokens in found[key] for _ in range(len(tokens) if per_token else 1)]
+        raise ParseError(lines[e.entry[1]], str(e)) from e
 
     given: dict[str, dict[tuple[str, str], float]] = {}
     for lineno, (q, sym, p) in found["prob"]:
-        if q not in state_set:
+        if q not in auto.index:
             raise ParseError(lineno, f"unknown state {q!r}")
         tgt = auto.transitions.get((q, sym))
         if tgt is None:
@@ -231,8 +217,9 @@ def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
     """Parse a wiring file, loading the module automata it references.
 
     An error inside a module file names that file: a :class:`ParseError`
-    carries it as ``path``, and any other :class:`AutomataError` keeps its
-    type, gains a ``path`` attribute and has its message prefixed with it.
+    carries it as ``path``, and the one other :class:`AutomataError`, a
+    ``prob`` row summing off 1, keeps its type, gains a ``path``
+    attribute and has its message prefixed with it.
     """
     name, found = _read(text, "wiring", _WIRING_GRAMMAR)
     modules: list[tuple[str, Automaton]] = []
@@ -243,9 +230,9 @@ def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
         except OSError as e:
             raise ParseError(lineno, f"cannot read module file: {e}") from None
         except ParseError as e:
-            raise ParseError(e.line_number, e.message, path=path) from None
+            raise ParseError(e.line_number, e.message, path=path) from e.__cause__
         except AutomataError as e:
-            # A validation error keeps its type and gains the file name.
+            # A ``prob`` sum off 1 keeps its type and gains the file name.
             e.path = path
             e.args = (f"{path}: {e}",)
             raise

@@ -49,6 +49,13 @@ def test_analyze_parse_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_analyze_validation_error_names_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.aut"
+    bad.write_text("automaton x\ninputs a\noutputs o\nstates q q\n")
+    assert run_cli(capsys, "analyze", str(bad)) == (
+        2, "", "error: line 4: identifier 'q' declared twice (states)\n")
+
+
 def test_run_word_one(capsys):
     code, out, _ = run_cli(capsys, "run", LOSSY, "--word", "0100001010")
     assert code == 0
@@ -223,8 +230,8 @@ def test_wire_module_validation_error_names_the_module_file(capsys, tmp_path):
     wiring = tmp_path / "w.wiring"
     wiring.write_text("wiring w\nmodule a shared.aut\n")
     code, _, err = run_cli(capsys, "wire", str(wiring))
-    assert code == 1
-    assert err == f"error: {module}: states 'a' and 'b' share an output symbol\n"
+    assert code == 2
+    assert err == f"error: {module}: line 6: states 'a' and 'b' share an output symbol\n"
 
 
 def test_wire_refuses_an_initial_for_an_undeclared_module(capsys, tmp_path):
@@ -241,13 +248,28 @@ def test_wire_without_modules_is_a_domain_error(capsys, tmp_path):
     assert run_cli(capsys, "wire", str(wiring)) == (1, "", "error: need at least one module\n")
 
 
-def _fresh_interpreter(probe):
-    """Run ``probe`` in a new interpreter that imports this ``autodiss``."""
+def _fresh_interpreter(probe, **env):
+    """Run ``probe`` in a new interpreter that imports this ``autodiss``,
+    with ``env`` added to the environment."""
     src = os.path.dirname(os.path.dirname(autodiss.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, "PYTHONPATH": path, **env}
     return subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ("Q0=X Q1=Y", "'X' is not an input of module 'b'"),
+    ("Q5=T0", "no mapping for output 'Q0' of module 'a'"),
+])
+def test_wire_names_the_first_bad_output_under_any_hash_seed(tmp_path, pairs, message):
+    """The source's outputs are checked in state order, not set order."""
+    wiring = tmp_path / "w.wiring"
+    wiring.write_text(f"wiring w\nmodule a {TFF}\nmodule b {TFF}\nconstant a T1\n"
+                      f"connect a b {pairs}\n")
+    probe = f"import sys; from autodiss.cli import main; sys.exit(main(['wire', {str(wiring)!r}]))"
+    runs = [_fresh_interpreter(probe, PYTHONHASHSEED=seed) for seed in ("1", "4")]
+    assert [(run.returncode, run.stderr) for run in runs] == [(1, f"error: {message}\n")] * 2
 
 
 def test_cli_import_leaves_numpy_unloaded():

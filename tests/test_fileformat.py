@@ -126,12 +126,33 @@ output q o   # another
         ("automaton x\ninitial a\ninitial b", "declared twice"),
         ("automaton x\nstates q\noutputs o\noutput q o\noutput q o", "declared twice"),
         ("automaton x\ntrans q", "takes"),
-        ("automaton x\nstates q\ninputs a\noutputs o\noutput q o\ntrans q a z", "unknown state"),
+        (
+            "automaton x\nstates q\ninputs a\noutputs o\noutput q o\ntrans q a z",
+            "line 6: state 'z' is not declared (transition target)",
+        ),
         (
             "automaton x\nstates q r s\ninputs a\noutputs o1 o2 o3\n"
             "output q o1\noutput r o2\noutput s o3\n"
             "trans q a r\ntrans q a s",
-            "already goes",
+            "line 9: two transitions defined for ('q', 'a')",
+        ),
+        # rules only validate checks: the line of the second token, of
+        # ``initial``, of the ``states`` line declaring the state, and of
+        # the later state's ``output``
+        (
+            "automaton x\ninputs a b\ninputs c a",
+            "line 3: identifier 'a' declared twice (input alphabet)",
+        ),
+        ("automaton x\noutputs o o", "line 2: identifier 'o' declared twice (output alphabet)"),
+        ("automaton x\nstates q\nstates r q", "line 3: identifier 'q' declared twice (states)"),
+        ("automaton x\nstates q\ninitial z", "line 3: state 'z' is not declared (initial)"),
+        (
+            "automaton x\noutputs o\nstates q\nstates r\noutput q o",
+            "line 4: state 'r' has no output symbol",
+        ),
+        (
+            "automaton x\noutputs o\nstates q r\noutput r o\noutput q o",
+            "line 4: states 'q' and 'r' share an output symbol",
         ),
         (
             "automaton x\nstates q\ninputs a\noutputs o\noutput q o\n"
@@ -278,10 +299,11 @@ SHARED_OUTPUT = (
 def test_wiring_module_validation_error_names_the_module_file(tmp_path):
     module = tmp_path / "shared.aut"
     module.write_text(SHARED_OUTPUT)
-    with pytest.raises(NonInjectiveOutput) as exc:
+    with pytest.raises(ParseError) as exc:
         parse_wiring("wiring w\nmodule a shared.aut\n", base_dir=str(tmp_path))
-    assert exc.value.path == str(module)
-    assert str(exc.value) == f"{module}: states 'a' and 'b' share an output symbol"
+    assert (exc.value.path, exc.value.line_number) == (str(module), 6)
+    assert str(exc.value) == f"{module}: line 6: states 'a' and 'b' share an output symbol"
+    assert isinstance(exc.value.__cause__, NonInjectiveOutput)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Seeded fuzzing of the three text parsers: on any input, only an
-``AutomataError`` may escape.
+``AutomataError`` may escape, and an automaton file's refusal names one
+of its lines, but for a ``prob`` row whose sum is off 1.
 
 Inputs are token soup in each grammar (directive keywords followed by
 words from a shared pool) and mutations of the bundled asset files
@@ -13,7 +14,7 @@ import os
 import random
 
 from autodiss.assets import asset_names, asset_path
-from autodiss.errors import AutomataError
+from autodiss.errors import AutomataError, InvalidDistribution, ParseError
 from autodiss import fileformat
 from autodiss.fileformat import parse_automaton, parse_machine, parse_wiring
 
@@ -87,6 +88,21 @@ def _mutant(rng, lines, pool):
     return "\n".join(lines)
 
 
+def _check_automaton_refusal(error, text):
+    """``error`` names a line of ``text`` that holds a directive, or line
+    0 of a file with none, or is a ``prob`` row's sum off 1."""
+    if isinstance(error, InvalidDistribution):
+        assert str(error).startswith("probabilities for state"), error
+        return
+    assert isinstance(error, ParseError), repr(error)
+    directives = [line.split("#", 1)[0].strip() for line in text.splitlines()]
+    if error.line_number == 0:
+        assert error.message == "empty file" and not any(directives), text
+    else:
+        assert 1 <= error.line_number <= len(directives), (error, text)
+        assert directives[error.line_number - 1], (error, text)
+
+
 def test_parsers_raise_only_automata_errors():
     rng = random.Random(53)
     seeds = _seeds()
@@ -100,7 +116,9 @@ def test_parsers_raise_only_automata_errors():
                 text = _mutant(rng, rng.choice(seeds[ext]), pool)
             try:
                 parse(text)
-            except AutomataError:
+            except AutomataError as e:
+                if ext == ".aut":
+                    _check_automaton_refusal(e, text)
                 continue
             parsed += 1
         # mutants that stay valid reach the builders behind the parser
