@@ -212,13 +212,17 @@ def validate(
     sym_at = {s: i for i, s in enumerate(inputs)}
     rows: list[dict[int, int]] = [{} for _ in state_list]
     for i, (src, sym, tgt) in enumerate(transitions):
-        if src not in index:
-            raise UnknownState(src, "transition source", entry=("transitions", i))
-        if tgt not in index:
-            raise UnknownState(tgt, "transition target", entry=("transitions", i))
-        if sym not in sym_at:
-            raise UnknownSymbol(sym, f"transition from {src!r}", entry=("transitions", i))
-        row, s, t = rows[index[src]], sym_at[sym], index[tgt]
+        try:  # one lookup per token; only a failed one meets the named checks
+            row, s, t = rows[index[src]], sym_at[sym], index[tgt]
+        except (KeyError, TypeError):  # TypeError: a token cannot be hashed
+            at = ("transitions", i)
+            if src not in index:
+                raise UnknownState(src, "transition source", entry=at) from None
+            if tgt not in index:
+                raise UnknownState(tgt, "transition target", entry=at) from None
+            if sym not in sym_at:
+                raise UnknownSymbol(sym, f"transition from {src!r}", entry=at) from None
+            raise
         if row.setdefault(s, t) != t:
             raise Nondeterministic(src, sym, entry=("transitions", i))
 

@@ -6,10 +6,10 @@ separated tokens, ``#`` starts a comment anywhere on a line.  A file
 opens with ``<header> <name>`` and every later line is a directive: a
 keyword and its tokens.  Each format's grammar is one table below, which
 gives every keyword its token count, the usage message raised when the
-count is wrong, and whether it may appear only once.  One reader checks
-that syntax for all three formats in one pass, in file order; only then
-does a parser check what the directives mean.  A wiring loads its module
-files, named relative to the wiring file, before it checks its
+count is wrong, and whether it may appear only once.  One loop over
+the lines checks that syntax for all three formats, in file order; only
+then does a parser check what the directives mean.  A wiring loads its
+module files, named relative to the wiring file, before it checks its
 ``connect`` mappings.  Parse errors carry line numbers.
 """
 
@@ -24,13 +24,6 @@ from .core import Automaton, validate
 from .dissipation import InputModel, _weights
 from .errors import AutomataError, ParseError, ValidationError
 from .turing import TuringMachine, make_machine
-
-
-def _lines(text: str):
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield i, line.split()
 
 
 # A format's grammar: keyword -> (least, most, usage, once).  A directive
@@ -69,25 +62,33 @@ def _read(text: str, header: str, grammar: dict) -> tuple[str, dict[str, list]]:
     header, an unknown directive, a token count outside the keyword's
     rule, or a second directive of a ``once`` keyword.
     """
-    directives = list(_lines(text))
-    if not directives:
-        raise ParseError(0, "empty file")
-    lineno, first = directives[0]
-    if first[0] != header:
-        raise ParseError(lineno, f"expected {header!r} header, got {first[0]!r}")
-    if len(first) != 2:
-        raise ParseError(lineno, f"{header} takes exactly one name")
+    name = None
     found: dict[str, list] = {key: [] for key in grammar}
-    for lineno, (key, *rest) in directives[1:]:
-        if key not in grammar:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = (line.split("#", 1)[0] if "#" in line else line).split()
+        if not tokens:
+            continue
+        key = tokens[0]
+        if name is None:  # the header line
+            if key != header:
+                raise ParseError(lineno, f"expected {header!r} header, got {key!r}")
+            if len(tokens) != 2:
+                raise ParseError(lineno, f"{header} takes exactly one name")
+            name = tokens[1]
+            continue
+        rule = grammar.get(key)
+        if rule is None:
             raise ParseError(lineno, f"unknown directive {key!r}")
-        least, most, usage, once = grammar[key]
-        if len(rest) < least or (most is not None and len(rest) > most):
+        least, most, usage, once = rule
+        n, entries = len(tokens) - 1, found[key]
+        if n < least or (most is not None and n > most):
             raise ParseError(lineno, usage)
-        if once and found[key]:
+        if once and entries:
             raise ParseError(lineno, f"{key} declared twice")
-        found[key].append((lineno, rest))
-    return first[1], found
+        entries.append((lineno, tokens[1:]))
+    if name is None:
+        raise ParseError(0, "empty file")
+    return name, found
 
 
 def _joined(entries: list) -> list[str]:
@@ -132,13 +133,19 @@ def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
         lines = [n for n, tokens in found[key] for _ in range(len(tokens) if per_token else 1)]
         raise ParseError(lines[e.entry[1]], str(e)) from e
 
+    # Weights per merged arrow, summed over its labels; one line per label.
     given: dict[str, dict[tuple[str, str], float]] = {}
+    declared = set()
     for lineno, (q, sym, p) in found["prob"]:
-        if q not in auto.index:
+        i = auto.index.get(q)
+        if i is None:
             raise ParseError(lineno, f"unknown state {q!r}")
-        tgt = auto.transitions.get((q, sym))
-        if tgt is None:
+        t = {auto.input_alphabet[s]: j for s, j in auto.moves[i]}.get(sym)
+        if t is None:
             raise ParseError(lineno, f"no transition from {q!r} on {sym!r}")
+        if (q, sym) in declared:
+            raise ParseError(lineno, f"prob of {q!r} on {sym!r} declared twice")
+        declared.add((q, sym))
         try:
             weight = float(p)
         except ValueError:
@@ -147,8 +154,10 @@ def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
             raise ParseError(lineno, f"non-finite probability {p!r}")
         if weight < 0:
             raise ParseError(lineno, f"negative probability {p!r}")
-        dist = given.setdefault(q, {})
-        dist[(q, tgt)] = dist.get((q, tgt), 0.0) + weight
+        dist, arrow = given.setdefault(q, {}), (q, auto.states[t])
+        dist[arrow] = dist.get(arrow, 0.0) + weight
+        if not math.isfinite(dist[arrow]):
+            raise ParseError(lineno, f"probabilities on arrow {arrow} sum to {dist[arrow]!r}")
 
     model = InputModel.from_arrow_probs(auto, given)
     return auto, model

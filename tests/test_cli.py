@@ -56,6 +56,20 @@ def test_analyze_validation_error_names_its_line(tmp_path, capsys):
         2, "", "error: line 4: identifier 'q' declared twice (states)\n")
 
 
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ("prob q a 0.25\nprob q a 0.25\nprob q b 0.5", "line 9: prob of 'q' on 'a' declared twice"),
+        ("prob q a 1e308\nprob q b 1e308", "line 9: probabilities on arrow ('q', 'q') sum to inf"),
+    ],
+)
+def test_analyze_refuses_bad_prob_lines_with_their_line(tmp_path, capsys, probs, message):
+    bad = tmp_path / "bad.aut"
+    bad.write_text("automaton x\ninputs a b\noutputs o\nstates q\noutput q o\n"
+                   f"trans q a q\ntrans q b q\n{probs}\n")
+    assert run_cli(capsys, "analyze", str(bad)) == (2, "", f"error: {message}\n")
+
+
 def test_run_word_one(capsys):
     code, out, _ = run_cli(capsys, "run", LOSSY, "--word", "0100001010")
     assert code == 0

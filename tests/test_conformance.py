@@ -15,7 +15,11 @@ from autodiss import (
     validate,
 )
 from autodiss import core as core_module
-from autodiss.errors import DeviceRefused, SizeLimit, UnknownState, Untestable
+from autodiss import conformance
+from autodiss.errors import (
+    AutomataError, DeviceRefused, ForbiddenInput, SizeLimit, UnknownState, UnknownSymbol,
+    Untestable,
+)
 from helpers import random_automaton, random_strongly_connected
 import tour_oracle
 
@@ -367,3 +371,104 @@ def test_device_refusal_is_reported(lossy):
     )
     with pytest.raises(DeviceRefused):
         simulate_test(auto, AutomatonOracle(partial, "A"), tour)
+
+
+def _verdict_from_run(reference, device, tour):
+    """The verdict computed from ``run(...).outputs``: the reference that
+    ``simulate_test`` must match."""
+    expected = run(reference, tour.start, tour.word).outputs
+    observed = device.output()
+    if observed != expected[0]:
+        return conformance.Verdict(passed=False, first_discrepancy=(0, expected[0], observed))
+    for i, symbol in enumerate(tour.word):
+        try:
+            device.apply(symbol)
+        except AutomataError as e:
+            raise DeviceRefused(i, str(e)) from None
+        observed = device.output()
+        if observed != expected[i + 1]:
+            return conformance.Verdict(passed=False,
+                                       first_discrepancy=(i + 1, expected[i + 1], observed))
+    return conformance.Verdict(passed=True)
+
+
+class _Counting:
+    """A device that counts the calls made on it and passes them on."""
+
+    def __init__(self, device):
+        self.device, self.calls = device, 0
+
+    def output(self):
+        self.calls += 1
+        return self.device.output()
+
+    def apply(self, symbol):
+        self.calls += 1
+        self.device.apply(symbol)
+
+
+def _simulated(simulate, auto, device, tour):
+    """The verdict, or the error's type and message and the number of
+    calls the device saw before it."""
+    counting = _Counting(device)
+    try:
+        return simulate(auto, counting, tour)
+    except AutomataError as e:
+        return type(e), str(e), counting.calls
+
+
+_PARTIAL = validate("part", ["a", "b"], ["o0", "o1"], ["p", "q"],
+                    output_map={"p": "o0", "q": "o1"}, transitions=[("p", "a", "q")])
+
+
+@pytest.mark.parametrize(
+    "start, word, error, message",
+    [
+        ("z", ("a",), UnknownState, "state 'z' is not declared"),
+        ("z", (), UnknownState, "state 'z' is not declared"),
+        ("p", ("a", "c"), UnknownSymbol, "symbol 'c' is not declared (word position 1)"),
+        ("p", ("a", "a"), ForbiddenInput, "input 'a' is forbidden in state 'q' (word position 1)"),
+        ("p", ("b",), ForbiddenInput, "input 'b' is forbidden in state 'p' (word position 0)"),
+    ],
+)
+def test_simulate_refuses_a_tour_that_does_not_run(start, word, error, message):
+    """The error is ``run``'s, raised before the device is touched."""
+    tour = conformance.TestTour(start, word, frozenset())
+    device = AutomatonOracle(_PARTIAL, "p")
+    assert _simulated(simulate_test, _PARTIAL, device, tour) == (error, message, 0)
+    with pytest.raises(error) as exc:
+        run(_PARTIAL, start, word)
+    assert str(exc.value) == message
+
+
+def test_simulate_matches_the_verdict_from_run_on_random_graphs():
+    rng = random.Random(47)
+    for case in range(150):
+        auto, start = (_with_sinks_and_unreachable(rng) if case % 2
+                       else (random_strongly_connected(rng), None))
+        start = start or rng.choice(auto.states)
+        words = [tuple(rng.choice(auto.input_alphabet + ("zz",)) for _ in range(rng.randint(0, 8)))]
+        try:
+            words.append(transition_tour(auto, start).word)
+        except Untestable:
+            pass
+        tours = [conformance.TestTour(start, w, frozenset()) for w in words]
+        tours.append(conformance.TestTour("nowhere", words[0], frozenset()))
+        devices = [AutomatonOracle(auto, start), AutomatonOracle(auto, rng.choice(auto.states))]
+        if auto.arrows:  # one arrow moved, and one arrow missing
+            arrow = rng.choice(auto.arrows)
+            others = [q for q in auto.states if q != arrow.target]
+            if others:
+                mutant = _retargeted(auto, arrow.key, rng.choice(others))
+                devices.append(AutomatonOracle(mutant, start))
+            partial = validate("partial", auto.input_alphabet, auto.output_alphabet, auto.states,
+                               output_map=auto.output_map,
+                               transitions=[(q, s, t) for (q, s), t in auto.transitions.items()
+                                            if (q, t) != arrow.key])
+            devices.append(AutomatonOracle(partial, start))
+        for tour in tours:
+            for device in devices:
+                first = device.state
+                expected = _simulated(_verdict_from_run, auto, device, tour)
+                device.state = first
+                assert _simulated(simulate_test, auto, device, tour) == expected, (auto, tour)

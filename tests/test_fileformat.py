@@ -102,6 +102,37 @@ prob q0 y 0.6
         parse_automaton(text)
 
 
+# One state, three labels on one self-loop arrow.
+LOOP3 = "automaton t\ninputs a b c\noutputs o\nstates q\noutput q o\n" \
+        "trans q a q\ntrans q b q\ntrans q c q\n"
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        # a label weighted twice is refused on its second line, even
+        # where the arrow's sum would come to 1
+        ("prob q a 0.25\nprob q a 0.25\nprob q b 0.5",
+         "line 10: prob of 'q' on 'a' declared twice"),
+        ("prob q b 1\nprob q b nope", "line 10: prob of 'q' on 'b' declared twice"),
+        # finite weights whose sum over one arrow overflows
+        ("prob q a 1e308\nprob q b 1e308", "line 10: probabilities on arrow ('q', 'q') sum to inf"),
+    ],
+)
+def test_prob_lines_are_refused_on_their_line(probs, message):
+    with pytest.raises(ParseError) as exc:
+        parse_automaton(LOOP3 + probs)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("probs", ["", "prob q a 0.5\nprob q b 0.25\nprob q c 0.25\n"])
+def test_parse_builds_no_named_views(probs):
+    """The parser reads the integer rows: no names-keyed view is built."""
+    auto, model = parse_automaton(LOOP3 + probs)
+    assert model.weights == ((1.0,),)
+    assert not {"transitions", "by_source", "arrows", "by_pair"} & set(vars(auto))
+
+
 def test_comments_and_blank_lines():
     text = """
 # a comment

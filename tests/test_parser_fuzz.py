@@ -3,13 +3,15 @@
 of its lines, but for a ``prob`` row whose sum is off 1.
 
 Inputs are token soup in each grammar (directive keywords followed by
-words from a shared pool) and mutations of the bundled asset files
-and of one automaton with arrow probabilities (lines dropped, repeated
-or swapped, tokens replaced).  Wirings are
+words from a shared pool), mutations of the bundled asset files and of
+one automaton with arrow probabilities (lines dropped, repeated or
+swapped, tokens replaced), and that automaton under every assignment of
+the pool's numbers to its weights.  Wirings are
 parsed against a directory that does not exist, so every module line
 fails to load.
 """
 
+import itertools
 import os
 import random
 
@@ -27,7 +29,8 @@ GRAMMARS = {
 }
 
 POOL = ["q", "r", "0", "1", "_", "a", "x", "o", "ck", "L", "R", "N", "X", "0.5", "-1", "1e400",
-        "nan", "inf", "a=x", "=", "x=", "(q,r)", "q|r", "é", "#", "automaton", "tm", "wiring"]
+        "1e308", "nan", "inf", "a=x", "=", "x=", "(q,r)", "q|r", "é", "#", "automaton", "tm",
+        "wiring"]
 
 
 # No bundled automaton sets arrow probabilities.
@@ -103,31 +106,110 @@ def _check_automaton_refusal(error, text):
         assert directives[error.line_number - 1], (error, text)
 
 
-def test_parsers_raise_only_automata_errors():
-    rng = random.Random(53)
+def _is_number(word):
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+def _weightings():
+    """``PROB_SEED`` with every assignment of the pool's numbers to its
+    three weights, so that any two of them meet on one arrow; random
+    mutants rarely replace two chosen tokens."""
+    numbers = [w for w in POOL if _is_number(w)]
+    head = [line for line in PROB_SEED.splitlines() if not line.startswith("prob")]
+    return ["\n".join(head + [f"prob q0 {s} {p}" for s, p in zip("xyz", ps)])
+            for ps in itertools.product(numbers, repeat=3)]
+
+
+def _corpus(seed):
+    """Per format, its extension and 6,000 seeded texts (token soup and
+    mutants of the seed files, alternating), plus ``_weightings``."""
+    rng = random.Random(seed)
     seeds = _seeds()
-    for ext, (header, keys, parse) in GRAMMARS.items():
+    for ext, (header, keys, _) in GRAMMARS.items():
         pool = POOL + sorted({w for text in seeds[ext] for line in text for w in line.split()})
-        parsed = 0
-        for case in range(6000):
-            if case % 2:
-                text = _soup(rng, header, keys, pool)
-            else:
-                text = _mutant(rng, rng.choice(seeds[ext]), pool)
+        texts = [_soup(rng, header, keys, pool) if case % 2
+                 else _mutant(rng, rng.choice(seeds[ext]), pool) for case in range(6000)]
+        yield ext, texts + (_weightings() if ext == ".aut" else [])
+
+
+def test_parsers_raise_only_automata_errors():
+    for ext, texts in _corpus(53):
+        parse = GRAMMARS[ext][2]
+        parsed, refusals = 0, set()
+        for text in texts:
             try:
                 parse(text)
             except AutomataError as e:
                 if ext == ".aut":
                     _check_automaton_refusal(e, text)
+                refusals.add(str(e))
                 continue
             parsed += 1
         # mutants that stay valid reach the builders behind the parser
         assert parsed > 30, ext
+        if ext == ".aut":  # two finite weights of one arrow whose sum overflows
+            assert "line 14: probabilities on arrow ('q0', 'q1') sum to inf" in refusals
+
+
+TABLES = {".aut": fileformat._AUTOMATON_GRAMMAR, ".tm": fileformat._MACHINE_GRAMMAR,
+          ".wiring": fileformat._WIRING_GRAMMAR}
+
+
+def _reference_read(text, header, grammar):
+    """The reader written as a line generator and a pass over its list,
+    kept as the reference that ``fileformat._read`` must match."""
+    def lines():
+        for i, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield i, line.split()
+
+    directives = list(lines())
+    if not directives:
+        raise ParseError(0, "empty file")
+    lineno, first = directives[0]
+    if first[0] != header:
+        raise ParseError(lineno, f"expected {header!r} header, got {first[0]!r}")
+    if len(first) != 2:
+        raise ParseError(lineno, f"{header} takes exactly one name")
+    found = {key: [] for key in grammar}
+    for lineno, (key, *rest) in directives[1:]:
+        if key not in grammar:
+            raise ParseError(lineno, f"unknown directive {key!r}")
+        least, most, usage, once = grammar[key]
+        if len(rest) < least or (most is not None and len(rest) > most):
+            raise ParseError(lineno, usage)
+        if once and found[key]:
+            raise ParseError(lineno, f"{key} declared twice")
+        found[key].append((lineno, rest))
+    return first[1], found
+
+
+def _outcome(read, text, ext):
+    try:
+        return read(text, GRAMMARS[ext][0], TABLES[ext])
+    except ParseError as e:
+        return e.line_number, e.message
+
+
+# Lexical corners: comments, Unicode whitespace and line breaks.
+EDGES = ["", "  \n# only a comment\n\t\n", "#\nautomaton a b", "automaton a#b\ninputs x#y z",
+         "automaton\ta\r\ninputs x\x0cy\u00a0z\r\n", "automaton a\u2028inputs x\x1cstates q",
+         "automaton a\n  # \ninitial q # r\ninitial", "# c\n\n  automaton   a  # b\noutputs"]
+
+
+def test_reader_matches_the_reference():
+    for ext, texts in _corpus(53):
+        for text in texts + [e.replace("automaton", GRAMMARS[ext][0]) for e in EDGES]:
+            expected = _outcome(_reference_read, text, ext)
+            assert _outcome(fileformat._read, text, ext) == expected, text
 
 
 def test_fuzzed_keywords_are_the_grammar_tables():
     """A keyword added to a format's table is fuzzed, or this fails."""
-    tables = {".aut": fileformat._AUTOMATON_GRAMMAR, ".tm": fileformat._MACHINE_GRAMMAR,
-              ".wiring": fileformat._WIRING_GRAMMAR}
     for ext, (_, keys, _) in GRAMMARS.items():
-        assert sorted(keys) == sorted(tables[ext]), ext
+        assert sorted(keys) == sorted(TABLES[ext]), ext
