@@ -274,12 +274,7 @@ def simulate_test(reference: Automaton, device, tour: TestTour) -> Verdict:
     :class:`DeviceRefused` if the device rejects a symbol, and before
     touching the device, the error of :func:`run` if the tour does not run.
     """
-    trans, out, q = reference.transitions, reference.output_map, tour.start
-    try:  # replayed without a Path; ``run`` names a step that fails
-        expected = [out[q]] + [out[q := trans[q, s]] for s in tour.word]
-    except (KeyError, TypeError):
-        run(reference, tour.start, tour.word)
-        raise
+    expected = run(reference, tour.start, tour.word).outputs
     observed = device.output()
     if observed != expected[0]:
         return Verdict(passed=False, first_discrepancy=(0, expected[0], observed))

@@ -14,7 +14,7 @@ built on first read, for callers that print or return named arrows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -124,27 +124,34 @@ class Automaton:
 
 @dataclass(frozen=True)
 class Path:
-    """One run through the graph: a start state plus the steps taken.
+    """One run through the graph: the input word and the states it visits.
 
-    ``steps`` holds ``(input symbol, arrow traversed, resulting state)``
-    triples; ``outputs`` holds one output symbol per visited state,
-    starting with the start state, so ``len(outputs) == len(steps) + 1``.
+    ``states`` starts with the start state and ``outputs`` holds one
+    output symbol per visited state, so both are one longer than
+    ``word``.  ``steps``, the ``(input symbol, arrow traversed, resulting
+    state)`` triples, is built from ``automaton``'s arrows on first read.
     """
 
-    start: str
-    steps: tuple[tuple[str, Arrow, str], ...]
+    automaton: Automaton = field(repr=False, compare=False)
+    word: tuple[str, ...]
+    states: tuple[str, ...]
     outputs: tuple[str, ...]
 
     @property
-    def states(self) -> tuple[str, ...]:
-        return (self.start,) + tuple(s for _, _, s in self.steps)
+    def start(self) -> str:
+        return self.states[0]
 
     @property
     def end(self) -> str:
         return self.states[-1]
 
+    @cached_property
+    def steps(self) -> tuple[tuple[str, Arrow, str], ...]:
+        by_pair, states = self.automaton.by_pair, self.states
+        return tuple([(s, by_pair[q, t], t) for s, q, t in zip(self.word, states, states[1:])])
+
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.word)
 
 
 def _ordered_unique(tokens: Iterable[str], kind: str, parameter=None) -> tuple[str, ...]:
@@ -212,17 +219,13 @@ def validate(
     sym_at = {s: i for i, s in enumerate(inputs)}
     rows: list[dict[int, int]] = [{} for _ in state_list]
     for i, (src, sym, tgt) in enumerate(transitions):
-        try:  # one lookup per token; only a failed one meets the named checks
-            row, s, t = rows[index[src]], sym_at[sym], index[tgt]
-        except (KeyError, TypeError):  # TypeError: a token cannot be hashed
-            at = ("transitions", i)
-            if src not in index:
-                raise UnknownState(src, "transition source", entry=at) from None
-            if tgt not in index:
-                raise UnknownState(tgt, "transition target", entry=at) from None
-            if sym not in sym_at:
-                raise UnknownSymbol(sym, f"transition from {src!r}", entry=at) from None
-            raise
+        if src not in index:
+            raise UnknownState(src, "transition source", entry=("transitions", i))
+        if tgt not in index:
+            raise UnknownState(tgt, "transition target", entry=("transitions", i))
+        if sym not in sym_at:
+            raise UnknownSymbol(sym, f"transition from {src!r}", entry=("transitions", i))
+        row, s, t = rows[index[src]], sym_at[sym], index[tgt]
         if row.setdefault(s, t) != t:
             raise Nondeterministic(src, sym, entry=("transitions", i))
 
@@ -283,19 +286,17 @@ def run(a: Automaton, start: str, word: Sequence[str]) -> Path:
     if start not in a.index:
         raise UnknownState(start)
     q = start
-    steps = []
-    outputs = [a.output_map[q]]
+    states = [q]
     for i, s in enumerate(word):
         try:
-            nxt = a.transitions[q, s]
+            q = a.transitions[q, s]
         except (KeyError, TypeError):  # as in :func:`step`
             if s not in a.input_alphabet:
                 raise UnknownSymbol(s, f"word position {i}") from None
             raise ForbiddenInput(q, s, position=i) from None
-        steps.append((s, a.by_pair[(q, nxt)], nxt))
-        outputs.append(a.output_map[nxt])
-        q = nxt
-    return Path(start=start, steps=tuple(steps), outputs=tuple(outputs))
+        states.append(q)
+    out = a.output_map
+    return Path(a, tuple(word), tuple(states), tuple([out[q] for q in states]))
 
 
 def _reached(a: Automaton, start: str) -> set[int]:

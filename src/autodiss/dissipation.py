@@ -179,8 +179,8 @@ def path_choice_information(
     conv = convergent_states(a)
     bits = []
     entered = []
-    for i, (_, arrow, target) in enumerate(path.steps):
-        k = a.index[arrow.source]
+    for i, (source, target) in enumerate(zip(path.states, path.states[1:])):
+        k = a.index[source]
         p = weights[k][a.successors[k].index(a.index[target])]
         bits.append(-math.log2(p) if p > 0 else math.inf)
         if target in conv:

@@ -65,7 +65,7 @@ def _read(text: str, header: str, grammar: dict) -> tuple[str, dict[str, list]]:
     name = None
     found: dict[str, list] = {key: [] for key in grammar}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = (line.split("#", 1)[0] if "#" in line else line).split()
+        tokens = line.split("#", 1)[0].split()
         if not tokens:
             continue
         key = tokens[0]
@@ -135,12 +135,15 @@ def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
 
     # Weights per merged arrow, summed over its labels; one line per label.
     given: dict[str, dict[tuple[str, str], float]] = {}
+    targets: dict[int, dict[str, int]] = {}  # symbol -> target index, per state read
     declared = set()
     for lineno, (q, sym, p) in found["prob"]:
         i = auto.index.get(q)
         if i is None:
             raise ParseError(lineno, f"unknown state {q!r}")
-        t = {auto.input_alphabet[s]: j for s, j in auto.moves[i]}.get(sym)
+        if i not in targets:
+            targets[i] = {auto.input_alphabet[s]: j for s, j in auto.moves[i]}
+        t = targets[i].get(sym)
         if t is None:
             raise ParseError(lineno, f"no transition from {q!r} on {sym!r}")
         if (q, sym) in declared:

@@ -191,6 +191,28 @@ def test_run_empty_word(lossy):
     assert path.outputs == ("oA",)
 
 
+def test_run_builds_arrows_only_when_its_steps_are_read():
+    """A path records the states it visits; its steps, the arrows taken
+    between them, are built on first read."""
+    rng = random.Random(19)
+    for _ in range(40):
+        auto = random_automaton(rng)
+        start = q = rng.choice(auto.states)
+        word = []
+        while len(word) < 12 and auto.moves[auto.index[q]]:
+            s, t = rng.choice(auto.moves[auto.index[q]])
+            word.append(auto.input_alphabet[s])
+            q = auto.states[t]
+        path = run(auto, start, word)
+        assert "by_pair" not in vars(auto)
+        assert (path.start, path.end, len(path)) == (start, q, len(word))
+        assert [symbol for symbol, _, _ in path.steps] == word
+        for i, (symbol, arrow, target) in enumerate(path.steps):
+            assert (arrow.source, arrow.target) == (path.states[i], target)
+            assert target == path.states[i + 1] and symbol in arrow.labels
+            assert arrow in arrows_from(auto, arrow.source)
+
+
 def test_run_reports_failing_position(lossy):
     with pytest.raises(ForbiddenInput) as exc:
         run(lossy[0], "A", list("0111"))  # D accepts only 0

@@ -125,6 +125,20 @@ def test_prob_lines_are_refused_on_their_line(probs, message):
     assert str(exc.value) == message
 
 
+def test_prob_lines_on_a_state_of_high_degree():
+    """Every label of a 600-symbol state weighted on its own line: the
+    weights sum per merged arrow, in ``successors`` order."""
+    syms = [f"s{k}" for k in range(600)]
+    lines = ["automaton wide", "inputs " + " ".join(syms), "outputs o0 o1 o2 o3",
+             "states q0 q1 q2 q3", "initial q0"]
+    lines += [f"output q{i} o{i}" for i in range(4)]
+    lines += [f"trans q0 {s} q{k % 4}" for k, s in enumerate(syms)]
+    lines += [f"prob q0 {s} {(k % 4 + 1) / 1500}" for k, s in enumerate(syms)]
+    auto, model = parse_automaton("\n".join(lines))
+    assert auto.successors[0] == (0, 1, 2, 3)
+    assert model.weights[0] == pytest.approx([150 * (i + 1) / 1500 for i in range(4)])
+
+
 @pytest.mark.parametrize("probs", ["", "prob q a 0.5\nprob q b 0.25\nprob q c 0.25\n"])
 def test_parse_builds_no_named_views(probs):
     """The parser reads the integer rows: no names-keyed view is built."""
