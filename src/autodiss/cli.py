@@ -5,8 +5,8 @@ decimal places by default, or a stable JSON object (sorted keys) with
 ``--json``.  Exit codes: 0 success, 1 domain error (forbidden input,
 untestable graph, machine not halting, ...), 2 usage or parse error.
 Every ``.aut`` content error exits 2 naming its line, after the module
-file's path inside a wiring.  Three file errors exit 1 with no line:
-``.tm`` rules, ``.wiring`` semantics, and a ``prob`` row summing off 1.
+file's path inside a wiring; a file that cannot be read exits 2 naming
+it.  ``.tm`` rule and ``.wiring`` semantic errors exit 1 with no line.
 
 The default temperature for energy figures is 300 K; the environment
 variable ``AUTODISS_TEMP`` or the ``--temp`` flag overrides it.
@@ -129,17 +129,20 @@ def cmd_run(args) -> dict:
 def cmd_product(args) -> dict:
     a, _ = fileformat.load_automaton(args.file_a)
     b, _ = fileformat.load_automaton(args.file_b)
-    prod = composition.product(a, b)
-    _write_out(args, prod)
+    if args.output:  # the product is built for its file only
+        _write_out(args, composition.product(a, b))
+    # A tuple state's degree is its modules' product: >= 2 iff each is >= 1, not all 1.
+    out = [(sum(map(bool, m.successors)), len(divergent_states(m))) for m in (a, b)]
+    into = [(len(set().union(*m.successors)), len(convergent_states(m))) for m in (a, b)]
     return {
-        "name": prod.name,
-        "modules": list(prod.module_names),
+        "name": f"{a.name}*{b.name}",
+        "modules": [a.name, b.name],
         "module_state_counts": [len(a.states), len(b.states)],
         "module_arrow_counts": [a.arrow_count, b.arrow_count],
-        "state_count": len(prod.states),
-        "arrow_count": prod.arrow_count,
-        "divergent_count": len(divergent_states(prod)),
-        "convergent_count": len(convergent_states(prod)),
+        "state_count": len(a.states) * len(b.states),
+        "arrow_count": a.arrow_count * b.arrow_count,
+        "divergent_count": math.prod(n for n, _ in out) - math.prod(n - k for n, k in out),
+        "convergent_count": math.prod(n for n, _ in into) - math.prod(n - k for n, k in into),
     }
 
 
@@ -265,14 +268,14 @@ def cmd_tm_dissip(args) -> dict:
 def cmd_tm_linear(args) -> dict:
     tm = fileformat.load_machine(args.file)
     trace = turing.tm_run(tm, _tape(args), max_steps=args.max_steps)
-    graph = turing.global_graph(trace)
-    _write_out(args, graph)
+    if args.output or not trace.halted:  # names for -o; a run not halted is refused there
+        _write_out(args, turing.global_graph(trace))
     return {
-        "name": graph.name,
-        "state_count": len(graph.states),
-        "reversible": is_reversible(graph),
-        "divergent_count": len(divergent_states(graph)),
-        "convergent_count": len(convergent_states(graph)),
+        "name": f"{tm.name}_global",
+        "state_count": trace.steps + 1,  # a halted run revisits no configuration
+        "reversible": True,
+        "divergent_count": 0,
+        "convergent_count": 0,
     }
 
 
@@ -403,8 +406,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: file not found: {e.filename or e}", file=sys.stderr)
+    except OSError as e:  # missing, a directory, no permission, not UTF-8
+        reason = "file not found" if isinstance(e, FileNotFoundError) else e.strerror
+        print(f"error: {reason}: {e.filename or e}", file=sys.stderr)
         return 2
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -21,8 +21,8 @@ from typing import Optional
 
 from .composition import Connection, Wiring
 from .core import Automaton, validate
-from .dissipation import InputModel, _weights
-from .errors import AutomataError, ParseError, ValidationError
+from .dissipation import PROB_SUM_TOL, InputModel, _weights
+from .errors import ParseError, ValidationError
 from .turing import TuringMachine, make_machine
 
 
@@ -161,6 +161,10 @@ def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
         dist[arrow] = dist.get(arrow, 0.0) + weight
         if not math.isfinite(dist[arrow]):
             raise ParseError(lineno, f"probabilities on arrow {arrow} sum to {dist[arrow]!r}")
+    for q, dist in given.items():  # a row off 1 is refused on the state's last prob line
+        if abs(sum(dist.values()) - 1.0) > PROB_SUM_TOL:  # summed as from_arrow_probs sums
+            line = max(n for n, (q2, _, _) in found["prob"] if q2 == q)
+            raise ParseError(line, f"probabilities for state {q!r} sum to {sum(dist.values())!r}")
 
     model = InputModel.from_arrow_probs(auto, given)
     return auto, model
@@ -197,9 +201,19 @@ def write_automaton(a: Automaton, model: Optional[InputModel] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _text(path: str) -> str:
+    """A file's text; a byte that is not UTF-8 is refused on its line, naming the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:  # the bytes before it decode; count lines as _read does
+        line = len((data[: e.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(line, f"not UTF-8 text ({e.reason})", path=path) from None
+
+
 def load_automaton(path: str) -> tuple[Automaton, InputModel]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_automaton(fh.read())
+    return parse_automaton(_text(path))
 
 
 def parse_machine(text: str) -> TuringMachine:
@@ -221,17 +235,15 @@ def parse_machine(text: str) -> TuringMachine:
 
 
 def load_machine(path: str) -> TuringMachine:
-    with open(path, encoding="utf-8") as fh:
-        return parse_machine(fh.read())
+    return parse_machine(_text(path))
 
 
 def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
     """Parse a wiring file, loading the module automata it references.
 
-    An error inside a module file names that file: a :class:`ParseError`
-    carries it as ``path``, and the one other :class:`AutomataError`, a
-    ``prob`` row summing off 1, keeps its type, gains a ``path``
-    attribute and has its message prefixed with it.
+    A module file's :class:`ParseError`, its only error, is raised again
+    with that file as ``path``; a module file that cannot be read is
+    refused on its ``module`` line.
     """
     name, found = _read(text, "wiring", _WIRING_GRAMMAR)
     modules: list[tuple[str, Automaton]] = []
@@ -243,11 +255,6 @@ def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
             raise ParseError(lineno, f"cannot read module file: {e}") from None
         except ParseError as e:
             raise ParseError(e.line_number, e.message, path=path) from e.__cause__
-        except AutomataError as e:
-            # A ``prob`` sum off 1 keeps its type and gains the file name.
-            e.path = path
-            e.args = (f"{path}: {e}",)
-            raise
         modules.append((inst, auto))
     connections: list[Connection] = []
     for lineno, (src, dst, *pairs) in found["connect"]:
@@ -275,5 +282,4 @@ def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
 
 
 def load_wiring(path: str) -> Wiring:
-    with open(path, encoding="utf-8") as fh:
-        return parse_wiring(fh.read(), base_dir=os.path.dirname(path) or ".")
+    return parse_wiring(_text(path), base_dir=os.path.dirname(path) or ".")

@@ -1,15 +1,26 @@
 """End-to-end command-line checks: reports, exit codes, file emission."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
 
 import autodiss
+from autodiss import composition, core, turing
 from autodiss.assets import asset_path
 from autodiss.cli import main
+from autodiss.core import convergent_states, divergent_states, is_reversible
+from autodiss.errors import AutomataError
+from autodiss.fileformat import write_automaton
+from helpers import random_automaton
+from test_tm_properties import machine_text, machines
 
 LOSSY = asset_path("lossy.aut")
 ONEBIT = asset_path("onebit.aut")
@@ -392,3 +403,171 @@ def test_tm_bennett_not_halting(capsys):
     )
     assert code == 1
     assert "did not halt" in err
+
+
+def _write(path, automaton):
+    path.write_text(write_automaton(automaton), encoding="utf-8")
+    return str(path)
+
+
+def _json_report(capsys, *argv):
+    code, out, err = run_cli(capsys, "--json", *argv)
+    assert (code, err) == (0, ""), err
+    return json.loads(out)
+
+
+def test_product_report_counts_match_the_built_product(capsys, tmp_path):
+    """The report's counts are closed forms of the modules' degree tables;
+    random small pairs, with sinks, unreachable states and self-loops,
+    agree with the counts read off the built product."""
+    rng = random.Random(19)
+    for case in range(150):
+        a = random_automaton(rng, max_states=6, max_symbols=3, density=0.6, name="a")
+        b = random_automaton(rng, max_states=6, max_symbols=3, density=0.6, name="b")
+        report = _json_report(capsys, "product", _write(tmp_path / "a.aut", a),
+                              _write(tmp_path / "b.aut", b))
+        prod = composition.product(a, b)
+        assert report == {
+            "name": prod.name, "modules": list(prod.module_names),
+            "module_state_counts": [len(a.states), len(b.states)],
+            "module_arrow_counts": [a.arrow_count, b.arrow_count],
+            "state_count": len(prod.states), "arrow_count": prod.arrow_count,
+            "divergent_count": len(divergent_states(prod)),
+            "convergent_count": len(convergent_states(prod)),
+        }, case
+
+
+@settings(max_examples=100, deadline=None)
+@given(machines())
+def test_tm_linear_report_counts_match_the_global_graph(case):
+    tm, _, tape, budget = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.tm")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(machine_text(tm))
+        argv = ["--json", "tm", "linear", path, "--tape", " ".join(tape),
+                "--max-steps", str(budget)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    try:
+        graph = turing.global_graph(turing.tm_run(tm, tape, max_steps=budget))
+    except AutomataError as e:  # no rule for a step, or a run cut by its budget
+        assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {e}\n")
+        return
+    assert (code, err.getvalue()) == (0, "")
+    assert json.loads(out.getvalue()) == {
+        "name": graph.name, "state_count": len(graph.states),
+        "reversible": is_reversible(graph),
+        "divergent_count": len(divergent_states(graph)),
+        "convergent_count": len(convergent_states(graph)),
+    }
+
+
+def test_product_and_tm_linear_build_their_graphs_for_o_only(capsys, monkeypatch, tmp_path):
+    rng = random.Random(5)
+    ra, rb = (random_automaton(rng, max_states=6, name=n) for n in "ab")
+    tff, onebit = (autodiss.load_automaton(path)[0] for path in (TFF, ONEBIT))
+    bb2 = autodiss.load_machine(BB2)
+    cases = [
+        (["product", TFF, ONEBIT], composition.product(tff, onebit)),
+        (["product", _write(tmp_path / "a.aut", ra), _write(tmp_path / "b.aut", rb)],
+         composition.product(ra, rb)),
+        (["tm", "linear", BB2], turing.global_graph(turing.tm_run(bb2, []))),
+        (["tm", "linear", BB2, "--tape", "1 1 0 1"],
+         turing.global_graph(turing.tm_run(bb2, "1 1 0 1".split()))),
+    ]
+
+    def refuse(*_):
+        raise AssertionError("a graph was built without -o")
+
+    out_file = tmp_path / "out.aut"
+    for argv, graph in cases:
+        for prefix in ([], ["--json"]):
+            with_o = run_cli(capsys, *prefix, *argv, "-o", str(out_file))
+            assert with_o[0] == 0, argv
+            assert out_file.read_text(encoding="utf-8") == write_automaton(graph), argv
+            with monkeypatch.context() as mp:
+                mp.setattr(composition, "product", refuse)
+                mp.setattr(turing, "global_graph", refuse)
+                assert run_cli(capsys, *prefix, *argv) == with_o, argv
+
+
+def _chain(tmp_path, name, n):
+    """An ``n``-state cycle module file."""
+    states = [f"q{i}" for i in range(n)]
+    text = [f"automaton {name}", "inputs a", f"outputs {' '.join('o' + q for q in states)}",
+            f"states {' '.join(states)}", *(f"output {q} o{q}" for q in states),
+            *(f"trans {q} a {states[(i + 1) % n]}" for i, q in enumerate(states))]
+    path = tmp_path / f"{name}.aut"
+    path.write_text("\n".join(text) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_product_over_the_monolithic_limit_is_refused_for_o_only(capsys, monkeypatch,
+                                                                  tmp_path):
+    monkeypatch.setattr(core, "MONOLITHIC_STATE_LIMIT", 16)
+    a, b = _chain(tmp_path, "a", 5), _chain(tmp_path, "b", 5)
+    code, out, err = run_cli(capsys, "product", a, b)
+    assert (code, err) == (0, "") and "state_count: 25\n" in out
+    out_file = tmp_path / "out.aut"
+    assert run_cli(capsys, "product", a, b, "-o", str(out_file)) == (
+        1, "", "error: 25 states exceed the monolithic limit of 16\n")
+    assert not out_file.exists()
+
+
+def test_product_with_colliding_tuple_names_is_refused_for_o_only(capsys, tmp_path):
+    """States ``1,2`` and ``1`` of module a with states ``3`` and ``2,3`` of
+    module b both spell the tuple state ``(1,2,3)``."""
+    a = tmp_path / "a.aut"
+    a.write_text("automaton a\ninputs x\noutputs p r\nstates 1,2 1\n"
+                 "output 1,2 p\noutput 1 r\ntrans 1,2 x 1\n", encoding="utf-8")
+    b = tmp_path / "b.aut"
+    b.write_text("automaton b\ninputs y\noutputs s t\nstates 3 2,3\n"
+                 "output 3 s\noutput 2,3 t\ntrans 3 y 2,3\n", encoding="utf-8")
+    report = _json_report(capsys, "product", str(a), str(b))
+    assert (report["state_count"], report["arrow_count"]) == (4, 1)
+    code, out, err = run_cli(capsys, "product", str(a), str(b), "-o", str(tmp_path / "o.aut"))
+    assert (code, out) == (1, "") and "declared twice" in err
+
+
+def test_unreadable_file_is_a_usage_error(capsys, tmp_path):
+    assert run_cli(capsys, "analyze", str(tmp_path)) == (
+        2, "", f"error: Is a directory: {tmp_path}\n")
+    (tmp_path / "m.aut").mkdir()
+    wiring = tmp_path / "w.wiring"
+    wiring.write_text("wiring w\n\nmodule a m.aut\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "wire", str(wiring))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 3: cannot read module file: [Errno 21] Is a directory")
+
+
+def test_non_utf8_file_is_refused_on_its_line(capsys, tmp_path):
+    bad = tmp_path / "bad.aut"
+    bad.write_bytes(b"automaton x\ninputs a\nstates \xff\n")
+    assert run_cli(capsys, "analyze", str(bad)) == (
+        2, "", f"error: {bad}: line 3: not UTF-8 text (invalid start byte)\n")
+
+
+def test_wire_refuses_a_non_utf8_module_file_on_its_line(capsys, tmp_path):
+    (tmp_path / "m.aut").write_bytes(b"automaton m\n\xc3\n")
+    wiring = tmp_path / "w.wiring"
+    wiring.write_text("wiring w\nmodule a m.aut\n", encoding="utf-8")
+    assert run_cli(capsys, "wire", str(wiring)) == (
+        2, "", f"error: {tmp_path / 'm.aut'}: line 2: not UTF-8 text (invalid continuation "
+        "byte)\n")
+
+
+PROB_OFF_ONE = ("automaton x\ninputs a b\noutputs o\nstates p0\noutput p0 o\n"
+                "trans p0 a p0\ntrans p0 b p0\nprob p0 a 0.25\nprob p0 b 0.25\n# end\n")
+
+
+def test_prob_row_off_one_is_refused_on_its_last_line(capsys, tmp_path):
+    aut = tmp_path / "p.aut"
+    aut.write_text(PROB_OFF_ONE, encoding="utf-8")
+    assert run_cli(capsys, "analyze", str(aut)) == (
+        2, "", "error: line 9: probabilities for state 'p0' sum to 0.5\n")
+    wiring = tmp_path / "w.wiring"
+    wiring.write_text("wiring w\nmodule a p.aut\n", encoding="utf-8")
+    assert run_cli(capsys, "wire", str(wiring)) == (
+        2, "", f"error: {aut}: line 9: probabilities for state 'p0' sum to 0.5\n")

@@ -18,7 +18,7 @@ from autodiss import (
     write_automaton,
 )
 from autodiss.assets import asset_names, asset_path
-from autodiss.errors import InvalidDistribution, NonInjectiveOutput, ParseError, ValidationError
+from autodiss.errors import NonInjectiveOutput, ParseError, ValidationError
 
 
 @pytest.mark.parametrize(
@@ -98,7 +98,7 @@ trans q0 y q1
 prob q0 x 0.5
 prob q0 y 0.6
 """
-    with pytest.raises(InvalidDistribution):
+    with pytest.raises(ParseError, match=r"^line 11: probabilities for state 'q0' sum to 1\.1$"):
         parse_automaton(text)
 
 

@@ -16,7 +16,7 @@ import os
 import random
 
 from autodiss.assets import asset_names, asset_path
-from autodiss.errors import AutomataError, InvalidDistribution, ParseError
+from autodiss.errors import AutomataError, ParseError
 from autodiss import fileformat
 from autodiss.fileformat import parse_automaton, parse_machine, parse_wiring
 
@@ -93,10 +93,7 @@ def _mutant(rng, lines, pool):
 
 def _check_automaton_refusal(error, text):
     """``error`` names a line of ``text`` that holds a directive, or line
-    0 of a file with none, or is a ``prob`` row's sum off 1."""
-    if isinstance(error, InvalidDistribution):
-        assert str(error).startswith("probabilities for state"), error
-        return
+    0 of a file with none."""
     assert isinstance(error, ParseError), repr(error)
     directives = [line.split("#", 1)[0].strip() for line in text.splitlines()]
     if error.line_number == 0:
