@@ -5,8 +5,11 @@ decimal places by default, or a stable JSON object (sorted keys) with
 ``--json``.  Exit codes: 0 success, 1 domain error (forbidden input,
 untestable graph, machine not halting, ...), 2 usage or parse error.
 Every ``.aut`` content error exits 2 naming its line, after the module
-file's path inside a wiring; a file that cannot be read exits 2 naming
-it.  ``.tm`` rule and ``.wiring`` semantic errors exit 1 with no line.
+file's path inside a wiring, and so does every ``.tm`` content error; a
+file that cannot be read exits 2 naming it.  ``.wiring`` semantic errors
+exit 1 with no line.
+
+Each command imports the modules it calls, so that a call loads no other.
 
 The default temperature for energy figures is 300 K; the environment
 variable ``AUTODISS_TEMP`` or the ``--temp`` flag overrides it.
@@ -21,7 +24,7 @@ import math
 import os
 import sys
 
-from . import composition, conformance, core, dissipation, dot, fileformat, turing
+from . import core
 from .core import convergent_states, divergent_states, is_reversible
 from .errors import AutomataError, ParseError
 
@@ -80,11 +83,13 @@ def _split_word(word: str, alphabet) -> list[str]:
 
 def _write_out(args, automaton) -> None:
     if getattr(args, "output", None):
+        from . import fileformat
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(fileformat.write_automaton(automaton))
 
 
 def cmd_analyze(args) -> dict:
+    from . import dissipation, fileformat
     auto, model = fileformat.load_automaton(args.file)
     return {
         "name": auto.name,
@@ -100,6 +105,7 @@ def cmd_analyze(args) -> dict:
 
 
 def cmd_run(args) -> dict:
+    from . import dissipation, fileformat
     auto, model = fileformat.load_automaton(args.file)
     start = args.start or auto.initial
     if start is None:
@@ -127,9 +133,11 @@ def cmd_run(args) -> dict:
 
 
 def cmd_product(args) -> dict:
+    from . import fileformat
     a, _ = fileformat.load_automaton(args.file_a)
     b, _ = fileformat.load_automaton(args.file_b)
     if args.output:  # the product is built for its file only
+        from . import composition
         _write_out(args, composition.product(a, b))
     # A tuple state's degree is its modules' product: >= 2 iff each is >= 1, not all 1.
     out = [(sum(map(bool, m.successors)), len(divergent_states(m))) for m in (a, b)]
@@ -147,6 +155,7 @@ def cmd_product(args) -> dict:
 
 
 def cmd_wire(args) -> dict:
+    from . import composition, dissipation, fileformat
     wiring = fileformat.load_wiring(args.file)
     closed = composition.wire(wiring)
     auto = closed.automaton
@@ -179,6 +188,7 @@ def cmd_wire(args) -> dict:
 
 
 def cmd_reach(args) -> dict:
+    from . import composition, fileformat
     auto, _ = fileformat.load_automaton(args.file)
     sub = composition.reachable_subgraph(auto)
     _write_out(args, sub)
@@ -192,12 +202,14 @@ def cmd_reach(args) -> dict:
 
 
 def cmd_equiv(args) -> dict:
+    from . import composition, fileformat
     a, _ = fileformat.load_automaton(args.file_a)
     b, _ = fileformat.load_automaton(args.file_b)
     return {"equivalent": composition.equivalent(a, b)}
 
 
 def cmd_test(args) -> dict:
+    from . import conformance, fileformat
     auto, _ = fileformat.load_automaton(args.file)
     start = args.start or auto.initial
     if start is None:
@@ -214,6 +226,7 @@ def cmd_test(args) -> dict:
 
 
 def cmd_dot(args) -> dict | None:
+    from . import dot, fileformat
     auto, _ = fileformat.load_automaton(args.file)
     sys.stdout.write(dot.export_dot(auto))
     return None
@@ -224,6 +237,7 @@ def _tape(args) -> list[str]:
 
 
 def cmd_tm_run(args) -> dict:
+    from . import fileformat, turing
     tm = fileformat.load_machine(args.file)
     trace = turing.tm_run(tm, _tape(args), max_steps=args.max_steps)
     return {
@@ -237,6 +251,7 @@ def cmd_tm_run(args) -> dict:
 
 
 def cmd_tm_head(args) -> dict:
+    from . import fileformat, turing
     tm = fileformat.load_machine(args.file)
     head = turing.head_automaton(tm)
     convergent = sorted(convergent_states(head))
@@ -251,6 +266,7 @@ def cmd_tm_head(args) -> dict:
 
 
 def cmd_tm_dissip(args) -> dict:
+    from . import fileformat, turing
     tm = fileformat.load_machine(args.file)
     acc = turing.modular_tm_dissipation(tm, _tape(args), max_steps=args.max_steps)
     steps = len(acc.per_step_bits)
@@ -266,6 +282,7 @@ def cmd_tm_dissip(args) -> dict:
 
 
 def cmd_tm_linear(args) -> dict:
+    from . import fileformat, turing
     tm = fileformat.load_machine(args.file)
     trace = turing.tm_run(tm, _tape(args), max_steps=args.max_steps)
     if args.output or not trace.halted:  # names for -o; a run not halted is refused there
@@ -280,6 +297,7 @@ def cmd_tm_linear(args) -> dict:
 
 
 def cmd_tm_bennett(args) -> dict:
+    from . import fileformat, turing
     tm = fileformat.load_machine(args.file)
     trace = turing.bennett_simulate(tm, _tape(args), max_steps=args.max_steps)
     snapshots = trace.global_configs

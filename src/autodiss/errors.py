@@ -8,9 +8,9 @@ class AutomataError(Exception):
 class ValidationError(AutomataError):
     """An automaton or machine description violates a structural rule.
 
-    ``entry``, set by :func:`autodiss.core.validate`, names the rejected
-    entry as ``(parameter, position)``: ``("transitions", 4)`` is the
-    fifth triple."""
+    ``entry``, set by :func:`autodiss.core.validate` and
+    :func:`autodiss.turing.make_machine`, names the rejected entry as
+    ``(parameter, position)``: ``("transitions", 4)`` is the fifth triple."""
 
     def __init__(self, message, entry=None):
         super().__init__(message)

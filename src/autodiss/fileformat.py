@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .composition import Connection, Wiring
 from .core import Automaton, validate
 from .dissipation import PROB_SUM_TOL, InputModel, _weights
 from .errors import ParseError, ValidationError
-from .turing import TuringMachine, make_machine
+
+if TYPE_CHECKING:  # imported by the parsers that build them, when called
+    from .composition import Wiring
+    from .turing import TuringMachine
 
 
 # A format's grammar: keyword -> (least, most, usage, once).  A directive
@@ -101,11 +103,21 @@ def _single(entries: list) -> Optional[str]:
     return entries[0][1][0] if entries else None
 
 
-# The directive holding each argument of ``validate``, and whether each
-# of its tokens, not each line, is one entry of it.
+# The directive holding each argument of ``validate`` and ``make_machine``,
+# and whether each of its tokens, not each line, is one entry of it.
 _DIRECTIVE_OF = {"input_alphabet": ("inputs", True), "output_alphabet": ("outputs", True),
                  "states": ("states", True), "initial": ("initial", False),
-                 "output_map": ("output", False), "transitions": ("trans", False)}
+                 "output_map": ("output", False), "transitions": ("trans", False),
+                 "tape_alphabet": ("tape", True), "blank": ("blank", False),
+                 "control_states": ("states", True), "halting": ("halting", True),
+                 "rules": ("rule", False)}
+
+
+def _line_of(e: ValidationError, found: dict) -> int:
+    """The line of the entry that ``e`` rejects."""
+    key, per_token = _DIRECTIVE_OF[e.entry[0]]
+    lines = [n for n, tokens in found[key] for _ in range(len(tokens) if per_token else 1)]
+    return lines[e.entry[1]]
 
 
 def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
@@ -128,10 +140,8 @@ def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
             output_map=output_map,
             transitions=[tokens for _, tokens in found["trans"]],
         )
-    except ValidationError as e:  # name the line of the entry it rejects
-        key, per_token = _DIRECTIVE_OF[e.entry[0]]
-        lines = [n for n, tokens in found[key] for _ in range(len(tokens) if per_token else 1)]
-        raise ParseError(lines[e.entry[1]], str(e)) from e
+    except ValidationError as e:
+        raise ParseError(_line_of(e, found), str(e)) from e
 
     # Weights per merged arrow, summed over its labels; one line per label.
     given: dict[str, dict[tuple[str, str], float]] = {}
@@ -217,21 +227,28 @@ def load_automaton(path: str) -> tuple[Automaton, InputModel]:
 
 
 def parse_machine(text: str) -> TuringMachine:
+    """Parse machine text.  An error of :func:`make_machine` becomes the
+    ``__cause__`` of a :class:`ParseError`."""
+    from .turing import make_machine
+
     name, found = _read(text, "tm", _MACHINE_GRAMMAR)
     blank, initial = _single(found["blank"]), _single(found["initial"])
     if blank is None:
         raise ParseError(0, "missing blank directive")
     if initial is None:
         raise ParseError(0, "missing initial directive")
-    return make_machine(
-        name=name,
-        tape_alphabet=_joined(found["tape"]),
-        blank=blank,
-        control_states=_joined(found["states"]),
-        initial=initial,
-        halting=_joined(found["halting"]),
-        rules=[tuple(tokens) for _, tokens in found["rule"]],
-    )
+    try:
+        return make_machine(
+            name=name,
+            tape_alphabet=_joined(found["tape"]),
+            blank=blank,
+            control_states=_joined(found["states"]),
+            initial=initial,
+            halting=_joined(found["halting"]),
+            rules=[tuple(tokens) for _, tokens in found["rule"]],
+        )
+    except ValidationError as e:
+        raise ParseError(_line_of(e, found), str(e)) from e
 
 
 def load_machine(path: str) -> TuringMachine:
@@ -245,6 +262,8 @@ def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
     with that file as ``path``; a module file that cannot be read is
     refused on its ``module`` line.
     """
+    from .composition import Connection, Wiring
+
     name, found = _read(text, "wiring", _WIRING_GRAMMAR)
     modules: list[tuple[str, Automaton]] = []
     for lineno, (inst, rel) in found["module"]:

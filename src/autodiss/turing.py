@@ -314,33 +314,38 @@ def make_machine(
     halting: Iterable[str] = (),
     rules: Iterable[tuple[str, str, str, str, str]] = (),
 ) -> TuringMachine:
-    """Validate a rule table.  Rules are (state, read, state', write, move)."""
-    alphabet = _ordered_unique(tape_alphabet, "tape alphabet")
+    """Validate a rule table.  Rules are (state, read, state', write, move).
+
+    Raises :class:`ValidationError` on the first bad entry in argument
+    order, with ``entry`` naming it as :func:`validate` does."""
+    alphabet = _ordered_unique(tape_alphabet, "tape alphabet", "tape_alphabet")
     symbol_set = set(alphabet)
     if blank not in symbol_set:
-        raise UnknownSymbol(blank, "blank")
-    states = _ordered_unique(control_states, "control states")
+        raise UnknownSymbol(blank, "blank", entry=("blank", 0))
+    states = _ordered_unique(control_states, "control states", "control_states")
     state_set = set(states)
     if initial not in state_set:
-        raise UnknownState(initial, "initial")
-    halting_set = frozenset(halting)
-    for q in halting_set:
+        raise UnknownState(initial, "initial", entry=("initial", 0))
+    halting = list(halting)
+    for i, q in enumerate(halting):  # in order, so the state named is the first bad one
         if q not in state_set:
-            raise UnknownState(q, "halting")
+            raise UnknownState(q, "halting", entry=("halting", i))
+    halting_set = frozenset(halting)
     table: dict[tuple[str, str], tuple[str, str, str]] = {}
-    for q, s, q2, w, move in rules:
+    for i, (q, s, q2, w, move) in enumerate(rules):
+        entry = ("rules", i)
         for state in (q, q2):
             if state not in state_set:
-                raise UnknownState(state, "rule")
+                raise UnknownState(state, "rule", entry)
         for sym in (s, w):
             if sym not in symbol_set:
-                raise UnknownSymbol(sym, "rule")
+                raise UnknownSymbol(sym, "rule", entry)
         if move not in MOVES:
-            raise ValidationError(f"bad move {move!r}, want L, R or N")
+            raise ValidationError(f"bad move {move!r}, want L, R or N", entry)
         if q in halting_set:
-            raise ValidationError(f"halting state {q!r} has a rule")
+            raise ValidationError(f"halting state {q!r} has a rule", entry)
         if (q, s) in table and table[(q, s)] != (q2, w, move):
-            raise Nondeterministic(q, s)
+            raise Nondeterministic(q, s, entry)
         table[(q, s)] = (q2, w, move)
     return TuringMachine(
         name=name,

@@ -297,8 +297,81 @@ def test_wire_names_the_first_bad_output_under_any_hash_seed(tmp_path, pairs, me
     assert [(run.returncode, run.stderr) for run in runs] == [(1, f"error: {message}\n")] * 2
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    proc = _fresh_interpreter("import autodiss.cli, sys; assert 'numpy' not in sys.modules")
+def test_tm_rule_error_names_its_line(capsys, tmp_path):
+    machine = tmp_path / "m.tm"
+    machine.write_text("tm m\nblank _\ntape _ 1\nstates a h\ninitial a\nhalting h\n"
+                       "rule a _ zz 1 R\n")
+    assert run_cli(capsys, "tm", "run", str(machine)) == (
+        2, "", "error: line 7: state 'zz' is not declared (rule)\n")
+
+
+def test_tm_names_the_first_bad_halting_state_under_any_hash_seed(tmp_path):
+    """The halting states are checked in file order, not set order."""
+    machine = tmp_path / "m.tm"
+    machine.write_text("tm m\nblank _\ntape _ 1\nstates a h\ninitial a\nhalting zz yy xx ww\n")
+    probe = f"import sys; from autodiss.cli import main; sys.exit(main(['tm', 'run', {str(machine)!r}]))"
+    runs = [_fresh_interpreter(probe, PYTHONHASHSEED=seed) for seed in ("1", "5")]
+    assert [(run.returncode, run.stderr) for run in runs] == [
+        (2, "error: line 6: state 'zz' is not declared (halting)\n")] * 2
+
+
+CLI_MODULES = {"autodiss", "autodiss.errors", "autodiss.cli", "autodiss.core"}
+LOADER = CLI_MODULES | {"autodiss.dissipation", "autodiss.fileformat"}  # what reads the files
+
+
+def _command(*argv):
+    return f"from autodiss.cli import main; assert main({list(argv)!r}) == 0"
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("import autodiss", {"autodiss", "autodiss.errors"}),
+    ("import autodiss.cli", CLI_MODULES),
+    (_command("analyze", LOSSY), LOADER),
+    (_command("product", TFF, TFF), LOADER),
+    (_command("reach", TFF), LOADER | {"autodiss.composition"}),
+    (_command("test", LOSSY), LOADER | {"autodiss.conformance"}),
+    (_command("tm", "run", BB2), LOADER | {"autodiss.turing"}),
+], ids=["import", "import-cli", "analyze", "product", "reach", "test", "tm-run"])
+def test_each_command_loads_only_the_modules_it_runs(statement, loaded):
+    """A fresh interpreter imports a submodule only for a command that
+    calls it, and none of them loads numpy."""
+    proc = _fresh_interpreter(f"""if True:
+        import contextlib, io, json, sys
+        with contextlib.redirect_stdout(io.StringIO()):
+            {statement}
+        print(json.dumps([[m for m in sys.modules if m.partition(".")[0] == "autodiss"],
+                          "numpy" in sys.modules]))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    modules, numpy = json.loads(proc.stdout)
+    assert (set(modules), numpy) == (loaded, False)
+
+
+SUBMODULES = ("core", "dissipation", "composition", "conformance", "turing", "fileformat", "dot",
+              "errors")
+
+
+def test_the_lazy_package_keeps_its_public_surface():
+    """Every public name is its defining module's object, by any route,
+    and each submodule resolves from a bare ``import autodiss``."""
+    star = {}
+    exec("from autodiss import *", star)
+    for name in autodiss.__all__:
+        obj = getattr(autodiss, name)
+        assert star[name] is obj, name
+        if name in SUBMODULES:
+            assert obj is sys.modules[f"autodiss.{name}"]
+            continue
+        module = sys.modules[f"autodiss.{autodiss._MODULE_OF[name]}"]
+        assert obj is getattr(module, name), name
+        assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+    assert set(autodiss.__all__) <= set(dir(autodiss))
+    assert not hasattr(autodiss, "no_such_name")
+    proc = _fresh_interpreter(f"""if True:
+        import sys, autodiss
+        for name in {SUBMODULES!r}:
+            assert getattr(autodiss, name) is sys.modules["autodiss." + name], name
+    """)
     assert proc.returncode == 0, proc.stderr
 
 

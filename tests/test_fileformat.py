@@ -282,6 +282,33 @@ def test_machine_parse_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
+MACHINE = "tm x\nblank 0\ntape 0 1\nstates a h\ninitial a\nhalting h\nrule a 0 a 1 R\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # every rule make_machine checks, at the line of the entry it rejects
+        (MACHINE + "tape 1", "line 8: identifier '1' declared twice (tape alphabet)"),
+        (MACHINE.replace("blank 0", "blank _"), "line 2: symbol '_' is not declared (blank)"),
+        (MACHINE + "states b a", "line 8: identifier 'a' declared twice (control states)"),
+        (MACHINE.replace("initial a", "initial z"), "line 5: state 'z' is not declared (initial)"),
+        (MACHINE + "halting a zz yy", "line 8: state 'zz' is not declared (halting)"),
+        (MACHINE + "rule a 1 zz 1 R", "line 8: state 'zz' is not declared (rule)"),
+        (MACHINE + "rule a 1 a 2 R", "line 8: symbol '2' is not declared (rule)"),
+        (MACHINE + "rule a 1 a 1 X", "line 8: bad move 'X', want L, R or N"),
+        (MACHINE + "rule h 1 a 1 R", "line 8: halting state 'h' has a rule"),
+        (MACHINE + "rule a 0 h 1 R", "line 8: two transitions defined for ('a', '0')"),
+    ],
+)
+def test_machine_errors_name_their_line(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_machine(text)
+    assert str(exc.value) == message
+    assert isinstance(exc.value.__cause__, ValidationError)
+    assert str(exc.value.__cause__) == message.split(": ", 1)[1]
+
+
 def test_wiring_parse(tff_wiring):
     assert tff_wiring.name == "counter4_tff"
     assert [n for n, _ in tff_wiring.modules] == ["hi", "lo"]

@@ -1,6 +1,6 @@
 """Seeded fuzzing of the three text parsers: on any input, only an
-``AutomataError`` may escape, and an automaton file's refusal names one
-of its lines, but for a ``prob`` row whose sum is off 1.
+``AutomataError`` may escape, and an automaton or machine file's refusal
+is a ``ParseError`` that names one of its lines.
 
 Inputs are token soup in each grammar (directive keywords followed by
 words from a shared pool), mutations of the bundled asset files and of
@@ -91,13 +91,18 @@ def _mutant(rng, lines, pool):
     return "\n".join(lines)
 
 
-def _check_automaton_refusal(error, text):
+# The refusals of a whole file, which have no line of their own.
+NO_LINE = {"missing blank directive", "missing initial directive"}
+
+
+def _check_refusal(error, text):
     """``error`` names a line of ``text`` that holds a directive, or line
-    0 of a file with none."""
+    0 of a file with none or of one that lacks a required directive."""
     assert isinstance(error, ParseError), repr(error)
     directives = [line.split("#", 1)[0].strip() for line in text.splitlines()]
     if error.line_number == 0:
-        assert error.message == "empty file" and not any(directives), text
+        assert error.message in NO_LINE or (
+            error.message == "empty file" and not any(directives)), (error, text)
     else:
         assert 1 <= error.line_number <= len(directives), (error, text)
         assert directives[error.line_number - 1], (error, text)
@@ -141,8 +146,8 @@ def test_parsers_raise_only_automata_errors():
             try:
                 parse(text)
             except AutomataError as e:
-                if ext == ".aut":
-                    _check_automaton_refusal(e, text)
+                if ext != ".wiring":
+                    _check_refusal(e, text)
                 refusals.add(str(e))
                 continue
             parsed += 1

@@ -2,10 +2,11 @@
 module imports from ``autodiss.errors``, so that one ``except
 AutomataError`` catches whatever the package refuses.
 
-An ``ast`` scan of the package's modules, like ``test_imports``.  Two
+An ``ast`` scan of the package's modules, like ``test_imports``.  Three
 raises are required by a protocol and allowed by name: ``IndexError``
-from a ``Sequence``'s ``__getitem__`` and ``argparse.ArgumentTypeError``
-from an argparse ``type`` function.
+from a ``Sequence``'s ``__getitem__``, ``AttributeError`` from a module
+``__getattr__`` and ``argparse.ArgumentTypeError`` from an argparse
+``type`` function.
 """
 
 import ast
@@ -18,6 +19,7 @@ PACKAGE = pathlib.Path(autodiss.__file__).parent
 # (module file, enclosing function, raised class)
 ALLOWED = {
     ("turing.py", "Trajectory.__getitem__", "IndexError"),
+    ("__init__.py", "__getattr__", "AttributeError"),
     ("cli.py", "_non_negative_int", "argparse.ArgumentTypeError"),
 }
 
