@@ -13,6 +13,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import core
@@ -34,10 +35,51 @@ CLOCK_SYMBOL = "ck"
 
 @dataclass(frozen=True)
 class ProductAutomaton(Automaton):
-    """Cartesian product of module graphs, with module provenance."""
+    """Cartesian product of module graphs, with module provenance.
+
+    Its ``moves`` are the all-free product of ``components``, in
+    ``itertools.product`` order, as :func:`_tuple_graph` builds them
+    (:func:`reachable_subgraph` returns a plain :class:`Automaton`).  So
+    a tuple state's merged arrows are the tuples of its modules' arrows:
+    ``arrow_count`` is the product of the modules' counts, and when tuple
+    names sort as their parts do, ``successors`` is the mixed-radix
+    product of the modules' rows, with no product move read.
+    """
 
     module_names: tuple[str, ...] = ()
     components: tuple[Automaton, ...] = field(default=(), compare=False)
+
+    @cached_property
+    def _module_ordered(self) -> bool:
+        """Whether tuple names sort part by part: so when no module state
+        name holds a character at or below ``,`` (an empty name holds
+        none), as a part that is a prefix of another is then followed by
+        ``,`` or ``)``, below any character the longer part holds there."""
+        names = "".join(q for c in self.components for q in c.states)
+        return bool(self.components) and min(names, default="-") > ","
+
+    @cached_property
+    def _module_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per tuple state, its arrows' target indices: the modules'
+        ``successors`` rows folded in mixed radix, in module order."""
+        rows = [(0,)]
+        for c in self.components:
+            n = len(c.states)
+            rows = [tuple([t * n + t2 for t in pre for t2 in own])
+                    for pre in rows for own in c.successors]
+        return tuple(rows)
+
+    @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """As :attr:`Automaton.successors`; read off the modules when tuple
+        names sort part by part."""
+        return self._module_rows if self._module_ordered else Automaton.successors.func(self)
+
+    @property
+    def arrow_count(self) -> int:
+        if not self.components:
+            return super().arrow_count
+        return math.prod(c.arrow_count for c in self.components)
 
 
 def _tuple_state(parts: Sequence[str]) -> str:
@@ -161,26 +203,26 @@ def product_input_model(p: ProductAutomaton, models: Sequence[InputModel]) -> In
 
     The probability of a product arrow is the product of its component
     arrow probabilities, so choice information adds across components.
-    Raises :class:`InvalidDistribution` when a model is not one of its
-    component's.
+    As ``p``'s moves are the all-free product of its components (see
+    :class:`ProductAutomaton`), each tuple state's weights are the module
+    rows multiplied in module order; when tuple names sort part by part,
+    that is already ``p.successors`` order, else each row is put in it
+    by target.  Raises :class:`InvalidDistribution` when a model is not
+    one of its component's.
     """
     comps = p.components if isinstance(p, ProductAutomaton) else ()
     if not comps:
         raise ArityMismatch(f"{p.name!r} is not a product of modules")
     if len(models) != len(comps):
         raise ArityMismatch("one model per component required")
-    # Per tuple state of the components so far: the target index and the
-    # weight of each arrow, weights multiplied in component order; then
-    # each state's weights are put in the order of its ``successors``.
-    targets, weights = [(0,)], [(1.0,)]
+    weights = [(1.0,)]
     for c, m in zip(comps, models):
-        n = len(c.states)
-        targets = [[t * n + t2 for t in pre for t2 in own]
-                   for pre in targets for own in c.successors]
-        weights = [[w * w2 for w in pre for w2 in own]
+        weights = [tuple([w * w2 for w in pre for w2 in own])
                    for pre in weights for own in _weights(c, m)]
+    if p._module_ordered:
+        return InputModel(p, tuple(weights))
     return InputModel(p, tuple([tuple(map(dict(zip(ts, ws)).__getitem__, order))
-                                for ts, ws, order in zip(targets, weights, p.successors)]))
+                                for ts, ws, order in zip(p._module_rows, weights, p.successors)]))
 
 
 @dataclass(frozen=True)

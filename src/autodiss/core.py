@@ -96,6 +96,9 @@ class Automaton:
         inputs, states = self.input_alphabet, self.states
         grouped = {}
         for q, row in zip(states, self.moves):
+            if len(row) == 1:  # one move, one arrow: as in every row of a run's chain
+                grouped[q] = (Arrow(q, states[row[0][1]], (inputs[row[0][0]],)),)
+                continue
             labels: dict[str, list[str]] = {}
             for s, t in row:
                 labels.setdefault(states[t], []).append(inputs[s])

@@ -9,7 +9,9 @@ reachability, tour, equivalence and text-form paths build none."""
 
 import random
 import re
+from collections import Counter
 
+import composition_oracle
 import pytest
 from hypothesis import given, settings
 
@@ -34,7 +36,7 @@ from autodiss import (
 from autodiss import core
 from autodiss.errors import AutomataError, ValidationError
 from autodiss.fileformat import parse_automaton, write_automaton
-from test_composition import _fields, _module, _wiring
+from test_composition import _fields, _model, _module, _outcome, _wiring
 from test_tm_properties import machines
 
 
@@ -47,6 +49,7 @@ def check_as_validated(x, cls=Automaton, text_form=True):
     kind, got = _fields(x)
     # a product carries its module provenance after the graph's fields
     assert kind is cls and got[: len(want_fields)] == want_fields
+    assert x.arrow_count == want.arrow_count
     if text_form:
         assert parse_automaton(write_automaton(x))[0] == want
 
@@ -66,6 +69,43 @@ def test_products_and_their_reachable_parts_match_validate():
             check_as_validated(reachable_subgraph(prod))
         built += 1
     assert built > 300
+
+
+# Plain state names, then names whose tuples sort otherwise than their
+# parts: ``*`` and ``+`` sort below ``,``, and ``!`` and ``'`` below
+# ``)`` too, so ``(a+,b)`` precedes ``(a,b)`` and ``(a!)`` precedes
+# ``(a)``; the empty name is a prefix of every name and sorts as a part does.
+_ORDER_POOLS = (["0", "1", "q", "a"], ["a", "a+", "a*", "a!", "a'b", "b", ""])
+
+
+def test_product_views_read_off_modules_match_validate():
+    """A product's arrow count, ``successors`` and input model are read
+    off its modules, in module order only where tuple names sort part by
+    part; on both sides of that condition they equal what ``validate``
+    and the oracle build from the product's parts."""
+    rng = random.Random(53)
+    sides = Counter()
+    for _ in range(400):
+        mods = []
+        for i in range(rng.randint(1, 3)):
+            states = rng.sample(rng.choice(_ORDER_POOLS), rng.randint(2, 4))
+            inputs = [f"x{j}" for j in range(rng.randint(1, 4))]
+            mods.append(validate(
+                f"m{i}", inputs, ["o" + q for q in states], states, initial=states[0],
+                output_map={q: "o" + q for q in states},
+                transitions=[(q, s, rng.choice(states)) for q in states for s in inputs
+                             if rng.random() < 0.8],
+            ))
+        prod = product_many(mods)
+        models = [_model(rng, c) for c in mods]
+        sides[prod._module_ordered] += 1
+        assert (_outcome(product_input_model, prod, models)
+                == _outcome(composition_oracle.product_input_model, prod, models))
+        check_as_validated(prod, ProductAutomaton, text_form=False)
+    assert min(sides[True], sides[False]) >= 50, sides
+    blank = validate("e", ["x"], ["o"], [""], "", {"": "o"}, [("", "x", "")])
+    prod = product_many([blank, blank])  # no character in any state name
+    assert prod._module_ordered and prod.successors == ((0,),)
 
 
 def test_wirings_and_their_reachable_parts_match_validate():
@@ -123,6 +163,7 @@ def test_arrow_views_are_built_on_first_read_only(monkeypatch, tff, tff_wiring, 
     sub = reachable_subgraph(closed)
     assert (prod.arrow_count, bits, len(sub.states)) == (256, [4.0] * 16, 4)
     assert built == []
+    assert "successors" not in vars(prod)  # count and model are read off the modules
     # Tours, equivalence, reachable parts and the text form walk the rows.
     for g in (prod, closed):
         same = {s: s for s in g.input_alphabet}
