@@ -1,13 +1,16 @@
-"""Digest pins of ``product`` and ``tm linear`` on generated inputs.
+"""Digest pins of ``product``, ``wire`` and ``tm linear`` on generated inputs.
 
 ``golden/generated_digests.json`` holds, for each case below, the exit
 code and the sha256 of stdout and stderr of ``autodiss`` in text and
 ``--json`` form, and the sha256 of each file written by ``-o``.  The
 inputs come from the benchmark's generator ``perfbench/gen.py``:
 seeded pairs of 30-state random modules, each given sink states and a
-state that no arrow enters, and seeded sweeper machines of up to 2,000
-steps, one of them cut by its step budget so that it does not halt.
-Regenerate the fixture (``python tests/test_generated_digests.py``)
+state that no arrow enters; a pair whose state names hold ``+`` and
+``!``, so that tuple names do not sort part by part; clock-driven rings
+of 8, 10 and 12 T-flip-flops; ``gen.chain_wiring`` rings of random
+modules, one cut before a free module; and seeded sweeper machines of
+up to 2,000 steps, one of them cut by its step budget so that it does
+not halt.  Regenerate the fixture (``python tests/test_generated_digests.py``)
 only for a deliberate change of output.
 """
 
@@ -25,6 +28,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURE = os.path.join(ROOT, "tests", "golden", "generated_digests.json")
 
 PRODUCT_SEEDS = (1, 2, 3)
+RING_SIZES = (8, 10, 12)
+# (seed, module sizes (states, inputs), free modules) of gen.chain_wiring rings;
+# the seeds are ones whose closed systems reach 15 and 7 tuple states.
+CHAINS = ((8, ((3, 2), (4, 2), (3, 3)), {"m1"}), (35, ((4, 2), (3, 3), (4, 2), (2, 2)), set()))
 # (seed, width, sweeps, step budget): steps are width + sweeps * (width + 1)
 SWEEPS = ((1, 3, 2, 10_000), (2, 12, 9, 10_000), (3, 40, 47, 10_000), (4, 20, 10, 100))
 
@@ -40,6 +47,24 @@ def _module(gen, rng, name):
         spec["prob"] = {k: p for k, p in spec["prob"].items() if k[0] != q}
     spec["trans"] = {k: (states[0] if t == hidden else t) for k, t in spec["trans"].items()}
     return gen.aut_text(name, spec)
+
+
+def _renamed(spec, mark):
+    """``spec`` with each state ``q`` renamed ``q<mark>``, or ``<mark>q`` for
+    every third one, so that tuple names do not sort as their parts do."""
+    ren = {q: f"{mark}{q}" if i % 3 == 0 else f"{q}{mark}" for i, q in enumerate(spec["states"])}
+    return dict(spec, states=[ren[q] for q in spec["states"]], initial=ren[spec["initial"]],
+                output={ren[q]: r for q, r in spec["output"].items()},
+                trans={(ren[q], s): ren[t] for (q, s), t in spec["trans"].items()},
+                prob={(ren[q], s): p for (q, s), p in spec["prob"].items()})
+
+
+def _ring(n: int) -> str:
+    """A clock-driven ring of ``n`` T-flip-flops, each toggled by its
+    predecessor's bit, started with one bit set."""
+    lines = [f"wiring ring{n}"] + [f"module m{i} tff.aut" for i in range(n)]
+    lines += [f"connect m{i} m{(i + 1) % n} Q0=T0 Q1=T1" for i in range(n)]
+    return "\n".join(lines + ["initial m0 1"]) + "\n"
 
 
 def _inputs(gen, tmp_dir) -> list[tuple[str, list[str]]]:
@@ -58,6 +83,28 @@ def _inputs(gen, tmp_dir) -> list[tuple[str, list[str]]]:
         b = write(f"b{seed}.aut", _module(gen, rng, f"b{seed}"))
         cases += [(f"product/{seed}", ["product", a, b]),
                   (f"product/{seed}/o", ["product", a, b, "-o", out_file])]
+    rng = random.Random(4)
+    a, b = (write(f"{name}.aut", gen.aut_text(name, _renamed(gen.random_module(rng, 6, 3), mark)))
+            for name, mark in (("plus", "+"), ("bang", "!")))
+    cases += [("product/unordered", ["product", a, b]),
+              ("product/unordered/o", ["product", a, b, "-o", out_file])]
+    with open(os.path.join(ROOT, "src", "autodiss", "assets", "tff.aut"), encoding="utf-8") as fh:
+        write("tff.aut", fh.read())
+    for n in RING_SIZES:
+        ring = write(f"ring{n}.wiring", _ring(n))
+        cases += [(f"wire/ring{n}", ["wire", ring]),
+                  (f"wire/ring{n}/o", ["wire", ring, "-o", out_file])]
+    for seed, sizes, free in CHAINS:
+        rng = random.Random(seed)
+        mods = [(f"m{i}", gen.random_module(rng, nq, ns)) for i, (nq, ns) in enumerate(sizes)]
+        lines, _ = gen.chain_wiring(rng, mods, free)
+        files = [write(f"chain{seed}_{n}.aut", gen.aut_text(f"chain{seed}{n}", spec))
+                 for n, spec in mods]
+        chain = write(f"chain{seed}.wiring", "\n".join(
+            [f"wiring chain{seed}"] + [f"module {n} {os.path.basename(f)}"
+                                       for (n, _), f in zip(mods, files)] + lines) + "\n")
+        cases += [(f"wire/chain{seed}", ["wire", chain]),
+                  (f"wire/chain{seed}/o", ["wire", chain, "-o", out_file])]
     for seed, width, sweeps, budget in SWEEPS:
         tm = write(f"sw{seed}.tm", gen.sweeper_text(random.Random(seed), f"sw{seed}",
                                                       width, sweeps))
