@@ -33,21 +33,40 @@ from .errors import (
 CLOCK_SYMBOL = "ck"
 
 
+class _FoldedMoves:
+    """A product's ``moves``: the rows given, or else, folded on first read
+    and then stored, the all-free product of its ``components``."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return None  # the field's default: fold on first read
+        if obj.__dict__["moves"] is None:
+            obj.__dict__["moves"] = _tuple_transitions(obj.components, [None] * len(obj.components))
+        return obj.__dict__["moves"]
+
+    def __set__(self, obj, rows):
+        obj.__dict__["moves"] = rows
+
+
 @dataclass(frozen=True)
 class ProductAutomaton(Automaton):
     """Cartesian product of module graphs, with module provenance.
 
     Its ``moves`` are the all-free product of ``components``, in
-    ``itertools.product`` order, as :func:`_tuple_graph` builds them
-    (:func:`reachable_subgraph` returns a plain :class:`Automaton`).  So
-    a tuple state's merged arrows are the tuples of its modules' arrows:
-    ``arrow_count`` is the product of the modules' counts, and when tuple
-    names sort as their parts do, ``successors`` is the mixed-radix
-    product of the modules' rows, with no product move read.
+    ``itertools.product`` order, which :func:`_tuple_transitions` folds on
+    first read unless given (:func:`reachable_subgraph` returns a plain
+    :class:`Automaton`).  So a tuple state's merged arrows are the tuples
+    of its modules' arrows: ``arrow_count`` and ``successors`` are read
+    off the modules, with no product move read.
     """
 
+    moves: tuple[tuple[tuple[int, int], ...], ...] = _FoldedMoves()
     module_names: tuple[str, ...] = ()
     components: tuple[Automaton, ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        if self.__dict__["moves"] is None and not self.components:
+            raise ArityMismatch("a product needs its moves or components to fold them from")
 
     @cached_property
     def _module_ordered(self) -> bool:
@@ -71,9 +90,12 @@ class ProductAutomaton(Automaton):
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
-        """As :attr:`Automaton.successors`; read off the modules when tuple
-        names sort part by part."""
-        return self._module_rows if self._module_ordered else Automaton.successors.func(self)
+        """As :attr:`Automaton.successors`: the modules' rows, whose targets
+        are distinct, sorted by name unless tuple names sort part by part."""
+        if not self.components:
+            return Automaton.successors.func(self)
+        rows, name = self._module_rows, self.states.__getitem__
+        return rows if self._module_ordered else tuple([tuple(sorted(r, key=name)) for r in rows])
 
     @property
     def arrow_count(self) -> int:
@@ -104,12 +126,12 @@ def _tuple_graph(cls, name: str, comps: Sequence[Automaton], reads, initials, **
     """The one constructor of products and wirings: a ``cls`` on tuples of
     ``comps``'s states, module k reading as ``reads[k]`` says (see
     :func:`_tuple_transitions`), started at the tuple of ``initials`` unless
-    one is ``None``.  Raises :class:`ArityMismatch` with no module; then,
-    before building anything, :class:`SizeLimit` when tuple states, free
-    tuple symbols or transitions exceed ``core.MONOLITHIC_STATE_LIMIT``;
-    then the three :func:`validate` checks that tuple names can fail, as
-    names holding ``,()|`` can join two tuples to one.  Past these, every
-    check holds by construction."""
+    one is ``None``; a product folds its rows on first read.  Raises
+    :class:`ArityMismatch` with no module; then, before building anything,
+    :class:`SizeLimit` when tuple states, free tuple symbols or transitions
+    exceed ``core.MONOLITHIC_STATE_LIMIT``; then the three :func:`validate`
+    checks that tuple names can fail, as names holding ``,()|`` can join
+    two tuples to one.  Past these, every check holds by construction."""
     if not comps:
         raise ArityMismatch("need at least one module")
     free = [c.input_alphabet for c, read in zip(comps, reads) if read is None]
@@ -131,8 +153,9 @@ def _tuple_graph(cls, name: str, comps: Sequence[Automaton], reads, initials, **
     output_map = dict(zip(states, map(_tuple_symbol, outputs)))
     core._check_injective(states, output_map)
     initial = None if None in initials else _tuple_state(initials)
+    moves = None if cls is ProductAutomaton else _tuple_transitions(comps, reads)
     return cls(name, inputs, tuple(sorted(set(output_map.values()))), states, initial,
-               output_map, _tuple_transitions(comps, reads), **fields)
+               output_map, moves, **fields)
 
 
 def _tuple_transitions(comps: Sequence[Automaton], reads):
@@ -185,7 +208,8 @@ def product_many(modules: Sequence[Automaton], name: Optional[str] = None) -> Pr
     """N-ary Cartesian product; nested products are flattened, so the
     binary form is associative up to tuple flattening.
 
-    Costs O(product transitions); raises as :func:`_tuple_graph` does.
+    Costs O(tuple states + tuple symbols), and O(product transitions) on
+    the first read of its ``moves``; raises as :func:`_tuple_graph` does.
     """
     comps = _flatten(modules)
     return _tuple_graph(ProductAutomaton, name or "*".join(c.name for c in comps), comps,

@@ -5,8 +5,14 @@ orders, what ``validate`` builds from the same parts, and all but
 Bennett graphs must survive a round trip through the text format, which
 validates them again; writing a Bennett graph is refused.  Their arrow
 views are built on first read only, once, and the product, wiring,
-reachability, tour, equivalence and text-form paths build none."""
+reachability, tour, equivalence and text-form paths build none.  A
+product folds its tuple moves on first read too, once: one that is
+only counted and measured builds no transition table, and as a
+dataclass it behaves as one given its rows."""
 
+import copy
+import dataclasses
+import pickle
 import random
 import re
 from collections import Counter
@@ -19,6 +25,7 @@ from autodiss import (
     Arrow,
     Automaton,
     Connection,
+    InputModel,
     ProductAutomaton,
     Wiring,
     bennett_simulate,
@@ -33,8 +40,8 @@ from autodiss import (
     validate,
     wire,
 )
-from autodiss import core
-from autodiss.errors import AutomataError, ValidationError
+from autodiss import composition, core
+from autodiss.errors import ArityMismatch, AutomataError, ValidationError
 from autodiss.fileformat import parse_automaton, write_automaton
 from test_composition import _fields, _model, _module, _outcome, _wiring
 from test_tm_properties import machines
@@ -151,17 +158,52 @@ def _count_arrows(monkeypatch):
     return built
 
 
+def _count_folds(monkeypatch):
+    """The module list of every tuple-move fold from now on."""
+    folds, fold = [], composition._tuple_transitions
+    monkeypatch.setattr(composition, "_tuple_transitions",
+                        lambda comps, reads: folds.append(comps) or fold(comps, reads))
+    return folds
+
+
+def _unordered():
+    """A sinkless module whose state names hold ``+`` and ``!``, which
+    sort below ``,``: its tuple names do not sort as their parts do."""
+    states = ["a+", "a", "b!"]
+    return validate("u", ["x", "y"], ["o0", "o1", "o2"], states, "a",
+                    dict(zip(states, ["o0", "o1", "o2"])),
+                    [("a+", "x", "a"), ("a+", "y", "b!"), ("a", "x", "a+"),
+                     ("b!", "x", "b!"), ("b!", "y", "a")])
+
+
 def test_arrow_views_are_built_on_first_read_only(monkeypatch, tff, tff_wiring, bb2):
-    built = _count_arrows(monkeypatch)
+    built, folds = _count_arrows(monkeypatch), _count_folds(monkeypatch)
     auto, model = tff
-    # Products, their input models and choice bits, wirings and reachable
-    # parts read the integer views only.
+    # Products, their input models, choice bits and arrow counts read the
+    # modules only and fold no tuple move, also where tuple names do not
+    # sort as their parts do.
     prod = product_many([auto] * 4)
     pm = product_input_model(prod, [model] * 4)
     bits = [choice_information(prod, pm, q) for q in prod.states]
+    u = _unordered()
+    odd = product_many([u, auto])
+    om = product_input_model(odd, [InputModel.uniform(u), model])
+    odd_bits = [choice_information(odd, om, q) for q in odd.states]
+    assert not odd._module_ordered
+    assert (prod.arrow_count, bits) == (256, [4.0] * 16)
+    assert (odd.arrow_count, odd_bits) == (20, [2.0, 2.0, 1.0, 1.0, 2.0, 2.0])
+    assert folds == []
+    # The first read of a product's moves folds them, once.
+    for p in (prod, odd):
+        rows = p.moves
+        assert p.moves is rows and len(folds) == 1
+        folds.clear()
+    check_as_validated(odd, ProductAutomaton, text_form=False)
+    built.clear()
+    # Wirings and reachable parts read the integer views only.
     closed = wire(tff_wiring).automaton
     sub = reachable_subgraph(closed)
-    assert (prod.arrow_count, bits, len(sub.states)) == (256, [4.0] * 16, 4)
+    assert len(sub.states) == 4
     assert built == []
     assert "successors" not in vars(prod)  # count and model are read off the modules
     # Tours, equivalence, reachable parts and the text form walk the rows.
@@ -183,6 +225,42 @@ def test_arrow_views_are_built_on_first_read_only(monkeypatch, tff, tff_wiring, 
         built.clear()
         assert all(again is view for again, view in zip((g.arrows, g.by_source, g.by_pair), views))
         assert built == []
+
+
+def test_a_product_folding_its_moves_is_the_same_dataclass(monkeypatch, tff):
+    """Before and after its moves are first read, a product compares,
+    prints, pickles, copies and is replaced as one given its rows; rows
+    given are kept as given, and a product with neither rows nor modules
+    to fold them from is refused."""
+    mods = [_unordered(), tff[0]]
+    names = [f.name for f in dataclasses.fields(ProductAutomaton)]
+    assert names == [f.name for f in dataclasses.fields(Automaton)] + ["module_names",
+                                                                        "components"]
+    kept = ProductAutomaton(*[getattr(product_many(mods), name) for name in names])
+    folds = _count_folds(monkeypatch)
+    rows = kept.moves
+    bare = tuple(() for _ in kept.states)
+    assert dataclasses.replace(kept, moves=bare).moves is bare and folds == []
+    ops = {
+        "eq": lambda p: (p == kept, kept == p, p != product_many(mods[::-1])),
+        "repr": repr,
+        "pickle": lambda p: _fields(pickle.loads(pickle.dumps(p))),
+        "copy": lambda p: _fields(copy.copy(p)),
+        "replace": lambda p: _fields(dataclasses.replace(p)),
+    }
+    want = {op: f(kept) for op, f in ops.items()}
+    assert want["eq"] == (True, True, True) and "moves=((" in want["repr"]
+    for read in (False, True):
+        for op, f in ops.items():
+            p = product_many(mods)
+            if read:
+                assert p.moves == rows
+            assert f(p) == want[op], (op, read)
+            assert p.moves == rows and p.components == kept.components
+    with pytest.raises(ArityMismatch, match="needs its moves or components"):
+        ProductAutomaton(*[getattr(kept, name) for name in names[:6]])
+    with pytest.raises(ArityMismatch, match="needs its moves or components"):
+        dataclasses.replace(kept, moves=None, components=())
 
 
 def test_reachable_part_of_a_ring_builds_no_arrow(monkeypatch, tff):
