@@ -1,4 +1,4 @@
-"""Digest pins of ``product``, ``wire`` and ``tm linear`` on generated inputs.
+"""Digest pins of ``product``, ``wire`` and ``tm`` commands on generated inputs.
 
 ``golden/generated_digests.json`` holds, for each case below, the exit
 code and the sha256 of stdout and stderr of ``autodiss`` in text and
@@ -10,7 +10,12 @@ state that no arrow enters; a pair whose state names hold ``+`` and
 of 8, 10 and 12 T-flip-flops; ``gen.chain_wiring`` rings of random
 modules, one cut before a free module; and seeded sweeper machines of
 up to 2,000 steps, one of them cut by its step budget so that it does
-not halt.  Regenerate the fixture (``python tests/test_generated_digests.py``)
+not halt.  On three sweepers of about 150, 800 and 1,500 steps it also
+pins ``tm run``, ``tm dissip`` and ``tm bennett``, and, in its
+``library`` section, the sha256 of the state names and of the arrows of
+``global_graph`` on the run and on the Bennett simulation; the CLI never
+builds the Bennett chain, so only these pins cover its names.
+Regenerate the fixture (``python tests/test_generated_digests.py``)
 only for a deliberate change of output.
 """
 
@@ -34,6 +39,8 @@ RING_SIZES = (8, 10, 12)
 CHAINS = ((8, ((3, 2), (4, 2), (3, 3)), {"m1"}), (35, ((4, 2), (3, 3), (4, 2), (2, 2)), set()))
 # (seed, width, sweeps, step budget): steps are width + sweeps * (width + 1)
 SWEEPS = ((1, 3, 2, 10_000), (2, 12, 9, 10_000), (3, 40, 47, 10_000), (4, 20, 10, 100))
+# (seed, width, sweeps) of the sweepers of 155, 799 and 1,516 steps pinned by every tm command
+TM_SWEEPS = ((5, 11, 12), (6, 24, 31), (7, 36, 40))
 
 
 def _module(gen, rng, name):
@@ -110,11 +117,39 @@ def _inputs(gen, tmp_dir) -> list[tuple[str, list[str]]]:
                                                       width, sweeps))
         argv = ["tm", "linear", tm, "--max-steps", str(budget)]
         cases += [(f"linear/{seed}", argv), (f"linear/{seed}/o", argv + ["-o", out_file])]
+    for seed, width, sweeps in TM_SWEEPS:
+        tm = write(f"sw{seed}.tm", _sweeper(gen, seed, width, sweeps))
+        for command in ("run", "dissip", "bennett", "linear"):
+            cases.append((f"tm-{command}/{seed}", ["tm", command, tm, "--max-steps", "10000"]))
+        cases.append((f"tm-linear/{seed}/o", cases[-1][1] + ["-o", out_file]))
     return cases
+
+
+def _sweeper(gen, seed, width, sweeps) -> str:
+    return gen.sweeper_text(random.Random(seed), f"sw{seed}", width, sweeps)
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _graph_digests(graph) -> dict:
+    arrows = "".join(f"{a.source}\t{a.target}\t{','.join(a.labels)}\n" for a in graph.arrows)
+    return {"states": _sha("".join(f"{q}\n" for q in graph.states)), "arrows": _sha(arrows)}
+
+
+def library(gen) -> dict:
+    """Digests of ``global_graph`` on the run and on the Bennett
+    simulation of each ``TM_SWEEPS`` machine."""
+    from autodiss import fileformat, turing
+
+    pins = {}
+    for seed, width, sweeps in TM_SWEEPS:
+        tm = fileformat.parse_machine(_sweeper(gen, seed, width, sweeps))
+        pins[f"run/{seed}"] = _graph_digests(turing.global_graph(turing.tm_run(tm)))
+        pins[f"bennett/{seed}"] = _graph_digests(
+            turing.global_graph(turing.bennett_simulate(tm)))
+    return pins
 
 
 def collect(gen, tmp_dir) -> dict:
@@ -132,7 +167,7 @@ def collect(gen, tmp_dir) -> dict:
             if os.path.exists(out_file):
                 with open(out_file, encoding="utf-8") as fh:
                     written[f"{key}/{label}"] = _sha(fh.read())
-    return {"cli": cli, "written": written}
+    return {"cli": cli, "written": written, "library": library(gen)}
 
 
 def test_generated_outputs_match_digests(tmp_path, monkeypatch):
@@ -143,7 +178,7 @@ def test_generated_outputs_match_digests(tmp_path, monkeypatch):
     with open(FIXTURE, encoding="utf-8") as fh:
         golden = json.load(fh)
     got = collect(gen, str(tmp_path))
-    for section in ("cli", "written"):
+    for section in ("cli", "written", "library"):
         assert sorted(got[section]) == sorted(golden[section]), section
         for key, want in golden[section].items():
             assert got[section][key] == want, f"{section} {key}"
