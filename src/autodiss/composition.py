@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -67,6 +67,15 @@ class ProductAutomaton(Automaton):
     def __post_init__(self):
         if self.__dict__["moves"] is None and not self.components:
             raise ArityMismatch("a product needs its moves or components to fold them from")
+
+    def __eq__(self, other):
+        """The dataclass's ``==``, but not folding unfolded moves of equal components."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        skip = self.__dict__["moves"] is None is other.__dict__["moves"] and (
+            self.components == other.components)
+        return all(getattr(self, f.name) == getattr(other, f.name) for f in fields(self)
+                   if f.compare and not (skip and f.name == "moves"))
 
     @cached_property
     def _module_ordered(self) -> bool:

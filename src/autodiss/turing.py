@@ -28,6 +28,7 @@ from .errors import (
     NotHalted,
     NotHalting,
     RepeatedConfiguration,
+    SizeLimit,
     TapeOverflow,
     UnknownState,
     UnknownSymbol,
@@ -37,6 +38,8 @@ from .errors import (
 MOVES = {"L": -1, "R": 1, "N": 0}
 
 DEFAULT_TAPE_CAP = 4096
+# Most characters the state names of a Bennett chain may hold in total.
+BENNETT_CHAR_LIMIT = 2**30
 
 
 @dataclass(frozen=True)
@@ -64,17 +67,43 @@ class Configuration:
         return dict(self.cells).get(self.head, blank)
 
     def render(self, blank: str) -> str:
-        """Canonical one-line form; distinct configurations render apart."""
-        return _config_name(self.control, self.head, *_trimmed_window(dict(self.cells), blank))
+        """``control|head|lo:window`` from cell ``lo``, or ``control|head|`` on a
+        blank tape; distinct configurations render apart."""
+        lo, window = _trimmed_window(dict(self.cells), blank)
+        return f"{self.control}|{self.head}|" + (f"{lo}:{','.join(window)}" if window else "")
 
 
-def _config_name(control: str, head: int, lo: int, window: Sequence[str]) -> str:
-    """``control|head|lo:window`` from cell ``lo``, or ``control|head|`` if empty."""
-    return f"{control}|{head}|{lo}:" + ",".join(window) if window else f"{control}|{head}|"
+class _TupleView(Sequence):
+    """A read-only sequence that indexes, compares and hashes as the tuple of its
+    items; a subclass gives ``__len__`` and ``_items(picks)``, those at ``range`` picks."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._items(range(len(self))[i]))
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"{type(self).__name__} index out of range")
+        i %= len(self)
+        return self._items(range(i, i + 1))[0]
+
+    def __iter__(self):
+        return iter(self._items(range(len(self))))
+
+    def __eq__(self, other):
+        if not isinstance(other, (type(self), tuple)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reversed__(self):
+        return reversed(tuple(self))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class Trajectory(Sequence[Configuration]):
+class Trajectory(_TupleView):
     """The configurations of a run, rebuilt on demand from its step log.
 
     ``log`` holds the (control state, read symbol) pair of every rule
@@ -85,7 +114,6 @@ class Trajectory(Sequence[Configuration]):
     index replays at most ⌈√n⌉ steps from the checkpoint below it, a slice
     from below its smallest index to its largest.  Iteration costs O(tape
     window) per configuration; :meth:`renders` names them all in one pass.
-    Equality and hashing are those of the tuple of configurations.
     """
 
     tm: TuringMachine = field(repr=False)
@@ -97,18 +125,12 @@ class Trajectory(Sequence[Configuration]):
     def __len__(self) -> int:
         return len(self.log) + 1
 
-    def __getitem__(self, i):
-        n = len(self.log)
-        if isinstance(i, slice):
-            picks = range(n + 1)[i]
-            lo, hi = sorted((picks[0], picks[-1])) if picks else (0, -1)
-            span = self._span(lo, hi) if picks else ()
-            return tuple(span[j - lo] for j in picks)
-        if i < 0:
-            i += n + 1
-        if not 0 <= i <= n:
-            raise IndexError("configuration index out of range")
-        return self.start if i == 0 else self.end if i == n else self._span(i, i)[0]
+    def _items(self, picks: range) -> Sequence[Configuration]:
+        if len(picks) == 1 and picks[0] in (0, len(self.log)):
+            return (self.start if picks[0] == 0 else self.end,)
+        lo, hi = sorted((picks[0], picks[-1])) if picks else (0, -1)
+        span = self._span(lo, hi) if picks else ()
+        return [span[j - lo] for j in picks]
 
     def _span(self, lo: int, hi: int) -> list[Configuration]:
         """Configurations ``lo`` to ``hi``, from the checkpoint at or below ``lo``."""
@@ -146,19 +168,9 @@ class Trajectory(Sequence[Configuration]):
                     while hi >= lo and tape[hi - base] == blank:
                         hi -= 1
             head += MOVES[move]
-            names.append(_config_name(control, head, lo, tape[lo - base: hi - base + 1]))
+            names.append(f"{control}|{head}|{lo}:{','.join(tape[lo - base: hi - base + 1])}"
+                         if lo <= hi else f"{control}|{head}|")
         return names
-
-    def __eq__(self, other):
-        if not isinstance(other, (Trajectory, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __reversed__(self):
-        return reversed(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -194,14 +206,13 @@ class GlobalConfig:
     """One snapshot of the augmented machine: phase, working tape state,
     recorded history, and output tape.
 
-    A snapshot stores its phase and the lengths of its history and output
-    prefixes over the forward run shared by all snapshots of a
-    simulation, so it costs O(1) to build.  ``history`` and ``output``
-    slice that run's log and result.  ``config`` is the forward
-    configuration after ``history_length`` steps: O(1) when the history is
-    empty or full, as at the first and last snapshots and throughout the
-    copy phase, and in between a replay of at most ⌈√n⌉ of the n steps
-    from the run's checkpoints (see :class:`Trajectory`).
+    A snapshot is built in O(1) when its :class:`Snapshots` view is
+    indexed: it stores its phase and the lengths of its history and output
+    prefixes over the forward run.  ``history`` and ``output`` slice that
+    run's log and result.  ``config`` is the forward configuration after
+    ``history_length`` steps: O(1) when the history is empty or full, as
+    throughout the copy phase, and in between a replay of at most ⌈√n⌉ of
+    the n steps from the run's checkpoints (see :class:`Trajectory`).
     """
 
     phase: str  # compute | copy | uncompute
@@ -240,6 +251,25 @@ class GlobalConfig:
         return hash(self._key())
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class Snapshots(_TupleView):
+    """The 2n + r + 1 snapshots of a Bennett simulation whose forward ``run``
+    takes n steps to r result cells, each built when indexed: ``("compute",
+    i, 0)`` for i ≤ n, ``("copy", n, i - n)`` for i ≤ n + r, then
+    ``("uncompute", 2n + r - i, r)``; they compare and hash as a tuple."""
+
+    run: RunTrace
+
+    def __len__(self) -> int:
+        return 2 * self.run.steps + self.run.result_length + 1
+
+    def _items(self, picks: range) -> list[GlobalConfig]:
+        n, r, run = self.run.steps, self.run.result_length, self.run
+        return [GlobalConfig("compute", i, 0, run) if i <= n else
+                GlobalConfig("copy", n, i - n, run) if i <= n + r else
+                GlobalConfig("uncompute", 2 * n + r - i, r, run) for i in picks]
+
+
 @dataclass(frozen=True)
 class BennettTrace:
     """Record of the compute / copy output / uncompute simulation.
@@ -250,18 +280,18 @@ class BennettTrace:
 
     The simulation takes O(steps) rule applications and O(steps + tape
     window) memory: the forward :class:`RunTrace`, whose log is the
-    history record of n pairs, is stored once and shared by all
-    2n + r + 1 snapshots.  A snapshot's ``config`` costs O(1) at both ends
-    of the history and a replay of at most ⌈√n⌉ steps in between.  Only
-    :func:`global_graph` spells each snapshot's history prefix out, so
-    the names of ``global_graph(trace)`` hold O(n^2) characters in total.
+    history record of n pairs, is stored once, and ``global_configs`` is a
+    :class:`Snapshots` view over it that builds each of the 2n + r + 1
+    snapshots on index.  Only :func:`global_graph` spells each snapshot's
+    history prefix out, so the names of ``global_graph(trace)`` hold
+    O(n^2) characters in total.
     """
 
     machine: str
     input_tape: tuple[str, ...]
     forward: RunTrace
     history_records: tuple[tuple[str, str], ...]
-    global_configs: tuple[GlobalConfig, ...]
+    global_configs: Snapshots
     phase_boundaries: tuple[int, int, int]
     output_tape: tuple[str, ...]
     total_steps: int
@@ -562,13 +592,13 @@ def modular_tm_dissipation(
 
 
 def _linear_automaton(name: str, node_ids: Sequence[str]) -> Automaton:
-    if len(set(node_ids)) != len(node_ids):
-        raise RepeatedConfiguration("trajectory revisits a configuration")
     n = len(node_ids)
     outputs = tuple(f"o{i}" for i in range(n))
-    return Automaton(name, ("ck",), outputs, tuple(node_ids), node_ids[0] if node_ids else None,
-                     dict(zip(node_ids, outputs)),
-                     tuple([((0, i + 1),) if i + 1 < n else () for i in range(n)]))
+    output_map = dict(zip(node_ids, outputs))
+    if len(output_map) != n:
+        raise RepeatedConfiguration("trajectory revisits a configuration")
+    return Automaton(name, ("ck",), outputs, tuple(node_ids), node_ids[0] if n else None,
+                     output_map, tuple([((0, i + 1),) if i + 1 < n else () for i in range(n)]))
 
 
 def global_graph(trace) -> Automaton:
@@ -576,10 +606,12 @@ def global_graph(trace) -> Automaton:
     a linear inputless chain that never revisits a state.
 
     Accepts a halted :class:`RunTrace` or a :class:`BennettTrace`, whose
-    forward configurations :meth:`Trajectory.renders` names in one pass.  The
-    chain is built from its state names without :func:`validate`; a name
-    seen twice, that is a revisited configuration, raises
-    :class:`RepeatedConfiguration` there.
+    forward configurations :meth:`Trajectory.renders` names in one pass; a
+    Bennett chain builds no snapshot, and names of more than
+    ``BENNETT_CHAR_LIMIT`` characters in all raise :class:`SizeLimit` before
+    any is built.  The chain is built from its state names without
+    :func:`validate`; a name seen twice, that is a revisited configuration,
+    raises :class:`RepeatedConfiguration`.
     """
     if isinstance(trace, BennettTrace):
         return _linear_automaton(f"{trace.machine}_global", _bennett_names(trace))
@@ -591,10 +623,7 @@ def global_graph(trace) -> Automaton:
 def _prefix_ends(parts: Sequence[str]) -> list[int]:
     """``ends[k]`` is the length of ``sep.join(parts[:k])`` for any
     one-character ``sep``."""
-    ends = [0]
-    for k, p in enumerate(parts):
-        ends.append(ends[-1] + (k > 0) + len(p))
-    return ends
+    return [0, *itertools.accumulate(map(len, parts), lambda end, m: end + 1 + m)]
 
 
 def _bennett_names(trace: BennettTrace) -> list[str]:
@@ -606,8 +635,17 @@ def _bennett_names(trace: BennettTrace) -> list[str]:
     hist_parts = [f"{q},{s}" for q, s in trace.history_records]
     hist, hist_ends = ";".join(hist_parts), _prefix_ends(hist_parts)
     out, out_ends = ",".join(trace.output_tape), _prefix_ends(trace.output_tape)
-    return [f"{g.phase}#{rendered[g.history_length]}#h[{hist[: hist_ends[g.history_length]]}]"
-            f"#o[{out[: out_ends[g.output_length]]}]" for g in trace.global_configs]
+    n, r = len(hist_parts), len(trace.output_tape)
+    # n + 1 compute names of 16 fixed characters, r copy names of 13 at the last render and
+    # history, n uncompute names of 18 with the whole output: summed before any is built
+    every, last = sum(map(len, rendered)) + sum(hist_ends), len(rendered[n]) + hist_ends[n]
+    chars = 34 * n + 16 + 2 * every - last + r * (13 + last) + sum(out_ends) + n * out_ends[r]
+    if chars > BENNETT_CHAR_LIMIT:
+        raise SizeLimit(chars, BENNETT_CHAR_LIMIT, "characters")
+    names = [f"compute#{c}#h[{hist[:e]}]#o[]" for c, e in zip(rendered, hist_ends)]
+    names += [f"copy#{rendered[n]}#h[{hist}]#o[{out[:e]}]" for e in out_ends[1:]]
+    return names + [f"uncompute#{c}#h[{hist[:e]}]#o[{out}]"
+                    for c, e in zip(rendered[-2::-1], hist_ends[-2::-1])]
 
 
 def bennett_simulate(
@@ -622,7 +660,8 @@ def bennett_simulate(
     (control state, read symbol) of every step.  Phase 2 copies the
     result window to a fresh output tape, one symbol per step.  Phase 3
     consumes the history backwards, restoring the input tape and leaving
-    the history empty.  Total steps: 2n + r.
+    the history empty.  Total steps: 2n + r.  No snapshot is built here:
+    ``global_configs`` builds each one when it is indexed.
 
     Raises :class:`NotHalting` if the budget runs out and
     :class:`IrreversibleStep` if a backward step disagrees with the
@@ -633,8 +672,6 @@ def bennett_simulate(
     if not forward.halted:
         raise NotHalting(max_steps)
     n, r = forward.steps, forward.result_length
-    snapshots = [GlobalConfig("compute", t, 0, forward) for t in range(n + 1)]
-    snapshots += [GlobalConfig("copy", n, j, forward) for j in range(1, r + 1)]
 
     # Each step is undone on one tape; the two checks below make every
     # undone step the inverse of its recorded one, so restoring the start
@@ -654,7 +691,6 @@ def bennett_simulate(
         else:
             store[head] = s
         control = q
-        snapshots.append(GlobalConfig("uncompute", n - k, r, forward))
     restored = Configuration(control=control, head=head, cells=tuple(sorted(store.items())))
     if restored != forward.configurations[0]:
         raise IrreversibleStep("backward pass does not restore the start configuration")
@@ -665,7 +701,7 @@ def bennett_simulate(
         input_tape=tuple(tape),
         forward=forward,
         history_records=forward.log,
-        global_configs=tuple(snapshots),
+        global_configs=Snapshots(forward),
         phase_boundaries=(n, n + r, 2 * n + r),
         output_tape=forward.result,
         total_steps=2 * n + r,

@@ -4,9 +4,9 @@ AutomataError`` catches whatever the package refuses.
 
 An ``ast`` scan of the package's modules, like ``test_imports``.  Three
 raises are required by a protocol and allowed by name: ``IndexError``
-from a ``Sequence``'s ``__getitem__``, ``AttributeError`` from a module
-``__getattr__`` and ``argparse.ArgumentTypeError`` from an argparse
-``type`` function.
+from the ``__getitem__`` that ``turing``'s read-only sequences share,
+``AttributeError`` from a module ``__getattr__`` and
+``argparse.ArgumentTypeError`` from an argparse ``type`` function.
 """
 
 import ast
@@ -18,7 +18,7 @@ PACKAGE = pathlib.Path(autodiss.__file__).parent
 
 # (module file, enclosing function, raised class)
 ALLOWED = {
-    ("turing.py", "Trajectory.__getitem__", "IndexError"),
+    ("turing.py", "_TupleView.__getitem__", "IndexError"),
     ("__init__.py", "__getattr__", "AttributeError"),
     ("cli.py", "_non_negative_int", "argparse.ArgumentTypeError"),
 }
@@ -67,7 +67,7 @@ def test_the_scan_finds_foreign_raises():
     )
     assert foreign_raises(source, "m.py") == [(9, "f", "ValueError"),
                                               (12, "T.__getitem__", "IndexError")]
-    assert foreign_raises(source.replace("class T", "class Trajectory"), "turing.py") == [
+    assert foreign_raises(source.replace("class T", "class _TupleView"), "turing.py") == [
         (9, "f", "ValueError")]
 
 
