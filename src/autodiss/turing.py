@@ -104,15 +104,16 @@ class _TupleView(Sequence):
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Trajectory(_TupleView):
-    """The configurations of a run, rebuilt on demand from its step log.
+    """The configurations of a run, re-run on demand from the nearest stored one.
 
-    ``log`` holds the (control state, read symbol) pair of every rule
-    application; with the rule table and the start configuration it fixes
-    the whole run.  ``start`` and ``end`` are kept, so ``len``, ``[0]`` and
-    ``[-1]`` cost O(1).  The first other lookup applies the log to one dict
-    tape, building only every ⌈√n⌉-th of the n + 1 configurations; then an
-    index replays at most ⌈√n⌉ steps from the checkpoint below it, a slice
-    from below its smallest index to its largest.  Iteration costs O(tape
+    The machine is deterministic, so the rule table and any configuration
+    fix every later one; ``log`` holds the (control state, read symbol) pair
+    of every rule application, the record that Bennett's uncompute pass
+    reads.  ``start`` and ``end`` are kept, so ``len``, ``[0]`` and ``[-1]``
+    cost O(1).  The first other lookup re-runs the machine from ``start``,
+    storing only every ⌈√n⌉-th of the n + 1 configurations; then an index
+    re-runs at most ⌈√n⌉ steps from the checkpoint below it, a slice from
+    below its smallest index to its largest.  Iteration costs O(tape
     window) per configuration; :meth:`renders` names them all in one pass.
     """
 
@@ -133,18 +134,22 @@ class Trajectory(_TupleView):
         return [span[j - lo] for j in picks]
 
     def _span(self, lo: int, hi: int) -> list[Configuration]:
-        """Configurations ``lo`` to ``hi``, from the checkpoint at or below ``lo``."""
+        """Configurations ``lo`` to ``hi``, re-run from the checkpoint at or below ``lo``."""
         every = math.isqrt(max(len(self.log) - 1, 0)) + 1
         if self._checkpoints is None:
-            object.__setattr__(self, "_checkpoints",
-                               (self.start, *_replay(self.tm, self.start, self.log, every)))
-        k = lo - lo % every
-        c = self._checkpoints[k // every]
-        return [c, *_replay(self.tm, c, self.log[k:hi])][lo - k:]
+            checkpoints = [self.start]
+            for _ in range(len(self.log) // every):
+                checkpoints.append(_advance(self.tm, checkpoints[-1], every)[1])
+            object.__setattr__(self, "_checkpoints", tuple(checkpoints))
+        span = [_advance(self.tm, self._checkpoints[lo // every], lo % every)[1]]
+        for _ in range(hi - lo):
+            span.append(_advance(self.tm, span[-1], 1)[1])
+        return span
 
     def __iter__(self):
-        yield self.start
-        yield from _replay(self.tm, self.start, self.log)
+        yield (c := self.start)
+        for _ in self.log:
+            yield (c := _advance(self.tm, c, 1)[1])
 
     def renders(self) -> list[str]:
         """``[c.render(blank) for c in self]`` in one O(steps + summed windows)
@@ -180,8 +185,8 @@ class RunTrace:
     The log is Bennett's history record, one (control state, read symbol)
     pair per step, the minimal record from which the run can be rebuilt;
     recording it costs O(1) per step, so :func:`tm_run` takes O(steps).
-    ``configurations`` is a :class:`Trajectory` over that log: the start
-    and final configurations are stored, the rest are derived on demand.
+    ``configurations`` is a :class:`Trajectory`: the start and final
+    configurations are stored, the rest re-run from the nearest one on demand.
     ``steps`` is the number of rule applications; ``result`` is the tape
     window between the outermost non-blank cells at halt and
     ``result_length`` its length.
@@ -211,7 +216,7 @@ class GlobalConfig:
     prefixes over the forward run.  ``history`` and ``output`` slice that
     run's log and result.  ``config`` is the forward configuration after
     ``history_length`` steps: O(1) when the history is empty or full, as
-    throughout the copy phase, and in between a replay of at most ⌈√n⌉ of
+    throughout the copy phase, and in between re-run for at most ⌈√n⌉ of
     the n steps from the run's checkpoints (see :class:`Trajectory`).
     """
 
@@ -398,32 +403,12 @@ def initial_configuration(tm: TuringMachine, tape: Sequence[str] = ()) -> Config
 
 
 def tm_step(tm: TuringMachine, c: Configuration) -> Configuration:
-    """Apply one rule.  Raises :class:`Halted` on halting configurations
-    and :class:`NoRule` when the table has no entry."""
+    """Apply one rule, in the step loop that runs :func:`tm_run` and re-runs
+    :class:`Trajectory` configurations from the nearest stored one.  Raises
+    :class:`Halted` on halting configurations and :class:`NoRule` on no rule."""
     if c.control in tm.halting:
         raise Halted(f"control state {c.control!r} is halting")
-    read = c.read(tm.blank)
-    if (c.control, read) not in tm.rules:
-        raise NoRule(c.control, read)
-    return next(_replay(tm, c, [(c.control, read)]))
-
-
-def _replay(tm: TuringMachine, c: Configuration, log: Iterable[tuple[str, str]], every=1):
-    """The configuration after every ``every``-th step of ``log``, applied from ``c``."""
-    rules, blank = tm.rules, tm.blank
-    # (position, symbol) pairs are shared between the configurations
-    # until their cell is rewritten
-    cells, head = {pair[0]: pair for pair in c.cells}, c.head
-    for k, (q, s) in enumerate(log, 1):
-        control, write, move = rules[(q, s)]
-        if write != s:
-            if write == blank:
-                del cells[head]
-            else:
-                cells[head] = (head, write)
-        head += MOVES[move]
-        if k % every == 0:
-            yield Configuration(control=control, head=head, cells=tuple(sorted(cells.values())))
+    return _advance(tm, c, 1)[1]
 
 
 def _trimmed_window(store: dict[int, str], blank: str) -> tuple[int, tuple[str, ...]]:
@@ -435,24 +420,17 @@ def _trimmed_window(store: dict[int, str], blank: str) -> tuple[int, tuple[str, 
     return lo, tuple(store.get(i, blank) for i in range(lo, hi + 1))
 
 
-def tm_run(
-    tm: TuringMachine,
-    tape: Sequence[str] = (),
-    max_steps: int = 10_000,
-    tape_cap: int = DEFAULT_TAPE_CAP,
-) -> RunTrace:
-    """Run until halt or budget, recording the (control, read) pair of
-    every step; O(1) work per step."""
-    if max_steps < 0:
-        raise InvalidArgument("max_steps must be non-negative")
-    start = initial_configuration(tm, tape)
+def _advance(tm: TuringMachine, c: Configuration, max_steps: int, tape_cap=math.inf):
+    """``(log, end)``: the (control, read) pair of every rule applied from
+    ``c`` until halt or ``max_steps`` steps, and the configuration reached;
+    O(1) work per step.  Raises :class:`NoRule` and :class:`TapeOverflow`."""
     rules, halting, blank = tm.rules, tm.halting, tm.blank
-    store = dict(start.cells)
-    head, control = start.head, start.control
+    store = dict(c.cells)
+    head, control = c.head, c.control
     log = []
-    # Writes happen under the head, so the window is the input's extent widened
-    # by head excursions; an input wider than the cap fails at the first step.
-    lo, hi = 0, max([0] + [i for i, _ in start.cells])
+    # Writes happen under the head, so the window is the start's extent widened
+    # by head excursions; a start wider than the cap fails at the first step.
+    lo, hi = min([head, *store]), max([head, *store])
     if hi - lo >= tape_cap:
         max_steps = min(max_steps, 1)
     for _ in range(max_steps):
@@ -475,10 +453,26 @@ def tm_run(
                 break
     if log and hi - lo >= tape_cap:
         raise TapeOverflow(hi - lo + 1, tape_cap)
-    halted = control in halting
-    result = _trimmed_window(store, blank)[1] if halted else None
-    end = Configuration(control=control, head=head, cells=tuple(sorted(store.items())))
-    return RunTrace(machine=tm.name, blank=blank,
+    return log, Configuration(control=control, head=head, cells=tuple(sorted(store.items())))
+
+
+def tm_run(
+    tm: TuringMachine,
+    tape: Sequence[str] = (),
+    max_steps: int = 10_000,
+    tape_cap: int = DEFAULT_TAPE_CAP,
+) -> RunTrace:
+    """Run until halt or budget, recording the (control, read) pair of
+    every step; O(1) work per step.  Only the start and final
+    configurations are stored; the others are re-run from the nearest
+    stored one when read (see :class:`Trajectory`)."""
+    if max_steps < 0:
+        raise InvalidArgument("max_steps must be non-negative")
+    start = initial_configuration(tm, tape)
+    log, end = _advance(tm, start, max_steps, tape_cap)
+    halted = end.control in tm.halting
+    result = _trimmed_window(dict(end.cells), tm.blank)[1] if halted else None
+    return RunTrace(machine=tm.name, blank=tm.blank,
                     configurations=Trajectory(tm, start, tuple(log), end),
                     halted=halted, steps=len(log), result=result,
                     result_length=len(result) if result is not None else None)

@@ -7,16 +7,24 @@ inputs come from the benchmark's generator ``perfbench/gen.py``:
 seeded pairs of 30-state random modules, each given sink states and a
 state that no arrow enters; a pair whose state names hold ``+`` and
 ``!``, so that tuple names do not sort part by part; clock-driven rings
-of 8, 10 and 12 T-flip-flops; ``gen.chain_wiring`` rings of random
-modules, one cut before a free module; and seeded sweeper machines of
+of 8, 10 and 12 T-flip-flops, and one of 21 that ``wire`` refuses
+as too large; ``gen.chain_wiring`` rings of random modules, one cut
+before a free module, one with two free modules and one with a module
+held by a ``constant`` line; ``test`` tours of strongly connected
+automata of 80, 160 and 300 states; and seeded sweeper machines of
 up to 2,000 steps, one of them cut by its step budget so that it does
 not halt.  On three sweepers of about 150, 800 and 1,500 steps it also
 pins ``tm run``, ``tm dissip`` and ``tm bennett``, and, in its
 ``library`` section, the sha256 of the state names and of the arrows of
-``global_graph`` on the run and on the Bennett simulation; the CLI never
-builds the Bennett chain, so only these pins cover its names.
-Regenerate the fixture (``python tests/test_generated_digests.py``)
-only for a deliberate change of output.
+``global_graph`` on the run and on the Bennett simulation (the CLI never
+builds the Bennett chain, so only these pins cover its names), of every
+configuration of the run, of some of its indices and slices, and of the
+working configuration of every Bennett snapshot.
+
+``python tests/test_generated_digests.py`` adds the pins of new cases
+and leaves the others as they are; it writes nothing and exits non-zero,
+naming them, if an existing pin would change.  For a deliberate change
+of output, delete those keys from the fixture first.
 """
 
 import contextlib
@@ -33,10 +41,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURE = os.path.join(ROOT, "tests", "golden", "generated_digests.json")
 
 PRODUCT_SEEDS = (1, 2, 3)
-RING_SIZES = (8, 10, 12)
-# (seed, module sizes (states, inputs), free modules) of gen.chain_wiring rings;
-# the seeds are ones whose closed systems reach 15 and 7 tuple states.
-CHAINS = ((8, ((3, 2), (4, 2), (3, 3)), {"m1"}), (35, ((4, 2), (3, 3), (4, 2), (2, 2)), set()))
+RING_SIZES = (8, 10, 12, 21)  # 2**21 tuple states exceed the monolithic limit
+# (seed, module sizes (states, inputs), free modules, module held at its first input
+# by a constant line) of gen.chain_wiring rings; the seeds are ones whose closed
+# systems reach 15, 7, 10 and 21 tuple states.
+CHAINS = ((8, ((3, 2), (4, 2), (3, 3)), {"m1"}, None),
+          (35, ((4, 2), (3, 3), (4, 2), (2, 2)), set(), None),
+          (40, ((4, 2), (3, 3), (4, 2)), set(), "m1"),
+          (42, ((3, 2), (4, 2), (3, 3), (2, 2)), {"m1", "m3"}, None))
+TOUR_SIZES = (80, 160, 300)  # states of the gen.strongly_connected automata given to test
 # (seed, width, sweeps, step budget): steps are width + sweeps * (width + 1)
 SWEEPS = ((1, 3, 2, 10_000), (2, 12, 9, 10_000), (3, 40, 47, 10_000), (4, 20, 10, 100))
 # (seed, width, sweeps) of the sweepers of 155, 799 and 1,516 steps pinned by every tm command
@@ -101,10 +114,13 @@ def _inputs(gen, tmp_dir) -> list[tuple[str, list[str]]]:
         ring = write(f"ring{n}.wiring", _ring(n))
         cases += [(f"wire/ring{n}", ["wire", ring]),
                   (f"wire/ring{n}/o", ["wire", ring, "-o", out_file])]
-    for seed, sizes, free in CHAINS:
+    for seed, sizes, free, held in CHAINS:
         rng = random.Random(seed)
         mods = [(f"m{i}", gen.random_module(rng, nq, ns)) for i, (nq, ns) in enumerate(sizes)]
         lines, _ = gen.chain_wiring(rng, mods, free)
+        lines = [f"constant {held} {dict(mods)[held]['inputs'][0]}"
+                 if line.startswith("connect ") and line.split()[2] == held else line
+                 for line in lines]
         files = [write(f"chain{seed}_{n}.aut", gen.aut_text(f"chain{seed}{n}", spec))
                  for n, spec in mods]
         chain = write(f"chain{seed}.wiring", "\n".join(
@@ -112,6 +128,9 @@ def _inputs(gen, tmp_dir) -> list[tuple[str, list[str]]]:
                                        for (n, _), f in zip(mods, files)] + lines) + "\n")
         cases += [(f"wire/chain{seed}", ["wire", chain]),
                   (f"wire/chain{seed}/o", ["wire", chain, "-o", out_file])]
+    for n in TOUR_SIZES:
+        aut = write(f"sc{n}.aut", gen.aut_text(f"sc{n}", gen.strongly_connected(random.Random(n), n)))
+        cases.append((f"test/sc{n}", ["test", aut]))
     for seed, width, sweeps, budget in SWEEPS:
         tm = write(f"sw{seed}.tm", gen.sweeper_text(random.Random(seed), f"sw{seed}",
                                                       width, sweeps))
@@ -138,17 +157,29 @@ def _graph_digests(graph) -> dict:
     return {"states": _sha("".join(f"{q}\n" for q in graph.states)), "arrows": _sha(arrows)}
 
 
+def _lookups(configs) -> list:
+    """Five middle configurations and three slices, one of them reversed."""
+    n = len(configs) - 1
+    return ([configs[i] for i in (1, n // 3, n // 2, 2 * n // 3, n - 1)]
+            + [configs[n // 5: n // 5 + 9], configs[n // 2:: 7], configs[3 * n // 4: n // 4: -5]])
+
+
 def library(gen) -> dict:
     """Digests of ``global_graph`` on the run and on the Bennett
-    simulation of each ``TM_SWEEPS`` machine."""
+    simulation of each ``TM_SWEEPS`` machine, of the run's configurations
+    and of the working configurations of the Bennett snapshots."""
     from autodiss import fileformat, turing
 
     pins = {}
     for seed, width, sweeps in TM_SWEEPS:
         tm = fileformat.parse_machine(_sweeper(gen, seed, width, sweeps))
-        pins[f"run/{seed}"] = _graph_digests(turing.global_graph(turing.tm_run(tm)))
-        pins[f"bennett/{seed}"] = _graph_digests(
-            turing.global_graph(turing.bennett_simulate(tm)))
+        run, ben = turing.tm_run(tm), turing.bennett_simulate(tm)
+        pins[f"run/{seed}"] = _graph_digests(turing.global_graph(run))
+        pins[f"bennett/{seed}"] = _graph_digests(turing.global_graph(ben))
+        pins[f"trajectory/{seed}"] = {
+            "configurations": _sha(repr(tuple(run.configurations))),
+            "lookups": _sha(repr(_lookups(run.configurations)))}
+        pins[f"snapshots/{seed}"] = _sha(repr([g.config for g in ben.global_configs]))
     return pins
 
 
@@ -193,6 +224,16 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         data = collect(gen, tmp)
+    pinned = {}
+    if os.path.exists(FIXTURE):
+        with open(FIXTURE, encoding="utf-8") as fh:
+            pinned = json.load(fh)
+    changed = [f"{section} {key}" for section, got in data.items()
+               for key, digest in got.items() if pinned.get(section, {}).get(key, digest) != digest]
+    if changed:
+        sys.exit("these pins would change; delete them from the fixture for a deliberate "
+                 "change of output:\n" + "\n".join(changed))
+    data = {section: {**got, **pinned.get(section, {})} for section, got in data.items()}
     with open(FIXTURE, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autodiss import (
+    Configuration,
     bennett_simulate,
     convergent_states,
     global_graph,
     initial_configuration,
     make_machine,
     tm_run,
-    tm_step,
 )
 from autodiss.errors import NoRule
 from autodiss.fileformat import parse_machine
-from tm_oracle import oracle_run
+from tm_oracle import oracle_configurations, oracle_run
 
 BLANK = "0"
 
@@ -50,11 +50,10 @@ def machines(draw):
     return tm, rules, tape, budget
 
 
-def stepped_configurations(tm, tape, steps):
-    configs = [initial_configuration(tm, tape)]
-    for _ in range(steps):
-        configs.append(tm_step(tm, configs[-1]))
-    return tuple(configs)
+def stepped_configurations(rules, tape, steps):
+    """The first ``steps`` + 1 configurations, stepped on the oracle's dict tape."""
+    return tuple(Configuration(control=q, head=head, cells=cells) for q, head, cells
+                 in oracle_configurations(rules, "q0.0", {"h"}, BLANK, tape, steps))
 
 
 def reference_names(configs, result):
@@ -95,7 +94,7 @@ def test_step_log_runs_match_oracle_and_stepping(case):
     else:
         assert trace.result is None
 
-    configs = stepped_configurations(tm, tape, steps)
+    configs = stepped_configurations(rules, tape, steps)
     assert len(trace.configurations) == len(configs)
     assert trace.configurations[-1] == configs[-1]
     assert trace.configurations[0] == configs[0]

@@ -63,6 +63,25 @@ def oracle_names(rules, initial, halting, blank, tape=(), max_steps=10_000):
         head += {"L": -1, "R": 1, "N": 0}[move]
 
 
+def oracle_configurations(rules, initial, halting, blank, tape=(), max_steps=10_000):
+    """``(control, head, cells)`` of every configuration of a run, start
+    included, ``cells`` the sorted ``(position, symbol)`` pairs of the
+    non-blank cells; the run stops at a halting state or after
+    ``max_steps`` steps."""
+    cells = {i: s for i, s in enumerate(tape) if s != blank}
+    head, state = 0, initial
+    configs = [(state, head, tuple(sorted(cells.items())))]
+    while state not in halting and len(configs) <= max_steps:
+        state, write, move = rules[(state, cells.get(head, blank))]
+        if write == blank:
+            cells.pop(head, None)
+        else:
+            cells[head] = write
+        head += {"L": -1, "R": 1, "N": 0}[move]
+        configs.append((state, head, tuple(sorted(cells.items()))))
+    return configs
+
+
 BB2_RULES = {
     ("a", "0"): ("b", "1", "R"),
     ("a", "1"): ("b", "1", "L"),
