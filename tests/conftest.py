@@ -1,7 +1,12 @@
+import os
+import sys
+
 import pytest
 
 from autodiss import load_automaton, load_machine, load_wiring
 from autodiss.assets import asset_path
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _acceptance_outcomes = []
 
@@ -68,3 +73,14 @@ def tff_wiring():
 @pytest.fixture(scope="session")
 def mixed_wiring():
     return load_wiring(asset_path("counter4_mixed.wiring"))
+
+
+@pytest.fixture
+def gen(monkeypatch):
+    """The benchmark's input generator ``perfbench/gen.py``; ``perfbench/``
+    stays on the import path for the test, so its other modules import too."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as checked in
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import gen
+
+    return gen

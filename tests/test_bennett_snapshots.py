@@ -13,7 +13,6 @@ import dataclasses
 import os
 import pickle
 import random
-import sys
 import tracemalloc
 
 import pytest
@@ -38,15 +37,6 @@ ASSETS = os.path.join(ROOT, "src", "autodiss", "assets")
 SWEEPS = ((1, 3, 2), (2, 12, 9), (3, 1, 1), (4, 25, 12))
 # a sweeper of 1,516 steps, whose Bennett chain names hold 13.5 million characters
 LONG = (7, 36, 40)
-
-
-@pytest.fixture
-def gen(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as checked in
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
-    import gen
-
-    return gen
 
 
 def _sweeper(gen, seed, width, sweeps):

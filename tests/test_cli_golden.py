@@ -5,18 +5,16 @@ stdout and stderr of ``autodiss`` in text and ``--json`` form, and the
 files written by ``-o``.  Inputs are the bundled ``.aut`` and ``.wiring``
 assets plus one seeded wiring of modules whose states each have three
 merged arrows, so the open graph's out-degree is not a power of two.
-Regenerate the fixture (``python tests/test_cli_golden.py``) only for a
-deliberate change of output.
+``python tests/test_cli_golden.py`` only adds the pins of new cases (see
+``golden.py``); for a deliberate change of output, delete the changed keys
+from the fixture first.
 """
 
-import contextlib
-import io
-import json
 import os
 import random
 
+import golden
 from autodiss.assets import asset_path
-from autodiss.cli import main
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden", "cli_outputs.json")
 
@@ -60,59 +58,35 @@ def generated_wiring(tmp_dir, seed=7):
     return path
 
 
-def _cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return {"code": code, "out": out.getvalue(), "err": err.getvalue()}
-
-
 def collect(tmp_dir) -> dict:
     paths = {name: asset_path(f"{name}.aut") for name in AUTOMATA}
     paths.update({name: asset_path(f"{name}.wiring") for name in WIRINGS})
     paths["gen3"] = generated_wiring(tmp_dir)
     out_file = os.path.join(tmp_dir, "out.aut")
 
-    cases = []  # (key, argv, writes to out_file)
+    cases = []  # (key, argv); only the -o runs write out_file
     for name in AUTOMATA:
-        cases += [(f"analyze/{name}", ["analyze", paths[name]], False),
-                  (f"reach/{name}", ["reach", paths[name], "-o", out_file], True),
-                  (f"test/{name}", ["test", paths[name]], False),
-                  (f"dot/{name}", ["dot", paths[name]], False)]
+        cases += [(f"analyze/{name}", ["analyze", paths[name]]),
+                  (f"reach/{name}", ["reach", paths[name], "-o", out_file]),
+                  (f"test/{name}", ["test", paths[name]]),
+                  (f"dot/{name}", ["dot", paths[name]])]
     for k, (name, extra) in enumerate(RUNS):
-        cases.append((f"run/{k}/{name}", ["run", paths[name], *extra], False))
+        cases.append((f"run/{k}/{name}", ["run", paths[name], *extra]))
     for a, b in PRODUCTS:
-        cases.append((f"product/{a}*{b}", ["product", paths[a], paths[b], "-o", out_file],
-                      True))
+        cases.append((f"product/{a}*{b}", ["product", paths[a], paths[b], "-o", out_file]))
     for a, b in EQUIVS:
-        cases.append((f"equiv/{a}~{b}", ["equiv", paths[a], paths[b]], False))
+        cases.append((f"equiv/{a}~{b}", ["equiv", paths[a], paths[b]]))
     for name in (*WIRINGS, "gen3"):
-        cases.append((f"wire/{name}", ["wire", paths[name], "-o", out_file], True))
+        cases.append((f"wire/{name}", ["wire", paths[name], "-o", out_file]))
         wired = os.path.join(tmp_dir, f"{name}.closed.aut")
-        _cli(["wire", paths[name], "-o", wired])
-        cases.append((f"reach/{name}.closed", ["reach", wired, "-o", out_file], True))
-
-    cli, written = {}, {}
-    for key, argv, writes in cases:
-        for label, prefix in (("text", []), ("json", ["--json"])):
-            if os.path.exists(out_file):
-                os.remove(out_file)
-            cli[f"{key}/{label}"] = _cli(prefix + argv)
-            if writes and os.path.exists(out_file):
-                with open(out_file, encoding="utf-8") as fh:
-                    written[f"{key}/{label}"] = fh.read()
-    return {"cli": cli, "written": written}
+        golden.run(["wire", paths[name], "-o", wired])
+        cases.append((f"reach/{name}.closed", ["reach", wired, "-o", out_file]))
+    return golden.run_forms(cases, out_file)
 
 
 def test_cli_outputs_match_golden(tmp_path, monkeypatch):
     monkeypatch.delenv("AUTODISS_TEMP", raising=False)
-    with open(FIXTURE, encoding="utf-8") as fh:
-        golden = json.load(fh)
-    got = collect(str(tmp_path))
-    for section in ("cli", "written"):
-        assert sorted(got[section]) == sorted(golden[section]), section
-        for key, want in golden[section].items():
-            assert got[section][key] == want, f"{section} {key}"
+    golden.check(FIXTURE, collect(str(tmp_path)))
 
 
 if __name__ == "__main__":
@@ -120,9 +94,4 @@ if __name__ == "__main__":
 
     os.environ.pop("AUTODISS_TEMP", None)
     with tempfile.TemporaryDirectory() as tmp:
-        data = collect(tmp)
-    os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
-    with open(FIXTURE, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {FIXTURE}")
+        golden.extend(FIXTURE, collect(tmp))

@@ -2,11 +2,11 @@
 
 ``golden/demo_outputs.json`` maps each script under ``demos/`` to its
 stdout.  Each demo runs in a fresh interpreter that imports this
-``autodiss``.  Regenerate the fixture (``python tests/test_demos.py``)
-only for a deliberate change of output.
+``autodiss``.  ``python tests/test_demos.py`` only adds the outputs of
+new demos (see ``golden.py``); for a deliberate change of output, delete
+the changed demos from the fixture first.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import autodiss
+import golden
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO_DIR = os.path.join(ROOT, "demos")
@@ -31,12 +32,9 @@ def run_demo(name: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_output_matches_golden(name):
-    with open(FIXTURE, encoding="utf-8") as fh:
-        want = json.load(fh)
-    assert sorted(want) == DEMOS
     proc = run_demo(name)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == want[name]
+    golden.check(FIXTURE, {name: proc.stdout}, keys=DEMOS)
 
 
 if __name__ == "__main__":
@@ -45,7 +43,4 @@ if __name__ == "__main__":
         proc = run_demo(demo)
         assert proc.returncode == 0 and not proc.stderr, (demo, proc.stderr)
         outputs[demo] = proc.stdout
-    with open(FIXTURE, "w", encoding="utf-8") as fh:
-        json.dump(outputs, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {FIXTURE}")
+    golden.extend(FIXTURE, outputs)

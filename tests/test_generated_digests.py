@@ -19,23 +19,23 @@ pins ``tm run``, ``tm dissip`` and ``tm bennett``, and, in its
 ``global_graph`` on the run and on the Bennett simulation (the CLI never
 builds the Bennett chain, so only these pins cover its names), of every
 configuration of the run, of some of its indices and slices, and of the
-working configuration of every Bennett snapshot.
+working configuration of every Bennett snapshot.  The long-run paths are
+pinned on ``bincounter.tm``, which does not halt: ``tm run`` cut at
+100,000 steps, ``tm dissip`` at 5,000, and the step log of the 100,000
+step run.
 
-``python tests/test_generated_digests.py`` adds the pins of new cases
-and leaves the others as they are; it writes nothing and exits non-zero,
-naming them, if an existing pin would change.  For a deliberate change
-of output, delete those keys from the fixture first.
+``python tests/test_generated_digests.py`` only adds the pins of new
+cases (see ``golden.py``); for a deliberate change of output, delete the
+changed keys from the fixture first.
 """
 
-import contextlib
 import hashlib
-import io
-import json
 import os
 import random
 import sys
 
-from autodiss.cli import main
+import golden
+from autodiss.assets import asset_path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURE = os.path.join(ROOT, "tests", "golden", "generated_digests.json")
@@ -54,6 +54,8 @@ TOUR_SIZES = (80, 160, 300)  # states of the gen.strongly_connected automata giv
 SWEEPS = ((1, 3, 2, 10_000), (2, 12, 9, 10_000), (3, 40, 47, 10_000), (4, 20, 10, 100))
 # (seed, width, sweeps) of the sweepers of 155, 799 and 1,516 steps pinned by every tm command
 TM_SWEEPS = ((5, 11, 12), (6, 24, 31), (7, 36, 40))
+# (command, step budget) of the long runs of bincounter.tm, which does not halt
+LONG_RUNS = (("run", 100_000), ("dissip", 5_000))
 
 
 def _module(gen, rng, name):
@@ -141,6 +143,9 @@ def _inputs(gen, tmp_dir) -> list[tuple[str, list[str]]]:
         for command in ("run", "dissip", "bennett", "linear"):
             cases.append((f"tm-{command}/{seed}", ["tm", command, tm, "--max-steps", "10000"]))
         cases.append((f"tm-linear/{seed}/o", cases[-1][1] + ["-o", out_file]))
+    for command, budget in LONG_RUNS:
+        cases.append((f"tm-{command}/bincounter",
+                      ["tm", command, asset_path("bincounter.tm"), "--max-steps", str(budget)]))
     return cases
 
 
@@ -167,10 +172,12 @@ def _lookups(configs) -> list:
 def library(gen) -> dict:
     """Digests of ``global_graph`` on the run and on the Bennett
     simulation of each ``TM_SWEEPS`` machine, of the run's configurations
-    and of the working configurations of the Bennett snapshots."""
+    and of the working configurations of the Bennett snapshots, and of
+    the step log of the long ``bincounter.tm`` run."""
     from autodiss import fileformat, turing
 
-    pins = {}
+    bincounter = fileformat.load_machine(asset_path("bincounter.tm"))
+    pins = {"log/bincounter": _sha(repr(turing.tm_run(bincounter, max_steps=100_000).log))}
     for seed, width, sweeps in TM_SWEEPS:
         tm = fileformat.parse_machine(_sweeper(gen, seed, width, sweeps))
         run, ben = turing.tm_run(tm), turing.bennett_simulate(tm)
@@ -185,56 +192,20 @@ def library(gen) -> dict:
 
 def collect(gen, tmp_dir) -> dict:
     out_file = os.path.join(tmp_dir, "out.aut")
-    cli, written = {}, {}
-    for key, argv in _inputs(gen, tmp_dir):
-        for label, prefix in (("text", []), ("json", ["--json"])):
-            if os.path.exists(out_file):
-                os.remove(out_file)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(prefix + argv)
-            cli[f"{key}/{label}"] = {"code": code, "out": _sha(out.getvalue()),
-                                     "err": _sha(err.getvalue())}
-            if os.path.exists(out_file):
-                with open(out_file, encoding="utf-8") as fh:
-                    written[f"{key}/{label}"] = _sha(fh.read())
-    return {"cli": cli, "written": written, "library": library(gen)}
+    return {**golden.run_forms(_inputs(gen, tmp_dir), out_file, pin=_sha),
+            "library": library(gen)}
 
 
-def test_generated_outputs_match_digests(tmp_path, monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as checked in
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
-    import gen
-
-    with open(FIXTURE, encoding="utf-8") as fh:
-        golden = json.load(fh)
-    got = collect(gen, str(tmp_path))
-    for section in ("cli", "written", "library"):
-        assert sorted(got[section]) == sorted(golden[section]), section
-        for key, want in golden[section].items():
-            assert got[section][key] == want, f"{section} {key}"
+def test_generated_outputs_match_digests(gen, tmp_path):
+    golden.check(FIXTURE, collect(gen, str(tmp_path)))
 
 
 if __name__ == "__main__":
     import tempfile
 
-    sys.dont_write_bytecode = True
+    sys.dont_write_bytecode = True  # leave perfbench/ as checked in
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import gen
 
     with tempfile.TemporaryDirectory() as tmp:
-        data = collect(gen, tmp)
-    pinned = {}
-    if os.path.exists(FIXTURE):
-        with open(FIXTURE, encoding="utf-8") as fh:
-            pinned = json.load(fh)
-    changed = [f"{section} {key}" for section, got in data.items()
-               for key, digest in got.items() if pinned.get(section, {}).get(key, digest) != digest]
-    if changed:
-        sys.exit("these pins would change; delete them from the fixture for a deliberate "
-                 "change of output:\n" + "\n".join(changed))
-    data = {section: {**got, **pinned.get(section, {})} for section, got in data.items()}
-    with open(FIXTURE, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {FIXTURE}")
+        golden.extend(FIXTURE, collect(gen, tmp))

@@ -14,30 +14,26 @@ references, which never call autodiss.
 
 import json
 import os
-import sys
 
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _round(workload, tmp_path, monkeypatch):
-    """The benchmark's modules and one seeded round of ``workload``: its
+def _round(workload, tmp_path, gen):
+    """The benchmark's worker and one seeded round of ``workload``: its
     files written to ``tmp_path``, its specs as the worker reads them."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as checked in
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
-    import gen
     import worker
 
     jobs = gen.generate(workload, 3, 1, ROOT)
     for name, text in jobs.files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
-    return gen, worker, worker.Env(str(tmp_path)), json.loads(json.dumps(jobs.jobs))
+    return worker, worker.Env(str(tmp_path)), json.loads(json.dumps(jobs.jobs))
 
 
 @pytest.mark.parametrize("workload", ["tm_history", "modular_product", "tour_ensemble"])
-def test_benchmark_round_passes_its_checks(workload, tmp_path, monkeypatch):
-    gen, worker, env, specs = _round(workload, tmp_path, monkeypatch)
+def test_benchmark_round_passes_its_checks(workload, tmp_path, gen):
+    worker, env, specs = _round(workload, tmp_path, gen)
     assert len(specs) == gen.JOBS_PER_ROUND[workload]
     for spec in specs:
         prepare, job, check = worker.JOBS[spec["kind"]]

@@ -4,18 +4,16 @@
 stdout and stderr of ``autodiss --json tm ...``, the files written by
 ``-o``, and the full state-name lists of the global graphs.  The fixture
 was captured before runs were stored as step logs and is the reference
-that representation must reproduce; regenerate it (``python
-tests/test_tm_golden.py``) only for a deliberate change of output.
+that representation must reproduce.  ``python tests/test_tm_golden.py``
+only adds the pins of new cases (see ``golden.py``); for a deliberate
+change of output, delete the changed keys from the fixture first.
 """
 
-import contextlib
-import io
-import json
 import os
 
+import golden
 from autodiss import bennett_simulate, global_graph, load_machine, parse_machine, tm_run
 from autodiss.assets import asset_path
-from autodiss.cli import main
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden", "tm_outputs.json")
 
@@ -55,13 +53,6 @@ GRAPH_INPUTS = (
 )
 
 
-def _cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return {"code": code, "out": out.getvalue(), "err": err.getvalue()}
-
-
 def collect(tmp_dir) -> dict:
     sweep_path = os.path.join(tmp_dir, "sweep.tm")
     with open(sweep_path, "w", encoding="utf-8") as fh:
@@ -87,7 +78,7 @@ def collect(tmp_dir) -> dict:
                 if os.path.exists(out_file):
                     os.remove(out_file)
                 argv += ["-o", out_file]
-            cli[f"{key}/{cmd}"] = _cli(argv)
+            cli[f"{key}/{cmd}"] = golden.run(argv)
             if out_file and os.path.exists(out_file):
                 with open(out_file, encoding="utf-8") as fh:
                     written[f"{key}/{cmd}"] = fh.read()
@@ -103,22 +94,11 @@ def collect(tmp_dir) -> dict:
 
 
 def test_tm_outputs_match_golden(tmp_path):
-    with open(FIXTURE, encoding="utf-8") as fh:
-        golden = json.load(fh)
-    got = collect(str(tmp_path))
-    for section in ("cli", "written", "global_states"):
-        assert sorted(got[section]) == sorted(golden[section]), section
-        for key, want in golden[section].items():
-            assert got[section][key] == want, f"{section} {key}"
+    golden.check(FIXTURE, collect(str(tmp_path)))
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        data = collect(tmp)
-    os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
-    with open(FIXTURE, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {FIXTURE}")
+        golden.extend(FIXTURE, collect(tmp))
