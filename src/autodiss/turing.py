@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import Automaton, _ordered_unique, convergent_states, validate
@@ -40,6 +41,8 @@ MOVES = {"L": -1, "R": 1, "N": 0}
 DEFAULT_TAPE_CAP = 4096
 # Most characters the state names of a Bennett chain may hold in total.
 BENNETT_CHAR_LIMIT = 2**30
+# Most steps a run may record: about 270 MB of step log.
+STEP_LOG_LIMIT = 2**24
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,14 @@ class TuringMachine:
     initial: str
     halting: frozenset[str]
     rules: dict[tuple[str, str], tuple[str, str, str]]
+
+    @cached_property
+    def step_rules(self) -> dict[tuple[str, str], tuple[tuple[str, str], str, str, int]]:
+        """Each rule as ``(key, next control, write, head shift)``, so a run's log
+        holds the table's own keys; built on first read, it assumes ``rules`` is
+        not mutated after the first run, as :class:`Automaton`'s views do."""
+        return {key: (key, control, write, MOVES[move])
+                for key, (control, write, move) in self.rules.items()}
 
 
 @dataclass(frozen=True)
@@ -424,7 +435,7 @@ def _advance(tm: TuringMachine, c: Configuration, max_steps: int, tape_cap=math.
     """``(log, end)``: the (control, read) pair of every rule applied from
     ``c`` until halt or ``max_steps`` steps, and the configuration reached;
     O(1) work per step.  Raises :class:`NoRule` and :class:`TapeOverflow`."""
-    rules, halting, blank = tm.rules, tm.halting, tm.blank
+    rules, halting, blank = tm.step_rules, tm.halting, tm.blank
     store = dict(c.cells)
     head, control = c.head, c.control
     log = []
@@ -440,13 +451,13 @@ def _advance(tm: TuringMachine, c: Configuration, max_steps: int, tape_cap=math.
         rule = rules.get((control, read))
         if rule is None:
             raise NoRule(control, read)
-        log.append((control, read))
-        control, write, move = rule
+        key, control, write, shift = rule
+        log.append(key)
         if write == blank:
             store.pop(head, None)
         else:
             store[head] = write
-        head += MOVES[move]
+        head += shift
         if not lo <= head <= hi:
             lo, hi = min(lo, head), max(hi, head)
             if hi - lo >= tape_cap:
@@ -465,11 +476,14 @@ def tm_run(
     """Run until halt or budget, recording the (control, read) pair of
     every step; O(1) work per step.  Only the start and final
     configurations are stored; the others are re-run from the nearest
-    stored one when read (see :class:`Trajectory`)."""
+    stored one when read (see :class:`Trajectory`).  A run past
+    ``STEP_LOG_LIMIT`` steps raises :class:`SizeLimit` after one more."""
     if max_steps < 0:
         raise InvalidArgument("max_steps must be non-negative")
     start = initial_configuration(tm, tape)
-    log, end = _advance(tm, start, max_steps, tape_cap)
+    log, end = _advance(tm, start, min(max_steps, STEP_LOG_LIMIT + 1), tape_cap)
+    if len(log) > STEP_LOG_LIMIT:
+        raise SizeLimit(len(log), STEP_LOG_LIMIT, "recorded steps")
     halted = end.control in tm.halting
     result = _trimmed_window(dict(end.cells), tm.blank)[1] if halted else None
     return RunTrace(machine=tm.name, blank=tm.blank,

@@ -421,6 +421,15 @@ def test_tm_run(capsys):
     assert "result: 1 1 1 1" in out
 
 
+def test_tm_run_past_the_step_log_limit_is_refused(capsys, monkeypatch):
+    monkeypatch.setattr(turing, "STEP_LOG_LIMIT", 100)
+    assert run_cli(capsys, "tm", "run", asset_path("bincounter.tm")) == (
+        1, "", "error: 101 recorded steps exceed the monolithic limit of 100\n")
+    assert run_cli(capsys, "tm", "run", BB2, "--max-steps", "1000000000")[:2] == (
+        0, "name: bb2\nhalted: True\nsteps: 6\nresult: 1 1 1 1\nresult_length: 4\n"
+           "final_control: halt\n")
+
+
 def test_tm_head(capsys):
     code, out, _ = run_cli(capsys, "tm", "head", BB2)
     assert code == 0

@@ -3,6 +3,7 @@ decomposition, dissipation growth, and the reversible simulation."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 
@@ -36,6 +37,7 @@ from autodiss.errors import (
     NotHalted,
     NotHalting,
     RepeatedConfiguration,
+    SizeLimit,
     TapeOverflow,
     UnknownSymbol,
     ValidationError,
@@ -124,6 +126,31 @@ def test_budget_zero_and_looping(bb2, loop_machine):
 def test_tape_cap(loop_machine):
     with pytest.raises(TapeOverflow):
         tm_run(loop_machine, max_steps=100, tape_cap=16)
+
+
+def test_run_log_holds_the_rule_tables_keys(bincounter):
+    """No new pair per recorded step: the log holds the rule table's own
+    key tuples, under 32 traced bytes a step where a new pair took 72."""
+    tracemalloc.start()
+    try:
+        run = tm_run(bincounter, max_steps=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.steps == 200_000 and peak / run.steps < 32
+    assert all(pair is bincounter.step_rules[pair][0] for pair in run.log[:1000])
+
+
+def test_runs_past_the_step_log_limit_are_refused(monkeypatch, bb2, bincounter):
+    monkeypatch.setattr(turing, "STEP_LOG_LIMIT", 100)
+    with pytest.raises(SizeLimit) as err:
+        tm_run(bincounter, max_steps=10**9)
+    assert (err.value.size, err.value.limit) == (101, 100)
+    assert tm_run(bincounter, max_steps=100).steps == 100
+    assert tm_run(bb2, max_steps=10**9).steps == 6
+    for analysis in (bennett_simulate, modular_tm_dissipation):
+        with pytest.raises(SizeLimit, match="^101 recorded steps exceed the monolithic limit"):
+            analysis(bincounter, max_steps=10**9)
 
 
 def test_machine_validation():
