@@ -1,12 +1,9 @@
 """One way to run, check and extend the byte-identity pins under ``golden/``.
 
-A fixture is a JSON map of sections, each mapping a case's key to its
-pin; ``demo_outputs.json`` is a flat map, read as one section.  The
-tests compare what the code gives now with :func:`check`.  Run as a
-script, each fixture module hands the same map to :func:`extend`, which
-only adds pins: it writes nothing and exits non-zero, naming them, if a
-pinned value would change.  For a deliberate change of output, delete
-those keys from the fixture first.
+A fixture maps each section to ``{case key: pin}``; ``demo_outputs.json``
+is one flat map.  Run as a script, each fixture module hands what the code
+gives now to :func:`extend`, which only adds pins.  For a deliberate change
+of output, delete the changed keys from the fixture first.
 """
 
 import contextlib
@@ -27,18 +24,15 @@ def run(argv) -> dict:
 
 
 def run_forms(cases, out_file, pin=str) -> dict:
-    """The ``cli`` and ``written`` sections of ``(key, argv)`` cases, each run
-    in text and ``--json`` form: ``key/text`` and ``key/json`` map to the exit
-    code and ``pin`` of stdout and stderr, and to ``pin`` of ``out_file`` if the
-    run wrote it."""
+    """``cli`` and ``written`` sections: each ``(key, argv)`` case run in text
+    and ``--json`` form, with ``pin`` of its stdout, stderr and ``out_file``."""
     cli, written = {}, {}
     for key, argv in cases:
         for label, prefix in (("text", []), ("json", ["--json"])):
             if os.path.exists(out_file):
                 os.remove(out_file)
             got = run(prefix + argv)
-            cli[f"{key}/{label}"] = {"code": got["code"], "out": pin(got["out"]),
-                                     "err": pin(got["err"])}
+            cli[f"{key}/{label}"] = {**got, "out": pin(got["out"]), "err": pin(got["err"])}
             if os.path.exists(out_file):
                 with open(out_file, encoding="utf-8") as fh:
                     written[f"{key}/{label}"] = pin(fh.read())
@@ -56,10 +50,9 @@ def _load(fixture: str) -> dict:
 
 
 def check(fixture: str, got: dict, keys=None) -> None:
-    """Assert that every section of ``got`` has the keys of the fixture's and
-    equal pins; a failure names the section and the key.  Given ``keys``, a
-    flat fixture must have exactly those keys, and only the pins in ``got``
-    are compared, so that one case can be checked on its own."""
+    """Assert that ``got`` has the fixture's sections, keys and pins; a failure
+    names the section and key.  Given ``keys``, a flat fixture must hold just
+    those, and only the cases in ``got`` are compared."""
     golden, got = _load(fixture), _sections(got)
     assert sorted(got) == sorted(golden), "sections"
     for section, pins in golden.items():
@@ -69,18 +62,16 @@ def check(fixture: str, got: dict, keys=None) -> None:
 
 
 def extend(fixture: str, got: dict) -> None:
-    """Add the pins of ``got`` that ``fixture`` lacks and keep the others.
-    Writes nothing and exits non-zero, naming each ``section key``, if a
-    pinned value would change."""
+    """Add the pins of ``got`` that ``fixture`` lacks; if a pinned value would
+    change, write nothing and exit non-zero, naming each ``section key``."""
     pinned = _load(fixture) if os.path.exists(fixture) else {}
-    new = _sections(got)
-    changed = [f"{section} {key}".strip() for section, pins in new.items()
+    changed = [f"{section} {key}".strip() for section, pins in _sections(got).items()
                for key, pin in pins.items() if pinned.get(section, {}).get(key, pin) != pin]
     if changed:
         sys.exit("these pins would change; delete them from the fixture for a deliberate "
                  "change of output:\n" + "\n".join(changed))
-    data = {section: {**pins, **pinned.get(section, {})} for section, pins in new.items()}
+    data = {section: {**pins, **pinned.get(section, {})} for section, pins in _sections(got).items()}
     with open(fixture, "w", encoding="utf-8") as fh:
-        json.dump(data[""] if "" in data else data, fh, indent=1, sort_keys=True)
+        json.dump(data.get("", data), fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {fixture}")

@@ -5,9 +5,8 @@ stdout and stderr of ``autodiss`` in text and ``--json`` form, and the
 files written by ``-o``.  Inputs are the bundled ``.aut`` and ``.wiring``
 assets plus one seeded wiring of modules whose states each have three
 merged arrows, so the open graph's out-degree is not a power of two.
-``python tests/test_cli_golden.py`` only adds the pins of new cases (see
-``golden.py``); for a deliberate change of output, delete the changed keys
-from the fixture first.
+Run as a script, this file only adds pins; for a deliberate change of
+output, delete the changed keys by hand first (see ``golden.py``).
 """
 
 import os

@@ -2,9 +2,8 @@
 
 ``golden/demo_outputs.json`` maps each script under ``demos/`` to its
 stdout.  Each demo runs in a fresh interpreter that imports this
-``autodiss``.  ``python tests/test_demos.py`` only adds the outputs of
-new demos (see ``golden.py``); for a deliberate change of output, delete
-the changed demos from the fixture first.
+``autodiss``.  Run as a script, this file only adds new demos; for a
+deliberate change of output, delete the changed demos by hand first.
 """
 
 import os

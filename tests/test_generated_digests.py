@@ -19,14 +19,12 @@ pins ``tm run``, ``tm dissip`` and ``tm bennett``, and, in its
 ``global_graph`` on the run and on the Bennett simulation (the CLI never
 builds the Bennett chain, so only these pins cover its names), of every
 configuration of the run, of some of its indices and slices, and of the
-working configuration of every Bennett snapshot.  The long-run paths are
-pinned on ``bincounter.tm``, which does not halt: ``tm run`` cut at
-100,000 steps, ``tm dissip`` at 5,000, and the step log of the 100,000
-step run.
+working configuration of every Bennett snapshot.  On ``bincounter.tm``,
+which does not halt, it pins ``tm run`` at 100,000 steps, ``tm dissip``
+at 5,000 and the log of the 100,000-step run.
 
-``python tests/test_generated_digests.py`` only adds the pins of new
-cases (see ``golden.py``); for a deliberate change of output, delete the
-changed keys from the fixture first.
+Run as a script, this file only adds pins; for a deliberate change of
+output, delete the changed keys by hand first (see ``golden.py``).
 """
 
 import hashlib
@@ -191,9 +189,8 @@ def library(gen) -> dict:
 
 
 def collect(gen, tmp_dir) -> dict:
-    out_file = os.path.join(tmp_dir, "out.aut")
-    return {**golden.run_forms(_inputs(gen, tmp_dir), out_file, pin=_sha),
-            "library": library(gen)}
+    pins = golden.run_forms(_inputs(gen, tmp_dir), os.path.join(tmp_dir, "out.aut"), pin=_sha)
+    return {**pins, "library": library(gen)}
 
 
 def test_generated_outputs_match_digests(gen, tmp_path):

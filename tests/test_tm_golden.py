@@ -4,9 +4,9 @@
 stdout and stderr of ``autodiss --json tm ...``, the files written by
 ``-o``, and the full state-name lists of the global graphs.  The fixture
 was captured before runs were stored as step logs and is the reference
-that representation must reproduce.  ``python tests/test_tm_golden.py``
-only adds the pins of new cases (see ``golden.py``); for a deliberate
-change of output, delete the changed keys from the fixture first.
+that representation must reproduce.  Run as a script, this file only
+adds pins; for a deliberate change of output, delete the changed keys by
+hand first (see ``golden.py``).
 """
 
 import os
