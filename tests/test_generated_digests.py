@@ -21,7 +21,8 @@ builds the Bennett chain, so only these pins cover its names), of every
 configuration of the run, of some of its indices and slices, and of the
 working configuration of every Bennett snapshot.  On ``bincounter.tm``,
 which does not halt, it pins ``tm run`` at 100,000 steps, ``tm dissip``
-at 5,000 and the log of the 100,000-step run.
+at 5,000, the log of the 100,000-step run, and the configuration names
+and some lookups of a 20,000-step run.
 
 Run as a script, this file only adds pins; for a deliberate change of
 output, delete the changed keys by hand first (see ``golden.py``).
@@ -170,12 +171,16 @@ def _lookups(configs) -> list:
 def library(gen) -> dict:
     """Digests of ``global_graph`` on the run and on the Bennett
     simulation of each ``TM_SWEEPS`` machine, of the run's configurations
-    and of the working configurations of the Bennett snapshots, and of
-    the step log of the long ``bincounter.tm`` run."""
+    and of the working configurations of the Bennett snapshots, of the
+    step log of the long ``bincounter.tm`` run, and of the names and
+    lookups of a 20,000-step one."""
     from autodiss import fileformat, turing
 
     bincounter = fileformat.load_machine(asset_path("bincounter.tm"))
     pins = {"log/bincounter": _sha(repr(turing.tm_run(bincounter, max_steps=100_000).log))}
+    counting = turing.tm_run(bincounter, max_steps=20_000).configurations
+    pins["trajectory/bincounter"] = {"renders": _sha(repr(counting.renders())),
+                                     "lookups": _sha(repr(_lookups(counting)))}
     for seed, width, sweeps in TM_SWEEPS:
         tm = fileformat.parse_machine(_sweeper(gen, seed, width, sweeps))
         run, ben = turing.tm_run(tm), turing.bennett_simulate(tm)
