@@ -68,7 +68,7 @@ class TuringMachine:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Control state, head position, and the non-blank cells of the tape."""
+    """Control state, head position, and the non-blank cells of the tape, in order."""
 
     control: str
     head: int
@@ -115,17 +115,18 @@ class _TupleView(Sequence):
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Trajectory(_TupleView):
-    """The configurations of a run, re-run on demand from the nearest stored one.
+    """The configurations of a run, replayed on demand from its log.
 
     The machine is deterministic, so the rule table and any configuration
     fix every later one; ``log`` holds the (control state, read symbol) pair
     of every rule application, the record that Bennett's uncompute pass
     reads.  ``start`` and ``end`` are kept, so ``len``, ``[0]`` and ``[-1]``
-    cost O(1).  The first other lookup re-runs the machine from ``start``,
-    storing only every ⌈√n⌉-th of the n + 1 configurations; then an index
-    re-runs at most ⌈√n⌉ steps from the checkpoint below it, a slice from
-    below its smallest index to its largest.  Iteration costs O(tape
-    window) per configuration; :meth:`renders` names them all in one pass.
+    cost O(1).  The first other lookup replays, and so checks, the whole
+    log from ``start``, storing only every ⌈√n⌉-th of the n + 1
+    configurations; then a lookup replays from the checkpoint at or below
+    its smallest index to its largest, and builds only the configurations
+    it returns.  Iteration costs O(tape window) per configuration;
+    :meth:`renders` names them all in the same replay.
     """
 
     tm: TuringMachine = field(repr=False)
@@ -140,53 +141,72 @@ class Trajectory(_TupleView):
     def _items(self, picks: range) -> Sequence[Configuration]:
         if len(picks) == 1 and picks[0] in (0, len(self.log)):
             return (self.start if picks[0] == 0 else self.end,)
-        lo, hi = sorted((picks[0], picks[-1])) if picks else (0, -1)
-        span = self._span(lo, hi) if picks else ()
-        return [span[j - lo] for j in picks]
-
-    def _span(self, lo: int, hi: int) -> list[Configuration]:
-        """Configurations ``lo`` to ``hi``, re-run from the checkpoint at or below ``lo``."""
-        every = math.isqrt(max(len(self.log) - 1, 0)) + 1
+        up, n = (picks if picks.step > 0 else picks[::-1]), len(self.log)
+        if not up:
+            return ()
+        every = math.isqrt(max(n - 1, 0)) + 1
         if self._checkpoints is None:
-            checkpoints = [self.start]
-            for _ in range(len(self.log) // every):
-                checkpoints.append(_advance(self.tm, checkpoints[-1], every)[1])
-            object.__setattr__(self, "_checkpoints", tuple(checkpoints))
-        span = [_advance(self.tm, self._checkpoints[lo // every], lo % every)[1]]
-        for _ in range(hi - lo):
-            span.append(_advance(self.tm, span[-1], 1)[1])
-        return span
+            checkpoints = tuple(self._pick(self.start, 0, n, range(0, n + 1, every)))
+            object.__setattr__(self, "_checkpoints", checkpoints)
+        i = up[0] // every * every
+        found = list(self._pick(self._checkpoints[i // every], i, up[-1], up))
+        return found if picks.step > 0 else found[::-1]
+
+    def _pick(self, c: Configuration, i: int, j: int, picks: range):
+        """Those at ``picks`` of the configurations ``c``, the ``i``-th, to the ``j``-th."""
+        first = picks[0] - i - 1
+        if first < 0:
+            yield c
+            first = picks.step - 1
+        for control, head, a, b, _, pairs in itertools.islice(
+                self._replay(c, i, j), first, None, picks.step):
+            yield Configuration(control=control, head=head, cells=tuple(filter(None, pairs[a:b])))
 
     def __iter__(self):
-        yield (c := self.start)
-        for _ in self.log:
-            yield (c := _advance(self.tm, c, 1)[1])
+        return self._pick(self.start, 0, len(self.log), range(len(self)))
 
     def renders(self) -> list[str]:
-        """``[c.render(blank) for c in self]`` in one O(steps + summed windows)
-        replay of the log.  The tape is one list from cell ``base``, padded
-        for n head moves either way; ``lo`` and ``hi`` are its outermost
-        non-blank cells (``lo > hi`` if none), moved inward by a scan."""
-        blank, rules, head = self.tm.blank, self.tm.rules, self.start.head
-        lo, window = _trimmed_window(dict(self.start.cells), blank)
-        hi, pad = lo + len(window) - 1, len(self.log) + abs(head - lo) + 1
-        tape, base = [blank] * pad + list(window) + [blank] * pad, lo - pad
-        names = [self.start.render(blank)]
-        for q, s in self.log:
-            control, write, move = rules[(q, s)]
+        """``[c.render(blank) for c in self]``, replayed from the log: O(steps + windows)."""
+        return [self.start.render(self.tm.blank)] + [
+            f"{control}|{head}|{pairs[a][0]}:{','.join(tape[a:b])}" if a < b else f"{control}|{head}|"
+            for control, head, a, b, tape, pairs in self._replay(self.start, 0, len(self.log))]
+
+    def _replay(self, c: Configuration, i: int, j: int):
+        """Apply log steps ``i`` to ``j - 1`` to ``c``, the ``i``-th configuration,
+        yielding ``(control, head, a, b, tape, pairs)`` after each: ``tape[a:b]``
+        spans the non-blank cells, and ``pairs`` holds the shared ``(position,
+        symbol)`` pair of each, None where blank.  Both lists double when the
+        head leaves them.  A logged pair that has no rule, or is not the current
+        control state and cell, raises :class:`ValidationError` naming its step."""
+        blank, rules, control, cells = self.tm.blank, self.tm.step_rules, c.control, c.cells
+        lo, hi = (cells[0][0], cells[-1][0] + 1) if cells else (c.head, c.head)
+        base = min(lo, c.head)
+        pairs = [None] * (max(hi, c.head + 1) - base)
+        for pair in cells:
+            pairs[pair[0] - base] = pair
+        tape = [blank if pair is None else pair[1] for pair in pairs]
+        a, b, h = lo - base, hi - base, c.head - base
+        for k, (q, s) in enumerate(self.log[i:j], i):
+            rule = rules.get((q, s))
+            if rule is None or q != control or s != tape[h]:
+                raise ValidationError(f"log step {k} is ({q!r}, {s!r}), but the machine is in "
+                                      f"{control!r} reading {tape[h]!r}", ("log", k))
+            _, control, write, shift = rule
             if write != s:
-                tape[head - base] = write
-                if write != blank:
-                    lo, hi = (min(lo, head), max(hi, head)) if lo <= hi else (head, head)
-                else:
-                    while lo <= hi and tape[lo - base] == blank:
-                        lo += 1
-                    while hi >= lo and tape[hi - base] == blank:
-                        hi -= 1
-            head += MOVES[move]
-            names.append(f"{control}|{head}|{lo}:{','.join(tape[lo - base: hi - base + 1])}"
-                         if lo <= hi else f"{control}|{head}|")
-        return names
+                tape[h], pairs[h] = write, (h + base, write) if write != blank else None
+                if write == blank:
+                    while a < b and pairs[a] is None:
+                        a += 1
+                    while b > a and pairs[b - 1] is None:
+                        b -= 1
+                elif not a <= h < b:
+                    a, b = (min(a, h), max(b, h + 1)) if a < b else (h, h + 1)
+            h += shift
+            if not 0 <= h < len(tape):
+                m = len(tape) // 2 + 1
+                tape, pairs = [blank] * m + tape + [blank] * m, [None] * m + pairs + [None] * m
+                base, h, a, b = base - m, h + m, a + m, b + m
+            yield control, h + base, a, b, tape, pairs
 
 
 @dataclass(frozen=True)
@@ -197,7 +217,7 @@ class RunTrace:
     pair per step, the minimal record from which the run can be rebuilt;
     recording it costs O(1) per step, so :func:`tm_run` takes O(steps).
     ``configurations`` is a :class:`Trajectory`: the start and final
-    configurations are stored, the rest re-run from the nearest one on demand.
+    configurations are stored, the rest replayed from the log on demand.
     ``steps`` is the number of rule applications; ``result`` is the tape
     window between the outermost non-blank cells at halt and
     ``result_length`` its length.
@@ -227,8 +247,8 @@ class GlobalConfig:
     prefixes over the forward run.  ``history`` and ``output`` slice that
     run's log and result.  ``config`` is the forward configuration after
     ``history_length`` steps: O(1) when the history is empty or full, as
-    throughout the copy phase, and in between re-run for at most ⌈√n⌉ of
-    the n steps from the run's checkpoints (see :class:`Trajectory`).
+    throughout the copy phase, and in between replayed from the log for at
+    most ⌈√n⌉ of the n steps from a checkpoint (see :class:`Trajectory`).
     """
 
     phase: str  # compute | copy | uncompute
@@ -414,9 +434,9 @@ def initial_configuration(tm: TuringMachine, tape: Sequence[str] = ()) -> Config
 
 
 def tm_step(tm: TuringMachine, c: Configuration) -> Configuration:
-    """Apply one rule, in the step loop that runs :func:`tm_run` and re-runs
-    :class:`Trajectory` configurations from the nearest stored one.  Raises
-    :class:`Halted` on halting configurations and :class:`NoRule` on no rule."""
+    """Apply one rule, in the step loop of :func:`tm_run`; a stored run's
+    configurations are replayed from its log instead (see :class:`Trajectory`).
+    Raises :class:`Halted` on halting configurations and :class:`NoRule` on no rule."""
     if c.control in tm.halting:
         raise Halted(f"control state {c.control!r} is halting")
     return _advance(tm, c, 1)[1]
@@ -475,8 +495,8 @@ def tm_run(
 ) -> RunTrace:
     """Run until halt or budget, recording the (control, read) pair of
     every step; O(1) work per step.  Only the start and final
-    configurations are stored; the others are re-run from the nearest
-    stored one when read (see :class:`Trajectory`).  A run past
+    configurations are stored; the others are replayed from the log
+    when read (see :class:`Trajectory`).  A run past
     ``STEP_LOG_LIMIT`` steps raises :class:`SizeLimit` after one more."""
     if max_steps < 0:
         raise InvalidArgument("max_steps must be non-negative")

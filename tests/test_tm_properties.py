@@ -108,6 +108,7 @@ def test_step_log_runs_match_oracle_and_stepping(case):
         with pytest.raises(IndexError):
             trace.configurations[i]
     assert trace.log == tuple((c.control, c.read(BLANK)) for c in configs[:-1])
+    assert trace.configurations.renders() == [c.render(BLANK) for c in configs]
     if not halted:
         return
 

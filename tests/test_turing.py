@@ -3,6 +3,7 @@ decomposition, dissipation growth, and the reversible simulation."""
 
 import dataclasses
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -24,6 +25,7 @@ from autodiss import (
     InputModel,
     make_machine,
     modular_tm_dissipation,
+    parse_machine,
     point_distribution,
     tm_run,
     tm_step,
@@ -409,6 +411,64 @@ def test_bennett_refuses_a_tampered_forward_run(monkeypatch, log, end, message):
     monkeypatch.setattr(turing, "tm_run", tampered)
     with pytest.raises(IrreversibleStep, match=message):
         bennett_simulate(tm, ["a"])
+
+
+@pytest.mark.parametrize("log, step", [
+    ((("q", "a"), ("q", "a")), 1),  # the first step left control 'r'
+    ((("q", "a"), ("zz", "a")), 1),  # no rule, and no such state
+    ((("q", "a"), ("r", "_"), ("h", "_")), 2),  # a step after the halt
+])
+def test_every_reader_of_a_run_checks_its_log(log, step):
+    tm = eraser()
+    t = tm_run(tm, ["a"]).configurations
+    errors = []
+    for read in (Trajectory.renders, tuple, lambda t: t[1], lambda t: t[1:],
+                 lambda t: global_graph(RunTrace("eraser", "_", t, True, len(log), (), 0))):
+        with pytest.raises(ValidationError, match=f"^log step {step} ") as err:
+            read(Trajectory(tm, t.start, log, t.end))
+        errors.append((type(err.value), str(err.value), err.value.entry))
+    assert errors == [(ValidationError, errors[0][1], ("log", step))] * 5
+
+
+def test_a_stored_run_is_read_from_its_log_alone(monkeypatch, gen):
+    """Iteration, names, indices and slices of a stored run never enter the
+    machine's step loop again; iterating builds one configuration a step."""
+    cases = []
+    for seed, width, sweeps, budget in ((7, 36, 40, 10_000), (4, 20, 10, 100), (1, 3, 2, 10_000)):
+        tm = parse_machine(gen.sweeper_text(random.Random(seed), f"sw{seed}", width, sweeps))
+        run = tm_run(tm, max_steps=budget)
+        stepped = [run.configurations[0]]
+        while len(stepped) <= run.steps:
+            stepped.append(tm_step(tm, stepped[-1]))
+        cases.append((run, tm_run(tm, max_steps=budget).configurations, tuple(stepped)))
+    monkeypatch.setattr(turing, "_advance", lambda *args: pytest.fail("the machine was run"))
+    made = []
+    real = turing.Configuration
+    monkeypatch.setattr(turing, "Configuration", lambda **kw: made.append(kw) or real(**kw))
+    for run, fresh, stepped in cases:
+        n = run.steps
+        made.clear()
+        assert tuple(run.configurations) == stepped
+        assert len(made) == n
+        assert run.configurations.renders() == [c.render("_") for c in stepped]
+        assert fresh[n // 2] == stepped[n // 2]
+        assert fresh[n // 3: n - 1: 4] == stepped[n // 3: n - 1: 4]
+        assert fresh[n - 2:: -3] == stepped[n - 2:: -3]
+
+
+def test_iterating_a_long_run_keeps_one_short_tape():
+    """The tape grows with the head's excursion, not with the step count."""
+    bounce = make_machine("bounce", ["_", "a"], "_", ["q0", "q1"], initial="q0", rules=[
+        ("q0", "_", "q1", "a", "R"), ("q1", "_", "q0", "_", "L"), ("q0", "a", "q1", "a", "R")])
+    run = tm_run(bounce, max_steps=20_000)
+    tracemalloc.start()
+    try:
+        for _ in run.configurations:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not run.halted and run.steps == 20_000 and peak < 300_000
 
 
 def test_global_graph_refuses_a_run_that_revisits_a_configuration():
