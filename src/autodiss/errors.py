@@ -154,7 +154,7 @@ class RepeatedConfiguration(AutomataError):
 
 
 class IrreversibleStep(AutomataError):
-    """Internal inconsistency: undoing a step disagreed with the recorded run."""
+    """Internal inconsistency: a forward run's log or end does not fit its machine."""
 
 
 class AlphabetTooSmall(AutomataError):

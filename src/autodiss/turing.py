@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -119,14 +120,15 @@ class Trajectory(_TupleView):
 
     The machine is deterministic, so the rule table and any configuration
     fix every later one; ``log`` holds the (control state, read symbol) pair
-    of every rule application, the record that Bennett's uncompute pass
-    reads.  ``start`` and ``end`` are kept, so ``len``, ``[0]`` and ``[-1]``
-    cost O(1).  The first other lookup replays, and so checks, the whole
-    log from ``start``, storing only every ⌈√n⌉-th of the n + 1
-    configurations; then a lookup replays from the checkpoint at or below
-    its smallest index to its largest, and builds only the configurations
-    it returns.  Iteration costs O(tape window) per configuration;
-    :meth:`renders` names them all in the same replay.
+    of every rule application, Bennett's history record.  ``start`` and
+    ``end`` are kept, so ``len``, ``[0]`` and ``[-1]`` cost O(1): ``[-1]``
+    returns the stored ``end`` unchecked.  The first other lookup replays,
+    and so checks, the whole log from ``start`` and that it ends at ``end``,
+    storing only every ⌈√n⌉-th of the n + 1 configurations; then a lookup
+    replays from the checkpoint at or below its smallest index to its
+    largest, and builds only the configurations it returns.  Iteration
+    costs O(tape window) per configuration; :meth:`renders` names them all
+    in the same replay.
     """
 
     tm: TuringMachine = field(repr=False)
@@ -177,7 +179,8 @@ class Trajectory(_TupleView):
         spans the non-blank cells, and ``pairs`` holds the shared ``(position,
         symbol)`` pair of each, None where blank.  Both lists double when the
         head leaves them.  A logged pair that has no rule, or is not the current
-        control state and cell, raises :class:`ValidationError` naming its step."""
+        control state and cell, raises :class:`ValidationError` at ``("log",
+        step)``; a replay to the log's end that misses ``end``, at ``("end", 0)``."""
         blank, rules, control, cells = self.tm.blank, self.tm.step_rules, c.control, c.cells
         lo, hi = (cells[0][0], cells[-1][0] + 1) if cells else (c.head, c.head)
         base = min(lo, c.head)
@@ -207,6 +210,11 @@ class Trajectory(_TupleView):
                 tape, pairs = [blank] * m + tape + [blank] * m, [None] * m + pairs + [None] * m
                 base, h, a, b = base - m, h + m, a + m, b + m
             yield control, h + base, a, b, tape, pairs
+        if j == len(self.log):
+            last = (control, h + base, tuple(filter(None, pairs[a:b])))
+            if last != (self.end.control, self.end.head, self.end.cells):
+                raise ValidationError(
+                    f"the log ends at {last}, but the stored end is {self.end}", ("end", 0))
 
 
 @dataclass(frozen=True)
@@ -688,41 +696,25 @@ def bennett_simulate(
     (control state, read symbol) of every step.  Phase 2 copies the
     result window to a fresh output tape, one symbol per step.  Phase 3
     consumes the history backwards, restoring the input tape and leaving
-    the history empty.  Total steps: 2n + r.  No snapshot is built here:
-    ``global_configs`` builds each one when it is indexed.
+    the history empty; it is checked by one forward replay of the log
+    (see :class:`Trajectory`), which holds exactly when undoing the run
+    from its end restores its start.  Total steps: 2n + r.  No snapshot
+    is built here: ``global_configs`` builds each one when it is indexed.
 
     Raises :class:`NotHalting` if the budget runs out and
-    :class:`IrreversibleStep` if a backward step disagrees with the
-    recorded forward run or the backward pass does not restore the start
-    configuration.
+    :class:`IrreversibleStep`, from the replay's :class:`ValidationError`,
+    for a forward run whose log or end does not fit the machine.
     """
     forward = tm_run(tm, tape, max_steps=max_steps, tape_cap=tape_cap)
     if not forward.halted:
         raise NotHalting(max_steps)
+    run = forward.configurations
+    try:
+        deque(run._replay(run.start, 0, len(run.log)), maxlen=0)
+    except ValidationError as err:
+        raise IrreversibleStep(str(err)) from err
+
     n, r = forward.steps, forward.result_length
-
-    # Each step is undone on one tape; the two checks below make every
-    # undone step the inverse of its recorded one, so restoring the start
-    # configuration at the end means every intermediate one was restored.
-    end = forward.configurations[-1]
-    store, head, control = dict(end.cells), end.head, end.control
-    for k in range(1, n + 1):
-        q, s = forward.log[n - k]
-        q2, w, move = tm.rules[(q, s)]
-        if control != q2:
-            raise IrreversibleStep(f"backward step {k}: control {control!r}, expected {q2!r}")
-        head -= MOVES[move]
-        if store.get(head, tm.blank) != w:
-            raise IrreversibleStep(f"backward step {k}: cell {head} does not hold {w!r}")
-        if s == tm.blank:
-            store.pop(head, None)
-        else:
-            store[head] = s
-        control = q
-    restored = Configuration(control=control, head=head, cells=tuple(sorted(store.items())))
-    if restored != forward.configurations[0]:
-        raise IrreversibleStep("backward pass does not restore the start configuration")
-
     # No two snapshots share a key: within each phase one counter is strictly monotone.
     return BennettTrace(
         machine=tm.name,

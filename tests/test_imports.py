@@ -8,7 +8,10 @@ and ``composition`` off the named arrow views and ``Arrow``: their tours,
 searches and tuple graphs walk ``moves`` and ``successors``.  A third
 keeps every module off an input model's names-keyed ``probs`` view and
 ``arrow_probability``, outside ``InputModel`` itself: models are read as
-weight rows.
+weight rows.  A fourth keeps a machine's rules in two readers: only the
+stepper ``_advance`` and the log replay ``Trajectory._replay`` apply
+``step_rules``, and only ``step_rules`` itself and ``head_automaton``
+read ``rules``.
 """
 
 import ast
@@ -116,4 +119,51 @@ def test_the_scan_finds_named_model_reads():
 def test_models_are_read_as_weight_rows():
     found = [f"{path.name}:{line}: {what}" for path in sorted(PACKAGE.glob("*.py"))
              for line, what in named_model_reads(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+RULE_READERS = {"step_rules": {"_advance", "Trajectory._replay"},
+                "rules": {"TuringMachine.step_rules", "head_automaton"}}
+
+
+def rule_reads(source):
+    """(line, name, where) of each read of ``.step_rules`` or ``.rules`` in
+    ``source`` outside the functions ``RULE_READERS`` allows; ``where`` is
+    the dotted name of the enclosing classes and functions."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        elif (isinstance(node, ast.Attribute) and node.attr in RULE_READERS
+              and where not in RULE_READERS[node.attr]):
+            found.append((node.lineno, node.attr, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_the_scan_finds_rule_reads():
+    source = ("class TuringMachine:\n"
+              "    def step_rules(self):\n"
+              "        return self.rules\n"
+              "def _advance(tm):\n"
+              "    return tm.step_rules, tm.rules\n"
+              "class Trajectory:\n"
+              "    def _replay(self):\n"
+              "        return [self.tm.step_rules for _ in self.log]\n"
+              "def bennett_simulate(tm):\n"
+              "    return tm.rules[('q', 'a')], tm.halting\n"
+              "first = tm.step_rules\n")
+    assert rule_reads(source) == [
+        (5, "rules", "_advance"), (10, "rules", "bennett_simulate"), (11, "step_rules", ""),
+    ]
+
+
+def test_only_the_stepper_and_the_replay_apply_rules():
+    found = [f"{path.name}:{line}: {name} in {where or 'module'}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, name, where in rule_reads(path.read_text(encoding="utf-8"))]
     assert found == []

@@ -4,6 +4,7 @@ decomposition, dissipation growth, and the reversible simulation."""
 import dataclasses
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -390,14 +391,20 @@ def eraser():
     )
 
 
-@pytest.mark.parametrize("log, end, message", [
-    # read 'b' where 'a' was: every backward step checks out, but the
-    # input comes back as 'b'
-    ((("q", "b"), ("r", "_")), None, "does not restore the start configuration"),
-    ((("q", "a"), ("q", "a")), None, "backward step 1: control 'h', expected 'r'"),
-    (None, Configuration("h", 1, ((1, "a"),)), "backward step 1: cell 1 does not hold '_'"),
+@pytest.mark.parametrize("log, end, message, entry", [
+    # read 'b' where 'a' was: undoing the run from its end passes every
+    # backward check but gives the input back as 'b'
+    ((("q", "b"), ("r", "_")), None,
+     "log step 0 is ('q', 'b'), but the machine is in 'q' reading 'a'", ("log", 0)),
+    ((("q", "a"), ("q", "a")), None,
+     "log step 1 is ('q', 'a'), but the machine is in 'r' reading '_'", ("log", 1)),
+    (None, Configuration("h", 1, ((1, "a"),)), "the log ends at ('h', 1, ()), but the stored end "
+     "is Configuration(control='h', head=1, cells=((1, 'a'),))", ("end", 0)),
+    # no rule, and no such state
+    ((("q", "a"), ("zz", "a")), None,
+     "log step 1 is ('zz', 'a'), but the machine is in 'r' reading '_'", ("log", 1)),
 ])
-def test_bennett_refuses_a_tampered_forward_run(monkeypatch, log, end, message):
+def test_bennett_refuses_a_tampered_forward_run(monkeypatch, log, end, message, entry):
     tm = eraser()
     assert bennett_simulate(tm, ["a"]).total_steps == 4
     real = turing.tm_run
@@ -409,25 +416,32 @@ def test_bennett_refuses_a_tampered_forward_run(monkeypatch, log, end, message):
             run, configurations=Trajectory(t.tm, t.start, log or t.log, end or t.end))
 
     monkeypatch.setattr(turing, "tm_run", tampered)
-    with pytest.raises(IrreversibleStep, match=message):
+    with pytest.raises(IrreversibleStep, match=f"^{re.escape(message)}$") as err:
         bennett_simulate(tm, ["a"])
+    cause = err.value.__cause__
+    assert (type(cause), str(cause), cause.entry) == (ValidationError, message, entry)
 
 
-@pytest.mark.parametrize("log, step", [
-    ((("q", "a"), ("q", "a")), 1),  # the first step left control 'r'
-    ((("q", "a"), ("zz", "a")), 1),  # no rule, and no such state
-    ((("q", "a"), ("r", "_"), ("h", "_")), 2),  # a step after the halt
+@pytest.mark.parametrize("log, end, entry", [
+    ((("q", "a"), ("q", "a")), None, ("log", 1)),  # the first step left control 'r'
+    ((("q", "a"), ("zz", "a")), None, ("log", 1)),  # no rule, and no such state
+    ((("q", "a"), ("r", "_"), ("h", "_")), None, ("log", 2)),  # a step after the halt
+    (None, Configuration("h", 5, ()), ("end", 0)),  # the log ends at head 1
 ])
-def test_every_reader_of_a_run_checks_its_log(log, step):
+def test_every_reader_of_a_run_checks_its_log(log, end, entry):
     tm = eraser()
     t = tm_run(tm, ["a"]).configurations
+    log, end = log or t.log, end or t.end
+    prefix = f"^log step {entry[1]} " if entry[0] == "log" else "^the log ends at "
     errors = []
     for read in (Trajectory.renders, tuple, lambda t: t[1], lambda t: t[1:],
                  lambda t: global_graph(RunTrace("eraser", "_", t, True, len(log), (), 0))):
-        with pytest.raises(ValidationError, match=f"^log step {step} ") as err:
-            read(Trajectory(tm, t.start, log, t.end))
+        with pytest.raises(ValidationError, match=prefix) as err:
+            read(Trajectory(tm, t.start, log, end))
         errors.append((type(err.value), str(err.value), err.value.entry))
-    assert errors == [(ValidationError, errors[0][1], ("log", step))] * 5
+    assert errors == [(ValidationError, errors[0][1], entry)] * 5
+    # the stored end is returned unchecked, without a replay
+    assert Trajectory(tm, t.start, log, end)[-1] is end
 
 
 def test_a_stored_run_is_read_from_its_log_alone(monkeypatch, gen):
