@@ -22,7 +22,11 @@ configuration of the run, of some of its indices and slices, and of the
 working configuration of every Bennett snapshot.  On ``bincounter.tm``,
 which does not halt, it pins ``tm run`` at 100,000 steps, ``tm dissip``
 at 5,000, the log of the 100,000-step run, and the configuration names
-and some lookups of a 20,000-step run.
+and some lookups of a 20,000-step run.  On each ``product`` pair, under
+seeded non-uniform module models, it pins the ``repr`` of the product
+model's weights and every tuple state's choice bits; on a 2,400-state
+``gen.strongly_connected`` automaton, the per-step loss and input bits
+of a 40-step ensemble.
 
 Run as a script, this file only adds pins; for a deliberate change of
 output, delete the changed keys by hand first (see ``golden.py``).
@@ -168,13 +172,40 @@ def _lookups(configs) -> list:
             + [configs[n // 5: n // 5 + 9], configs[n // 2:: 7], configs[3 * n // 4: n // 4: -5]])
 
 
+def _model(a, rng):
+    """A seeded non-uniform model of ``a``: each arrow weighs 0 to 3 before
+    the row is divided by its sum, so rows repeat and hold zeros."""
+    from autodiss.dissipation import InputModel
+
+    rows = []
+    for ts in a.successors:
+        row = [float(rng.randint(0, 3)) for _ in ts] or [1.0]
+        row[0] += not sum(row)
+        rows.append(tuple([w / sum(row) for w in row]) if ts else ())
+    return InputModel(a, tuple(rows))
+
+
+def _model_digests(texts, seed) -> dict:
+    """The product model's ``repr`` and every tuple state's choice bits,
+    under seeded non-uniform models of the modules in ``texts``."""
+    from autodiss import composition, dissipation, fileformat
+
+    rng = random.Random(seed)
+    mods = [fileformat.parse_automaton(text)[0] for text in texts]
+    p = composition.product_many(mods)
+    pm = composition.product_input_model(p, [_model(a, rng) for a in mods])
+    return {"weights": _sha(repr(pm.weights)), "choice_bits": _sha(repr(
+        [dissipation.choice_information(p, pm, q) for q in p.states]))}
+
+
 def library(gen) -> dict:
     """Digests of ``global_graph`` on the run and on the Bennett
     simulation of each ``TM_SWEEPS`` machine, of the run's configurations
     and of the working configurations of the Bennett snapshots, of the
     step log of the long ``bincounter.tm`` run, and of the names and
-    lookups of a 20,000-step one."""
-    from autodiss import fileformat, turing
+    lookups of a 20,000-step one; of the product models of the
+    ``product`` cases; and of the per-step bits of a 2,400-state ensemble."""
+    from autodiss import dissipation, fileformat, turing
 
     bincounter = fileformat.load_machine(asset_path("bincounter.tm"))
     pins = {"log/bincounter": _sha(repr(turing.tm_run(bincounter, max_steps=100_000).log))}
@@ -190,6 +221,19 @@ def library(gen) -> dict:
             "configurations": _sha(repr(tuple(run.configurations))),
             "lookups": _sha(repr(_lookups(run.configurations)))}
         pins[f"snapshots/{seed}"] = _sha(repr([g.config for g in ben.global_configs]))
+    for seed in PRODUCT_SEEDS:
+        rng = random.Random(seed)
+        pins[f"model/{seed}"] = _model_digests(
+            [_module(gen, rng, f"a{seed}"), _module(gen, rng, f"b{seed}")], seed)
+    rng = random.Random(4)
+    pins["model/unordered"] = _model_digests(
+        [gen.aut_text(name, _renamed(gen.random_module(rng, 6, 3), mark))
+         for name, mark in (("plus", "+"), ("bang", "!"))], 4)
+    a, m = fileformat.parse_automaton(
+        gen.aut_text("sc2400", gen.strongly_connected(random.Random(2400), 2400)))
+    trace = dissipation.ensemble_dissipation(a, m, dissipation.uniform_distribution(a), 40)
+    pins["ensemble/2400"] = {"loss_bits": _sha(repr(trace.per_step_loss_bits)),
+                             "input_bits": _sha(repr(trace.per_step_input_bits))}
     return pins
 
 
