@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -240,18 +241,27 @@ def product_input_model(p: ProductAutomaton, models: Sequence[InputModel]) -> In
     :class:`ProductAutomaton`), each tuple state's weights are the module
     rows multiplied in module order; when tuple names sort part by part,
     that is already ``p.successors`` order, else each row is put in it
-    by target.  Raises :class:`InvalidDistribution` when a model is not
-    one of its component's.
+    by target.  A module's rows are numbered by exact bit pattern, so
+    ``-0.0`` and ``0.0`` stay apart, and each distinct (prefix row, module
+    row) pair is multiplied once: tuple states then share read-only row
+    objects, in O(tuple states + distinct rows * row length).  Raises
+    :class:`InvalidDistribution` when a model is not one of its component's.
     """
     comps = p.components if isinstance(p, ProductAutomaton) else ()
     if not comps:
         raise ArityMismatch(f"{p.name!r} is not a product of modules")
     if len(models) != len(comps):
         raise ArityMismatch("one model per component required")
-    weights = [(1.0,)]
+    ids, rows = [0], [(1.0,)]  # each tuple-state prefix's row id; the distinct rows
     for c, m in zip(comps, models):
-        weights = [tuple([w * w2 for w in pre for w2 in own])
-                   for pre in weights for own in _weights(c, m)]
+        mine: dict[bytes, int] = {}
+        own_ids = [mine.setdefault(struct.pack(f"{len(r)}d", *r), len(mine))
+                   for r in _weights(c, m)]
+        own = dict(zip(own_ids, _weights(c, m)))
+        pairs: dict[tuple[int, int], int] = {}
+        ids = [pairs.setdefault((i, j), len(pairs)) for i in ids for j in own_ids]
+        rows = [tuple([w * w2 for w in rows[i] for w2 in own[j]]) for i, j in pairs]
+    weights = [rows[i] for i in ids]
     if p._module_ordered:
         return InputModel(p, tuple(weights))
     return InputModel(p, tuple([tuple(map(dict(zip(ts, ws)).__getitem__, order))

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from . import core
 from .core import Automaton, run, step
 from .errors import (
-    ArityMismatch, AutomataError, DeviceRefused, SizeLimit, UnknownState, Untestable,
+    ArityMismatch, AutomataError, DeviceRefused, SizeLimit, Untestable,
 )
 
 
@@ -121,8 +121,7 @@ def transition_tour(a: Automaton, start: str) -> TestTour:
     Raises :class:`Untestable` when some arrow cannot be reached, and
     :class:`SizeLimit` on graphs too large to tour monolithically.
     """
-    if start not in a.index:
-        raise UnknownState(start)
+    pos = core._state_index(a, start)
     if len(a.states) > core.MONOLITHIC_STATE_LIMIT:
         raise SizeLimit(len(a.states), core.MONOLITHIC_STATE_LIMIT)
 
@@ -140,7 +139,6 @@ def transition_tour(a: Automaton, start: str) -> TestTour:
             pending.setdefault(comp[q], set()).add(q)
     pending_bits = sum(1 << c for c in pending)  # components in ``pending``
     word: list[str] = []
-    pos = a.index[start]
 
     # The helpers below judge a candidate arrow against the current
     # search from ``pos``, whose tree is ``parent``.
@@ -254,8 +252,7 @@ class AutomatonOracle:
     """
 
     def __init__(self, a: Automaton, state: str):
-        if state not in a.index:
-            raise UnknownState(state)
+        core._state_index(a, state)
         self.automaton = a
         self.state = state
 

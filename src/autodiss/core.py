@@ -120,9 +120,16 @@ class Automaton:
         return sum(map(len, self.successors))
 
     def out_degree(self, q: str) -> int:
-        if q not in self.index:
-            raise UnknownState(q)
-        return len(self.successors[self.index[q]])
+        return len(self.successors[_state_index(self, q)])
+
+
+def _state_index(a: Automaton, q: str) -> int:
+    """``q``'s position in ``a.states``; raises :class:`UnknownState` for any
+    other value, an unhashable one included."""
+    try:
+        return a.index[q]
+    except (KeyError, TypeError):  # TypeError: ``q`` cannot be hashed
+        raise UnknownState(q) from None
 
 
 @dataclass(frozen=True)
@@ -238,8 +245,7 @@ def validate(
 
 def arrows_from(a: Automaton, q: str) -> list[Arrow]:
     """Merged arrows leaving ``q``, sorted by target; empty for sinks."""
-    if q not in a.index:
-        raise UnknownState(q)
+    _state_index(a, q)
     return list(a.by_source[q])
 
 
@@ -274,8 +280,7 @@ def step(a: Automaton, q: str, s: str) -> str:
     ``q``: the environment stepped outside the compatible class.  The
     alphabet is scanned only on a miss, so a step costs O(1).
     """
-    if q not in a.index:
-        raise UnknownState(q)
+    _state_index(a, q)
     try:
         return a.transitions[q, s]
     except (KeyError, TypeError):  # TypeError: ``s`` cannot be hashed
@@ -286,8 +291,7 @@ def step(a: Automaton, q: str, s: str) -> str:
 
 def run(a: Automaton, start: str, word: Sequence[str]) -> Path:
     """Iterate :func:`step` over an input word and record the path."""
-    if start not in a.index:
-        raise UnknownState(start)
+    _state_index(a, start)
     q = start
     states = [q]
     for i, s in enumerate(word):

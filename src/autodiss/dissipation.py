@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
-from .core import Arrow, Automaton, Path, convergent_states, run
+from .core import Arrow, Automaton, Path, _state_index, convergent_states, run
 from .errors import InvalidArgument, InvalidDistribution, NonPositiveTemperature, UnknownState
 
 if TYPE_CHECKING:  # numpy is imported on first use, by the ensemble functions
@@ -36,8 +36,10 @@ class InputModel:
     A merged arrow is one choice regardless of how many symbols label it.
     Stored as the graph is: ``weights[i]`` holds the probabilities of
     ``automaton.states[i]``'s arrows in ``automaton.successors[i]`` order,
-    so a sink's row is empty.  The constructor checks nothing; ``probs``,
-    the weights keyed by state and ``(state, target)``, is built on first read.
+    so a sink's row is empty.  Rows are read-only and states may share one
+    row object, as a product model's do.  The constructor checks nothing;
+    ``probs``, the weights keyed by state and ``(state, target)``, and each
+    state's choice bits are built on first read.
     """
 
     def __init__(self, automaton: Automaton, weights: tuple[tuple[float, ...], ...]):
@@ -49,6 +51,13 @@ class InputModel:
         states = self.automaton.states
         return {q: {(q, states[t]): p for t, p in zip(targets, row)}
                 for q, targets, row in zip(states, self.automaton.successors, self.weights)}
+
+    @cached_property
+    def _choice_bits(self) -> tuple[float, ...]:
+        """Each state's ``_bits``, summed once per distinct row.  Rows are keyed
+        by content: ``_bits`` skips ``p <= 0``, so ``-0.0`` and ``0.0`` agree."""
+        memo = {row: _bits(row) for row in dict.fromkeys(self.weights)}
+        return tuple(map(memo.__getitem__, self.weights))
 
     @classmethod
     def uniform(cls, a: Automaton) -> "InputModel":
@@ -109,6 +118,12 @@ def _weights(a: Automaton, m: InputModel) -> tuple[tuple[float, ...], ...]:
     return m.weights
 
 
+def _charges(a: Automaton, m: InputModel) -> tuple[float, ...]:
+    """Each state's choice bits under ``m``, once ``m`` is known to be a model of ``a``."""
+    _weights(a, m)
+    return m._choice_bits
+
+
 def _bits(row: Sequence[float]) -> float:
     """-sum p log2 p over one state's arrow probabilities."""
     return float(sum(-p * math.log2(p) for p in row if p > 0))
@@ -157,11 +172,11 @@ def choice_information(a: Automaton, m: InputModel, q: str) -> float:
     """Bits needed to leave ``q`` under the model: -sum p log2 p.
 
     Zero for sinks and for states with a single arrow (indifferent or
-    implicit input); at most log2 of the out-arrow count.
+    implicit input); at most log2 of the out-arrow count.  The model sums
+    each distinct row once, on the first call, and every call reads it.
     """
-    if q not in a.index:
-        raise UnknownState(q)
-    return _bits(_weights(a, m)[a.index[q]])
+    i = _state_index(a, q)
+    return _charges(a, m)[i]
 
 
 def path_choice_information(
@@ -248,7 +263,7 @@ def ensemble_dissipation(
     source = np.repeat(np.arange(len(targets)), list(map(len, targets)))
     target = np.array([t for ts in targets for t in ts], dtype=np.intp)
     weight = np.array([w for ws in weights for w in ws or (1.0,)], dtype=float)
-    cvec = np.array(list(map(_bits, weights)))
+    cvec = np.array(_charges(a, m))
     dists = [p]
     losses = []
     inputs = []
@@ -277,10 +292,8 @@ def point_distribution(a: Automaton, q: str) -> np.ndarray:
     """All probability mass on one state."""
     import numpy as np
 
-    if q not in a.index:
-        raise UnknownState(q)
     p = np.zeros(len(a.states))
-    p[a.index[q]] = 1.0
+    p[_state_index(a, q)] = 1.0
     return p
 
 

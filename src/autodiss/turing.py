@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import Automaton, _ordered_unique, convergent_states, validate
-from .dissipation import InputModel, _bits, _weights
+from .dissipation import InputModel, _charges
 from .errors import (
     AlphabetTooSmall,
     Halted,
@@ -614,7 +614,7 @@ def modular_tm_dissipation(
     trace = tm_run(tm, tape, max_steps=max_steps)
     head = head_automaton(tm)
     m = model or InputModel.uniform(head)
-    head_charge = dict(zip(head.states, map(_bits, _weights(head, m))))
+    head_charge = dict(zip(head.states, _charges(head, m)))
     cell_charge = math.log2(len(tm.tape_alphabet))
     head_bits = tuple(head_charge[q] for q, _ in trace.log)
     per_step = tuple(hb + cell_charge for hb in head_bits)

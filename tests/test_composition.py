@@ -22,16 +22,19 @@ from autodiss import (
     divergent_states,
     ensemble_dissipation,
     equivalent,
+    head_automaton,
     modular_test_cost,
+    modular_tm_dissipation,
     product,
     product_input_model,
     product_many,
     reachable_subgraph,
     run,
+    uniform_distribution,
     validate,
     wire,
 )
-from autodiss import cli, composition, core, fileformat
+from autodiss import cli, composition, core, dissipation, fileformat
 from autodiss.assets import asset_path
 from autodiss.errors import (
     AlphabetMismatch,
@@ -123,6 +126,69 @@ def test_choice_information_is_extensive():
                 expected = choice_information(a, ma, qa) + choice_information(b, mb, qb)
                 assert abs(combined - expected) <= 1e-9
                 assert prod.out_degree(f"({qa},{qb})") == a.out_degree(qa) * b.out_degree(qb)
+
+
+def repeating_model(rng, a):
+    """A model whose rows repeat: each state takes, for its out-degree ``d``,
+    either the uniform row or one weighted 1 : 2 : ... : d."""
+    def rows(d):
+        return [(1.0 / d,) * d, tuple([2.0 * (k + 1) / (d * (d + 1)) for k in range(d)])]
+    return InputModel(a, tuple([rng.choice(rows(len(ts))) for ts in a.successors]))
+
+
+def six_module_product():
+    """A product of six random modules of 1 to 4 states, with repeating models."""
+    rng = random.Random(36)
+    mods = [sinkless(rng, max_states=4, max_symbols=2) for _ in range(6)]
+    return product_many(mods), [repeating_model(rng, a) for a in mods]
+
+
+def test_a_product_model_builds_each_distinct_row_once():
+    """Counted, not timed: the model holds at most one row object per
+    combination of distinct module rows, here 4 among 288 tuple states."""
+    p, models = six_module_product()
+    bound = math.prod(len(set(m.weights)) for m in models)
+    assert len({id(row) for row in product_input_model(p, models).weights}) <= bound
+    assert bound < len(p.states) // 4
+
+
+def test_choice_bits_are_summed_once_per_distinct_row(monkeypatch, bincounter):
+    """Counted, not timed: a full scan of a 6-module product's choice bits,
+    twice over, an ensemble on it and a machine's modular charge each sum
+    ``_bits`` at most once per distinct row."""
+    p, models = six_module_product()
+    calls = []
+    bits = dissipation._bits
+    monkeypatch.setattr(dissipation, "_bits", lambda row: calls.append(row) or bits(row))
+    pm = product_input_model(p, models)
+    distinct = len(set(pm.weights))
+    for _ in range(2):
+        for q in p.states:
+            choice_information(p, pm, q)
+    assert len(calls) <= distinct
+    calls.clear()
+    ensemble_dissipation(p, product_input_model(p, models), uniform_distribution(p), 3)
+    assert len(calls) <= distinct
+    calls.clear()
+    modular_tm_dissipation(bincounter, max_steps=200)
+    assert len(calls) <= len(set(InputModel.uniform(head_automaton(bincounter)).weights))
+
+
+def test_a_product_model_keeps_signed_zeros_apart():
+    """Rows ``(1.0, -0.0)`` and ``(1.0, 0.0)`` are two rows, not one: their
+    products, and the ``prob`` lines written from them, keep each sign."""
+    m = validate("z", ["x", "y"], ["o", "p"], ["a", "b"], "a", {"a": "o", "b": "p"},
+                 [(q, s, t) for q in "ab" for s, t in (("x", "a"), ("y", "b"))])
+    model = InputModel(m, ((1.0, -0.0), (1.0, 0.0)))
+    p = product_many([m, m])
+    pm = product_input_model(p, [model, model])
+    assert repr(pm.weights) == ("((1.0, -0.0, -0.0, 0.0), (1.0, 0.0, -0.0, -0.0), "
+                                "(1.0, -0.0, 0.0, -0.0), (1.0, 0.0, 0.0, 0.0))")
+    signs = ["-0.0 -0.0 0.0", "0.0 -0.0 -0.0", "-0.0 0.0 -0.0", "0.0 0.0 0.0"]
+    text = fileformat.write_automaton(p, pm)
+    assert text == fileformat.write_automaton(p) + "".join(
+        f"prob ({q}) {s} {w}\n" for q, ws in zip(["a,a", "a,b", "b,a", "b,b"], signs)
+        for s, w in zip(["x|x", "x|y", "y|x", "y|y"], ["1.0"] + ws.split()))
 
 
 def test_ensemble_loss_is_extensive():

@@ -8,13 +8,16 @@ from autodiss import (
     AutomatonOracle,
     InputModel,
     arrows_from,
+    choice_information,
     convergent_states,
     divergent_states,
     is_reversible,
+    path_choice_information,
     point_distribution,
     reachable_states,
     run,
     step,
+    transition_tour,
     validate,
 )
 from autodiss.errors import (
@@ -135,6 +138,25 @@ def test_out_degree_names_an_undeclared_state(tff):
     assert [auto.out_degree(q) for q in auto.states] == [2, 2]
     with pytest.raises(UnknownState, match="^state 'nope' is not declared$"):
         auto.out_degree("nope")
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, m, q: choice_information(a, m, q),
+    lambda a, m, q: path_choice_information(a, m, q, []),
+    lambda a, m, q: point_distribution(a, q),
+    lambda a, m, q: a.out_degree(q),
+    lambda a, m, q: arrows_from(a, q),
+    lambda a, m, q: step(a, q, "T0"),
+    lambda a, m, q: run(a, q, []),
+    lambda a, m, q: transition_tour(a, q),
+    lambda a, m, q: AutomatonOracle(a, q),
+], ids=["choice_information", "path_choice_information", "point_distribution", "out_degree",
+        "arrows_from", "step", "run", "transition_tour", "AutomatonOracle"])
+def test_an_unhashable_state_is_an_unknown_state(tff, call):
+    """A state given as a list is refused as undeclared, not by a bare ``TypeError``."""
+    auto, model = tff
+    with pytest.raises(UnknownState, match=r"^state \['0'\] is not declared$"):
+        call(auto, model, ["0"])
 
 
 def test_arrows_from_memory(onebit):

@@ -11,7 +11,9 @@ keeps every module off an input model's names-keyed ``probs`` view and
 weight rows.  A fourth keeps a machine's rules in two readers: only the
 stepper ``_advance`` and the log replay ``Trajectory._replay`` apply
 ``step_rules``, and only ``step_rules`` itself and ``head_automaton``
-read ``rules``.
+read ``rules``.  A fifth keeps the choice-bits sum ``_bits`` in two
+callers: a model's per-row memo ``InputModel._choice_bits``, which every
+charge reads, and ``cmd_wire``'s per-degree cache, which has no model.
 """
 
 import ast
@@ -166,4 +168,48 @@ def test_only_the_stepper_and_the_replay_apply_rules():
     found = [f"{path.name}:{line}: {name} in {where or 'module'}"
              for path in sorted(PACKAGE.glob("*.py"))
              for line, name, where in rule_reads(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+BITS_CALLERS = {"InputModel._choice_bits", "cmd_wire"}
+
+
+def bits_uses(source):
+    """(line, where) of each read of ``_bits``, as a name or an attribute, in
+    ``source`` outside the functions ``BITS_CALLERS`` names; ``where`` is as
+    in :func:`rule_reads`."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        elif ((isinstance(node, ast.Name) and node.id == "_bits"
+               or isinstance(node, ast.Attribute) and node.attr == "_bits")
+              and isinstance(node.ctx, ast.Load) and where not in BITS_CALLERS):
+            found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_the_scan_finds_bits_uses():
+    source = ("def _bits(row):\n"
+              "    return sum(row)\n"
+              "class InputModel:\n"
+              "    def _choice_bits(self):\n"
+              "        return [_bits(r) for r in self.weights]\n"
+              "def cmd_wire(args):\n"
+              "    return (lambda d: dissipation._bits([1 / d] * d))(2)\n"
+              "def ensemble(weights):\n"
+              "    return list(map(_bits, weights)), dissipation._bits(())\n"
+              "charge = _bits\n")
+    assert bits_uses(source) == [(9, "ensemble"), (9, "ensemble"), (10, "")]
+
+
+def test_choice_bits_are_summed_only_by_the_model_memo():
+    found = [f"{path.name}:{line}: _bits in {where or 'module'}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, where in bits_uses(path.read_text(encoding="utf-8"))]
     assert found == []
