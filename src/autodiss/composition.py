@@ -254,8 +254,8 @@ def product_input_model(p: ProductAutomaton, models: Sequence[InputModel]) -> In
         raise ArityMismatch("one model per component required")
     ids, rows = [0], [(1.0,)]  # each tuple-state prefix's row id; the distinct rows
     for c, m in zip(comps, models):
-        mine: dict[bytes, int] = {}
-        own_ids = [mine.setdefault(struct.pack(f"{len(r)}d", *r), len(mine))
+        by_bits: dict[bytes, int] = {}
+        own_ids = [by_bits.setdefault(struct.pack(f"{len(r)}d", *r), len(by_bits))
                    for r in _weights(c, m)]
         own = dict(zip(own_ids, _weights(c, m)))
         pairs: dict[tuple[int, int], int] = {}

@@ -184,11 +184,12 @@ def test_a_product_model_keeps_signed_zeros_apart():
     pm = product_input_model(p, [model, model])
     assert repr(pm.weights) == ("((1.0, -0.0, -0.0, 0.0), (1.0, 0.0, -0.0, -0.0), "
                                 "(1.0, -0.0, 0.0, -0.0), (1.0, 0.0, 0.0, 0.0))")
-    signs = ["-0.0 -0.0 0.0", "0.0 -0.0 -0.0", "-0.0 0.0 -0.0", "0.0 0.0 0.0"]
-    text = fileformat.write_automaton(p, pm)
-    assert text == fileformat.write_automaton(p) + "".join(
-        f"prob ({q}) {s} {w}\n" for q, ws in zip(["a,a", "a,b", "b,a", "b,b"], signs)
-        for s, w in zip(["x|x", "x|y", "y|x", "y|y"], ["1.0"] + ws.split()))
+    assert fileformat.write_automaton(p, pm) == fileformat.write_automaton(p) + "".join(
+        f"prob {line}\n" for line in [
+            "(a,a) x|x 1.0", "(a,a) x|y -0.0", "(a,a) y|x -0.0", "(a,a) y|y 0.0",
+            "(a,b) x|x 1.0", "(a,b) x|y 0.0", "(a,b) y|x -0.0", "(a,b) y|y -0.0",
+            "(b,a) x|x 1.0", "(b,a) x|y -0.0", "(b,a) y|x 0.0", "(b,a) y|y -0.0",
+            "(b,b) x|x 1.0", "(b,b) x|y 0.0", "(b,b) y|x 0.0", "(b,b) y|y 0.0"])
 
 
 def test_ensemble_loss_is_extensive():

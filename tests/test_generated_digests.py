@@ -179,9 +179,10 @@ def _model(a, rng):
 
     rows = []
     for ts in a.successors:
-        row = [float(rng.randint(0, 3)) for _ in ts] or [1.0]
-        row[0] += not sum(row)
-        rows.append(tuple([w / sum(row) for w in row]) if ts else ())
+        row = [float(rng.randint(0, 3)) for _ in ts]
+        if row and not any(row):
+            row[0] = 1.0
+        rows.append(tuple([w / sum(row) for w in row]))
     return InputModel(a, tuple(rows))
 
 
