@@ -26,12 +26,17 @@ and some lookups of a 20,000-step run.  On each ``product`` pair, under
 seeded non-uniform module models, it pins the ``repr`` of the product
 model's weights and every tuple state's choice bits; on a 2,400-state
 ``gen.strongly_connected`` automaton, the per-step loss and input bits
-of a 40-step ensemble.
+of a 40-step ensemble.  On seeded random machines over ``_ a b`` it pins
+the log, end and result of ``tm_run`` on inputs with gaps, and chains of
+``tm_step`` from hand-built configurations whose head lies outside every
+cell; the runs move the head left of cell 0 and blank the cells at both
+ends of the window.
 
 Run as a script, this file only adds pins; for a deliberate change of
 output, delete the changed keys by hand first (see ``golden.py``).
 """
 
+import contextlib
 import hashlib
 import os
 import random
@@ -59,6 +64,12 @@ SWEEPS = ((1, 3, 2, 10_000), (2, 12, 9, 10_000), (3, 40, 47, 10_000), (4, 20, 10
 TM_SWEEPS = ((5, 11, 12), (6, 24, 31), (7, 36, 40))
 # (command, step budget) of the long runs of bincounter.tm, which does not halt
 LONG_RUNS = (("run", 100_000), ("dissip", 5_000))
+WANDERER_SEEDS = tuple(range(1, 13))  # seeded random machines of four control states
+WANDERER_TAPES = ("a_b_a", "__ab_b", "")  # gaps, and a head left of every cell
+# hand-built starts of the tm_step chains: the head left of, right of and
+# between the cells, and on a blank tape
+STEP_STARTS = (("q0", -4, ((0, "a"), (3, "b"), (7, "a"))), ("q1", 9, ((-2, "b"), (1, "a"), (2, "a"))),
+               ("q2", 4, ((0, "a"), (8, "b"))), ("q3", -1, ()))
 
 
 def _module(gen, rng, name):
@@ -172,6 +183,36 @@ def _lookups(configs) -> list:
             + [configs[n // 5: n // 5 + 9], configs[n // 2:: 7], configs[3 * n // 4: n // 4: -5]])
 
 
+def wanderer(seed):
+    """A random machine over ``_ a b`` with control states ``q0``-``q3``:
+    each rule writes any symbol and moves L, R or N, and on ``b`` it may
+    halt in ``h``."""
+    from autodiss import turing
+
+    rng = random.Random(seed)
+    states = ["q0", "q1", "q2", "q3"]
+    rules = [(q, s, rng.choice(states + ["h"] * (s == "b")), rng.choice("_ab"), rng.choice("LLRRN"))
+             for q in states for s in "_ab"]
+    return turing.make_machine(f"wander{seed}", "_ab", "_", states + ["h"], "q0", ["h"], rules)
+
+
+def wanderings(tm):
+    """``tm_run`` on each ``WANDERER_TAPES`` input for up to 500 steps, and
+    up to 201 ``tm_step`` configurations from each ``STEP_STARTS`` start."""
+    from autodiss import turing
+    from autodiss.errors import Halted
+
+    runs = [turing.tm_run(tm, list(tape), max_steps=500) for tape in WANDERER_TAPES]
+    chains = []
+    for control, head, cells in STEP_STARTS:
+        chain = [turing.Configuration(control, head, cells)]
+        with contextlib.suppress(Halted):
+            while len(chain) <= 200:
+                chain.append(turing.tm_step(tm, chain[-1]))
+        chains.append(chain)
+    return runs, chains
+
+
 def _model(a, rng):
     """A seeded non-uniform model of ``a``: each arrow weighs 0 to 3 before
     the row is divided by its sum, so rows repeat and hold zeros."""
@@ -205,7 +246,8 @@ def library(gen) -> dict:
     and of the working configurations of the Bennett snapshots, of the
     step log of the long ``bincounter.tm`` run, and of the names and
     lookups of a 20,000-step one; of the product models of the
-    ``product`` cases; and of the per-step bits of a 2,400-state ensemble."""
+    ``product`` cases; of the per-step bits of a 2,400-state ensemble; and
+    of the runs and ``tm_step`` chains of the ``WANDERER_SEEDS`` machines."""
     from autodiss import dissipation, fileformat, turing
 
     bincounter = fileformat.load_machine(asset_path("bincounter.tm"))
@@ -235,6 +277,11 @@ def library(gen) -> dict:
     trace = dissipation.ensemble_dissipation(a, m, dissipation.uniform_distribution(a), 40)
     pins["ensemble/2400"] = {"loss_bits": _sha(repr(trace.per_step_loss_bits)),
                              "input_bits": _sha(repr(trace.per_step_input_bits))}
+    for seed in WANDERER_SEEDS:
+        runs, chains = wanderings(wanderer(seed))
+        pins[f"wander/{seed}"] = {
+            "runs": _sha(repr([(run.log, run.configurations[-1], run.result) for run in runs])),
+            "steps": _sha(repr(chains))}
     return pins
 
 
@@ -245,6 +292,27 @@ def collect(gen, tmp_dir) -> dict:
 
 def test_generated_outputs_match_digests(gen, tmp_path):
     golden.check(FIXTURE, collect(gen, str(tmp_path)))
+
+
+def test_the_wanderers_reach_what_they_are_pinned_for():
+    """The pinned runs and chains move left of cell 0 and blank the lowest
+    and the highest non-blank cell; some runs halt, with a gap in a result,
+    and some run out of budget."""
+    seen = set()
+    for seed in WANDERER_SEEDS:
+        runs, chains = wanderings(wanderer(seed))
+        seen.update("halted" if run.halted else "budget" for run in runs)
+        seen.update("gap" for run in runs if "_" in (run.result or ()))
+        for chain in [list(run.configurations) for run in runs] + chains:
+            for c, d in zip(chain, chain[1:]):
+                blanked = c.head in dict(c.cells) and c.head not in dict(d.cells)
+                if d.head < 0:
+                    seen.add("left")
+                if blanked and c.head == c.cells[0][0]:
+                    seen.add("blank lo")
+                if blanked and c.head == c.cells[-1][0]:
+                    seen.add("blank hi")
+    assert seen == {"halted", "budget", "gap", "left", "blank lo", "blank hi"}
 
 
 if __name__ == "__main__":
