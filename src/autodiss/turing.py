@@ -69,20 +69,39 @@ class TuringMachine:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Control state, head position, and the non-blank cells of the tape, in order."""
+    """Control state, head position, and the non-blank cells of the tape, in
+    order; every reader decodes them with :func:`_tape`."""
 
     control: str
     head: int
     cells: tuple[tuple[int, str], ...]
 
     def read(self, blank: str) -> str:
-        return dict(self.cells).get(self.head, blank)
+        _, h, _, _, tape, _ = _tape(self, blank)
+        return tape[h]
 
     def render(self, blank: str) -> str:
         """``control|head|lo:window`` from cell ``lo``, or ``control|head|`` on a
         blank tape; distinct configurations render apart."""
-        lo, window = _trimmed_window(dict(self.cells), blank)
-        return f"{self.control}|{self.head}|" + (f"{lo}:{','.join(window)}" if window else "")
+        base, _, a, b, tape, _ = _tape(self, blank)
+        return f"{self.control}|{self.head}|" + (f"{a + base}:{','.join(tape[a:b])}" if a < b else "")
+
+
+def _tape(c: Configuration, blank: str):
+    """``(base, h, a, b, tape, pairs)``: ``tape`` lists the symbols from cell
+    ``base`` over ``c``'s cells and head, at ``tape[h]``, and ``pairs`` each cell
+    of ``c`` in place, None where blank; ``a:b`` spans the non-blank cells.  Cells
+    out of order, at a repeated position or blank raise :class:`ValidationError`."""
+    cells = c.cells
+    if [p for p, _ in cells] != sorted({p for p, s in cells if s != blank}):
+        raise ValidationError(f"cells {cells} are not non-blank and in order", ("cells", 0))
+    lo, hi = (cells[0][0], cells[-1][0] + 1) if cells else (c.head, c.head)
+    base = min(lo, c.head)
+    pairs = [None] * (max(hi, c.head + 1) - base)
+    for pair in cells:
+        pairs[pair[0] - base] = pair
+    tape = [blank if pair is None else pair[1] for pair in pairs]
+    return base, c.head - base, lo - base, hi - base, tape, pairs
 
 
 class _TupleView(Sequence):
@@ -175,20 +194,13 @@ class Trajectory(_TupleView):
 
     def _replay(self, c: Configuration, i: int, j: int):
         """Apply log steps ``i`` to ``j - 1`` to ``c``, the ``i``-th configuration,
-        yielding ``(control, head, a, b, tape, pairs)`` after each: ``tape[a:b]``
-        spans the non-blank cells, and ``pairs`` holds the shared ``(position,
-        symbol)`` pair of each, None where blank.  Both lists double when the
-        head leaves them.  A logged pair that has no rule, or is not the current
-        control state and cell, raises :class:`ValidationError` at ``("log",
-        step)``; a replay to the log's end that misses ``end``, at ``("end", 0)``."""
-        blank, rules, control, cells = self.tm.blank, self.tm.step_rules, c.control, c.cells
-        lo, hi = (cells[0][0], cells[-1][0] + 1) if cells else (c.head, c.head)
-        base = min(lo, c.head)
-        pairs = [None] * (max(hi, c.head + 1) - base)
-        for pair in cells:
-            pairs[pair[0] - base] = pair
-        tape = [blank if pair is None else pair[1] for pair in pairs]
-        a, b, h = lo - base, hi - base, c.head - base
+        yielding ``(control, head, a, b, tape, pairs)`` after each, on the lists of
+        :func:`_tape` that :func:`_advance` steps too, doubled when the head leaves
+        them.  A logged pair that has no rule, or is not the current control state
+        and cell, raises :class:`ValidationError` at ``("log", step)``; a replay to
+        the log's end that misses ``end``, at ``("end", 0)``."""
+        blank, rules, control = self.tm.blank, self.tm.step_rules, c.control
+        base, h, a, b, tape, pairs = _tape(c, blank)
         for k, (q, s) in enumerate(self.log[i:j], i):
             rule = rules.get((q, s))
             if rule is None or q != control or s != tape[h]:
@@ -442,57 +454,47 @@ def initial_configuration(tm: TuringMachine, tape: Sequence[str] = ()) -> Config
 
 
 def tm_step(tm: TuringMachine, c: Configuration) -> Configuration:
-    """Apply one rule, in the step loop of :func:`tm_run`; a stored run's
-    configurations are replayed from its log instead (see :class:`Trajectory`).
-    Raises :class:`Halted` on halting configurations and :class:`NoRule` on no rule."""
+    """Apply one rule in :func:`tm_run`'s step loop, after decoding the span of ``c``
+    as ``render`` and every replay do: O(window).  Raises :class:`Halted` if halted,
+    :class:`NoRule`, and :class:`ValidationError` on cells that :func:`_tape` refuses."""
     if c.control in tm.halting:
         raise Halted(f"control state {c.control!r} is halting")
     return _advance(tm, c, 1)[1]
 
 
-def _trimmed_window(store: dict[int, str], blank: str) -> tuple[int, tuple[str, ...]]:
-    """The lowest stored index, and the cells from it to the highest stored
-    index with gaps blank; ``(0, ())`` for an empty tape."""
-    if not store:
-        return 0, ()
-    lo, hi = min(store), max(store)
-    return lo, tuple(store.get(i, blank) for i in range(lo, hi + 1))
-
-
 def _advance(tm: TuringMachine, c: Configuration, max_steps: int, tape_cap=math.inf):
-    """``(log, end)``: the (control, read) pair of every rule applied from
-    ``c`` until halt or ``max_steps`` steps, and the configuration reached;
-    O(1) work per step.  Raises :class:`NoRule` and :class:`TapeOverflow`."""
-    rules, halting, blank = tm.step_rules, tm.halting, tm.blank
-    store = dict(c.cells)
-    head, control = c.head, c.control
+    """``(log, end)``: the (control, read) pair of each rule applied from ``c`` until
+    halt or ``max_steps`` steps, and the end; O(1) work per step on :func:`_tape`'s
+    list, doubled when the head leaves it.  Raises :class:`NoRule`, :class:`TapeOverflow`."""
+    rules, halting, blank, control = tm.step_rules, tm.halting, tm.blank, c.control
+    base, h, a, b, tape, _ = _tape(c, blank)
     log = []
     # Writes happen under the head, so the window is the start's extent widened
     # by head excursions; a start wider than the cap fails at the first step.
-    lo, hi = min([head, *store]), max([head, *store])
+    lo, hi = min(a, h), max(b - 1, h)
     if hi - lo >= tape_cap:
         max_steps = min(max_steps, 1)
     for _ in range(max_steps):
         if control in halting:
             break
-        read = store.get(head, blank)
-        rule = rules.get((control, read))
+        rule = rules.get((control, tape[h]))
         if rule is None:
-            raise NoRule(control, read)
-        key, control, write, shift = rule
+            raise NoRule(control, tape[h])
+        key, control, tape[h], shift = rule
         log.append(key)
-        if write == blank:
-            store.pop(head, None)
-        else:
-            store[head] = write
-        head += shift
-        if not lo <= head <= hi:
-            lo, hi = min(lo, head), max(hi, head)
+        h += shift
+        if not lo <= h <= hi:
+            if not 0 <= h < len(tape):
+                m = len(tape) // 2 + 1
+                tape = [blank] * m + tape + [blank] * m
+                base, h, lo, hi = base - m, h + m, lo + m, hi + m
+            lo, hi = min(lo, h), max(hi, h)
             if hi - lo >= tape_cap:
                 break
     if log and hi - lo >= tape_cap:
         raise TapeOverflow(hi - lo + 1, tape_cap)
-    return log, Configuration(control=control, head=head, cells=tuple(sorted(store.items())))
+    cells = tuple((i, s) for i, s in enumerate(tape[lo:hi + 1], lo + base) if s != blank)
+    return log, Configuration(control=control, head=h + base, cells=cells)
 
 
 def tm_run(
@@ -501,10 +503,10 @@ def tm_run(
     max_steps: int = 10_000,
     tape_cap: int = DEFAULT_TAPE_CAP,
 ) -> RunTrace:
-    """Run until halt or budget, recording the (control, read) pair of
-    every step; O(1) work per step.  Only the start and final
-    configurations are stored; the others are replayed from the log
-    when read (see :class:`Trajectory`).  A run past
+    """Run until halt or budget, recording the (control, read) pair of every
+    step; O(1) work per step on the list tape that a replay reads.  Only the
+    start and final configurations are stored; the others are replayed from
+    the log when read (see :class:`Trajectory`).  A run past
     ``STEP_LOG_LIMIT`` steps raises :class:`SizeLimit` after one more."""
     if max_steps < 0:
         raise InvalidArgument("max_steps must be non-negative")
@@ -513,7 +515,8 @@ def tm_run(
     if len(log) > STEP_LOG_LIMIT:
         raise SizeLimit(len(log), STEP_LOG_LIMIT, "recorded steps")
     halted = end.control in tm.halting
-    result = _trimmed_window(dict(end.cells), tm.blank)[1] if halted else None
+    _, _, a, b, window, _ = _tape(end, tm.blank)
+    result = tuple(window[a:b]) if halted else None
     return RunTrace(machine=tm.name, blank=tm.blank,
                     configurations=Trajectory(tm, start, tuple(log), end),
                     halted=halted, steps=len(log), result=result,

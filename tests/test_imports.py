@@ -13,7 +13,9 @@ stepper ``_advance`` and the log replay ``Trajectory._replay`` apply
 ``step_rules``, and only ``step_rules`` itself and ``head_automaton``
 read ``rules``.  A fifth keeps the choice-bits sum ``_bits`` in two
 callers: a model's per-row memo ``InputModel._choice_bits``, which every
-charge reads, and ``cmd_wire``'s per-degree cache, which has no model.
+charge reads, and ``cmd_wire``'s per-degree cache, which has no model.  A
+sixth keeps a configuration's cells in one decoder: only ``_tape`` reads
+``.cells``, and ``Trajectory._replay`` only to check ``self.end``.
 """
 
 import ast
@@ -212,4 +214,53 @@ def test_choice_bits_are_summed_only_by_the_model_memo():
     found = [f"{path.name}:{line}: _bits in {where or 'module'}"
              for path in sorted(PACKAGE.glob("*.py"))
              for line, where in bits_uses(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+
+# where ``.cells`` may be read: anywhere in ``_tape``, and of ``self.end`` in the replay
+CELL_READERS = {"_tape": None, "Trajectory._replay": "self.end"}
+
+
+def cell_reads(source):
+    """(line, where) of each read of ``.cells`` in ``source`` that
+    ``CELL_READERS`` does not allow; ``where`` is as in :func:`rule_reads`."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        elif (isinstance(node, ast.Attribute) and node.attr == "cells" and isinstance(node.ctx, ast.Load)
+              and CELL_READERS.get(where, False) not in (None, ast.unparse(node.value))):
+            found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_the_scan_finds_cell_reads():
+    source = ("class Configuration:\n"
+              "    cells: tuple\n"
+              "    def read(self, blank):\n"
+              "        return dict(self.cells).get(self.head, blank)\n"
+              "def _tape(c, blank):\n"
+              "    return list(c.cells)\n"
+              "class Trajectory:\n"
+              "    def _replay(self, c):\n"
+              "        return c.cells, self.end.cells, self.start.cells\n"
+              "def tm_run(tm):\n"
+              "    return Configuration(cells=()), end.cells\n"
+              "first = start.cells\n")
+    assert cell_reads(source) == [
+        (4, "Configuration.read"), (9, "Trajectory._replay"), (9, "Trajectory._replay"),
+        (11, "tm_run"), (12, ""),
+    ]
+
+
+def test_configurations_are_decoded_only_by_tape():
+    found = [f"{path.name}:{line}: cells in {where or 'module'}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, where in cell_reads(path.read_text(encoding="utf-8"))]
     assert found == []

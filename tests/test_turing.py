@@ -444,6 +444,21 @@ def test_every_reader_of_a_run_checks_its_log(log, end, entry):
     assert Trajectory(tm, t.start, log, end)[-1] is end
 
 
+@pytest.mark.parametrize("cells", [((5, "a"), (1, "a")), ((1, "a"), (1, "b")), ((0, "a"), (2, "_"))],
+                         ids=["unordered", "repeated", "blank"])
+def test_every_reader_refuses_malformed_cells(cells):
+    """Hand-built cells out of order, at a repeated position or holding the
+    blank are refused by the one decoder, whoever reads them."""
+    tm = eraser()
+    c = Configuration("q", 1, cells)
+    t = Trajectory(tm, c, (("q", "a"), ("r", "_")), Configuration("h", 2, ()))
+    for read in (lambda: tm_step(tm, c), lambda: c.render("_"), lambda: c.read("_"),
+                 t.renders, lambda: tuple(t), lambda: t[1]):
+        with pytest.raises(ValidationError, match="^cells .* are not non-blank and in order$") as err:
+            read()
+        assert err.value.entry == ("cells", 0)
+
+
 def test_a_stored_run_is_read_from_its_log_alone(monkeypatch, gen):
     """Iteration, names, indices and slices of a stored run never enter the
     machine's step loop again; iterating builds one configuration a step."""
