@@ -443,9 +443,9 @@ def equivalent(a: Automaton, b: Automaton,
     if sorted(ua.values()) != sorted(ub.values()):
         return False
     at = {t: i for i, t in enumerate(b.input_alphabet)}
-    sigma = {} if symbol_map is None else {
-        s: at.get(symbol_map.get(a.input_alphabet[s])) for s in ua}
-    if None in sigma.values() or len(set(sigma.values())) < len(sigma):
+    image = {} if symbol_map is None else {s: symbol_map.get(a.input_alphabet[s]) for s in ua}
+    sigma = {s: at[t] for s, t in image.items() if core._has(at, t)}
+    if len(sigma) < len(image) or len(set(sigma.values())) < len(sigma):
         return False  # ``symbol_map`` is partial, not injective or not into ``b``'s symbols
     # Depth-first on an explicit stack, as products can have thousands of symbols.
     # Per branch point: map sizes to truncate back to, its symbol, untried fits.

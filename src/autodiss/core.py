@@ -26,6 +26,7 @@ from .errors import (
     NonInjectiveOutput,
     UnknownState,
     UnknownSymbol,
+    ValidationError,
 )
 
 # Largest state count, and for products and wirings also the largest
@@ -132,6 +133,14 @@ def _state_index(a: Automaton, q: str) -> int:
         raise UnknownState(q) from None
 
 
+def _has(table, token) -> bool:
+    """``token in table``; False for an unhashable ``token``, which no table holds."""
+    try:
+        return token in table
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class Path:
     """One run through the graph: the input word and the states it visits.
@@ -165,14 +174,15 @@ class Path:
 
 
 def _ordered_unique(tokens: Iterable[str], kind: str, parameter=None) -> tuple[str, ...]:
-    seen = set()
-    ordered = []
+    seen = {}
     for i, t in enumerate(tokens):
-        if t in seen:
-            raise DuplicateIdentifier(t, kind, entry=(parameter, i) if parameter else None)
-        seen.add(t)
-        ordered.append(t)
-    return tuple(ordered)
+        entry = (parameter, i) if parameter else None
+        try:
+            if seen.setdefault(t, i) != i:
+                raise DuplicateIdentifier(t, kind, entry)
+        except TypeError:
+            raise ValidationError(f"{kind} token {t!r} cannot be hashed", entry) from None
+    return tuple(seen)
 
 
 def _check_injective(states: Sequence[str], output_map: dict[str, str]) -> None:
@@ -212,14 +222,14 @@ def validate(
     output_set = set(outputs)
     index = {q: i for i, q in enumerate(state_list)}
 
-    if initial is not None and initial not in index:
+    if initial is not None and not _has(index, initial):
         raise UnknownState(initial, "initial", entry=("initial", 0))
 
     output_map = dict(output_map or {})
     for i, (q, r) in enumerate(output_map.items()):
         if q not in index:
             raise UnknownState(q, "output map", entry=("output_map", i))
-        if r not in output_set:
+        if not _has(output_set, r):
             raise UnknownSymbol(r, f"output of state {q!r}", entry=("output_map", i))
     for q in state_list:
         if q not in output_map:
@@ -229,13 +239,14 @@ def validate(
     sym_at = {s: i for i, s in enumerate(inputs)}
     rows: list[dict[int, int]] = [{} for _ in state_list]
     for i, (src, sym, tgt) in enumerate(transitions):
-        if src not in index:
-            raise UnknownState(src, "transition source", entry=("transitions", i))
-        if tgt not in index:
-            raise UnknownState(tgt, "transition target", entry=("transitions", i))
-        if sym not in sym_at:
-            raise UnknownSymbol(sym, f"transition from {src!r}", entry=("transitions", i))
-        row, s, t = rows[index[src]], sym_at[sym], index[tgt]
+        try:
+            row, s, t = rows[index[src]], sym_at[sym], index[tgt]
+        except (KeyError, TypeError):  # the first unknown token, unhashable ones included
+            if not _has(index, src):
+                raise UnknownState(src, "transition source", entry=("transitions", i)) from None
+            if not _has(index, tgt):
+                raise UnknownState(tgt, "transition target", entry=("transitions", i)) from None
+            raise UnknownSymbol(sym, f"transition from {src!r}", entry=("transitions", i)) from None
         if row.setdefault(s, t) != t:
             raise Nondeterministic(src, sym, entry=("transitions", i))
 

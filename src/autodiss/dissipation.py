@@ -160,10 +160,12 @@ class EnsembleTrace:
 
 
 def entropy_bits(pi: np.ndarray) -> float:
-    """Shannon entropy in bits; zero entries contribute nothing."""
+    """Shannon entropy in bits; zero entries add nothing, and negative or non-finite mass raises."""
     import numpy as np
 
     p = np.asarray(pi, dtype=float)
+    if not (p.min(initial=0.0) >= -1e-12 and p.max(initial=0.0) < math.inf):
+        raise InvalidDistribution("negative or non-finite probability mass")
     p = p[p > 0]
     return float(-np.dot(p, np.log2(p)))
 
@@ -255,6 +257,8 @@ def ensemble_dissipation(
     """
     import numpy as np
 
+    if not hasattr(horizon, "__index__"):
+        raise InvalidArgument(f"horizon must be an integer, got {horizon!r}")
     if horizon < 0:
         raise InvalidArgument("horizon must be non-negative")
     p = _check_distribution(a, pi0)
@@ -268,12 +272,12 @@ def ensemble_dissipation(
     losses = []
     inputs = []
     cumulative = []
-    total = 0.0
+    total, h = 0.0, entropy_bits(p)
     for _ in range(horizon):
         cur = dists[-1]
         nxt = np.bincount(target, weights=cur[source] * weight, minlength=len(cur))
         inj = float(cur @ cvec)
-        loss = entropy_bits(cur) + inj - entropy_bits(nxt)
+        loss = h + inj - (h := entropy_bits(nxt))  # each entropy is taken once
         dists.append(nxt)
         inputs.append(inj)
         losses.append(loss)
@@ -308,8 +312,10 @@ def szilard_check(s1: float, s2: float, k: float = BOLTZMANN_K) -> bool:
     exp(-s1/k) + exp(-s2/k) <= 1.
 
     Both entropies in Joules per Kelvin.  Equality holds at
-    s1 = s2 = k ln 2, the symmetric one-bit memory.
+    s1 = s2 = k ln 2, the symmetric one-bit memory.  ``k`` must be positive and finite.
     """
+    if not 0 < k < math.inf:
+        raise InvalidArgument("k must be positive and finite")
     try:
         total = math.exp(-s1 / k) + math.exp(-s2 / k)
     except OverflowError:

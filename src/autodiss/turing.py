@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .core import Automaton, _ordered_unique, convergent_states, validate
+from .core import Automaton, _has, _ordered_unique, convergent_states, validate
 from .dissipation import InputModel, _charges
 from .errors import (
     AlphabetTooSmall,
@@ -406,27 +406,27 @@ def make_machine(
     order, with ``entry`` naming it as :func:`validate` does."""
     alphabet = _ordered_unique(tape_alphabet, "tape alphabet", "tape_alphabet")
     symbol_set = set(alphabet)
-    if blank not in symbol_set:
+    if not _has(symbol_set, blank):
         raise UnknownSymbol(blank, "blank", entry=("blank", 0))
     states = _ordered_unique(control_states, "control states", "control_states")
     state_set = set(states)
-    if initial not in state_set:
+    if not _has(state_set, initial):
         raise UnknownState(initial, "initial", entry=("initial", 0))
     halting = list(halting)
     for i, q in enumerate(halting):  # in order, so the state named is the first bad one
-        if q not in state_set:
+        if not _has(state_set, q):
             raise UnknownState(q, "halting", entry=("halting", i))
     halting_set = frozenset(halting)
     table: dict[tuple[str, str], tuple[str, str, str]] = {}
     for i, (q, s, q2, w, move) in enumerate(rules):
         entry = ("rules", i)
         for state in (q, q2):
-            if state not in state_set:
+            if not _has(state_set, state):
                 raise UnknownState(state, "rule", entry)
         for sym in (s, w):
-            if sym not in symbol_set:
+            if not _has(symbol_set, sym):
                 raise UnknownSymbol(sym, "rule", entry)
-        if move not in MOVES:
+        if not _has(MOVES, move):
             raise ValidationError(f"bad move {move!r}, want L, R or N", entry)
         if q in halting_set:
             raise ValidationError(f"halting state {q!r} has a rule", entry)
@@ -508,6 +508,8 @@ def tm_run(
     start and final configurations are stored; the others are replayed from
     the log when read (see :class:`Trajectory`).  A run past
     ``STEP_LOG_LIMIT`` steps raises :class:`SizeLimit` after one more."""
+    if not hasattr(max_steps, "__index__"):
+        raise InvalidArgument(f"max_steps must be an integer, got {max_steps!r}")
     if max_steps < 0:
         raise InvalidArgument("max_steps must be non-negative")
     start = initial_configuration(tm, tape)
@@ -542,7 +544,7 @@ def cell_automaton(alphabet: Sequence[str], name: str = "cell") -> Automaton:
     Each state has |alphabet| outgoing and |alphabet| incoming arrows, so
     every write lands on a convergence.
     """
-    symbols = _ordered_unique(alphabet, "cell alphabet")
+    symbols = _ordered_unique(alphabet, "cell alphabet", "alphabet")
     if len(symbols) < 2:
         raise AlphabetTooSmall(len(symbols))
     return validate(

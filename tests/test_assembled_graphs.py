@@ -263,6 +263,17 @@ def test_a_product_folding_its_moves_is_the_same_dataclass(monkeypatch, tff):
         dataclasses.replace(kept, moves=None, components=())
 
 
+def test_a_product_given_rows_and_no_components_reads_its_rows(tff):
+    """Without modules to read them off, ``successors`` and ``arrow_count``
+    come from the given rows, as for any automaton, and agree with the
+    modules' when the rows are their product's."""
+    for mods, arrows in (([_unordered(), tff[0]], 20), ([tff[0], tff[0]], 16)):
+        p = product_many(mods)
+        bare = dataclasses.replace(p, components=())
+        assert bare.successors == p.successors and bare.arrow_count == p.arrow_count == arrows
+        assert bare.successors == Automaton.successors.func(p)
+
+
 def test_reachable_part_of_a_ring_builds_no_arrow(monkeypatch, tff):
     """A clock-driven ring of 14 T-flip-flops has 2**14 tuple states, of
     which 16 are reached; finding them walks the integer rows."""

@@ -9,9 +9,12 @@ from autodiss import (
     InputModel,
     arrows_from,
     choice_information,
+    cell_automaton,
     convergent_states,
     divergent_states,
+    equivalent,
     is_reversible,
+    make_machine,
     path_choice_information,
     point_distribution,
     reachable_states,
@@ -28,6 +31,7 @@ from autodiss.errors import (
     NonInjectiveOutput,
     UnknownState,
     UnknownSymbol,
+    ValidationError,
 )
 from helpers import random_automaton
 
@@ -157,6 +161,49 @@ def test_an_unhashable_state_is_an_unknown_state(tff, call):
     auto, model = tff
     with pytest.raises(UnknownState, match=r"^state \['0'\] is not declared$"):
         call(auto, model, ["0"])
+
+
+LIST = ["x"]
+AUTOMATON = dict(name="a", input_alphabet=["i"], output_alphabet=["o", "p"], states=["s", "t"],
+                 initial="s", output_map={"s": "o", "t": "p"}, transitions=[("s", "i", "t")])
+MACHINE = dict(name="m", tape_alphabet=["_", "a"], blank="_", control_states=["q", "h"],
+               initial="q", halting=["h"], rules=[("q", "a", "h", "a", "R")])
+
+
+def _with_list(spec, key, at=None):
+    """``spec`` with ``LIST`` as its ``key`` token, or in the second entry of
+    ``key`` at position ``at``, after a first entry that is well formed."""
+    value = spec[key]
+    if isinstance(value, dict):
+        return dict(spec, **{key: dict(value, t=LIST)})
+    if at is not None:
+        return dict(spec, **{key: [value[0], (*value[0][:at], LIST, *value[0][at + 1:])]})
+    return dict(spec, **{key: [value[0], LIST, *value[1:]] if isinstance(value, list) else LIST})
+
+
+@pytest.mark.parametrize("build, spec, entry", [
+    *[(validate, _with_list(AUTOMATON, key), (key, 1)) for key in
+      ("input_alphabet", "output_alphabet", "states", "output_map")],
+    (validate, _with_list(AUTOMATON, "initial"), ("initial", 0)),
+    *[(validate, _with_list(AUTOMATON, "transitions", at), ("transitions", 1)) for at in range(3)],
+    *[(make_machine, _with_list(MACHINE, key), (key, 1))
+      for key in ("tape_alphabet", "control_states", "halting")],
+    *[(make_machine, _with_list(MACHINE, key), (key, 0)) for key in ("blank", "initial")],
+    *[(make_machine, _with_list(MACHINE, "rules", at), ("rules", 1)) for at in range(5)],
+    (lambda alphabet: cell_automaton(alphabet), {"alphabet": [LIST, "b"]}, ("alphabet", 0)),
+])
+def test_an_unhashable_token_is_refused_at_its_entry(build, spec, entry):
+    """A token given as a list is refused where it stands, by a
+    :class:`ValidationError`, not by a bare ``TypeError``."""
+    with pytest.raises(ValidationError) as err:
+        build(**spec)
+    assert err.value.entry == entry
+
+
+def test_a_symbol_map_into_unhashable_symbols_is_not_a_renaming(onebit):
+    auto, _ = onebit
+    assert equivalent(auto, auto, {s: s for s in auto.input_alphabet})
+    assert not equivalent(auto, auto, {s: [s] for s in auto.input_alphabet})
 
 
 def test_arrows_from_memory(onebit):

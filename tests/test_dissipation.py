@@ -33,7 +33,7 @@ from autodiss.errors import (
     NonPositiveTemperature,
     UnknownState,
 )
-from autodiss.fileformat import write_automaton
+from autodiss.fileformat import parse_automaton, write_automaton
 from helpers import random_automaton, random_distribution, random_model
 
 LN2 = math.log(2)
@@ -289,6 +289,18 @@ def test_entropy_bits_ignores_zeros():
     assert entropy_bits(np.array([1.0, 0.0])) == 0.0
 
 
+@pytest.mark.parametrize("pi", [[0.5, -0.5, 1.0], [math.nan, 1.0], [math.inf, 0.0], [-1e-11, 1.0]])
+def test_entropy_bits_refuses_negative_or_non_finite_mass(pi):
+    with pytest.raises(InvalidDistribution, match="^negative or non-finite probability mass$"):
+        entropy_bits(pi)
+
+
+def test_entropy_bits_forgives_negative_rounding():
+    """Mass down to -1e-12, the tolerance of a checked distribution, counts as zero."""
+    assert entropy_bits([0.5, -1e-12, 0.5]) == 1.0
+    assert entropy_bits([]) == 0.0
+
+
 def test_szilard_boundary():
     assert szilard_check(BOLTZMANN_K * LN2, BOLTZMANN_K * LN2)
     assert not szilard_check(0.5 * BOLTZMANN_K * LN2, 0.5 * BOLTZMANN_K * LN2)
@@ -336,6 +348,40 @@ def test_out_of_domain_numbers_are_automata_errors(bb2, call, message):
     with pytest.raises(InvalidArgument, match=f"^{message}$") as exc:
         call(bb2, two_arrow_automaton())
     assert isinstance(exc.value, AutomataError) and isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tm, a: tm_run(tm, max_steps=2.5), "max_steps must be an integer, got 2.5"),
+    (lambda tm, a: tm_run(tm, max_steps=None), "max_steps must be an integer, got None"),
+    (lambda tm, a: check_convergence_lemma(tm, horizon=2.5), "max_steps must be an integer, got 2.5"),
+    (lambda tm, a: ensemble_dissipation(a, InputModel.uniform(a), [0.0, 1.0, 0.0], 2.5),
+     "horizon must be an integer, got 2.5"),
+    (lambda tm, a: szilard_check(1, 1, k=0), "k must be positive and finite"),
+    (lambda tm, a: szilard_check(1, 1, k=-BOLTZMANN_K), "k must be positive and finite"),
+    (lambda tm, a: szilard_check(1, 1, k=math.nan), "k must be positive and finite"),
+])
+def test_non_integer_budgets_and_bad_constants_are_invalid_arguments(bb2, call, message):
+    with pytest.raises(InvalidArgument, match=f"^{message}$"):
+        call(bb2, two_arrow_automaton())
+
+
+def test_integer_budgets_of_other_types_are_accepted(bb2):
+    a = two_arrow_automaton()
+    assert tm_run(bb2, max_steps=np.int64(3)).steps == 3
+    assert len(ensemble_dissipation(a, InputModel.uniform(a), [1.0, 0.0, 0.0], np.int64(2))
+               .per_step_loss_bits) == 2
+
+
+def test_a_row_off_one_by_more_than_rounding_is_divided_by_its_sum():
+    """Within ``PROB_SUM_TOL`` but off 1.0 by more than an ulp per arrow, a
+    row is divided by its sum, and the model reads back exactly."""
+    a = two_arrow_automaton()
+    total = 0.25 + (0.75 + 1e-11)
+    assert abs(total - 1.0) > 2 * math.ulp(1.0)
+    model = InputModel.from_arrow_probs(a, {"q0": {("q0", "q1"): 0.25, ("q0", "q2"): 0.75 + 1e-11}})
+    assert model.weights[0] == (0.25 / total, (0.75 + 1e-11) / total) != (0.25, 0.75 + 1e-11)
+    back = parse_automaton(write_automaton(a, model))
+    assert back[0] == a and back[1].weights == model.weights
 
 
 def test_input_model_validation(onebit, lossy):
