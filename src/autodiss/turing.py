@@ -69,8 +69,8 @@ class TuringMachine:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Control state, head position, and the non-blank cells of the tape, in
-    order; every reader decodes them with :func:`_tape`."""
+    """Control state, head position, and the non-blank cells of the tape, in order; every
+    reader decodes them with :func:`_tape`, which refuses cells out of order, repeated or blank."""
 
     control: str
     head: int
@@ -196,9 +196,9 @@ class Trajectory(_TupleView):
         """Apply log steps ``i`` to ``j - 1`` to ``c``, the ``i``-th configuration,
         yielding ``(control, head, a, b, tape, pairs)`` after each, on the lists of
         :func:`_tape` that :func:`_advance` steps too, doubled when the head leaves
-        them.  A logged pair that has no rule, or is not the current control state
-        and cell, raises :class:`ValidationError` at ``("log", step)``; a replay to
-        the log's end that misses ``end``, at ``("end", 0)``."""
+        them.  Raises :class:`ValidationError` for a ``c`` that :func:`_tape` refuses, at
+        ``("log", step)`` for a logged pair that has no rule or is not the current
+        control state and cell, and at ``("end", 0)`` for a full replay that misses ``end``."""
         blank, rules, control = self.tm.blank, self.tm.step_rules, c.control
         base, h, a, b, tape, pairs = _tape(c, blank)
         for k, (q, s) in enumerate(self.log[i:j], i):
@@ -493,7 +493,7 @@ def _advance(tm: TuringMachine, c: Configuration, max_steps: int, tape_cap=math.
                 break
     if log and hi - lo >= tape_cap:
         raise TapeOverflow(hi - lo + 1, tape_cap)
-    cells = tuple((i, s) for i, s in enumerate(tape[lo:hi + 1], lo + base) if s != blank)
+    cells = tuple([(i, s) for i, s in enumerate(tape[lo:hi + 1], lo + base) if s != blank])
     return log, Configuration(control=control, head=h + base, cells=cells)
 
 
