@@ -171,8 +171,9 @@ MACHINE = dict(name="m", tape_alphabet=["_", "a"], blank="_", control_states=["q
 
 
 def _with_list(spec, key, at=None):
-    """``spec`` with ``LIST`` as its ``key`` token, or in the second entry of
-    ``key`` at position ``at``, after a first entry that is well formed."""
+    """``spec`` with ``LIST`` as its ``key`` token, as the second item of its
+    ``key`` list, as state ``t``'s value in its ``key`` map, or at position
+    ``at`` of a second ``key`` entry that copies the first."""
     value = spec[key]
     if isinstance(value, dict):
         return dict(spec, **{key: dict(value, t=LIST)})
