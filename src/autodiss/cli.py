@@ -84,8 +84,11 @@ def _split_word(word: str, alphabet) -> list[str]:
 def _write_out(args, automaton) -> None:
     if getattr(args, "output", None):
         from . import fileformat
+        lines = fileformat._automaton_lines(automaton)
+        first = next(lines)  # every check passes before the file is opened
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(fileformat.write_automaton(automaton))
+            fh.write(first)
+            fh.writelines(lines)
 
 
 def cmd_analyze(args) -> dict:
@@ -333,89 +336,50 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, helptext, **kwargs):
-        return sub.add_parser(name, help=helptext, parents=[common], **kwargs)
+    def add(group, name, helptext, func, files=("file",), start=False, steps=None,
+            tape_help=None, output=None):
+        """A command taking ``files``, then ``--start``, then ``--tape`` and
+        ``--max-steps`` (default ``steps``), then ``-o`` for the ``output`` automaton."""
+        p = group.add_parser(name, help=helptext, parents=[common])
+        for file in files:
+            p.add_argument(file)
+        if start:
+            p.add_argument("--start")
+        if steps is not None:
+            p.add_argument("--tape", default="", help=tape_help)
+            p.add_argument("--max-steps", type=_non_negative_int, default=steps)
+        if output:
+            p.add_argument("-o", "--output", help=f"write the {output} automaton here")
+        p.set_defaults(func=func)
+        return p
 
-    p = add("analyze", "graph structure and per-state choice bits")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_analyze)
-
-    p = add("run", "run a word and report its choice information")
-    p.add_argument("file")
-    p.add_argument("--start")
+    add(sub, "analyze", "graph structure and per-state choice bits", cmd_analyze)
+    p = add(sub, "run", "run a word and report its choice information", cmd_run, start=True)
     p.add_argument("--word", required=True)
     # argparse converts a string default as it converts the flag, so a
     # non-numeric AUTODISS_TEMP is a usage error
     p.add_argument("--temp", type=float,
                    default=os.environ.get("AUTODISS_TEMP", DEFAULT_TEMPERATURE),
                    help="temperature in Kelvin (default: $AUTODISS_TEMP, else 300)")
-    p.set_defaults(func=cmd_run)
-
-    p = add("product", "Cartesian product of two module graphs")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.add_argument("-o", "--output", help="write the product automaton here")
-    p.set_defaults(func=cmd_product)
-
-    p = add("wire", "close a wiring into a tuple-state automaton")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", help="write the closed automaton here")
-    p.set_defaults(func=cmd_wire)
-
-    p = add("reach", "restrict to states reachable from the initial")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", help="write the reachable automaton here")
-    p.set_defaults(func=cmd_reach)
-
-    p = add("equiv", "rooted isomorphism up to symbol renaming")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.set_defaults(func=cmd_equiv)
-
-    p = add("test", "covering transition tour and its cost")
-    p.add_argument("file")
-    p.add_argument("--start")
-    p.set_defaults(func=cmd_test)
-
-    p = add("dot", "deterministic Graphviz rendering")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_dot)
+    add(sub, "product", "Cartesian product of two module graphs", cmd_product,
+        files=("file_a", "file_b"), output="product")
+    add(sub, "wire", "close a wiring into a tuple-state automaton", cmd_wire, output="closed")
+    add(sub, "reach", "restrict to states reachable from the initial", cmd_reach,
+        output="reachable")
+    add(sub, "equiv", "rooted isomorphism up to symbol renaming", cmd_equiv,
+        files=("file_a", "file_b"))
+    add(sub, "test", "covering transition tour and its cost", cmd_test, start=True)
+    add(sub, "dot", "deterministic Graphviz rendering", cmd_dot)
 
     tm = sub.add_parser("tm", help="Turing machine analyses", parents=[common])
     tmsub = tm.add_subparsers(dest="tm_command", required=True)
-
-    def tmadd(name, helptext):
-        return tmsub.add_parser(name, help=helptext, parents=[common])
-
-    p = tmadd("run", "run a machine")
-    p.add_argument("file")
-    p.add_argument("--tape", default="", help="whitespace-separated input symbols")
-    p.add_argument("--max-steps", type=_non_negative_int, default=10_000)
-    p.set_defaults(func=cmd_tm_run)
-
-    p = tmadd("head", "the finite control as an automaton")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", help="write the head automaton here")
-    p.set_defaults(func=cmd_tm_head)
-
-    p = tmadd("dissip", "modular per-step information charges")
-    p.add_argument("file")
-    p.add_argument("--tape", default="")
-    p.add_argument("--max-steps", type=_non_negative_int, default=1000)
-    p.set_defaults(func=cmd_tm_dissip)
-
-    p = tmadd("linear", "global graph of a halted run")
-    p.add_argument("file")
-    p.add_argument("--tape", default="")
-    p.add_argument("--max-steps", type=_non_negative_int, default=10_000)
-    p.add_argument("-o", "--output", help="write the linear automaton here")
-    p.set_defaults(func=cmd_tm_linear)
-
-    p = tmadd("bennett", "record, copy, uncompute simulation")
-    p.add_argument("file")
-    p.add_argument("--tape", default="")
-    p.add_argument("--max-steps", type=_non_negative_int, default=10_000)
-    p.set_defaults(func=cmd_tm_bennett)
+    add(tmsub, "run", "run a machine", cmd_tm_run, steps=10_000,
+        tape_help="whitespace-separated input symbols")
+    add(tmsub, "head", "the finite control as an automaton", cmd_tm_head, output="head")
+    add(tmsub, "dissip", "modular per-step information charges", cmd_tm_dissip, steps=1000)
+    add(tmsub, "linear", "global graph of a halted run", cmd_tm_linear, steps=10_000,
+        output="linear")
+    add(tmsub, "bennett", "record, copy, uncompute simulation", cmd_tm_bennett, steps=10_000)
 
     return parser
 

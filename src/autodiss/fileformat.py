@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .core import Automaton, validate
 from .dissipation import PROB_SUM_TOL, InputModel, _weights
@@ -188,27 +188,35 @@ def write_automaton(a: Automaton, model: Optional[InputModel] = None) -> str:
     empty or holds whitespace or ``#``, since it would not read back as
     one token, and :class:`InvalidDistribution` for a model of another graph.
     """
+    return "".join(_automaton_lines(a, model))
+
+
+def _automaton_lines(a: Automaton, model: Optional[InputModel] = None) -> Iterator[str]:
+    """``write_automaton``'s text one line at a time, each ending in a newline;
+    its errors are raised before the first line is yielded."""
     for token in (a.name, *a.input_alphabet, *a.output_alphabet, *a.states):
         if "#" in token or token.split() != [token]:
             raise ValidationError(f"token {token!r} has no text form: it is empty "
                                   "or holds whitespace or '#'")
-    lines = [f"automaton {a.name}"]
+    weights = None if model is None else _weights(a, model)
+    yield f"automaton {a.name}\n"
     if a.input_alphabet:
-        lines.append("inputs " + " ".join(a.input_alphabet))
+        yield "inputs " + " ".join(a.input_alphabet) + "\n"
     if a.output_alphabet:
-        lines.append("outputs " + " ".join(a.output_alphabet))
-    lines.append("states " + " ".join(a.states))
+        yield "outputs " + " ".join(a.output_alphabet) + "\n"
+    yield "states " + " ".join(a.states) + "\n"
     if a.initial is not None:
-        lines.append(f"initial {a.initial}")
+        yield f"initial {a.initial}\n"
     for q in a.states:
-        lines.append(f"output {q} {a.output_map[q]}")
+        yield f"output {q} {a.output_map[q]}\n"
     for q, row in zip(a.states, a.moves):  # each row in alphabet order
-        lines += [f"trans {q} {a.input_alphabet[s]} {a.states[t]}" for s, t in row]
-    if model is not None:  # the rows that are not uniform, by each arrow's first label
-        for q, row in zip(a.states, _weights(a, model)):
+        for s, t in row:
+            yield f"trans {q} {a.input_alphabet[s]} {a.states[t]}\n"
+    if weights is not None:  # the rows that are not uniform, by each arrow's first label
+        for q, row in zip(a.states, weights):
             if any(p != 1.0 / len(row) for p in row):
-                lines += [f"prob {q} {ar.labels[0]} {p!r}" for ar, p in zip(a.by_source[q], row)]
-    return "\n".join(lines) + "\n"
+                for ar, p in zip(a.by_source[q], row):
+                    yield f"prob {q} {ar.labels[0]} {p!r}\n"
 
 
 def _text(path: str) -> str:

@@ -169,10 +169,12 @@ def test_tm_negative_max_steps_is_a_usage_error(capsys, command):
 
 
 def test_reports_serialize_only_on_output_flag(capsys, monkeypatch):
-    def refuse(automaton):
-        raise AssertionError("write_automaton called without -o")
+    def refuse(automaton, model=None):
+        raise AssertionError("an automaton was serialized without -o")
 
+    # both the text form and the lines that -o writes
     monkeypatch.setattr(autodiss.fileformat, "write_automaton", refuse)
+    monkeypatch.setattr(autodiss.fileformat, "_automaton_lines", refuse)
     for argv in (["product", TFF, TFF], ["wire", TFF_WIRING], ["reach", LOSSY],
                  ["tm", "head", BB2], ["tm", "linear", BB2]):
         assert run_cli(capsys, "--json", *argv)[0] == 0, argv
