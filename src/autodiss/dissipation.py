@@ -124,6 +124,15 @@ def _charges(a: Automaton, m: InputModel) -> tuple[float, ...]:
     return m._choice_bits
 
 
+def _check_budget(name: str, value) -> None:
+    """Raise :class:`InvalidArgument` naming ``name`` unless ``value`` is an
+    integer at least 0 (a step budget or horizon)."""
+    if not hasattr(value, "__index__"):
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise InvalidArgument(f"{name} must be non-negative")
+
+
 def _bits(row: Sequence[float]) -> float:
     """-sum p log2 p over one state's arrow probabilities."""
     return float(sum(-p * math.log2(p) for p in row if p > 0))
@@ -257,10 +266,7 @@ def ensemble_dissipation(
     """
     import numpy as np
 
-    if not hasattr(horizon, "__index__"):
-        raise InvalidArgument(f"horizon must be an integer, got {horizon!r}")
-    if horizon < 0:
-        raise InvalidArgument("horizon must be non-negative")
+    _check_budget("horizon", horizon)
     p = _check_distribution(a, pi0)
     weights = _weights(a, m)
     targets = [ts or (i,) for i, ts in enumerate(a.successors)]

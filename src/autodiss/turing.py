@@ -19,11 +19,10 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import Automaton, _has, _ordered_unique, convergent_states, validate
-from .dissipation import InputModel, _charges
+from .dissipation import InputModel, _charges, _check_budget
 from .errors import (
     AlphabetTooSmall,
     Halted,
-    InvalidArgument,
     IrreversibleStep,
     Nondeterministic,
     NoRule,
@@ -508,17 +507,16 @@ def tm_run(
     start and final configurations are stored; the others are replayed from
     the log when read (see :class:`Trajectory`).  A run past
     ``STEP_LOG_LIMIT`` steps raises :class:`SizeLimit` after one more."""
-    if not hasattr(max_steps, "__index__"):
-        raise InvalidArgument(f"max_steps must be an integer, got {max_steps!r}")
-    if max_steps < 0:
-        raise InvalidArgument("max_steps must be non-negative")
+    _check_budget("max_steps", max_steps)
     start = initial_configuration(tm, tape)
     log, end = _advance(tm, start, min(max_steps, STEP_LOG_LIMIT + 1), tape_cap)
     if len(log) > STEP_LOG_LIMIT:
         raise SizeLimit(len(log), STEP_LOG_LIMIT, "recorded steps")
     halted = end.control in tm.halting
-    _, _, a, b, window, _ = _tape(end, tm.blank)
-    result = tuple(window[a:b]) if halted else None
+    result = None
+    if halted:
+        _, _, a, b, window, _ = _tape(end, tm.blank)
+        result = tuple(window[a:b])
     return RunTrace(machine=tm.name, blank=tm.blank,
                     configurations=Trajectory(tm, start, tuple(log), end),
                     halted=halted, steps=len(log), result=result,
@@ -592,6 +590,7 @@ def check_convergence_lemma(
     report = ConvergenceReport(has_convergence=bool(witnesses), witnesses=witnesses)
     if horizon is None:
         return report
+    _check_budget("horizon", horizon)
     trace = tm_run(tm, tape, max_steps=horizon)
     seq = tuple(q for q, _ in trace.log) + (trace.configurations[-1].control,)
     found = detect_eventual_period(seq)

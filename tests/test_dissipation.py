@@ -336,7 +336,7 @@ def test_landauer_energy_rejects_bad_arguments():
     (lambda tm, a: tm_run(tm, max_steps=-1), "max_steps must be non-negative"),
     (lambda tm, a: bennett_simulate(tm, max_steps=-1), "max_steps must be non-negative"),
     (lambda tm, a: modular_tm_dissipation(tm, max_steps=-1), "max_steps must be non-negative"),
-    (lambda tm, a: check_convergence_lemma(tm, horizon=-1), "max_steps must be non-negative"),
+    (lambda tm, a: check_convergence_lemma(tm, horizon=-1), "horizon must be non-negative"),
     (lambda tm, a: ensemble_dissipation(a, InputModel.uniform(a), [0.0, 1.0, 0.0], -1),
      "horizon must be non-negative"),
     (lambda tm, a: landauer_energy(-1, 300), "bits must be non-negative"),
@@ -353,7 +353,7 @@ def test_out_of_domain_numbers_are_automata_errors(bb2, call, message):
 @pytest.mark.parametrize("call, message", [
     (lambda tm, a: tm_run(tm, max_steps=2.5), "max_steps must be an integer, got 2.5"),
     (lambda tm, a: tm_run(tm, max_steps=None), "max_steps must be an integer, got None"),
-    (lambda tm, a: check_convergence_lemma(tm, horizon=2.5), "max_steps must be an integer, got 2.5"),
+    (lambda tm, a: check_convergence_lemma(tm, horizon=2.5), "horizon must be an integer, got 2.5"),
     (lambda tm, a: ensemble_dissipation(a, InputModel.uniform(a), [0.0, 1.0, 0.0], 2.5),
      "horizon must be an integer, got 2.5"),
     (lambda tm, a: szilard_check(1, 1, k=0), "k must be positive and finite"),

@@ -156,6 +156,18 @@ def test_runs_past_the_step_log_limit_are_refused(monkeypatch, bb2, bincounter):
             analysis(bincounter, max_steps=10**9)
 
 
+def test_only_a_halted_run_decodes_its_end(monkeypatch, bb2, bincounter):
+    """The start's tape is decoded to step it; the end's only for a result."""
+    decoded = []
+    real = turing._tape
+    monkeypatch.setattr(turing, "_tape", lambda c, blank: decoded.append(c) or real(c, blank))
+    for tm, halted in ((bb2, True), (bincounter, False)):
+        decoded.clear()
+        run = tm_run(tm, max_steps=100)
+        assert run.halted is halted and (run.result is not None) is halted
+        assert decoded == [run.configurations[0], run.configurations[-1]][:1 + halted]
+
+
 def test_machine_validation():
     with pytest.raises(Nondeterministic):
         make_machine(
