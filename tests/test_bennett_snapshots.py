@@ -6,7 +6,8 @@ sweepers it equals, in every tuple operation, the tuple of snapshots
 built by the three-phase formula.  ``bennett_simulate`` and the global
 chain build no snapshot, and the chain refuses names past its character
 limit before building any.  Products of equal modules share an input
-model without folding their moves.
+model without folding their moves, and a product is unequal to a plain
+automaton of the same fields without folding them either.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ import tracemalloc
 import pytest
 
 from autodiss import (
+    Automaton,
     bennett_simulate,
     choice_information,
     global_graph,
@@ -175,3 +177,15 @@ def test_product_equality_answers_as_the_dataclass_does(monkeypatch, tff):
     other = _pairs(u, auto)[-1][1]
     folds.clear()
     assert a == other and len(folds) == 2  # other modules: both products' rows are folded
+
+
+def test_a_product_is_unequal_to_a_plain_automaton_of_its_fields(monkeypatch, tff):
+    """Neither side's ``==`` claims the other class, in either order, and no
+    moves are folded to answer."""
+    auto = tff[0]
+    folded = product_many([auto, auto])
+    plain = Automaton(**{f.name: getattr(folded, f.name) for f in dataclasses.fields(Automaton)})
+    folds = _count_folds(monkeypatch)
+    p = product_many([auto, auto])
+    assert (p == plain, plain == p, p != plain, plain != p) == (False, False, True, True)
+    assert folds == [] and p.__dict__["moves"] is None
