@@ -1,5 +1,10 @@
 """Command-line front end.
 
+A command takes its files, then ``--start``, ``--tape`` and ``--max-steps``
+(by default 1000 steps for ``tm dissip``, else 10000) and ``-o``, as the
+README's command table lists.  ``-o`` writes the automaton built, once it
+passes every check, one line at a time.  Every command takes ``--json``.
+
 Every command prints a report: ``key: value`` lines with numbers at six
 decimal places by default, or a stable JSON object (sorted keys) with
 ``--json``.  Exit codes: 0 success, 1 domain error (forbidden input,
@@ -12,7 +17,7 @@ exit 1 with no line.
 Each command imports the modules it calls, so that a call loads no other.
 
 The default temperature for energy figures is 300 K; the environment
-variable ``AUTODISS_TEMP`` or the ``--temp`` flag overrides it.
+variable ``AUTODISS_TEMP`` or ``run``'s ``--temp`` flag overrides it.
 """
 
 from __future__ import annotations
@@ -235,14 +240,10 @@ def cmd_dot(args) -> dict | None:
     return None
 
 
-def _tape(args) -> list[str]:
-    return args.tape.split() if args.tape else []
-
-
 def cmd_tm_run(args) -> dict:
     from . import fileformat, turing
     tm = fileformat.load_machine(args.file)
-    trace = turing.tm_run(tm, _tape(args), max_steps=args.max_steps)
+    trace = turing.tm_run(tm, args.tape.split(), max_steps=args.max_steps)
     return {
         "name": tm.name,
         "halted": trace.halted,
@@ -271,7 +272,7 @@ def cmd_tm_head(args) -> dict:
 def cmd_tm_dissip(args) -> dict:
     from . import fileformat, turing
     tm = fileformat.load_machine(args.file)
-    acc = turing.modular_tm_dissipation(tm, _tape(args), max_steps=args.max_steps)
+    acc = turing.modular_tm_dissipation(tm, args.tape.split(), max_steps=args.max_steps)
     steps = len(acc.per_step_bits)
     return {
         "name": tm.name,
@@ -287,7 +288,7 @@ def cmd_tm_dissip(args) -> dict:
 def cmd_tm_linear(args) -> dict:
     from . import fileformat, turing
     tm = fileformat.load_machine(args.file)
-    trace = turing.tm_run(tm, _tape(args), max_steps=args.max_steps)
+    trace = turing.tm_run(tm, args.tape.split(), max_steps=args.max_steps)
     if args.output or not trace.halted:  # names for -o; a run not halted is refused there
         _write_out(args, turing.global_graph(trace))
     return {
@@ -302,7 +303,7 @@ def cmd_tm_linear(args) -> dict:
 def cmd_tm_bennett(args) -> dict:
     from . import fileformat, turing
     tm = fileformat.load_machine(args.file)
-    trace = turing.bennett_simulate(tm, _tape(args), max_steps=args.max_steps)
+    trace = turing.bennett_simulate(tm, args.tape.split(), max_steps=args.max_steps)
     snapshots = trace.global_configs
     # One global state per snapshot, and no two snapshots share a key (within
     # each phase one counter is strictly monotone), so the chain has no

@@ -125,8 +125,7 @@ def _charges(a: Automaton, m: InputModel) -> tuple[float, ...]:
 
 
 def _check_budget(name: str, value) -> None:
-    """Raise :class:`InvalidArgument` naming ``name`` unless ``value`` is an
-    integer at least 0 (a step budget or horizon)."""
+    """Refuse a step budget or horizon ``value`` that is not an integer >= 0."""
     if not hasattr(value, "__index__"):
         raise InvalidArgument(f"{name} must be an integer, got {value!r}")
     if value < 0:

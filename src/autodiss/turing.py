@@ -512,14 +512,13 @@ def tm_run(
     log, end = _advance(tm, start, min(max_steps, STEP_LOG_LIMIT + 1), tape_cap)
     if len(log) > STEP_LOG_LIMIT:
         raise SizeLimit(len(log), STEP_LOG_LIMIT, "recorded steps")
-    halted = end.control in tm.halting
     result = None
-    if halted:
+    if end.control in tm.halting:  # only a halted run's end is decoded, for its result
         _, _, a, b, window, _ = _tape(end, tm.blank)
         result = tuple(window[a:b])
     return RunTrace(machine=tm.name, blank=tm.blank,
                     configurations=Trajectory(tm, start, tuple(log), end),
-                    halted=halted, steps=len(log), result=result,
+                    halted=result is not None, steps=len(log), result=result,
                     result_length=len(result) if result is not None else None)
 
 

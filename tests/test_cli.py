@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,6 +21,7 @@ from autodiss.core import convergent_states, divergent_states, is_reversible
 from autodiss.errors import AutomataError
 from autodiss.fileformat import write_automaton
 from helpers import random_automaton
+from test_parser_golden import parsers
 from test_tm_properties import machine_text, machines
 
 LOSSY = asset_path("lossy.aut")
@@ -655,3 +657,38 @@ def test_prob_row_off_one_is_refused_on_its_last_line(capsys, tmp_path):
     wiring.write_text("wiring w\nmodule a p.aut\n", encoding="utf-8")
     assert run_cli(capsys, "wire", str(wiring)) == (
         2, "", f"error: {aut}: line 9: probabilities for state 'p0' sum to 0.5\n")
+
+
+def readme_usages():
+    """The usage column of each line of the README's command table, split
+    into words: ``autodiss``, the command, then its arguments."""
+    with open(os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md"),
+              encoding="utf-8") as fh:
+        block = fh.read().split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    return [re.split(r"\s{2,}", line)[0].split() for line in block.splitlines()]
+
+
+def test_readme_command_table_matches_the_parser(monkeypatch):
+    """One line per command, with its positionals, and its flags in order,
+    required or ``[optional]``, and a default other than none as ``=VALUE``."""
+    monkeypatch.delenv("AUTODISS_TEMP", raising=False)
+    commands = {tuple(prefix): parser for prefix, parser in parsers()
+                if not parser._subparsers}
+    seen = []
+    for usage in readme_usages():
+        depth = max(n for n in range(len(usage)) if tuple(usage[1:n + 1]) in commands)
+        key, words = tuple(usage[1:depth + 1]), iter(usage[depth + 1:])
+        got = []
+        for word in words:
+            if word.lstrip("[").startswith("-"):
+                meta = next(words).rstrip("]")
+                got.append((word.lstrip("["), not word.startswith("["),
+                            meta.partition("=")[2] or None))
+            else:
+                got.append(("", True, None))
+        want = [(a.option_strings[0] if a.option_strings else "", a.required,
+                 f"{a.default:g}" if a.default not in (None, "", False) else None)
+                for a in commands[key]._actions if a.dest not in ("help", "json")]
+        assert got == want, key
+        seen.append(key)
+    assert seen == list(commands)
