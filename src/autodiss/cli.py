@@ -87,7 +87,7 @@ def _split_word(word: str, alphabet) -> list[str]:
 
 
 def _write_out(args, automaton) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         from . import fileformat
         lines = fileformat._automaton_lines(automaton)
         first = next(lines)  # every check passes before the file is opened

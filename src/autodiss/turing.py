@@ -513,7 +513,7 @@ def tm_run(
     if len(log) > STEP_LOG_LIMIT:
         raise SizeLimit(len(log), STEP_LOG_LIMIT, "recorded steps")
     result = None
-    if end.control in tm.halting:  # only a halted run's end is decoded, for its result
+    if end.control in tm.halting:
         _, _, a, b, window, _ = _tape(end, tm.blank)
         result = tuple(window[a:b])
     return RunTrace(machine=tm.name, blank=tm.blank,

@@ -1,5 +1,6 @@
 """End-to-end command-line checks: reports, exit codes, file emission."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -18,7 +19,7 @@ from autodiss import composition, core, turing
 from autodiss.assets import asset_path
 from autodiss.cli import main
 from autodiss.core import convergent_states, divergent_states, is_reversible
-from autodiss.errors import AutomataError
+from autodiss.errors import AutomataError, ValidationError
 from autodiss.fileformat import write_automaton
 from helpers import random_automaton
 from test_parser_golden import parsers
@@ -180,6 +181,18 @@ def test_reports_serialize_only_on_output_flag(capsys, monkeypatch):
     for argv in (["product", TFF, TFF], ["wire", TFF_WIRING], ["reach", LOSSY],
                  ["tm", "head", BB2], ["tm", "linear", BB2]):
         assert run_cli(capsys, "--json", *argv)[0] == 0, argv
+
+
+def test_a_refused_automaton_leaves_the_output_file_alone(tmp_path):
+    """``-o`` makes every check before it opens the file, so a refusal
+    neither creates nor truncates it."""
+    bad = core.validate("m", ["i"], ["o"], ["a b"], "a b", {"a b": "o"}, [("a b", "i", "a b")])
+    old, new = tmp_path / "old.aut", tmp_path / "new.aut"
+    old.write_text("kept\n", encoding="utf-8")
+    for path in (old, new):
+        with pytest.raises(ValidationError, match="^token 'a b' has no text form"):
+            autodiss.cli._write_out(argparse.Namespace(output=str(path)), bad)
+    assert old.read_text(encoding="utf-8") == "kept\n" and not new.exists()
 
 
 def test_json_outputs_are_stable(capsys):
@@ -676,6 +689,7 @@ def test_readme_command_table_matches_the_parser(monkeypatch):
                 if not parser._subparsers}
     seen = []
     for usage in readme_usages():
+        assert usage[0] == "autodiss", usage
         depth = max(n for n in range(len(usage)) if tuple(usage[1:n + 1]) in commands)
         key, words = tuple(usage[1:depth + 1]), iter(usage[depth + 1:])
         got = []
