@@ -30,7 +30,10 @@ of a 40-step ensemble.  On seeded random machines over ``_ a b`` it pins
 the log, end and result of ``tm_run`` on inputs with gaps, and chains of
 ``tm_step`` from hand-built configurations whose head lies outside every
 cell; the runs move the head left of cell 0 and blank the cells at both
-ends of the window.
+ends of the window.  On the same machines it pins what a replay names:
+each run's renders, configurations and lookups, the working
+configurations of the Bennett snapshots of each run that halts, and the
+render and read of every configuration of each ``tm_step`` chain.
 
 Run as a script, this file only adds pins; for a deliberate change of
 output, delete the changed keys by hand first (see ``golden.py``).
@@ -247,7 +250,7 @@ def library(gen) -> dict:
     step log of the long ``bincounter.tm`` run, and of the names and
     lookups of a 20,000-step one; of the product models of the
     ``product`` cases; of the per-step bits of a 2,400-state ensemble; and
-    of the runs and ``tm_step`` chains of the ``WANDERER_SEEDS`` machines."""
+    of the runs, replays and ``tm_step`` chains of the ``WANDERER_SEEDS`` machines."""
     from autodiss import dissipation, fileformat, turing
 
     bincounter = fileformat.load_machine(asset_path("bincounter.tm"))
@@ -278,11 +281,30 @@ def library(gen) -> dict:
     pins["ensemble/2400"] = {"loss_bits": _sha(repr(trace.per_step_loss_bits)),
                              "input_bits": _sha(repr(trace.per_step_input_bits))}
     for seed in WANDERER_SEEDS:
-        runs, chains = wanderings(wanderer(seed))
+        tm = wanderer(seed)
+        runs, chains = wanderings(tm)
         pins[f"wander/{seed}"] = {
             "runs": _sha(repr([(run.log, run.configurations[-1], run.result) for run in runs])),
             "steps": _sha(repr(chains))}
+        pins[f"replay/{seed}"] = _replay_digests(tm, runs, chains)
     return pins
+
+
+def _replay_digests(tm, runs, chains) -> dict:
+    """What a replay names on a wanderer: each run's renders and configurations,
+    the lookups of each run of 10 steps or more, the working configurations
+    of the Bennett snapshots of each tape that halts, and the render and read
+    of every configuration along each ``tm_step`` chain."""
+    from autodiss import turing
+
+    halting = [tape for tape, run in zip(WANDERER_TAPES, runs) if run.halted]
+    return {
+        "renders": _sha(repr([run.configurations.renders() for run in runs])),
+        "configurations": _sha(repr([tuple(run.configurations) for run in runs])),
+        "lookups": _sha(repr([_lookups(run.configurations) for run in runs if run.steps >= 10])),
+        "snapshots": _sha(repr([[g.config for g in turing.bennett_simulate(
+            tm, list(tape), max_steps=500).global_configs] for tape in halting])),
+        "chains": _sha(repr([[(c.render("_"), c.read("_")) for c in chain] for chain in chains]))}
 
 
 def collect(gen, tmp_dir) -> dict:
