@@ -69,38 +69,38 @@ class TuringMachine:
 @dataclass(frozen=True)
 class Configuration:
     """Control state, head position, and the non-blank cells of the tape, in order; every
-    reader decodes them with :func:`_tape`, which refuses cells out of order, repeated or blank."""
+    reader decodes them with :func:`_tape`, which refuses cells out of order, repeated or blank;
+    :meth:`read` and :meth:`render` lay only the cells' span, O(cells) however far the head."""
 
     control: str
     head: int
     cells: tuple[tuple[int, str], ...]
 
     def read(self, blank: str) -> str:
-        _, h, _, _, tape, _ = _tape(self, blank)
-        return tape[h]
+        _, h, _, _, tape = _tape(self, blank, with_head=False)
+        return tape[h] if 0 <= h < len(tape) else blank
 
     def render(self, blank: str) -> str:
         """``control|head|lo:window`` from cell ``lo``, or ``control|head|`` on a
         blank tape; distinct configurations render apart."""
-        base, _, a, b, tape, _ = _tape(self, blank)
+        base, _, a, b, tape = _tape(self, blank, with_head=False)
         return f"{self.control}|{self.head}|" + (f"{a + base}:{','.join(tape[a:b])}" if a < b else "")
 
 
-def _tape(c: Configuration, blank: str):
-    """``(base, h, a, b, tape, pairs)``: ``tape`` lists the symbols from cell
-    ``base`` over ``c``'s cells and head, at ``tape[h]``, and ``pairs`` each cell
-    of ``c`` in place, None where blank; ``a:b`` spans the non-blank cells.  Cells
-    out of order, at a repeated position or blank raise :class:`ValidationError`."""
+def _tape(c: Configuration, blank: str, with_head: bool = True):
+    """``(base, h, a, b, tape)``: ``tape`` lists the symbols from cell ``base``
+    over ``c``'s cells and, unless ``with_head`` is false, its head; the head is
+    at ``tape[h]`` and ``a:b`` spans the non-blank cells.  Cells out of order, at
+    a repeated position or blank raise :class:`ValidationError`."""
     cells = c.cells
     if [p for p, _ in cells] != sorted({p for p, s in cells if s != blank}):
         raise ValidationError(f"cells {cells} are not non-blank and in order", ("cells", 0))
     lo, hi = (cells[0][0], cells[-1][0] + 1) if cells else (c.head, c.head)
-    base = min(lo, c.head)
-    pairs = [None] * (max(hi, c.head + 1) - base)
-    for pair in cells:
-        pairs[pair[0] - base] = pair
-    tape = [blank if pair is None else pair[1] for pair in pairs]
-    return base, c.head - base, lo - base, hi - base, tape, pairs
+    base, top = (min(lo, c.head), max(hi, c.head + 1)) if with_head else (lo, hi)
+    tape = [blank] * (top - base)
+    for p, s in cells:
+        tape[p - base] = s
+    return base, c.head - base, lo - base, hi - base, tape
 
 
 class _TupleView(Sequence):
@@ -178,9 +178,10 @@ class Trajectory(_TupleView):
         if first < 0:
             yield c
             first = picks.step - 1
-        for control, head, a, b, _, pairs in itertools.islice(
+        for control, head, base, a, b, tape in itertools.islice(
                 self._replay(c, i, j), first, None, picks.step):
-            yield Configuration(control=control, head=head, cells=tuple(filter(None, pairs[a:b])))
+            cells = tuple([(p, s) for p, s in enumerate(tape[a:b], a + base) if s != self.tm.blank])
+            yield Configuration(control=control, head=head, cells=cells)
 
     def __iter__(self):
         return self._pick(self.start, 0, len(self.log), range(len(self)))
@@ -188,18 +189,18 @@ class Trajectory(_TupleView):
     def renders(self) -> list[str]:
         """``[c.render(blank) for c in self]``, replayed from the log: O(steps + windows)."""
         return [self.start.render(self.tm.blank)] + [
-            f"{control}|{head}|{pairs[a][0]}:{','.join(tape[a:b])}" if a < b else f"{control}|{head}|"
-            for control, head, a, b, tape, pairs in self._replay(self.start, 0, len(self.log))]
+            f"{control}|{head}|{a + base}:{','.join(tape[a:b])}" if a < b else f"{control}|{head}|"
+            for control, head, base, a, b, tape in self._replay(self.start, 0, len(self.log))]
 
     def _replay(self, c: Configuration, i: int, j: int):
-        """Apply log steps ``i`` to ``j - 1`` to ``c``, the ``i``-th configuration,
-        yielding ``(control, head, a, b, tape, pairs)`` after each, on the lists of
-        :func:`_tape` that :func:`_advance` steps too, doubled when the head leaves
-        them.  Raises :class:`ValidationError` for a ``c`` that :func:`_tape` refuses, at
-        ``("log", step)`` for a logged pair that has no rule or is not the current
-        control state and cell, and at ``("end", 0)`` for a full replay that misses ``end``."""
+        """Apply log steps ``i`` to ``j - 1`` to ``c``, the ``i``-th configuration, yielding
+        ``(control, head, base, a, b, tape)`` after each, named as by :func:`_tape` and on its
+        list, which :func:`_advance` steps too, doubled when the head leaves it.  Raises
+        :class:`ValidationError` for a ``c`` that :func:`_tape` refuses, at ``("log", step)``
+        for a logged pair that has no rule or is not the current control state and cell, and at
+        ``("end", 0)`` for a full replay that misses ``end``."""
         blank, rules, control = self.tm.blank, self.tm.step_rules, c.control
-        base, h, a, b, tape, pairs = _tape(c, blank)
+        base, h, a, b, tape = _tape(c, blank)
         for k, (q, s) in enumerate(self.log[i:j], i):
             rule = rules.get((q, s))
             if rule is None or q != control or s != tape[h]:
@@ -207,22 +208,23 @@ class Trajectory(_TupleView):
                                       f"{control!r} reading {tape[h]!r}", ("log", k))
             _, control, write, shift = rule
             if write != s:
-                tape[h], pairs[h] = write, (h + base, write) if write != blank else None
+                tape[h] = write
                 if write == blank:
-                    while a < b and pairs[a] is None:
+                    while a < b and tape[a] == blank:
                         a += 1
-                    while b > a and pairs[b - 1] is None:
+                    while b > a and tape[b - 1] == blank:
                         b -= 1
                 elif not a <= h < b:
                     a, b = (min(a, h), max(b, h + 1)) if a < b else (h, h + 1)
             h += shift
             if not 0 <= h < len(tape):
                 m = len(tape) // 2 + 1
-                tape, pairs = [blank] * m + tape + [blank] * m, [None] * m + pairs + [None] * m
+                tape = [blank] * m + tape + [blank] * m
                 base, h, a, b = base - m, h + m, a + m, b + m
-            yield control, h + base, a, b, tape, pairs
+            yield control, h + base, base, a, b, tape
         if j == len(self.log):
-            last = (control, h + base, tuple(filter(None, pairs[a:b])))
+            cells = tuple([(p, s) for p, s in enumerate(tape[a:b], a + base) if s != blank])
+            last = (control, h + base, cells)
             if last != (self.end.control, self.end.head, self.end.cells):
                 raise ValidationError(
                     f"the log ends at {last}, but the stored end is {self.end}", ("end", 0))
@@ -335,7 +337,7 @@ class BennettTrace:
 
     The simulation takes O(steps) rule applications and O(steps + tape
     window) memory: the forward :class:`RunTrace`, whose log is the
-    history record of n pairs, is stored once, and ``global_configs`` is a
+    history record of n steps, is stored once, and ``global_configs`` is a
     :class:`Snapshots` view over it that builds each of the 2n + r + 1
     snapshots on index.  Only :func:`global_graph` spells each snapshot's
     history prefix out, so the names of ``global_graph(trace)`` hold
@@ -466,7 +468,7 @@ def _advance(tm: TuringMachine, c: Configuration, max_steps: int, tape_cap=math.
     halt or ``max_steps`` steps, and the end; O(1) work per step on :func:`_tape`'s
     list, doubled when the head leaves it.  Raises :class:`NoRule`, :class:`TapeOverflow`."""
     rules, halting, blank, control = tm.step_rules, tm.halting, tm.blank, c.control
-    base, h, a, b, tape, _ = _tape(c, blank)
+    base, h, a, b, tape = _tape(c, blank)
     log = []
     # Writes happen under the head, so the window is the start's extent widened
     # by head excursions; a start wider than the cap fails at the first step.
@@ -514,7 +516,7 @@ def tm_run(
         raise SizeLimit(len(log), STEP_LOG_LIMIT, "recorded steps")
     result = None
     if end.control in tm.halting:
-        _, _, a, b, window, _ = _tape(end, tm.blank)
+        _, _, a, b, window = _tape(end, tm.blank)
         result = tuple(window[a:b])
     return RunTrace(machine=tm.name, blank=tm.blank,
                     configurations=Trajectory(tm, start, tuple(log), end),

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import random
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -510,6 +511,26 @@ def test_iterating_a_long_run_keeps_one_short_tape():
     finally:
         tracemalloc.stop()
     assert not run.halted and run.steps == 20_000 and peak < 300_000
+
+
+FAR = 10**9  # cells between the head and the cells it is read and rendered with
+
+
+@pytest.mark.parametrize("head", [-FAR, FAR + 2], ids=["left", "right"])
+def test_read_and_render_lay_only_the_cells_however_far_the_head(head):
+    """O(cells): neither lays the blanks between the head and the cells."""
+    c = Configuration("q", head, ((0, "a"), (2, "b")))
+    for call, want in ((c.read, "_"), (c.render, f"q|{head}|0:a,_,b")):
+        tracemalloc.start()
+        try:
+            began = time.perf_counter()
+            got = call("_")
+            took = time.perf_counter() - began
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want and took < 0.01 and peak < 1_000_000, (call.__name__, took, peak)
+    assert [Configuration("q", h, c.cells).read("_") for h in (-1, 0, 1, 2, 3)] == list("_a_b_")
 
 
 def test_global_graph_refuses_a_run_that_revisits_a_configuration():
