@@ -124,12 +124,13 @@ def _charges(a: Automaton, m: InputModel) -> tuple[float, ...]:
     return m._choice_bits
 
 
-def _check_budget(name: str, value) -> None:
-    """Refuse a step budget or horizon ``value`` that is not an integer >= 0."""
-    if not hasattr(value, "__index__"):
-        raise InvalidArgument(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise InvalidArgument(f"{name} must be non-negative")
+def _check_budget(**budgets) -> None:
+    """Refuse, in argument order, a step budget, tape cap or horizon that is not an integer >= 0."""
+    for name, value in budgets.items():
+        if not hasattr(value, "__index__"):
+            raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+        if value < 0:
+            raise InvalidArgument(f"{name} must be non-negative")
 
 
 def _bits(row: Sequence[float]) -> float:
@@ -265,7 +266,7 @@ def ensemble_dissipation(
     """
     import numpy as np
 
-    _check_budget("horizon", horizon)
+    _check_budget(horizon=horizon)
     p = _check_distribution(a, pi0)
     weights = _weights(a, m)
     targets = [ts or (i,) for i, ts in enumerate(a.successors)]

@@ -509,7 +509,7 @@ def tm_run(
     start and final configurations are stored; the others are replayed from
     the log when read (see :class:`Trajectory`).  A run past
     ``STEP_LOG_LIMIT`` steps raises :class:`SizeLimit` after one more."""
-    _check_budget("max_steps", max_steps)
+    _check_budget(max_steps=max_steps, tape_cap=tape_cap)
     start = initial_configuration(tm, tape)
     log, end = _advance(tm, start, min(max_steps, STEP_LOG_LIMIT + 1), tape_cap)
     if len(log) > STEP_LOG_LIMIT:
@@ -591,7 +591,7 @@ def check_convergence_lemma(
     report = ConvergenceReport(has_convergence=bool(witnesses), witnesses=witnesses)
     if horizon is None:
         return report
-    _check_budget("horizon", horizon)
+    _check_budget(horizon=horizon)
     trace = tm_run(tm, tape, max_steps=horizon)
     seq = tuple(q for q, _ in trace.log) + (trace.configurations[-1].control,)
     found = detect_eventual_period(seq)

@@ -333,15 +333,26 @@ def test_landauer_energy_rejects_bad_arguments():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda tm, a: tm_run(tm, max_steps=-1), "max_steps must be non-negative"),
-    (lambda tm, a: bennett_simulate(tm, max_steps=-1), "max_steps must be non-negative"),
-    (lambda tm, a: modular_tm_dissipation(tm, max_steps=-1), "max_steps must be non-negative"),
-    (lambda tm, a: check_convergence_lemma(tm, horizon=-1), "horizon must be non-negative"),
-    (lambda tm, a: ensemble_dissipation(a, InputModel.uniform(a), [0.0, 1.0, 0.0], -1),
-     "horizon must be non-negative"),
-    (lambda tm, a: landauer_energy(-1, 300), "bits must be non-negative"),
-    (lambda tm, a: landauer_energy(math.nan, 300), "bits must be finite"),
-    (lambda tm, a: landauer_energy(math.inf, 300), "bits must be finite"),
+    pytest.param(lambda tm, a: tm_run(tm, max_steps=-1), "max_steps must be non-negative",
+                 id="tm_run-max_steps-negative"),
+    pytest.param(lambda tm, a: bennett_simulate(tm, max_steps=-1), "max_steps must be non-negative",
+                 id="bennett-max_steps-negative"),
+    pytest.param(lambda tm, a: modular_tm_dissipation(tm, max_steps=-1),
+                 "max_steps must be non-negative", id="tm_dissipation-max_steps-negative"),
+    pytest.param(lambda tm, a: check_convergence_lemma(tm, horizon=-1), "horizon must be non-negative",
+                 id="convergence-horizon-negative"),
+    pytest.param(lambda tm, a: ensemble_dissipation(a, InputModel.uniform(a), [0.0, 1.0, 0.0], -1),
+                 "horizon must be non-negative", id="ensemble-horizon-negative"),
+    pytest.param(lambda tm, a: landauer_energy(-1, 300), "bits must be non-negative",
+                 id="landauer-bits-negative"),
+    pytest.param(lambda tm, a: landauer_energy(math.nan, 300), "bits must be finite",
+                 id="landauer-bits-nan"),
+    pytest.param(lambda tm, a: landauer_energy(math.inf, 300), "bits must be finite",
+                 id="landauer-bits-inf"),
+    pytest.param(lambda tm, a: tm_run(tm, tape_cap=-1), "tape_cap must be non-negative",
+                 id="tm_run-tape_cap-negative"),
+    pytest.param(lambda tm, a: bennett_simulate(tm, tape_cap=-1), "tape_cap must be non-negative",
+                 id="bennett-tape_cap-negative"),
 ])
 def test_out_of_domain_numbers_are_automata_errors(bb2, call, message):
     """Still ``ValueError``s, as they were, and now also ``AutomataError``s."""
@@ -351,14 +362,34 @@ def test_out_of_domain_numbers_are_automata_errors(bb2, call, message):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda tm, a: tm_run(tm, max_steps=2.5), "max_steps must be an integer, got 2.5"),
-    (lambda tm, a: tm_run(tm, max_steps=None), "max_steps must be an integer, got None"),
-    (lambda tm, a: check_convergence_lemma(tm, horizon=2.5), "horizon must be an integer, got 2.5"),
-    (lambda tm, a: ensemble_dissipation(a, InputModel.uniform(a), [0.0, 1.0, 0.0], 2.5),
-     "horizon must be an integer, got 2.5"),
-    (lambda tm, a: szilard_check(1, 1, k=0), "k must be positive and finite"),
-    (lambda tm, a: szilard_check(1, 1, k=-BOLTZMANN_K), "k must be positive and finite"),
-    (lambda tm, a: szilard_check(1, 1, k=math.nan), "k must be positive and finite"),
+    pytest.param(lambda tm, a: tm_run(tm, max_steps=2.5), "max_steps must be an integer, got 2.5",
+                 id="tm_run-max_steps-float"),
+    pytest.param(lambda tm, a: tm_run(tm, max_steps=None), "max_steps must be an integer, got None",
+                 id="tm_run-max_steps-none"),
+    pytest.param(lambda tm, a: check_convergence_lemma(tm, horizon=2.5),
+                 "horizon must be an integer, got 2.5", id="convergence-horizon-float"),
+    pytest.param(lambda tm, a: ensemble_dissipation(a, InputModel.uniform(a), [0.0, 1.0, 0.0], 2.5),
+                 "horizon must be an integer, got 2.5", id="ensemble-horizon-float"),
+    pytest.param(lambda tm, a: szilard_check(1, 1, k=0), "k must be positive and finite",
+                 id="szilard-k-zero"),
+    pytest.param(lambda tm, a: szilard_check(1, 1, k=-BOLTZMANN_K), "k must be positive and finite",
+                 id="szilard-k-negative"),
+    pytest.param(lambda tm, a: szilard_check(1, 1, k=math.nan), "k must be positive and finite",
+                 id="szilard-k-nan"),
+    pytest.param(lambda tm, a: tm_run(tm, tape_cap=2.5), "tape_cap must be an integer, got 2.5",
+                 id="tm_run-tape_cap-float"),
+    pytest.param(lambda tm, a: tm_run(tm, tape_cap=None), "tape_cap must be an integer, got None",
+                 id="tm_run-tape_cap-none"),
+    pytest.param(lambda tm, a: tm_run(tm, tape_cap="x"), "tape_cap must be an integer, got 'x'",
+                 id="tm_run-tape_cap-str"),
+    pytest.param(lambda tm, a: tm_run(tm, tape_cap=math.nan), "tape_cap must be an integer, got nan",
+                 id="tm_run-tape_cap-nan"),
+    pytest.param(lambda tm, a: tm_run(tm, tape_cap=math.inf), "tape_cap must be an integer, got inf",
+                 id="tm_run-tape_cap-inf"),
+    pytest.param(lambda tm, a: bennett_simulate(tm, tape_cap=math.inf),
+                 "tape_cap must be an integer, got inf", id="bennett-tape_cap-inf"),
+    pytest.param(lambda tm, a: bennett_simulate(tm, tape_cap=None),
+                 "tape_cap must be an integer, got None", id="bennett-tape_cap-none"),
 ])
 def test_non_integer_budgets_and_bad_constants_are_invalid_arguments(bb2, call, message):
     with pytest.raises(InvalidArgument, match=f"^{message}$"):
@@ -368,6 +399,7 @@ def test_non_integer_budgets_and_bad_constants_are_invalid_arguments(bb2, call, 
 def test_integer_budgets_of_other_types_are_accepted(bb2):
     a = two_arrow_automaton()
     assert tm_run(bb2, max_steps=np.int64(3)).steps == 3
+    assert tm_run(bb2, tape_cap=np.int64(4)).halted
     assert len(ensemble_dissipation(a, InputModel.uniform(a), [1.0, 0.0, 0.0], np.int64(2))
                .per_step_loss_bits) == 2
 
