@@ -8,7 +8,8 @@ passes every check, one line at a time.  Every command takes ``--json``.
 Every command prints a report: ``key: value`` lines with numbers at six
 decimal places by default, or a stable JSON object (sorted keys) with
 ``--json``.  Exit codes: 0 success, 1 domain error (forbidden input,
-untestable graph, machine not halting, ...), 2 usage or parse error.
+untestable graph, machine not halting, ...), 2 usage or parse error; a
+usage error prints the usage line of the command it was given to.
 Every ``.aut`` content error exits 2 naming its line, after the module
 file's path inside a wiring, and so does every ``.tm`` content error; a
 file that cannot be read exits 2 naming it.  ``.wiring`` semantic errors
@@ -322,8 +323,19 @@ def cmd_tm_bennett(args) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and so each of its subparsers, that refuses arguments it does not
+    know with its own usage line, where argparse leaves them to the root's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="autodiss",
         description="Analyze automata as physical implements: structure, "
         "dissipation, composition, conformance tests, Turing machines.",

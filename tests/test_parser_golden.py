@@ -6,6 +6,7 @@
 flag it does not know and of ``--max-steps -1``, and the namespace that
 its smallest valid command line parses to (a usage error for the root and
 ``tm``, which need a command).  Each case only parses; no command runs.
+``main`` is checked to print the pinned stderr of each usage error.
 Help is wrapped at 80 columns and ``AUTODISS_TEMP`` is unset.  Run as a
 script, this file only adds pins; for a deliberate change of output,
 delete the changed keys by hand first (see ``golden.py``).
@@ -14,10 +15,13 @@ delete the changed keys by hand first (see ``golden.py``).
 import argparse
 import contextlib
 import io
+import json
 import os
 
+import pytest
+
 import golden
-from autodiss.cli import build_parser
+from autodiss.cli import build_parser, main
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden", "parser_outputs.json")
 
@@ -76,6 +80,23 @@ def test_parser_outputs_match_golden(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.delenv("AUTODISS_TEMP", raising=False)
     golden.check(FIXTURE, collect())
+
+
+def test_main_prints_the_pinned_usage_errors(monkeypatch):
+    """``main`` exits as ``build_parser().parse_args`` does on each pinned
+    unknown flag and ``--max-steps -1``, so the two cannot drift apart."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("AUTODISS_TEMP", raising=False)
+    with open(FIXTURE, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    for prefix, parser in parsers():
+        key, argv = " ".join(["autodiss", *prefix]), prefix + smallest(parser)
+        for section, extra in (("bad_flag", ["--no-such-flag"]), ("max_steps", ["--max-steps", "-1"])):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+                main(argv + extra)
+            want = pinned[section][key]
+            assert (exit_.value.code, err.getvalue()) == (want["code"], want["err"]), f"{section} {key}"
 
 
 if __name__ == "__main__":
