@@ -324,8 +324,7 @@ def cmd_tm_bennett(args) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser, and so each of its subparsers, that refuses arguments it does not
-    know with its own usage line, where argparse leaves them to the root's."""
+    """A parser, like each of its subparsers, that refuses unknown arguments with its own usage."""
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
