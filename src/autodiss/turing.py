@@ -68,9 +68,8 @@ class TuringMachine:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Control state, head position, and the non-blank cells of the tape, in order; every
-    reader decodes them with :func:`_tape`, which refuses cells out of order, repeated or blank;
-    :meth:`read` and :meth:`render` lay only the cells' span, O(cells) however far the head."""
+    """Control state, head position and the tape's non-blank cells in order, decoded by :func:`_tape`,
+    which refuses cells out of order, repeated or blank; ``read`` and ``render`` cost O(cells)."""
 
     control: str
     head: int
@@ -174,13 +173,14 @@ class Trajectory(_TupleView):
 
     def _pick(self, c: Configuration, i: int, j: int, picks: range):
         """Those at ``picks`` of the configurations ``c``, the ``i``-th, to the ``j``-th."""
+        blank = self.tm.blank
         first = picks[0] - i - 1
         if first < 0:
             yield c
             first = picks.step - 1
         for control, head, base, a, b, tape in itertools.islice(
                 self._replay(c, i, j), first, None, picks.step):
-            cells = tuple([(p, s) for p, s in enumerate(tape[a:b], a + base) if s != self.tm.blank])
+            cells = tuple([(p, s) for p, s in enumerate(tape[a:b], a + base) if s != blank])
             yield Configuration(control=control, head=head, cells=cells)
 
     def __iter__(self):
