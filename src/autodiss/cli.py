@@ -15,7 +15,8 @@ file's path inside a wiring, and so does every ``.tm`` content error; a
 file that cannot be read exits 2 naming it.  ``.wiring`` semantic errors
 exit 1 with no line.
 
-Each command imports the modules it calls, so that a call loads no other.
+Each command reads the modules it calls as attributes of the package,
+which loads a submodule on first read, so that a call loads no other.
 
 The default temperature for energy figures is 300 K; the environment
 variable ``AUTODISS_TEMP`` or ``run``'s ``--temp`` flag overrides it.
@@ -29,6 +30,8 @@ import json
 import math
 import os
 import sys
+
+import autodiss as ad
 
 from . import core
 from .core import convergent_states, divergent_states, is_reversible
@@ -89,8 +92,7 @@ def _split_word(word: str, alphabet) -> list[str]:
 
 def _write_out(args, automaton) -> None:
     if args.output:
-        from . import fileformat
-        lines = fileformat._automaton_lines(automaton)
+        lines = ad.fileformat._automaton_lines(automaton)
         first = next(lines)  # every check passes before the file is opened
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(first)
@@ -98,8 +100,7 @@ def _write_out(args, automaton) -> None:
 
 
 def cmd_analyze(args) -> dict:
-    from . import dissipation, fileformat
-    auto, model = fileformat.load_automaton(args.file)
+    auto, model = ad.fileformat.load_automaton(args.file)
     return {
         "name": auto.name,
         "state_count": len(auto.states),
@@ -108,19 +109,18 @@ def cmd_analyze(args) -> dict:
         "convergent": sorted(convergent_states(auto)),
         "reversible": is_reversible(auto),
         "choice_bits": {
-            q: dissipation.choice_information(auto, model, q) for q in auto.states
+            q: ad.dissipation.choice_information(auto, model, q) for q in auto.states
         },
     }
 
 
 def cmd_run(args) -> dict:
-    from . import dissipation, fileformat
-    auto, model = fileformat.load_automaton(args.file)
+    auto, model = ad.fileformat.load_automaton(args.file)
     start = args.start or auto.initial
     if start is None:
         raise AutomataError("no start state: give --start or declare initial")
     word = _split_word(args.word, auto.input_alphabet)
-    report = dissipation.path_choice_information(auto, model, start, word)
+    report = ad.dissipation.path_choice_information(auto, model, start, word)
     if math.isinf(report.total_bits):
         i = report.per_step_bits.index(math.inf)
         raise AutomataError(
@@ -137,17 +137,15 @@ def cmd_run(args) -> dict:
         "per_step_bits": [round(b, 9) for b in report.per_step_bits],
         "convergences_entered": list(report.convergences_entered),
         "temperature_kelvin": args.temp,
-        "landauer_joules": dissipation.landauer_energy(report.total_bits, args.temp),
+        "landauer_joules": ad.dissipation.landauer_energy(report.total_bits, args.temp),
     }
 
 
 def cmd_product(args) -> dict:
-    from . import fileformat
-    a, _ = fileformat.load_automaton(args.file_a)
-    b, _ = fileformat.load_automaton(args.file_b)
+    a, _ = ad.fileformat.load_automaton(args.file_a)
+    b, _ = ad.fileformat.load_automaton(args.file_b)
     if args.output:  # the product is built for its file only
-        from . import composition
-        _write_out(args, composition.product(a, b))
+        _write_out(args, ad.composition.product(a, b))
     # A tuple state's degree is its modules' product: >= 2 iff each is >= 1, not all 1.
     out = [(sum(map(bool, m.successors)), len(divergent_states(m))) for m in (a, b)]
     into = [(len(set().union(*m.successors)), len(convergent_states(m))) for m in (a, b)]
@@ -164,9 +162,8 @@ def cmd_product(args) -> dict:
 
 
 def cmd_wire(args) -> dict:
-    from . import composition, dissipation, fileformat
-    wiring = fileformat.load_wiring(args.file)
-    closed = composition.wire(wiring)
+    wiring = ad.fileformat.load_wiring(args.file)
+    closed = ad.composition.wire(wiring)
     auto = closed.automaton
     _write_out(args, auto)
     shown = (range(len(auto.states)) if auto.initial is None
@@ -180,7 +177,7 @@ def cmd_wire(args) -> dict:
     strides = [math.prod(len(m.states) for m in mods[k + 1:]) for k in range(len(mods))]
     # Choice bits of d equally likely arrows, summed as choice_information
     # sums them so that the floats agree; once per degree, as one can be 2**20.
-    bits = functools.lru_cache(maxsize=None)(lambda d: dissipation._bits([1 / max(d, 1)] * d))
+    bits = functools.lru_cache(maxsize=None)(lambda d: ad.dissipation._bits([1 / max(d, 1)] * d))
     return {
         "name": auto.name,
         "modules": [n for n, _ in wiring.modules],
@@ -197,9 +194,8 @@ def cmd_wire(args) -> dict:
 
 
 def cmd_reach(args) -> dict:
-    from . import composition, fileformat
-    auto, _ = fileformat.load_automaton(args.file)
-    sub = composition.reachable_subgraph(auto)
+    auto, _ = ad.fileformat.load_automaton(args.file)
+    sub = ad.composition.reachable_subgraph(auto)
     _write_out(args, sub)
     return {
         "name": sub.name,
@@ -211,19 +207,17 @@ def cmd_reach(args) -> dict:
 
 
 def cmd_equiv(args) -> dict:
-    from . import composition, fileformat
-    a, _ = fileformat.load_automaton(args.file_a)
-    b, _ = fileformat.load_automaton(args.file_b)
-    return {"equivalent": composition.equivalent(a, b)}
+    a, _ = ad.fileformat.load_automaton(args.file_a)
+    b, _ = ad.fileformat.load_automaton(args.file_b)
+    return {"equivalent": ad.composition.equivalent(a, b)}
 
 
 def cmd_test(args) -> dict:
-    from . import conformance, fileformat
-    auto, _ = fileformat.load_automaton(args.file)
+    auto, _ = ad.fileformat.load_automaton(args.file)
     start = args.start or auto.initial
     if start is None:
         raise AutomataError("no start state: give --start or declare initial")
-    tour = conformance.transition_tour(auto, start)
+    tour = ad.conformance.transition_tour(auto, start)
     return {
         "name": auto.name,
         "start": start,
@@ -235,16 +229,14 @@ def cmd_test(args) -> dict:
 
 
 def cmd_dot(args) -> dict | None:
-    from . import dot, fileformat
-    auto, _ = fileformat.load_automaton(args.file)
-    sys.stdout.write(dot.export_dot(auto))
+    auto, _ = ad.fileformat.load_automaton(args.file)
+    sys.stdout.write(ad.dot.export_dot(auto))
     return None
 
 
 def cmd_tm_run(args) -> dict:
-    from . import fileformat, turing
-    tm = fileformat.load_machine(args.file)
-    trace = turing.tm_run(tm, args.tape.split(), max_steps=args.max_steps)
+    tm = ad.fileformat.load_machine(args.file)
+    trace = ad.turing.tm_run(tm, args.tape.split(), max_steps=args.max_steps)
     return {
         "name": tm.name,
         "halted": trace.halted,
@@ -256,9 +248,8 @@ def cmd_tm_run(args) -> dict:
 
 
 def cmd_tm_head(args) -> dict:
-    from . import fileformat, turing
-    tm = fileformat.load_machine(args.file)
-    head = turing.head_automaton(tm)
+    tm = ad.fileformat.load_machine(args.file)
+    head = ad.turing.head_automaton(tm)
     convergent = sorted(convergent_states(head))
     _write_out(args, head)
     return {
@@ -271,9 +262,8 @@ def cmd_tm_head(args) -> dict:
 
 
 def cmd_tm_dissip(args) -> dict:
-    from . import fileformat, turing
-    tm = fileformat.load_machine(args.file)
-    acc = turing.modular_tm_dissipation(tm, args.tape.split(), max_steps=args.max_steps)
+    tm = ad.fileformat.load_machine(args.file)
+    acc = ad.turing.modular_tm_dissipation(tm, args.tape.split(), max_steps=args.max_steps)
     steps = len(acc.per_step_bits)
     return {
         "name": tm.name,
@@ -287,11 +277,10 @@ def cmd_tm_dissip(args) -> dict:
 
 
 def cmd_tm_linear(args) -> dict:
-    from . import fileformat, turing
-    tm = fileformat.load_machine(args.file)
-    trace = turing.tm_run(tm, args.tape.split(), max_steps=args.max_steps)
+    tm = ad.fileformat.load_machine(args.file)
+    trace = ad.turing.tm_run(tm, args.tape.split(), max_steps=args.max_steps)
     if args.output or not trace.halted:  # names for -o; a run not halted is refused there
-        _write_out(args, turing.global_graph(trace))
+        _write_out(args, ad.turing.global_graph(trace))
     return {
         "name": f"{tm.name}_global",
         "state_count": trace.steps + 1,  # a halted run revisits no configuration
@@ -302,9 +291,8 @@ def cmd_tm_linear(args) -> dict:
 
 
 def cmd_tm_bennett(args) -> dict:
-    from . import fileformat, turing
-    tm = fileformat.load_machine(args.file)
-    trace = turing.bennett_simulate(tm, args.tape.split(), max_steps=args.max_steps)
+    tm = ad.fileformat.load_machine(args.file)
+    trace = ad.turing.bennett_simulate(tm, args.tape.split(), max_steps=args.max_steps)
     snapshots = trace.global_configs
     # One global state per snapshot, and no two snapshots share a key (within
     # each phase one counter is strictly monotone), so the chain has no
@@ -405,12 +393,9 @@ def main(argv=None) -> int:
         reason = "file not found" if isinstance(e, FileNotFoundError) else e.strerror
         print(f"error: {reason}: {e.filename or e}", file=sys.stderr)
         return 2
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except AutomataError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, ParseError) else 1
     if report is not None:
         _emit(report, args.json)
     return 0

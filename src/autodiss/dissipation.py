@@ -317,11 +317,14 @@ def szilard_check(s1: float, s2: float, k: float = BOLTZMANN_K) -> bool:
     """Whether entropy increases of a two-state memory respect the bound
     exp(-s1/k) + exp(-s2/k) <= 1.
 
-    Both entropies in Joules per Kelvin.  Equality holds at
+    Both entropies are numbers, not NaN, in Joules per Kelvin.  Equality holds at
     s1 = s2 = k ln 2, the symmetric one-bit memory.  ``k`` must be positive and finite.
     """
-    if not 0 < k < math.inf:
+    if not hasattr(k, "__float__") or not 0 < k < math.inf:
         raise InvalidArgument("k must be positive and finite")
+    for name, s in {"s1": s1, "s2": s2}.items():
+        if not hasattr(s, "__float__") or math.isnan(s):
+            raise InvalidArgument(f"{name} must be a number, got {s!r}")
     try:
         total = math.exp(-s1 / k) + math.exp(-s2 / k)
     except OverflowError:
@@ -332,9 +335,9 @@ def szilard_check(s1: float, s2: float, k: float = BOLTZMANN_K) -> bool:
 def landauer_energy(bits: float, temperature: float) -> float:
     """Minimum physical cost of erasing ``bits`` at ``temperature``:
     bits * k * T * ln 2, in Joules.  Both arguments must be finite."""
-    if not 0 < temperature < math.inf:
+    if not hasattr(temperature, "__float__") or not 0 < temperature < math.inf:
         raise NonPositiveTemperature(temperature)
-    if not math.isfinite(bits):
+    if not hasattr(bits, "__float__") or not math.isfinite(bits):
         raise InvalidArgument("bits must be finite")
     if bits < 0:
         raise InvalidArgument("bits must be non-negative")

@@ -10,10 +10,11 @@ class ValidationError(AutomataError):
 
     ``entry``, set by :func:`autodiss.core.validate` and
     :func:`autodiss.turing.make_machine`, names the rejected entry as
-    ``(parameter, position)``: ``("transitions", 4)`` is the fifth triple."""
+    ``(parameter, position)``: ``("transitions", 4)`` is the fifth triple.
+    A ``context`` is appended to the message in parentheses."""
 
-    def __init__(self, message, entry=None):
-        super().__init__(message)
+    def __init__(self, message, entry=None, context=""):
+        super().__init__(message + (f" ({context})" if context else ""))
         self.entry = entry
 
 
@@ -34,15 +35,13 @@ class NonInjectiveOutput(ValidationError):
 class UnknownSymbol(ValidationError):
     def __init__(self, symbol, context="", entry=None):
         self.symbol = symbol
-        msg = f"symbol {symbol!r} is not declared"
-        super().__init__(msg + (f" ({context})" if context else ""), entry)
+        super().__init__(f"symbol {symbol!r} is not declared", entry, context)
 
 
 class UnknownState(ValidationError):
     def __init__(self, state, context="", entry=None):
         self.state = state
-        msg = f"state {state!r} is not declared"
-        super().__init__(msg + (f" ({context})" if context else ""), entry)
+        super().__init__(f"state {state!r} is not declared", entry, context)
 
 
 class MissingOutput(ValidationError):
@@ -54,8 +53,7 @@ class MissingOutput(ValidationError):
 class DuplicateIdentifier(ValidationError):
     def __init__(self, token, context="", entry=None):
         self.token = token
-        msg = f"identifier {token!r} declared twice"
-        super().__init__(msg + (f" ({context})" if context else ""), entry)
+        super().__init__(f"identifier {token!r} declared twice", entry, context)
 
 
 class ForbiddenInput(AutomataError):

@@ -19,11 +19,13 @@ import math
 import os
 from typing import TYPE_CHECKING, Iterator, Optional
 
+import autodiss as ad
+
 from .core import Automaton, validate
 from .dissipation import PROB_SUM_TOL, InputModel, _weights
 from .errors import ParseError, ValidationError
 
-if TYPE_CHECKING:  # imported by the parsers that build them, when called
+if TYPE_CHECKING:  # read through the package by the parsers that build them
     from .composition import Wiring
     from .turing import TuringMachine
 
@@ -237,8 +239,6 @@ def load_automaton(path: str) -> tuple[Automaton, InputModel]:
 def parse_machine(text: str) -> TuringMachine:
     """Parse machine text.  An error of :func:`make_machine` becomes the
     ``__cause__`` of a :class:`ParseError`."""
-    from .turing import make_machine
-
     name, found = _read(text, "tm", _MACHINE_GRAMMAR)
     blank, initial = _single(found["blank"]), _single(found["initial"])
     if blank is None:
@@ -246,7 +246,7 @@ def parse_machine(text: str) -> TuringMachine:
     if initial is None:
         raise ParseError(0, "missing initial directive")
     try:
-        return make_machine(
+        return ad.turing.make_machine(
             name=name,
             tape_alphabet=_joined(found["tape"]),
             blank=blank,
@@ -270,8 +270,6 @@ def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
     with that file as ``path``; a module file that cannot be read is
     refused on its ``module`` line.
     """
-    from .composition import Connection, Wiring
-
     name, found = _read(text, "wiring", _WIRING_GRAMMAR)
     modules: list[tuple[str, Automaton]] = []
     for lineno, (inst, rel) in found["module"]:
@@ -283,7 +281,7 @@ def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
         except ParseError as e:
             raise ParseError(e.line_number, e.message, path=path) from e.__cause__
         modules.append((inst, auto))
-    connections: list[Connection] = []
+    connections: list[ad.composition.Connection] = []
     for lineno, (src, dst, *pairs) in found["connect"]:
         mapping = {}
         for pair in pairs:
@@ -293,13 +291,13 @@ def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
             if out_sym in mapping:
                 raise ParseError(lineno, f"output {out_sym!r} mapped twice")
             mapping[out_sym] = in_sym
-        connections.append(Connection(src, dst, mapping))
+        connections.append(ad.composition.Connection(src, dst, mapping))
     initials: dict[str, str] = {}
     for lineno, (inst, state) in found["initial"]:
         if inst in initials:
             raise ParseError(lineno, f"initial of {inst!r} declared twice")
         initials[inst] = state
-    return Wiring(
+    return ad.composition.Wiring(
         name=name,
         modules=tuple(modules),
         connections=tuple(connections),

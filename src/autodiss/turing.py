@@ -89,9 +89,13 @@ class Configuration:
 def _tape(c: Configuration, blank: str, with_head: bool = True):
     """``(base, h, a, b, tape)``: ``tape`` lists the symbols from cell ``base``
     over ``c``'s cells and, unless ``with_head`` is false, its head; the head is
-    at ``tape[h]`` and ``a:b`` spans the non-blank cells.  Cells out of order, at
-    a repeated position or blank raise :class:`ValidationError`."""
+    at ``tape[h]`` and ``a:b`` spans the non-blank cells.  A position without ``__index__``,
+    or cells out of order, at a repeated position or blank, raise :class:`ValidationError`."""
     cells = c.cells
+    if not hasattr(c.head, "__index__"):
+        raise ValidationError(f"head {c.head!r} is not an integer", ("head", 0))
+    if not all(hasattr(p, "__index__") for p, _ in cells):
+        raise ValidationError(f"cells {cells} are not at integer positions", ("cells", 0))
     if [p for p, _ in cells] != sorted({p for p, s in cells if s != blank}):
         raise ValidationError(f"cells {cells} are not non-blank and in order", ("cells", 0))
     lo, hi = (cells[0][0], cells[-1][0] + 1) if cells else (c.head, c.head)
@@ -586,24 +590,16 @@ def check_convergence_lemma(
     periodic regime (a convergence-free head can only loop periodically
     or halt).
     """
-    head = head_automaton(tm)
-    witnesses = tuple(sorted(convergent_states(head)))
-    report = ConvergenceReport(has_convergence=bool(witnesses), witnesses=witnesses)
-    if horizon is None:
-        return report
-    _check_budget(horizon=horizon)
-    trace = tm_run(tm, tape, max_steps=horizon)
-    seq = tuple(q for q, _ in trace.log) + (trace.configurations[-1].control,)
-    found = detect_eventual_period(seq)
-    return ConvergenceReport(
-        has_convergence=report.has_convergence,
-        witnesses=witnesses,
-        head_sequence=seq,
-        halted=trace.halted,
-        eventually_periodic=found is not None,
-        period_start=found[0] if found else None,
-        period=found[1] if found else None,
-    )
+    witnesses = tuple(sorted(convergent_states(head_automaton(tm))))
+    observed = {}
+    if horizon is not None:
+        _check_budget(horizon=horizon)
+        trace = tm_run(tm, tape, max_steps=horizon)
+        seq = tuple(q for q, _ in trace.log) + (trace.configurations[-1].control,)
+        start, period = detect_eventual_period(seq) or (None, None)
+        observed = dict(head_sequence=seq, halted=trace.halted,
+                        eventually_periodic=period is not None, period_start=start, period=period)
+    return ConvergenceReport(has_convergence=bool(witnesses), witnesses=witnesses, **observed)
 
 
 def modular_tm_dissipation(

@@ -309,6 +309,7 @@ def test_szilard_boundary():
     assert not szilard_check(-BOLTZMANN_K, 100 * BOLTZMANN_K)
     assert szilard_check(1.0, 1.0)  # huge entropies, both terms vanish
     assert szilard_check(-1e-20, 0.0) is False  # exp overflows
+    assert szilard_check(np.float64(1.0), np.int64(1))  # any number with __float__
 
 
 def test_landauer_energy_values():
@@ -324,7 +325,7 @@ def test_landauer_energy_rejects_bad_arguments():
         landauer_energy(1, -5)
     with pytest.raises(ValueError):
         landauer_energy(-1, 300)
-    for temperature in (math.nan, math.inf):
+    for temperature in (math.nan, math.inf, "x", None):
         with pytest.raises(NonPositiveTemperature):
             landauer_energy(1, temperature)
     for bits in (math.nan, math.inf):
@@ -349,6 +350,8 @@ def test_landauer_energy_rejects_bad_arguments():
                  id="landauer-bits-nan"),
     pytest.param(lambda tm, a: landauer_energy(math.inf, 300), "bits must be finite",
                  id="landauer-bits-inf"),
+    pytest.param(lambda tm, a: landauer_energy("x", 300), "bits must be finite",
+                 id="landauer-bits-str"),
     pytest.param(lambda tm, a: tm_run(tm, tape_cap=-1), "tape_cap must be non-negative",
                  id="tm_run-tape_cap-negative"),
     pytest.param(lambda tm, a: bennett_simulate(tm, tape_cap=-1), "tape_cap must be non-negative",
@@ -376,6 +379,14 @@ def test_out_of_domain_numbers_are_automata_errors(bb2, call, message):
                  id="szilard-k-negative"),
     pytest.param(lambda tm, a: szilard_check(1, 1, k=math.nan), "k must be positive and finite",
                  id="szilard-k-nan"),
+    pytest.param(lambda tm, a: szilard_check(1, 1, k="x"), "k must be positive and finite",
+                 id="szilard-k-str"),
+    pytest.param(lambda tm, a: szilard_check(math.nan, 1, 1), "s1 must be a number, got nan",
+                 id="szilard-s1-nan"),
+    pytest.param(lambda tm, a: szilard_check("x", 1, 1), "s1 must be a number, got 'x'",
+                 id="szilard-s1-str"),
+    pytest.param(lambda tm, a: szilard_check(1, None, 1), "s2 must be a number, got None",
+                 id="szilard-s2-none"),
     pytest.param(lambda tm, a: tm_run(tm, tape_cap=2.5), "tape_cap must be an integer, got 2.5",
                  id="tm_run-tape_cap-float"),
     pytest.param(lambda tm, a: tm_run(tm, tape_cap=None), "tape_cap must be an integer, got None",

@@ -15,7 +15,10 @@ read ``rules``.  A fifth keeps the choice-bits sum ``_bits`` in two
 callers: a model's per-row memo ``InputModel._choice_bits``, which every
 charge reads, and ``cmd_wire``'s per-degree cache, which has no model.  A
 sixth keeps a configuration's cells in one decoder: only ``_tape`` reads
-``.cells``, and ``Trajectory._replay`` only to check ``self.end``.
+``.cells``, and ``Trajectory._replay`` only to check ``self.end``.  A
+seventh keeps the package's ``__getattr__`` the one lazy loader of its
+submodules: no function imports anything but numpy, so a module reaches
+another as an attribute of the package or imports it at module level.
 """
 
 import ast
@@ -263,4 +266,60 @@ def test_configurations_are_decoded_only_by_tape():
     found = [f"{path.name}:{line}: cells in {where or 'module'}"
              for path in sorted(PACKAGE.glob("*.py"))
              for line, where in cell_reads(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+# what a function may import: numpy, which the ensemble functions load on first use
+FUNCTION_IMPORTS = {"numpy"}
+
+
+def function_imports(source):
+    """(line, where, statement) of each import inside a function in ``source``
+    of a module ``FUNCTION_IMPORTS`` does not name; ``where`` is as in
+    :func:`rule_reads`."""
+    found = []
+
+    def visit(node, where, in_function):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+            in_function = in_function or not isinstance(node, ast.ClassDef)
+        elif in_function and isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else ["." * node.level + (node.module or "")])
+            if not {m.partition(".")[0] for m in modules} <= FUNCTION_IMPORTS:
+                found.append((node.lineno, where, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, in_function)
+
+    visit(ast.parse(source), "", False)
+    return sorted(found)
+
+
+def test_the_scan_finds_function_imports():
+    source = ("from typing import TYPE_CHECKING\n"
+              "import autodiss as ad\n"
+              "if TYPE_CHECKING:\n"
+              "    from .turing import TuringMachine\n"
+              "def f():\n"
+              "    from . import fileformat, turing\n"
+              "    import numpy as np\n"
+              "    return ad.core.run\n"
+              "class C:\n"
+              "    import json\n"
+              "    def g(self):\n"
+              "        from .core import run\n"
+              "        import autodiss.dot, numpy\n"
+              "        def h():\n"
+              "            from numpy import zeros\n"
+              "            from json import dumps\n")
+    assert function_imports(source) == [
+        (6, "f", "from . import fileformat, turing"), (12, "C.g", "from .core import run"),
+        (13, "C.g", "import autodiss.dot, numpy"), (16, "C.g.h", "from json import dumps"),
+    ]
+
+
+def test_only_the_package_loads_its_submodules_lazily():
+    found = [f"{path.name}:{line}: {statement} in {where}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, where, statement in function_imports(path.read_text(encoding="utf-8"))]
     assert found == []

@@ -8,6 +8,7 @@ import re
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from autodiss import (
@@ -457,19 +458,38 @@ def test_every_reader_of_a_run_checks_its_log(log, end, entry):
     assert Trajectory(tm, t.start, log, end)[-1] is end
 
 
-@pytest.mark.parametrize("cells", [((5, "a"), (1, "a")), ((1, "a"), (1, "b")), ((0, "a"), (2, "_"))],
-                         ids=["unordered", "repeated", "blank"])
-def test_every_reader_refuses_malformed_cells(cells):
-    """Hand-built cells out of order, at a repeated position or holding the
-    blank are refused by the one decoder, whoever reads them."""
+ORDER = "cells .* are not non-blank and in order"
+
+
+@pytest.mark.parametrize("head, cells, message, entry", [
+    (1, ((5, "a"), (1, "a")), ORDER, ("cells", 0)),
+    (1, ((1, "a"), (1, "b")), ORDER, ("cells", 0)),
+    (1, ((0, "a"), (2, "_")), ORDER, ("cells", 0)),
+    (1.5, (), "head 1.5 is not an integer", ("head", 0)),
+    ("x", ((1, "a"),), "head 'x' is not an integer", ("head", 0)),
+    (1, (("x", "a"),), r"cells \(\('x', 'a'\),\) are not at integer positions", ("cells", 0)),
+    (1, ((0, "a"), (1.5, "a")), "cells .* are not at integer positions", ("cells", 0)),
+], ids=["unordered", "repeated", "blank", "head-float", "head-str", "cell-str", "cell-float"])
+def test_every_reader_refuses_malformed_cells(head, cells, message, entry):
+    """Hand-built cells out of order, at a repeated position, holding the
+    blank or at a position without ``__index__``, and such a head, are
+    refused by the one decoder, whoever reads them; a position that is not
+    an integer used to raise a bare ``TypeError``, or to render."""
     tm = eraser()
-    c = Configuration("q", 1, cells)
+    c = Configuration("q", head, cells)
     t = Trajectory(tm, c, (("q", "a"), ("r", "_")), Configuration("h", 2, ()))
     for read in (lambda: tm_step(tm, c), lambda: c.render("_"), lambda: c.read("_"),
                  t.renders, lambda: tuple(t), lambda: t[1]):
-        with pytest.raises(ValidationError, match="^cells .* are not non-blank and in order$") as err:
+        with pytest.raises(ValidationError, match=f"^{message}$") as err:
             read()
-        assert err.value.entry == ("cells", 0)
+        assert err.value.entry == entry
+
+
+def test_positions_of_other_integer_types_are_accepted():
+    tm = eraser()
+    c = Configuration("q", np.int64(1), ((np.int64(1), "a"),))
+    assert (tm_step(tm, c), c.read("_"), c.render("_")) == (
+        tm_step(tm, Configuration("q", 1, ((1, "a"),))), "a", "q|1|1:a")
 
 
 def test_a_stored_run_is_read_from_its_log_alone(monkeypatch, gen):
