@@ -22,11 +22,8 @@ another as an attribute of the package or imports it at module level.
 """
 
 import ast
-import pathlib
 
-import autodiss
-
-PACKAGE = pathlib.Path(autodiss.__file__).parent
+import astscan
 
 
 def unused_imports(source):
@@ -50,12 +47,7 @@ def test_the_scan_finds_unused_imports():
 
 
 def test_package_modules_use_every_import():
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name != "__init__.py":
-            found += [f"{path.name}:{line}: {name}"
-                      for line, name in unused_imports(path.read_text(encoding="utf-8"))]
-    assert found == []
+    assert astscan.scan(unused_imports, *(m for m in astscan.MODULES if m != "__init__.py")) == []
 
 
 NAMED_VIEWS = {"by_source", "by_pair", "arrows"}
@@ -87,9 +79,7 @@ def test_the_scan_finds_named_arrow_uses():
 
 
 def test_graph_walkers_read_only_the_integer_rows():
-    found = [f"{name}:{line}: {what}" for name in ("conformance.py", "composition.py")
-             for line, what in named_arrow_uses((PACKAGE / name).read_text(encoding="utf-8"))]
-    assert found == []
+    assert astscan.scan(named_arrow_uses, "conformance.py", "composition.py") == []
 
 
 NAMED_MODEL_READS = {"probs", "arrow_probability"}
@@ -98,18 +88,9 @@ NAMED_MODEL_READS = {"probs", "arrow_probability"}
 def named_model_reads(source):
     """(line, name) of each read of ``probs`` or ``arrow_probability`` in
     ``source``, outside the body of a class named ``InputModel``."""
-    found = []
-
-    def visit(node):
-        if isinstance(node, ast.ClassDef) and node.name == "InputModel":
-            return
-        if isinstance(node, ast.Attribute) and node.attr in NAMED_MODEL_READS:
-            found.append((node.lineno, node.attr))
-        for child in ast.iter_child_nodes(node):
-            visit(child)
-
-    visit(ast.parse(source))
-    return sorted(found)
+    return sorted((node.lineno, node.attr) for node, where, _ in astscan.nodes(source)
+                  if isinstance(node, ast.Attribute) and node.attr in NAMED_MODEL_READS
+                  and "InputModel" not in where.split("."))
 
 
 def test_the_scan_finds_named_model_reads():
@@ -124,9 +105,7 @@ def test_the_scan_finds_named_model_reads():
 
 
 def test_models_are_read_as_weight_rows():
-    found = [f"{path.name}:{line}: {what}" for path in sorted(PACKAGE.glob("*.py"))
-             for line, what in named_model_reads(path.read_text(encoding="utf-8"))]
-    assert found == []
+    assert astscan.scan(named_model_reads) == []
 
 
 RULE_READERS = {"step_rules": {"_advance", "Trajectory._replay"},
@@ -136,20 +115,10 @@ RULE_READERS = {"step_rules": {"_advance", "Trajectory._replay"},
 def rule_reads(source):
     """(line, name, where) of each read of ``.step_rules`` or ``.rules`` in
     ``source`` outside the functions ``RULE_READERS`` allows; ``where`` is
-    the dotted name of the enclosing classes and functions."""
-    found = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-            where = f"{where}.{node.name}" if where else node.name
-        elif (isinstance(node, ast.Attribute) and node.attr in RULE_READERS
-              and where not in RULE_READERS[node.attr]):
-            found.append((node.lineno, node.attr, where))
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source), "")
-    return sorted(found)
+    as in :func:`astscan.nodes`."""
+    return sorted((node.lineno, node.attr, where) for node, where, _ in astscan.nodes(source)
+                  if isinstance(node, ast.Attribute) and node.attr in RULE_READERS
+                  and where not in RULE_READERS[node.attr])
 
 
 def test_the_scan_finds_rule_reads():
@@ -170,10 +139,7 @@ def test_the_scan_finds_rule_reads():
 
 
 def test_only_the_stepper_and_the_replay_apply_rules():
-    found = [f"{path.name}:{line}: {name} in {where or 'module'}"
-             for path in sorted(PACKAGE.glob("*.py"))
-             for line, name, where in rule_reads(path.read_text(encoding="utf-8"))]
-    assert found == []
+    assert astscan.scan(rule_reads) == []
 
 
 BITS_CALLERS = {"InputModel._choice_bits", "cmd_wire"}
@@ -182,21 +148,11 @@ BITS_CALLERS = {"InputModel._choice_bits", "cmd_wire"}
 def bits_uses(source):
     """(line, where) of each read of ``_bits``, as a name or an attribute, in
     ``source`` outside the functions ``BITS_CALLERS`` names; ``where`` is as
-    in :func:`rule_reads`."""
-    found = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-            where = f"{where}.{node.name}" if where else node.name
-        elif ((isinstance(node, ast.Name) and node.id == "_bits"
-               or isinstance(node, ast.Attribute) and node.attr == "_bits")
-              and isinstance(node.ctx, ast.Load) and where not in BITS_CALLERS):
-            found.append((node.lineno, where))
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source), "")
-    return sorted(found)
+    in :func:`astscan.nodes`."""
+    return sorted((node.lineno, where) for node, where, _ in astscan.nodes(source)
+                  if (isinstance(node, ast.Name) and node.id == "_bits"
+                      or isinstance(node, ast.Attribute) and node.attr == "_bits")
+                  and isinstance(node.ctx, ast.Load) and where not in BITS_CALLERS)
 
 
 def test_the_scan_finds_bits_uses():
@@ -214,11 +170,7 @@ def test_the_scan_finds_bits_uses():
 
 
 def test_choice_bits_are_summed_only_by_the_model_memo():
-    found = [f"{path.name}:{line}: _bits in {where or 'module'}"
-             for path in sorted(PACKAGE.glob("*.py"))
-             for line, where in bits_uses(path.read_text(encoding="utf-8"))]
-    assert found == []
-
+    assert astscan.scan(bits_uses) == []
 
 
 # where ``.cells`` may be read: anywhere in ``_tape``, and of ``self.end`` in the replay
@@ -227,20 +179,11 @@ CELL_READERS = {"_tape": None, "Trajectory._replay": "self.end"}
 
 def cell_reads(source):
     """(line, where) of each read of ``.cells`` in ``source`` that
-    ``CELL_READERS`` does not allow; ``where`` is as in :func:`rule_reads`."""
-    found = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-            where = f"{where}.{node.name}" if where else node.name
-        elif (isinstance(node, ast.Attribute) and node.attr == "cells" and isinstance(node.ctx, ast.Load)
-              and CELL_READERS.get(where, False) not in (None, ast.unparse(node.value))):
-            found.append((node.lineno, where))
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source), "")
-    return sorted(found)
+    ``CELL_READERS`` does not allow; ``where`` is as in :func:`astscan.nodes`."""
+    return sorted((node.lineno, where) for node, where, _ in astscan.nodes(source)
+                  if isinstance(node, ast.Attribute) and node.attr == "cells"
+                  and isinstance(node.ctx, ast.Load)
+                  and CELL_READERS.get(where, False) not in (None, ast.unparse(node.value)))
 
 
 def test_the_scan_finds_cell_reads():
@@ -263,10 +206,7 @@ def test_the_scan_finds_cell_reads():
 
 
 def test_configurations_are_decoded_only_by_tape():
-    found = [f"{path.name}:{line}: cells in {where or 'module'}"
-             for path in sorted(PACKAGE.glob("*.py"))
-             for line, where in cell_reads(path.read_text(encoding="utf-8"))]
-    assert found == []
+    assert astscan.scan(cell_reads) == []
 
 
 # what a function may import: numpy, which the ensemble functions load on first use
@@ -276,22 +216,14 @@ FUNCTION_IMPORTS = {"numpy"}
 def function_imports(source):
     """(line, where, statement) of each import inside a function in ``source``
     of a module ``FUNCTION_IMPORTS`` does not name; ``where`` is as in
-    :func:`rule_reads`."""
+    :func:`astscan.nodes`."""
     found = []
-
-    def visit(node, where, in_function):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = f"{where}.{node.name}" if where else node.name
-            in_function = in_function or not isinstance(node, ast.ClassDef)
-        elif in_function and isinstance(node, (ast.Import, ast.ImportFrom)):
+    for node, where, in_function in astscan.nodes(source):
+        if in_function and isinstance(node, (ast.Import, ast.ImportFrom)):
             modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                        else ["." * node.level + (node.module or "")])
             if not {m.partition(".")[0] for m in modules} <= FUNCTION_IMPORTS:
                 found.append((node.lineno, where, ast.unparse(node)))
-        for child in ast.iter_child_nodes(node):
-            visit(child, where, in_function)
-
-    visit(ast.parse(source), "", False)
     return sorted(found)
 
 
@@ -319,7 +251,4 @@ def test_the_scan_finds_function_imports():
 
 
 def test_only_the_package_loads_its_submodules_lazily():
-    found = [f"{path.name}:{line}: {statement} in {where}"
-             for path in sorted(PACKAGE.glob("*.py"))
-             for line, where, statement in function_imports(path.read_text(encoding="utf-8"))]
-    assert found == []
+    assert astscan.scan(function_imports) == []

@@ -10,11 +10,8 @@ from the ``__getitem__`` that ``turing``'s read-only sequences share,
 """
 
 import ast
-import pathlib
 
-import autodiss
-
-PACKAGE = pathlib.Path(autodiss.__file__).parent
+import astscan
 
 # (module file, enclosing function, raised class)
 ALLOWED = {
@@ -28,26 +25,15 @@ def foreign_raises(source, module):
     """(line, enclosing function, raised expression) of each ``raise`` in
     ``source`` that re-raises nothing, names no class imported from
     ``.errors`` and is not in ``ALLOWED`` for ``module``."""
-    tree = ast.parse(source)
-    ours = {alias.asname or alias.name for node in ast.walk(tree)
+    walked = astscan.nodes(source)
+    ours = {alias.asname or alias.name for node, _, _ in walked
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "errors"
             for alias in node.names}
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                raised, where = ast.unparse(exc), ".".join(scope)
-                if raised not in ours and (module, where, raised) not in ALLOWED:
-                    found.append((child.lineno, where, raised))
-            visit(child, scope)
-
-    visit(tree, ())
-    return found
+    raises = [(node.lineno, where,
+               ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc))
+              for node, where, _ in walked if isinstance(node, ast.Raise) and node.exc is not None]
+    return [(line, where, raised) for line, where, raised in raises
+            if raised not in ours and (module, where, raised) not in ALLOWED]
 
 
 def test_the_scan_finds_foreign_raises():
@@ -72,9 +58,4 @@ def test_the_scan_finds_foreign_raises():
 
 
 def test_package_modules_raise_only_package_errors():
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        found += [f"{path.name}:{line}: {where}: {raised}"
-                  for line, where, raised in foreign_raises(path.read_text(encoding="utf-8"),
-                                                            path.name)]
-    assert found == []
+    assert astscan.scan(foreign_raises, by_name=True) == []
