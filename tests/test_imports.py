@@ -1,24 +1,32 @@
-"""Every name a module of ``autodiss`` imports is used in that module,
-and the graph walkers read only the integer rows.
+"""The design rules of ``autodiss``, each an ``ast`` scan of the package's
+modules with a self-test on a small source.  A scan is a filter over
+:func:`astscan.nodes`, the one walk, which names the classes and functions
+around every node, and :func:`astscan.scan` runs it over the modules.
 
-A standard-library stand-in for a linter's unused-import rule: an ``ast``
-scan of the package's modules.  ``__init__.py`` is skipped, since its
-imports are the public re-exports.  A second scan keeps ``conformance``
-and ``composition`` off the named arrow views and ``Arrow``: their tours,
-searches and tuple graphs walk ``moves`` and ``successors``.  A third
-keeps every module off an input model's names-keyed ``probs`` view and
-``arrow_probability``, outside ``InputModel`` itself: models are read as
-weight rows.  A fourth keeps a machine's rules in two readers: only the
-stepper ``_advance`` and the log replay ``Trajectory._replay`` apply
-``step_rules``, and only ``step_rules`` itself and ``head_automaton``
-read ``rules``.  A fifth keeps the choice-bits sum ``_bits`` in two
-callers: a model's per-row memo ``InputModel._choice_bits``, which every
-charge reads, and ``cmd_wire``'s per-degree cache, which has no model.  A
-sixth keeps a configuration's cells in one decoder: only ``_tape`` reads
-``.cells``, and ``Trajectory._replay`` only to check ``self.end``.  A
-seventh keeps the package's ``__getattr__`` the one lazy loader of its
-submodules: no function imports anything but numpy, so a module reaches
-another as an attribute of the package or imports it at module level.
+1. Every name a module imports is used in it: a standard-library stand-in
+   for a linter's rule.  ``__init__.py`` is skipped, since its imports are
+   the public re-exports.
+2. ``conformance`` and ``composition`` stay off the named arrow views and
+   ``Arrow``: their tours, searches and tuple graphs walk ``moves`` and
+   ``successors``.
+3. No module reads an input model's names-keyed ``probs`` view or
+   ``arrow_probability``, outside ``InputModel`` itself: models are read
+   as weight rows.
+4. A machine's rules have two readers: only the stepper ``_advance`` and
+   the log replay ``Trajectory._replay`` apply ``step_rules``, and only
+   ``step_rules`` itself and ``head_automaton`` read ``rules``.
+5. The choice-bits sum ``_bits`` has two callers: a model's per-row memo
+   ``InputModel._choice_bits``, which every charge reads, and
+   ``cmd_wire``'s per-degree cache, which has no model.
+6. A configuration's cells have one decoder: only ``_tape`` reads
+   ``.cells``, and ``Trajectory._replay`` only to check ``self.end``.
+7. The package's ``__getattr__`` is the one lazy loader of its submodules:
+   no function imports anything but numpy, so a module reaches another as
+   an attribute of the package or imports it at module level.
+8. Only ``tm_run`` and ``tm_step`` run a machine through ``_advance``; a
+   stored run is read from its log.
+9. Every ``raise`` names a package error, so that one ``except
+   AutomataError`` catches every refusal: ``tests/test_raises.py``.
 """
 
 import ast
@@ -145,14 +153,19 @@ def test_only_the_stepper_and_the_replay_apply_rules():
 BITS_CALLERS = {"InputModel._choice_bits", "cmd_wire"}
 
 
+def loaded(node):
+    """The name a ``Name`` or ``Attribute`` node reads, else ``None``."""
+    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+        return node.id if isinstance(node, ast.Name) else node.attr
+    return None
+
+
 def bits_uses(source):
     """(line, where) of each read of ``_bits``, as a name or an attribute, in
     ``source`` outside the functions ``BITS_CALLERS`` names; ``where`` is as
     in :func:`astscan.nodes`."""
     return sorted((node.lineno, where) for node, where, _ in astscan.nodes(source)
-                  if (isinstance(node, ast.Name) and node.id == "_bits"
-                      or isinstance(node, ast.Attribute) and node.attr == "_bits")
-                  and isinstance(node.ctx, ast.Load) and where not in BITS_CALLERS)
+                  if loaded(node) == "_bits" and where not in BITS_CALLERS)
 
 
 def test_the_scan_finds_bits_uses():
@@ -252,3 +265,33 @@ def test_the_scan_finds_function_imports():
 
 def test_only_the_package_loads_its_submodules_lazily():
     assert astscan.scan(function_imports) == []
+
+
+# who may run a machine: the one-step and the budgeted run
+ADVANCE_CALLERS = {"tm_step", "tm_run"}
+
+
+def advance_calls(source):
+    """(line, where) of each read of ``_advance``, as a name or an attribute,
+    in ``source`` outside the functions ``ADVANCE_CALLERS`` names; ``where``
+    is as in :func:`astscan.nodes`."""
+    return sorted((node.lineno, where) for node, where, _ in astscan.nodes(source)
+                  if loaded(node) == "_advance" and where not in ADVANCE_CALLERS)
+
+
+def test_the_scan_finds_advance_calls():
+    source = ("def _advance(tm, c, max_steps):\n"
+              "    return [], c\n"
+              "def tm_step(tm, c):\n"
+              "    return _advance(tm, c, 1)[1]\n"
+              "def tm_run(tm, start):\n"
+              "    return turing._advance(tm, start, 10)\n"
+              "class Trajectory:\n"
+              "    def _items(self, picks):\n"
+              "        return [_advance(self.tm, self.start, i)[1] for i in picks]\n"
+              "step = turing._advance\n")
+    assert advance_calls(source) == [(9, "Trajectory._items"), (10, "")]
+
+
+def test_only_tm_run_and_tm_step_run_the_machine():
+    assert astscan.scan(advance_calls) == []

@@ -2,7 +2,7 @@
 module imports from ``autodiss.errors``, so that one ``except
 AutomataError`` catches whatever the package refuses.
 
-An ``ast`` scan of the package's modules, like ``test_imports``.  Three
+A filter over ``astscan.nodes``, like the rules of ``test_imports``.  Three
 raises are required by a protocol and allowed by name: ``IndexError``
 from the ``__getitem__`` that ``turing``'s read-only sequences share,
 ``AttributeError`` from a module ``__getattr__`` and
