@@ -209,9 +209,9 @@ def validate(
 
     ``transitions`` is an iterable of ``(state, input symbol, state)``
     triples, in any order; symbols that trigger the same state pair are
-    merged into one arrow.  Raises :class:`DuplicateIdentifier`,
-    :class:`Nondeterministic`, :class:`NonInjectiveOutput`, :class:`UnknownState`,
-    :class:`UnknownSymbol` or :class:`MissingOutput` on violations, and
+    merged into one arrow.  Raises :class:`ValidationError`, or its subclass
+    :class:`DuplicateIdentifier`, :class:`Nondeterministic`, :class:`NonInjectiveOutput`,
+    :class:`UnknownState`, :class:`UnknownSymbol` or :class:`MissingOutput`, on violations, and
     otherwise calls the :class:`Automaton` constructor; an error's
     ``entry`` names what it rejects.  It is the entry point for outside
     descriptions; graphs derived from valid ones skip it.
@@ -238,7 +238,12 @@ def validate(
 
     sym_at = {s: i for i, s in enumerate(inputs)}
     rows: list[dict[int, int]] = [{} for _ in state_list]
-    for i, (src, sym, tgt) in enumerate(transitions):
+    for i, transition in enumerate(transitions):
+        try:
+            src, sym, tgt = transition
+        except (TypeError, ValueError):  # not iterable, or not three items
+            raise ValidationError(f"bad transition {transition!r}, want 3 items",
+                                  ("transitions", i)) from None
         try:
             row, s, t = rows[index[src]], sym_at[sym], index[tgt]
         except (KeyError, TypeError):  # the first unknown token, unhashable ones included

@@ -72,9 +72,9 @@ class InputModel:
     ) -> "InputModel":
         """Build a model from explicit per-arrow probabilities.
 
-        States absent from ``given`` default to uniform.  Each provided
-        state must assign finite non-negative weights to its own arrows summing
-        to one within ``PROB_SUM_TOL``.  They are divided by their sum only
+        States absent from ``given`` default to uniform.  Each provided state
+        must assign finite non-negative numbers, read as floats, to its own arrows
+        summing to one within ``PROB_SUM_TOL``.  They are divided by their sum only
         when it is off 1.0 by more than rounding (one ulp of 1.0 per arrow),
         so weights written by ``write_automaton`` read back exactly.
         """
@@ -93,12 +93,14 @@ class InputModel:
             row = [0.0] * len(slot)
             total = 0.0
             for key, p in dist.items():
-                if not math.isfinite(p):
+                if not hasattr(p, "__float__"):
+                    raise InvalidDistribution(f"probability on {key} is not a number: {p!r}")
+                if not math.isfinite(p := float(p)):
                     raise InvalidDistribution(f"non-finite probability on {key}")
                 if p < 0:
                     raise InvalidDistribution(f"negative probability on {key}")
                 total += p
-                row[slot[key]] = float(p)
+                row[slot[key]] = p
             if abs(total - 1.0) > PROB_SUM_TOL:
                 raise InvalidDistribution(f"probabilities for state {q!r} sum to {total!r}")
             if abs(total - 1.0) > len(row) * math.ulp(1.0):
@@ -172,7 +174,10 @@ def entropy_bits(pi: np.ndarray) -> float:
     """Shannon entropy in bits; zero entries add nothing, and negative or non-finite mass raises."""
     import numpy as np
 
-    p = np.asarray(pi, dtype=float)
+    try:
+        p = np.asarray(pi, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise InvalidDistribution(f"probability mass is not numeric: {err}") from None
     if not (p.min(initial=0.0) >= -1e-12 and p.max(initial=0.0) < math.inf):
         raise InvalidDistribution("negative or non-finite probability mass")
     p = p[p > 0]
@@ -222,11 +227,12 @@ def path_choice_information(
 def _check_distribution(a: Automaton, pi: Sequence[float]) -> np.ndarray:
     import numpy as np
 
-    p = np.asarray(pi, dtype=float)
+    try:
+        p = np.asarray(pi, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise InvalidDistribution(f"probability mass is not numeric: {err}") from None
     if p.shape != (len(a.states),):
-        raise InvalidDistribution(
-            f"expected {len(a.states)} entries, got {p.shape}"
-        )
+        raise InvalidDistribution(f"expected {len(a.states)} entries, got {p.shape}")
     if not np.isfinite(p).all():
         raise InvalidDistribution("non-finite probability mass")
     if np.any(p < -1e-12):
@@ -334,11 +340,11 @@ def szilard_check(s1: float, s2: float, k: float = BOLTZMANN_K) -> bool:
 
 def landauer_energy(bits: float, temperature: float) -> float:
     """Minimum physical cost of erasing ``bits`` at ``temperature``:
-    bits * k * T * ln 2, in Joules.  Both arguments must be finite."""
+    bits * k * T * ln 2, in Joules.  Both arguments must be finite numbers."""
     if not hasattr(temperature, "__float__") or not 0 < temperature < math.inf:
         raise NonPositiveTemperature(temperature)
     if not hasattr(bits, "__float__") or not math.isfinite(bits):
         raise InvalidArgument("bits must be finite")
     if bits < 0:
         raise InvalidArgument("bits must be non-negative")
-    return bits * BOLTZMANN_K * temperature * math.log(2)
+    return float(bits) * BOLTZMANN_K * float(temperature) * math.log(2)

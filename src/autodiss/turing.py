@@ -423,8 +423,12 @@ def make_machine(
             raise UnknownState(q, "halting", entry=("halting", i))
     halting_set = frozenset(halting)
     table: dict[tuple[str, str], tuple[str, str, str]] = {}
-    for i, (q, s, q2, w, move) in enumerate(rules):
+    for i, rule in enumerate(rules):
         entry = ("rules", i)
+        try:
+            q, s, q2, w, move = rule
+        except (TypeError, ValueError):  # not iterable, or not five items
+            raise ValidationError(f"bad rule {rule!r}, want 5 items", entry) from None
         for state in (q, q2):
             if not _has(state_set, state):
                 raise UnknownState(state, "rule", entry)

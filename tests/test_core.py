@@ -201,6 +201,24 @@ def test_an_unhashable_token_is_refused_at_its_entry(build, spec, entry):
     assert err.value.entry == entry
 
 
+@pytest.mark.parametrize("build, spec, key, bad", [
+    pytest.param(validate, AUTOMATON, "transitions", ("s", "i"), id="transition-short"),
+    pytest.param(validate, AUTOMATON, "transitions", ("s", "i", "t", "t"), id="transition-long"),
+    pytest.param(validate, AUTOMATON, "transitions", 5, id="transition-not-iterable"),
+    pytest.param(make_machine, MACHINE, "rules", ("q", "a", "h", "a"), id="rule-short"),
+    pytest.param(make_machine, MACHINE, "rules", ("q", "a", "h", "a", "R", "R"), id="rule-long"),
+    pytest.param(make_machine, MACHINE, "rules", None, id="rule-not-iterable"),
+])
+def test_an_entry_of_the_wrong_length_is_refused_at_its_entry(build, spec, key, bad):
+    """A transition that is not three items, or a rule that is not five, is
+    refused where it stands, by a :class:`ValidationError`, not by a bare
+    ``ValueError`` or ``TypeError``."""
+    with pytest.raises(ValidationError) as err:
+        build(**dict(spec, **{key: [spec[key][0], bad]}))
+    assert type(err.value) is ValidationError and err.value.entry == (key, 1)
+    assert str(err.value) == f"bad {key[:-1]} {bad!r}, want {len(spec[key][0])} items"
+
+
 def test_a_symbol_map_into_unhashable_symbols_is_not_a_renaming(onebit):
     auto, _ = onebit
     assert equivalent(auto, auto, {s: s for s in auto.input_alphabet})

@@ -2,6 +2,8 @@
 
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -301,6 +303,44 @@ def test_entropy_bits_forgives_negative_rounding():
     assert entropy_bits([]) == 0.0
 
 
+def fork_probs(p, q):
+    return {"q0": {("q0", "q1"): p, ("q0", "q2"): q}}
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda a: InputModel.from_arrow_probs(a, fork_probs("0.5", 0.5)),
+                 r"probability on \('q0', 'q1'\) is not a number: '0.5'", id="model-str"),
+    pytest.param(lambda a: InputModel.from_arrow_probs(a, fork_probs(0.5, None)),
+                 r"probability on \('q0', 'q2'\) is not a number: None", id="model-none"),
+    pytest.param(lambda a: entropy_bits(["x"]),
+                 "probability mass is not numeric: could not convert string to float: 'x'",
+                 id="entropy-str"),
+    pytest.param(lambda a: entropy_bits([object()]), "probability mass is not numeric: .*",
+                 id="entropy-object"),
+    pytest.param(lambda a: ensemble_dissipation(a, InputModel.uniform(a), ["x"] * 3, 2),
+                 "probability mass is not numeric: could not convert string to float: 'x'",
+                 id="ensemble-str"),
+    pytest.param(lambda a: ensemble_step(a, InputModel.uniform(a), [[1.0], [0.0, 0.0], 0.0]),
+                 "probability mass is not numeric: .*", id="ensemble_step-ragged"),
+])
+def test_probabilities_that_are_not_numbers_are_invalid_distributions(call, message):
+    with pytest.raises(InvalidDistribution, match=f"^{message}$"):
+        call(two_arrow_automaton())
+
+
+def test_probabilities_of_other_number_types_are_read_as_floats():
+    """A model's weights are the floats of its probabilities, and numeric
+    strings in a distribution convert as numpy reads them."""
+    a = two_arrow_automaton()
+    floats = InputModel.from_arrow_probs(a, fork_probs(0.25, 0.75)).weights
+    for p, q in ((Decimal("0.25"), Decimal("0.75")), (Fraction(1, 4), Fraction(3, 4)),
+                 (np.float32(0.25), 0.75)):
+        assert InputModel.from_arrow_probs(a, fork_probs(p, q)).weights == floats
+    assert entropy_bits(["0.5", "0.5"]) == 1.0
+    assert (ensemble_dissipation(a, InputModel.uniform(a), ["1", "0", "0"], 2).total_loss_bits
+            == ensemble_dissipation(a, InputModel.uniform(a), [1.0, 0.0, 0.0], 2).total_loss_bits)
+
+
 def test_szilard_boundary():
     assert szilard_check(BOLTZMANN_K * LN2, BOLTZMANN_K * LN2)
     assert not szilard_check(0.5 * BOLTZMANN_K * LN2, 0.5 * BOLTZMANN_K * LN2)
@@ -316,6 +356,9 @@ def test_landauer_energy_values():
     assert landauer_energy(1, 300) == pytest.approx(2.8699e-21, abs=1e-24)
     assert landauer_energy(0, 300) == 0.0
     assert landauer_energy(7, 300) == pytest.approx(2.0089e-20, abs=1e-23)
+    for bits, temperature in ((Decimal(1), 300), (1, Decimal(300)), (Decimal("2.5"), Decimal("310.5")),
+                              (Fraction(7, 2), 300), (1, Fraction(601, 2))):
+        assert landauer_energy(bits, temperature) == landauer_energy(float(bits), float(temperature))
 
 
 def test_landauer_energy_rejects_bad_arguments():
