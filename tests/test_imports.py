@@ -95,7 +95,7 @@ NAMED_MODEL_READS = {"probs", "arrow_probability"}
 
 def named_model_reads(source):
     """(line, name) of each read of ``probs`` or ``arrow_probability`` in
-    ``source``, outside the body of a class named ``InputModel``."""
+    ``source``, outside the body of a class (or function) named ``InputModel``."""
     return sorted((node.lineno, node.attr) for node, where, _ in astscan.nodes(source)
                   if isinstance(node, ast.Attribute) and node.attr in NAMED_MODEL_READS
                   and "InputModel" not in where.split("."))
