@@ -33,7 +33,9 @@ cell; the runs move the head left of cell 0 and blank the cells at both
 ends of the window.  On the same machines it pins what a replay names:
 each run's renders, configurations and lookups, the working
 configurations of the Bennett snapshots of each run that halts, and the
-render and read of every configuration of each ``tm_step`` chain.
+render and read of every configuration of each ``tm_step`` chain.  On
+each ring and chain wiring that ``wire`` builds, it pins every field of
+``reachable_subgraph`` of the closed system.
 
 Run as a script, this file only adds pins; for a deliberate change of
 output, delete the changed keys by hand first (see ``golden.py``).
@@ -243,14 +245,17 @@ def _model_digests(texts, seed) -> dict:
         [dissipation.choice_information(p, pm, q) for q in p.states]))}
 
 
-def library(gen) -> dict:
+def library(gen, tmp_dir) -> dict:
     """Digests of ``global_graph`` on the run and on the Bennett
     simulation of each ``TM_SWEEPS`` machine, of the run's configurations
     and of the working configurations of the Bennett snapshots, of the
     step log of the long ``bincounter.tm`` run, and of the names and
     lookups of a 20,000-step one; of the product models of the
     ``product`` cases; of the per-step bits of a 2,400-state ensemble; and
-    of the runs, replays and ``tm_step`` chains of the ``WANDERER_SEEDS`` machines."""
+    of the runs, replays and ``tm_step`` chains of the ``WANDERER_SEEDS`` machines;
+    and of the reachable part of the closed system of each ring and chain
+    wiring that ``wire`` builds, read from the files :func:`_inputs` wrote
+    to ``tmp_dir``."""
     from autodiss import dissipation, fileformat, turing
 
     bincounter = fileformat.load_machine(asset_path("bincounter.tm"))
@@ -287,7 +292,23 @@ def library(gen) -> dict:
             "runs": _sha(repr([(run.log, run.configurations[-1], run.result) for run in runs])),
             "steps": _sha(repr(chains))}
         pins[f"replay/{seed}"] = _replay_digests(tm, runs, chains)
+    # every ring but the last, which ``wire`` refuses
+    wirings = [f"ring{n}" for n in RING_SIZES[:-1]] + [f"chain{seed}" for seed, *_ in CHAINS]
+    for name in wirings:
+        pins[f"reach/{name}"] = _reach_digest(os.path.join(tmp_dir, f"{name}.wiring"))
     return pins
+
+
+def _reach_digest(path: str) -> str:
+    """The sha256 of the ``repr`` of every field of the reachable part of the
+    wiring at ``path``, in order, with each dict as its item list."""
+    import dataclasses
+
+    from autodiss import composition, fileformat
+
+    sub = composition.reachable_subgraph(composition.wire(fileformat.load_wiring(path)))
+    values = [getattr(sub, f.name) for f in dataclasses.fields(sub)]
+    return _sha(repr([list(v.items()) if isinstance(v, dict) else v for v in values]))
 
 
 def _replay_digests(tm, runs, chains) -> dict:
@@ -309,7 +330,7 @@ def _replay_digests(tm, runs, chains) -> dict:
 
 def collect(gen, tmp_dir) -> dict:
     pins = golden.run_forms(_inputs(gen, tmp_dir), os.path.join(tmp_dir, "out.aut"), pin=_sha)
-    return {**pins, "library": library(gen)}
+    return {**pins, "library": library(gen, tmp_dir)}
 
 
 def test_generated_outputs_match_digests(gen, tmp_path):
