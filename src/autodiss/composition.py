@@ -23,6 +23,7 @@ from .dissipation import InputModel, _weights
 from .errors import (
     AlphabetMismatch,
     ArityMismatch,
+    InvalidArgument,
     MissingInitial,
     MultiplyDrivenPort,
     SizeLimit,
@@ -42,7 +43,7 @@ class _FoldedMoves:
         if obj is None:
             return None  # the field's default: fold on first read
         if obj.__dict__["moves"] is None:
-            obj.__dict__["moves"] = _tuple_transitions(obj.components, [None] * len(obj.components))
+            obj.__dict__["moves"] = _tuple_transitions(obj.components, [None] * len(obj.components))._folded
         return obj.__dict__["moves"]
 
     def __set__(self, obj, rows):
@@ -114,14 +115,6 @@ class ProductAutomaton(Automaton):
         return math.prod(c.arrow_count for c in self.components)
 
 
-def _tuple_state(parts: Sequence[str]) -> str:
-    return "(" + ",".join(parts) + ")"
-
-
-def _tuple_symbol(parts: Sequence[str]) -> str:
-    return "|".join(parts)
-
-
 def _flatten(modules: Sequence[Automaton]) -> list[Automaton]:
     comps: list[Automaton] = []
     for m in modules:
@@ -140,8 +133,9 @@ def _tuple_graph(cls, name: str, comps: Sequence[Automaton], reads, initials, **
     :class:`ArityMismatch` with no module; then, before building anything,
     :class:`SizeLimit` when tuple states, free tuple symbols or transitions
     exceed ``core.MONOLITHIC_STATE_LIMIT``; then the three :func:`validate`
-    checks that tuple names can fail, as names holding ``,()|`` can join
-    two tuples to one.  Past these, every check holds by construction."""
+    checks that tuple names can fail, but only when some module's states,
+    free symbols or outputs repeat, are not strings or hold the ``,`` or
+    ``|`` that joins them.  Past these, every check holds by construction."""
     if not comps:
         raise ArityMismatch("need at least one module")
     free = [c.input_alphabet for c, read in zip(comps, reads) if read is None]
@@ -153,42 +147,91 @@ def _tuple_graph(cls, name: str, comps: Sequence[Automaton], reads, initials, **
     ):
         if size > core.MONOLITHIC_STATE_LIMIT:
             raise SizeLimit(size, core.MONOLITHIC_STATE_LIMIT, unit)
-    inputs = core._ordered_unique(
-        map(_tuple_symbol, itertools.product(*free)) if free else [CLOCK_SYMBOL], "input alphabet"
-    )
-    states = core._ordered_unique(
-        (_tuple_state(p) for p in itertools.product(*(c.states for c in comps))), "states"
-    )
-    outputs = itertools.product(*([c.output_map[q] for q in c.states] for c in comps))
-    output_map = dict(zip(states, map(_tuple_symbol, outputs)))
-    core._check_injective(states, output_map)
-    initial = None if None in initials else _tuple_state(initials)
+    outs = [[c.output_map[q] for q in c.states] for c in comps]
+    tokens = [(c.states, ",") for c in comps] + [(ts, "|") for ts in outs + free]
+    apart = all(all(t.__class__ is str for t in ts) and sep not in "".join(ts) and len(set(ts)) == len(ts)
+                for ts, sep in tokens)
+    unique = (lambda names, kind: tuple(names)) if apart else core._ordered_unique
+    inputs = unique(map("|".join, itertools.product(*free)) if free else [CLOCK_SYMBOL],
+                    "input alphabet")
+    states = unique(["(" + s + ")" for s in map(",".join, itertools.product(*(c.states for c in comps)))],
+                    "states")
+    output_map = dict(zip(states, map("|".join, itertools.product(*outs))))
+    if not apart:
+        core._check_injective(states, output_map)
+    initial = None if None in initials else "(" + ",".join(initials) + ")"
     moves = None if cls is ProductAutomaton else _tuple_transitions(comps, reads)
-    return cls(name, inputs, tuple(sorted(set(output_map.values()))), states, initial,
+    return cls(name, inputs, tuple(sorted(output_map.values())), states, initial,
                output_map, moves, **fields)
 
 
-def _tuple_transitions(comps: Sequence[Automaton], reads):
-    """The ``moves`` rows of the tuple graph: tuple states are the product
-    of the module state lists, tuple symbols the product of the free
-    modules' alphabets (or one clock symbol if none is free), both in
-    product order.  Module k takes its symbol from ``reads[k]``: ``None``
-    if free, else ``(j, symbols)``, the symbol listed for module j's
-    current state (a constant is ``(k, [sym] * n)``).  A tuple moves iff
-    every module does: O(tuple states × driven modules + transitions)."""
-    # The free modules' moves alone, per tuple of their states in product
-    # order: (symbol index, target index) pairs folded module by module in
-    # mixed radix, targets pre-multiplied by each module's stride.  A driven
-    # module keeps its target per symbol index, or None where undefined.
-    free, free_at, driven = [((0, 0),)], [], []
-    for k, (c, read) in enumerate(zip(comps, reads)):
-        stride = math.prod(len(d.states) for d in comps[k + 1:])
-        if read is None:
-            n = len(c.input_alphabet)
-            own = [[(s, t * stride) for s, t in row] for row in c.moves]
+class _TupleRows(core._TupleView):
+    """A tuple graph's ``moves`` (see :func:`_tuple_transitions`): ``len`` is Π|Qₖ|, an index
+    computes that row from the module tables in O(modules + row length), and iteration or a
+    slice folds every row once, in O(tuple states × driven modules + transitions), keeping them."""
+
+    def __init__(self, radix, free, driven):
+        self._radix, self._free, self._driven = radix, free, driven
+
+    def __len__(self) -> int:
+        return math.prod(n for _, n in self._radix)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice) or "_folded" in vars(self):
+            return self._folded[i]
+        i = range(len(self))[i]
+        at = [i // stride % n for stride, n in self._radix]  # the module states
+        targets = [rows[at[k]][syms[at[j]]] for k, j, syms, rows in self._driven]
+        row = [] if None in targets else [(0, sum(targets))]
+        for k, n, own in self._free:
+            row = [(s * n + s2, t + t2) for s, t in row for s2, t2 in own[at[k]]]
+        return tuple(row)
+
+    def _items(self, picks: range):
+        return [self._folded[i] for i in picks]
+
+    @cached_property
+    def _folded(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # The free modules' moves alone, per tuple of their states in
+        # product order, and each free module's weight in that numbering.
+        free, free_at = [((0, 0),)], []
+        for k, n, own in self._free:
             free = [tuple([(s * n + s2, t + t2) for s, t in pre for s2, t2 in mine])
                     for pre in free for mine in own]
-            free_at = [(j, m * len(c.states)) for j, m in free_at] + [(k, 1)]
+            free_at = [(j, m * len(own)) for j, m in free_at] + [(k, 1)]
+        if not self._driven:
+            return tuple(free)
+        out = []
+        for at in itertools.product(*(range(n) for _, n in self._radix)):
+            base = 0
+            for k, j, syms, rows in self._driven:
+                t = rows[at[k]][syms[at[j]]]
+                if t is None:
+                    out.append(())
+                    break
+                base += t
+            else:
+                moves = free[sum(at[k] * m for k, m in free_at)]
+                out.append(tuple([(s, t + base) for s, t in moves]))
+        return tuple(out)
+
+
+def _tuple_transitions(comps: Sequence[Automaton], reads) -> _TupleRows:
+    """The ``moves`` rows of the tuple graph, as a :class:`_TupleRows` view:
+    tuple states are the product of the module state lists, tuple symbols
+    the product of the free modules' alphabets (or one clock symbol if
+    none is free), both in product order.  Module k takes its symbol from
+    ``reads[k]``: ``None`` if free, else ``(j, symbols)``, the symbol listed
+    for module j's current state (a constant is ``(k, [sym] * n)``).  A tuple
+    moves iff every module does.  Builds per-module tables only, in O(modules' size): each
+    module's stride and size in the mixed radix of tuple indices, and its targets times its
+    stride, as (symbol, target) rows if free, else per symbol index, or None where undefined."""
+    radix = [(math.prod(len(d.states) for d in comps[k + 1:]), len(c.states))
+             for k, c in enumerate(comps)]
+    free, driven = [], []
+    for k, ((stride, _), c, read) in enumerate(zip(radix, comps, reads)):
+        if read is None:
+            free.append((k, len(c.input_alphabet), [[(s, t * stride) for s, t in row] for row in c.moves]))
             continue
         rows = [[None] * len(c.input_alphabet) for _ in c.states]
         for row, dense in zip(c.moves, rows):
@@ -196,22 +239,7 @@ def _tuple_transitions(comps: Sequence[Automaton], reads):
                 dense[s] = t * stride
         sym_at = {s: i for i, s in enumerate(c.input_alphabet)}
         driven.append((k, read[0], [sym_at[s] for s in read[1]], rows))
-    if not driven:
-        return tuple(free)
-
-    out = []
-    for at in itertools.product(*(range(len(c.states)) for c in comps)):
-        base = 0
-        for k, j, syms, rows in driven:
-            t = rows[at[k]][syms[at[j]]]
-            if t is None:
-                out.append(())
-                break
-            base += t
-        else:
-            moves = free[sum(at[k] * m for k, m in free_at)]
-            out.append(tuple([(s, t + base) for s, t in moves]))
-    return tuple(out)
+    return _TupleRows(radix, free, driven)
 
 
 def product_many(modules: Sequence[Automaton], name: Optional[str] = None) -> ProductAutomaton:
@@ -310,8 +338,8 @@ def wire(w: Wiring) -> ClosedSystem:
     system's inputs; with none, the system is clock-driven and gets the
     single implicit symbol ``ck``.  A lone module closes to a tuple graph
     too.  With every module free this is :func:`product_many`'s graph: both
-    come from :func:`_tuple_graph`, which says what they raise, at
-    O(tuple states × driven modules + transitions).
+    come from :func:`_tuple_graph`, which says what they raise.  Costs O(tuple
+    states + tuple symbols): its ``moves`` compute each row when it is read.
     """
     names = core._ordered_unique((n for n, _ in w.modules), "modules")
     autos = dict(w.modules)
@@ -370,12 +398,12 @@ def reachable_subgraph(c) -> Automaton:
     a = c.automaton if isinstance(c, ClosedSystem) else c
     if a.initial is None:
         raise MissingInitial(a.name)
-    keep = sorted(core._reached(a, a.initial))
+    keep = sorted(rows := core._reached(a, a.initial))
     new = dict(zip(keep, range(len(keep))))
     states = tuple(a.states[i] for i in keep)
     return Automaton(a.name, a.input_alphabet, a.output_alphabet, states, a.initial,
                      {q: a.output_map[q] for q in states},
-                     tuple([tuple([(s, new[t]) for s, t in a.moves[i]]) for i in keep]))
+                     tuple([tuple([(s, new[t]) for s, t in rows[i]]) for i in keep]))
 
 
 def _propagate(ma, mb, ua, ub, sigma: dict[int, int], smap: dict[int, int]):
@@ -433,10 +461,12 @@ def equivalent(a: Automaton, b: Automaton,
     but refuting a near-miss on a very symmetric graph, such as a product
     of equal modules, can take exponential time.
     """
+    if symbol_map is not None and not hasattr(symbol_map, "get"):
+        raise InvalidArgument(f"symbol_map must be a dict, got {symbol_map!r}")
     for g in (a, b):  # move tables of the reached states, all by index
         if g.initial is None:
             raise MissingInitial(g.name)
-    ma, mb = ({i: dict(g.moves[i]) for i in core._reached(g, g.initial)} for g in (a, b))
+    ma, mb = ({i: dict(row) for i, row in core._reached(g, g.initial).items()} for g in (a, b))
     if len(ma) != len(mb):
         return False
     ua, ub = (Counter(s for moves in m.values() for s in moves) for m in (ma, mb))

@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     DuplicateIdentifier,
     ForbiddenInput,
+    InvalidArgument,
     MissingOutput,
     Nondeterministic,
     NonInjectiveOutput,
@@ -34,6 +35,38 @@ from .errors import (
 # operations (product materialization, transition tours) are allowed to
 # run.  Beyond this, only modular, per-part analysis is practical.
 MONOLITHIC_STATE_LIMIT = 2**20
+
+
+class _TupleView(Sequence):
+    """A read-only sequence that indexes, compares, hashes and prints as the tuple of
+    its items; a subclass gives ``__len__`` and ``_items(picks)``, those at ``range`` picks."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._items(range(len(self))[i]))
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"{type(self).__name__} index out of range")
+        i %= len(self)
+        return self._items(range(i, i + 1))[0]
+
+    def __iter__(self):
+        return iter(self._items(range(len(self))))
+
+    def __eq__(self, other):
+        if not isinstance(other, (type(self), tuple)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reversed__(self):
+        return reversed(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -308,6 +341,10 @@ def step(a: Automaton, q: str, s: str) -> str:
 def run(a: Automaton, start: str, word: Sequence[str]) -> Path:
     """Iterate :func:`step` over an input word and record the path."""
     _state_index(a, start)
+    try:
+        word = tuple(word)
+    except TypeError:  # not iterable
+        raise InvalidArgument(f"word must be a sequence of symbols, got {word!r}") from None
     q = start
     states = [q]
     for i, s in enumerate(word):
@@ -319,23 +356,22 @@ def run(a: Automaton, start: str, word: Sequence[str]) -> Path:
             raise ForbiddenInput(q, s, position=i) from None
         states.append(q)
     out = a.output_map
-    return Path(a, tuple(word), tuple(states), tuple([out[q] for q in states]))
+    return Path(a, word, tuple(states), tuple([out[q] for q in states]))
 
 
-def _reached(a: Automaton, start: str) -> set[int]:
-    """Indices of the states reachable from ``start``.  ``start`` is found
-    by a scan of ``states``, so a walk on a large graph builds no ``index``."""
+def _reached(a: Automaton, start: str) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Each state reachable from ``start``, by index, with its ``moves`` row, read once by index.
+    ``start`` is found by a scan of ``states``, so a walk on a large graph builds no ``index``."""
     try:
         i = a.states.index(start)
     except ValueError:
         raise UnknownState(start) from None
-    seen, frontier = {i}, [i]
+    rows, frontier = {}, [i]
     while frontier:
-        for _, t in a.moves[frontier.pop()]:
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return seen
+        if (i := frontier.pop()) not in rows:
+            rows[i] = a.moves[i]
+            frontier += [t for _, t in rows[i] if t not in rows]
+    return rows
 
 
 def reachable_states(a: Automaton, start: str) -> set[str]:

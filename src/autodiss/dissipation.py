@@ -54,15 +54,17 @@ class InputModel:
 
     @cached_property
     def _choice_bits(self) -> tuple[float, ...]:
-        """Each state's ``_bits``, summed once per distinct row.  Rows are keyed
-        by content: ``_bits`` skips ``p <= 0``, so ``-0.0`` and ``0.0`` agree."""
-        memo = {row: _bits(row) for row in dict.fromkeys(self.weights)}
-        return tuple(map(memo.__getitem__, self.weights))
+        """Each state's ``_bits``, summed once per distinct row: rows grouped by identity, then
+        by content (``_bits`` skips ``p <= 0``, so ``-0.0`` and ``0.0`` agree)."""
+        by_id = {id(row): row for row in self.weights}
+        memo = {row: _bits(row) for row in dict.fromkeys(by_id.values())}
+        return tuple(map({i: memo[row] for i, row in by_id.items()}.__getitem__, map(id, self.weights)))
 
     @classmethod
     def uniform(cls, a: Automaton) -> "InputModel":
-        """Equal probability on every arrow leaving each state."""
-        return cls(a, tuple([(1.0 / len(ts),) * len(ts) if ts else () for ts in a.successors]))
+        """Equal probability on every arrow leaving each state, one row object per out-degree."""
+        rows = {d: (1.0 / d,) * d if d else () for d in set(map(len, a.successors))}
+        return cls(a, tuple(map(rows.__getitem__, map(len, a.successors))))
 
     @classmethod
     def from_arrow_probs(
@@ -95,7 +97,7 @@ class InputModel:
             for key, p in dist.items():
                 if not hasattr(p, "__float__"):
                     raise InvalidDistribution(f"probability on {key} is not a number: {p!r}")
-                if not math.isfinite(p := float(p)):
+                if not math.isfinite(p := _float(p)):
                     raise InvalidDistribution(f"non-finite probability on {key}")
                 if p < 0:
                     raise InvalidDistribution(f"negative probability on {key}")
@@ -176,7 +178,7 @@ def entropy_bits(pi: np.ndarray) -> float:
 
     try:
         p = np.asarray(pi, dtype=float)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:  # OverflowError: an int beyond floats
         raise InvalidDistribution(f"probability mass is not numeric: {err}") from None
     if not (p.min(initial=0.0) >= -1e-12 and p.max(initial=0.0) < math.inf):
         raise InvalidDistribution("negative or non-finite probability mass")
@@ -326,13 +328,13 @@ def szilard_check(s1: float, s2: float, k: float = BOLTZMANN_K) -> bool:
     Both entropies are numbers, not NaN, in Joules per Kelvin.  Equality holds at
     s1 = s2 = k ln 2, the symmetric one-bit memory.  ``k`` must be positive and finite.
     """
-    if not hasattr(k, "__float__") or not 0 < k < math.inf:
+    if not 0 < (k := _float(k)) < math.inf:
         raise InvalidArgument("k must be positive and finite")
     for name, s in {"s1": s1, "s2": s2}.items():
-        if not hasattr(s, "__float__") or math.isnan(s):
+        if math.isnan(_float(s)):
             raise InvalidArgument(f"{name} must be a number, got {s!r}")
     try:
-        total = math.exp(-s1 / k) + math.exp(-s2 / k)
+        total = math.exp(-_float(s1) / k) + math.exp(-_float(s2) / k)
     except OverflowError:
         return False
     return total <= 1.0 + 1e-12
@@ -341,10 +343,18 @@ def szilard_check(s1: float, s2: float, k: float = BOLTZMANN_K) -> bool:
 def landauer_energy(bits: float, temperature: float) -> float:
     """Minimum physical cost of erasing ``bits`` at ``temperature``:
     bits * k * T * ln 2, in Joules.  Both arguments must be finite numbers."""
-    if not hasattr(temperature, "__float__") or not 0 < temperature < math.inf:
+    if not 0 < _float(temperature) < math.inf:
         raise NonPositiveTemperature(temperature)
-    if not hasattr(bits, "__float__") or not math.isfinite(bits):
+    if not math.isfinite(_float(bits)):
         raise InvalidArgument("bits must be finite")
     if bits < 0:
         raise InvalidArgument("bits must be non-negative")
-    return float(bits) * BOLTZMANN_K * float(temperature) * math.log(2)
+    return _float(bits) * BOLTZMANN_K * _float(temperature) * math.log(2)
+
+
+def _float(x) -> float:
+    """``float(x)``, or NaN for a value with no ``__float__`` or none, as an int beyond floats."""
+    try:
+        return float(x) if hasattr(x, "__float__") else math.nan
+    except (OverflowError, ValueError):
+        return math.nan

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .core import Automaton, _has, _ordered_unique, convergent_states, validate
+from .core import Automaton, _has, _ordered_unique, _TupleView, convergent_states, validate
 from .dissipation import InputModel, _charges, _check_budget
 from .errors import (
     AlphabetTooSmall,
@@ -104,35 +104,6 @@ def _tape(c: Configuration, blank: str, with_head: bool = True):
     for p, s in cells:
         tape[p - base] = s
     return base, c.head - base, lo - base, hi - base, tape
-
-
-class _TupleView(Sequence):
-    """A read-only sequence that indexes, compares and hashes as the tuple of its
-    items; a subclass gives ``__len__`` and ``_items(picks)``, those at ``range`` picks."""
-
-    __slots__ = ()
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self._items(range(len(self))[i]))
-        if not -len(self) <= i < len(self):
-            raise IndexError(f"{type(self).__name__} index out of range")
-        i %= len(self)
-        return self._items(range(i, i + 1))[0]
-
-    def __iter__(self):
-        return iter(self._items(range(len(self))))
-
-    def __eq__(self, other):
-        if not isinstance(other, (type(self), tuple)):
-            return NotImplemented
-        return len(self) == len(other) and tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __reversed__(self):
-        return reversed(tuple(self))
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -276,8 +276,12 @@ def test_a_product_given_rows_and_no_components_reads_its_rows(tff):
 
 def test_reachable_part_of_a_ring_builds_no_arrow(monkeypatch, tff):
     """A clock-driven ring of 14 T-flip-flops has 2**14 tuple states, of
-    which 16 are reached; finding them walks the integer rows."""
+    which 16 are reached; finding them walks the integer rows, computing
+    one row per reached tuple and folding none of the others."""
     built = _count_arrows(monkeypatch)
+    rows, index = [], composition._TupleRows.__getitem__
+    monkeypatch.setattr(composition._TupleRows, "__getitem__",
+                        lambda view, i: rows.append(i) or index(view, i))
     auto, _ = tff
     n = 14
     ring = Wiring("ring", tuple((f"m{i}", auto) for i in range(n)),
@@ -290,3 +294,71 @@ def test_reachable_part_of_a_ring_builds_no_arrow(monkeypatch, tff):
     assert built == []
     # The walk finds its start without indexing the 2**14 tuple states.
     assert "index" not in vars(closed.automaton)
+    assert len(closed.automaton.moves) == 2**n
+    assert sorted(rows) == sorted(set(rows)) and len(rows) <= 16
+    assert "_folded" not in vars(closed.automaton.moves)
+
+
+def test_a_closed_system_computes_each_row_on_index_as_its_fold_keeps_it():
+    """A wiring's rows, each computed on index, negative indices included,
+    are the rows its fold keeps, and indexing folds nothing; the view has
+    the tuple's ``len``, slices, ``==``, ``hash`` and ``repr``, refuses an
+    index out of range, and its automaton pickles to an equal one."""
+    rng = random.Random(53)
+    built = 0
+    for case in range(600):
+        try:
+            closed = wire(_wiring(rng, case))
+        except AutomataError:
+            continue
+        moves = closed.automaton.moves
+        n = len(moves)
+        rows = tuple(moves[i] for i in range(n))
+        assert tuple(moves[i] for i in range(-n, 0)) == rows and "_folded" not in vars(moves), case
+        with pytest.raises(IndexError):
+            moves[n]
+        assert moves[1::2] == rows[1::2] and moves == rows and rows == moves, case
+        assert list(moves) == list(rows) and hash(moves) == hash(rows), case
+        assert repr(moves) == repr(rows) and moves[n // 2] is moves._folded[n // 2], case
+        back = pickle.loads(pickle.dumps(closed.automaton))
+        assert back.moves == rows and back == closed.automaton, case
+        built += 1
+    assert built > 300
+
+
+def test_tuple_names_are_checked_only_where_they_can_collide(monkeypatch):
+    """Counted, not timed: products and wirings of validated modules whose
+    tokens hold no separator (``,`` in states, ``|`` in symbols and outputs)
+    join their tuple names unchecked; modules built through the bare
+    constructor that repeat a state, a free symbol or an output, with no
+    separator in any token, are refused as the oracle refuses them."""
+    rng = random.Random(54)
+    plain = [_wiring(rng, case, lambda rng, name, tricky: _module(rng, name, False))
+             for case in range(300)]
+    x = validate("x", ["a", "b"], ["o", "p"], ["0", "1"], "0", {"0": "o", "1": "p"},
+                 [("0", "a", "1"), ("1", "b", "0")])
+    bare = [Automaton("twice", ("a",), ("o", "p"), ("0", "0"), "0", {"0": "o"}, (((0, 1),), ())),
+            Automaton("same", ("a", "a"), ("o",), ("0",), "0", {"0": "o"}, (((0, 0),),)),
+            Automaton("mute", ("a",), ("o",), ("0", "1"), "0", {"0": "o", "1": "o"},
+                      (((0, 1),), ((0, 0),)))]
+    checked = []
+    unique, injective = core._ordered_unique, core._check_injective
+    monkeypatch.setattr(core, "_ordered_unique",
+                        lambda tokens, kind, *rest: checked.append(kind) or unique(tokens, kind, *rest))
+    monkeypatch.setattr(core, "_check_injective",
+                        lambda *args: checked.append("outputs") or injective(*args))
+    built = 0
+    for w in plain:
+        product_many([m for _, m in w.modules])
+        built += _outcome(wire, w)[0] == "ok"
+    assert set(checked) == {"modules"} and built > 100
+    refused = set()
+    for y in bare:
+        for mods in ([y], [x, y], [y, x]):
+            w = Wiring("w", tuple((f"w{i}", m) for i, m in enumerate(mods)))
+            for got, want in ((_outcome(product_many, mods),
+                               _outcome(composition_oracle.product_many, mods)),
+                              (_outcome(wire, w), _outcome(composition_oracle.wire, w))):
+                assert got == want and got[0] != "ok", (y.name, mods)
+                refused.add(got[0].__name__)
+    assert refused == {"DuplicateIdentifier", "NonInjectiveOutput"}

@@ -26,6 +26,7 @@ from autodiss import (
 from autodiss.errors import (
     DuplicateIdentifier,
     ForbiddenInput,
+    InvalidArgument,
     MissingOutput,
     Nondeterministic,
     NonInjectiveOutput,
@@ -103,6 +104,25 @@ def test_validate_rejects_unknown_tokens(kwargs, error):
 def test_an_undeclared_state_is_named(lossy, call):
     with pytest.raises(UnknownState, match="^state 'nowhere' is not declared"):
         call(lossy[0])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda a: run(a, "A", None), "word must be a sequence of symbols, got None",
+                 id="run-word-none"),
+    pytest.param(lambda a: run(a, "A", 7), "word must be a sequence of symbols, got 7", id="run-word-int"),
+    pytest.param(lambda a: equivalent(a, a, symbol_map=["0"]), r"symbol_map must be a dict, got \['0'\]",
+                 id="equivalent-symbol_map-list"),
+    pytest.param(lambda a: equivalent(a, a, symbol_map="01"), "symbol_map must be a dict, got '01'",
+                 id="equivalent-symbol_map-str"),
+])
+def test_a_word_or_symbol_map_of_the_wrong_kind_is_an_invalid_argument(lossy, call, message):
+    with pytest.raises(InvalidArgument, match=f"^{message}$"):
+        call(lossy[0])
+
+
+def test_a_word_given_as_an_iterator_is_read_once(lossy):
+    a = lossy[0]
+    assert run(a, "A", iter(["0", "1"])) == run(a, "A", ("0", "1")) == run(a, "A", "01")
 
 
 def test_validate_requires_every_output():

@@ -450,6 +450,43 @@ def test_non_integer_budgets_and_bad_constants_are_invalid_arguments(bb2, call, 
         call(bb2, two_arrow_automaton())
 
 
+HUGE = 10**400  # an int beyond the float range
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda a: landauer_energy(HUGE, 300), InvalidArgument, "bits must be finite",
+                 id="landauer-bits-huge"),
+    pytest.param(lambda a: landauer_energy(-HUGE, 300), InvalidArgument, "bits must be finite",
+                 id="landauer-bits-huge-negative"),
+    pytest.param(lambda a: landauer_energy(1, HUGE), NonPositiveTemperature,
+                 f"temperature must be positive and finite, got {HUGE}", id="landauer-temperature-huge"),
+    pytest.param(lambda a: szilard_check(HUGE, 1, 1), InvalidArgument, f"s1 must be a number, got {HUGE}",
+                 id="szilard-s1-huge"),
+    pytest.param(lambda a: szilard_check(1, 1, HUGE), InvalidArgument, "k must be positive and finite",
+                 id="szilard-k-huge"),
+    pytest.param(lambda a: szilard_check(1, Decimal("snan"), 1), InvalidArgument,
+                 "s2 must be a number, got Decimal\\('sNaN'\\)", id="szilard-s2-signaling-nan"),
+    pytest.param(lambda a: entropy_bits([HUGE]), InvalidDistribution,
+                 "probability mass is not numeric: int too large to convert to float", id="entropy-huge"),
+    pytest.param(lambda a: entropy_bits([0.5, -HUGE]), InvalidDistribution,
+                 "probability mass is not numeric: int too large to convert to float",
+                 id="entropy-huge-negative"),
+    pytest.param(lambda a: InputModel.from_arrow_probs(a, fork_probs(HUGE, 0.5)), InvalidDistribution,
+                 r"non-finite probability on \('q0', 'q1'\)", id="model-huge"),
+])
+def test_numbers_beyond_the_float_range_are_refused_as_other_bad_values_are(call, error, message):
+    """An int too large for a float is refused with the error that an
+    infinite or non-numeric value of the same argument gets, not a bare
+    ``OverflowError``."""
+    with pytest.raises(error, match=f"^{message}$"):
+        call(two_arrow_automaton())
+
+
+def test_numbers_of_other_types_give_the_energies_and_bounds_of_floats():
+    assert szilard_check(Decimal(1), Fraction(1), Decimal(1)) == szilard_check(1.0, 1.0, 1.0)
+    assert szilard_check(Decimal("-1e-20"), 0) is False
+
+
 def test_integer_budgets_of_other_types_are_accepted(bb2):
     a = two_arrow_automaton()
     assert tm_run(bb2, max_steps=np.int64(3)).steps == 3

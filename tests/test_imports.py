@@ -27,6 +27,9 @@ around every node, and :func:`astscan.scan` runs it over the modules.
    stored run is read from its log.
 9. Every ``raise`` names a package error, so that one ``except
    AutomataError`` catches every refusal: ``tests/test_raises.py``.
+10. The reachability walks ``core._reached`` and
+    ``composition.reachable_subgraph`` read ``.moves`` only by index, so
+    that a walk computes the rows it reaches and never folds a wiring's.
 """
 
 import ast
@@ -295,3 +298,39 @@ def test_the_scan_finds_advance_calls():
 
 def test_only_tm_run_and_tm_step_run_the_machine():
     assert astscan.scan(advance_calls) == []
+
+
+# the walks that must read ``.moves`` by index only
+WALKERS = {"_reached", "reachable_subgraph"}
+
+
+def unindexed_moves(source):
+    """(line, where) of each read of ``.moves`` in ``source``, inside a
+    function ``WALKERS`` names, that is not subscripted by an index (a
+    slice counts as unindexed); ``where`` is as in :func:`astscan.nodes`."""
+    found = astscan.nodes(source)
+    indexed = {id(node.value) for node, _, _ in found
+               if isinstance(node, ast.Subscript) and not isinstance(node.slice, ast.Slice)}
+    return sorted((node.lineno, where) for node, where, _ in found
+                  if loaded(node) == "moves" and isinstance(node, ast.Attribute)
+                  and WALKERS & set(where.split(".")) and id(node) not in indexed)
+
+
+def test_the_scan_finds_unindexed_moves():
+    source = ("def _reached(a, i):\n"
+              "    rows = {i: a.moves[i]}\n"
+              "    return rows, a.moves[1:], len(a.moves)\n"
+              "def reachable_subgraph(a):\n"
+              "    def row(i):\n"
+              "        return list(a.moves)[i]\n"
+              "    moves = [a.moves[i] for i in range(3)]\n"
+              "    return [r for r in a.moves], moves\n"
+              "def equivalent(a):\n"
+              "    return tuple(a.moves)\n")
+    assert unindexed_moves(source) == [
+        (3, "_reached"), (3, "_reached"), (6, "reachable_subgraph.row"), (8, "reachable_subgraph"),
+    ]
+
+
+def test_reachability_walks_read_moves_only_by_index():
+    assert astscan.scan(unindexed_moves, "core.py", "composition.py") == []

@@ -4,7 +4,7 @@ AutomataError`` catches whatever the package refuses.
 
 A filter over ``astscan.nodes``, like the rules of ``test_imports``.  Three
 raises are required by a protocol and allowed by name: ``IndexError``
-from the ``__getitem__`` that ``turing``'s read-only sequences share,
+from the ``__getitem__`` that ``core``'s read-only sequences share,
 ``AttributeError`` from a module ``__getattr__`` and
 ``argparse.ArgumentTypeError`` from an argparse ``type`` function.
 """
@@ -15,7 +15,7 @@ import astscan
 
 # (module file, enclosing function, raised class)
 ALLOWED = {
-    ("turing.py", "_TupleView.__getitem__", "IndexError"),
+    ("core.py", "_TupleView.__getitem__", "IndexError"),
     ("__init__.py", "__getattr__", "AttributeError"),
     ("cli.py", "_non_negative_int", "argparse.ArgumentTypeError"),
 }
@@ -53,7 +53,7 @@ def test_the_scan_finds_foreign_raises():
     )
     assert foreign_raises(source, "m.py") == [(9, "f", "ValueError"),
                                               (12, "T.__getitem__", "IndexError")]
-    assert foreign_raises(source.replace("class T", "class _TupleView"), "turing.py") == [
+    assert foreign_raises(source.replace("class T", "class _TupleView"), "core.py") == [
         (9, "f", "ValueError")]
 
 
