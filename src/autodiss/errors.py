@@ -116,7 +116,7 @@ class ArityMismatch(AutomataError, ValueError):
 
 
 class InvalidArgument(AutomataError, ValueError):
-    """A number is outside its domain (step budgets, horizons, bit counts)."""
+    """An argument is outside its domain: a step budget, horizon or bit count, or a word or symbol map."""
 
 
 class DeviceRefused(AutomataError):
