@@ -168,7 +168,7 @@ def _tuple_graph(cls, name: str, comps: Sequence[Automaton], reads, initials, **
 class _TupleRows(core._TupleView):
     """A tuple graph's ``moves`` (see :func:`_tuple_transitions`): ``len`` is Π|Qₖ|, an index
     computes that row from the module tables in O(modules + row length), and iteration or a
-    slice folds every row once, in O(tuple states × driven modules + transitions), keeping them."""
+    slice computes every row once, in O(tuple states × modules + transitions), keeping them."""
 
     def __init__(self, radix, free, driven):
         self._radix, self._free, self._driven = radix, free, driven
@@ -180,7 +180,10 @@ class _TupleRows(core._TupleView):
         if isinstance(i, slice) or "_folded" in vars(self):
             return self._folded[i]
         i = range(len(self))[i]
-        at = [i // stride % n for stride, n in self._radix]  # the module states
+        return self._row([i // stride % n for stride, n in self._radix])
+
+    def _row(self, at) -> tuple[tuple[int, int], ...]:
+        """The row of the tuple of module states ``at``."""
         targets = [rows[at[k]][syms[at[j]]] for k, j, syms, rows in self._driven]
         row = [] if None in targets else [(0, sum(targets))]
         for k, n, own in self._free:
@@ -192,28 +195,7 @@ class _TupleRows(core._TupleView):
 
     @cached_property
     def _folded(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        # The free modules' moves alone, per tuple of their states in
-        # product order, and each free module's weight in that numbering.
-        free, free_at = [((0, 0),)], []
-        for k, n, own in self._free:
-            free = [tuple([(s * n + s2, t + t2) for s, t in pre for s2, t2 in mine])
-                    for pre in free for mine in own]
-            free_at = [(j, m * len(own)) for j, m in free_at] + [(k, 1)]
-        if not self._driven:
-            return tuple(free)
-        out = []
-        for at in itertools.product(*(range(n) for _, n in self._radix)):
-            base = 0
-            for k, j, syms, rows in self._driven:
-                t = rows[at[k]][syms[at[j]]]
-                if t is None:
-                    out.append(())
-                    break
-                base += t
-            else:
-                moves = free[sum(at[k] * m for k, m in free_at)]
-                out.append(tuple([(s, t + base) for s, t in moves]))
-        return tuple(out)
+        return tuple(map(self._row, itertools.product(*(range(n) for _, n in self._radix))))
 
 
 def _tuple_transitions(comps: Sequence[Automaton], reads) -> _TupleRows:

@@ -172,14 +172,22 @@ class EnsembleTrace:
         return self.cumulative_loss_bits[-1] if self.cumulative_loss_bits else 0.0
 
 
+def _mass(pi) -> np.ndarray:
+    """``pi`` as a float array; raises :class:`InvalidDistribution` when an entry is not a number
+    that a float holds, an int beyond the float range included."""
+    import numpy as np
+
+    try:
+        return np.asarray(pi, dtype=float)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise InvalidDistribution(f"probability mass is not numeric: {err}") from None
+
+
 def entropy_bits(pi: np.ndarray) -> float:
     """Shannon entropy in bits; zero entries add nothing, and negative or non-finite mass raises."""
     import numpy as np
 
-    try:
-        p = np.asarray(pi, dtype=float)
-    except (TypeError, ValueError, OverflowError) as err:  # OverflowError: an int beyond floats
-        raise InvalidDistribution(f"probability mass is not numeric: {err}") from None
+    p = _mass(pi)
     if not (p.min(initial=0.0) >= -1e-12 and p.max(initial=0.0) < math.inf):
         raise InvalidDistribution("negative or non-finite probability mass")
     p = p[p > 0]
@@ -229,10 +237,7 @@ def path_choice_information(
 def _check_distribution(a: Automaton, pi: Sequence[float]) -> np.ndarray:
     import numpy as np
 
-    try:
-        p = np.asarray(pi, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise InvalidDistribution(f"probability mass is not numeric: {err}") from None
+    p = _mass(pi)
     if p.shape != (len(a.states),):
         raise InvalidDistribution(f"expected {len(a.states)} entries, got {p.shape}")
     if not np.isfinite(p).all():

@@ -471,6 +471,10 @@ HUGE = 10**400  # an int beyond the float range
     pytest.param(lambda a: entropy_bits([0.5, -HUGE]), InvalidDistribution,
                  "probability mass is not numeric: int too large to convert to float",
                  id="entropy-huge-negative"),
+    pytest.param(lambda a: ensemble_dissipation(a, InputModel.uniform(a), [HUGE, 0, 0], 1), InvalidDistribution,
+                 "probability mass is not numeric: int too large to convert to float", id="ensemble-huge"),
+    pytest.param(lambda a: ensemble_step(a, InputModel.uniform(a), [1, 0, -HUGE]), InvalidDistribution,
+                 "probability mass is not numeric: int too large to convert to float", id="ensemble-step-huge"),
     pytest.param(lambda a: InputModel.from_arrow_probs(a, fork_probs(HUGE, 0.5)), InvalidDistribution,
                  r"non-finite probability on \('q0', 'q1'\)", id="model-huge"),
 ])
