@@ -22,7 +22,12 @@ configuration of the run, of some of its indices and slices, and of the
 working configuration of every Bennett snapshot.  On ``bincounter.tm``,
 which does not halt, it pins ``tm run`` at 100,000 steps, ``tm dissip``
 at 5,000, the log of the 100,000-step run, and the configuration names
-and some lookups of a 20,000-step run.  On each ``product`` pair, under
+and some lookups of a 20,000-step run.  On three more sweepers, of 152, 458
+and 1,199 steps, and on ``bincounter.tm`` at 1,500 and 3,000 steps, it pins
+every analysis of a ``tm_history`` benchmark job, called in the
+benchmark's order while its run is held: the run, the modular bits and,
+on the sweepers, the lemma's report, the run's chain, every field of the
+Bennett simulation and its chain.  On each ``product`` pair, under
 seeded non-uniform module models, it pins the ``repr`` of the product
 model's weights and every tuple state's choice bits; on a 2,400-state
 ``gen.strongly_connected`` automaton, the per-step loss and input bits
@@ -69,6 +74,10 @@ SWEEPS = ((1, 3, 2, 10_000), (2, 12, 9, 10_000), (3, 40, 47, 10_000), (4, 20, 10
 TM_SWEEPS = ((5, 11, 12), (6, 24, 31), (7, 36, 40))
 # (command, step budget) of the long runs of bincounter.tm, which does not halt
 LONG_RUNS = (("run", 100_000), ("dissip", 5_000))
+# (seed, width, sweeps) of the sweepers of 152, 458 and 1,199 steps, and the step budgets
+# of bincounter.tm, whose every analysis is pinned in the benchmark's order
+JOB_SWEEPS = ((11, 8, 16), (12, 16, 26), (13, 24, 47))
+COUNTER_BUDGETS = (1_500, 3_000)
 WANDERER_SEEDS = tuple(range(1, 13))  # seeded random machines of four control states
 WANDERER_TAPES = ("a_b_a", "__ab_b", "")  # gaps, and a head left of every cell
 # hand-built starts of the tm_step chains: the head left of, right of and
@@ -251,7 +260,9 @@ def library(gen, tmp_dir) -> dict:
     and of the working configurations of the Bennett snapshots, of the
     step log of the long ``bincounter.tm`` run, and of the names and
     lookups of a 20,000-step one; of the product models of the
-    ``product`` cases; of the per-step bits of a 2,400-state ensemble; and
+    ``product`` cases; of every analysis of each ``JOB_SWEEPS`` machine and of
+    ``bincounter.tm`` at each ``COUNTER_BUDGETS`` budget, in the benchmark's
+    order; of the per-step bits of a 2,400-state ensemble; and
     of the runs, replays and ``tm_step`` chains of the ``WANDERER_SEEDS`` machines;
     and of the reachable part of the closed system of each ring and chain
     wiring that ``wire`` builds, read from the files :func:`_inputs` wrote
@@ -272,6 +283,11 @@ def library(gen, tmp_dir) -> dict:
             "configurations": _sha(repr(tuple(run.configurations))),
             "lookups": _sha(repr(_lookups(run.configurations)))}
         pins[f"snapshots/{seed}"] = _sha(repr([g.config for g in ben.global_configs]))
+    for seed, width, sweeps in JOB_SWEEPS:
+        tm = fileformat.parse_machine(_sweeper(gen, seed, width, sweeps))
+        pins[f"job/{seed}"] = _job_digests(tm, width + sweeps * (width + 1) + 8, halts=True)
+    for budget in COUNTER_BUDGETS:
+        pins[f"job/bincounter/{budget}"] = _job_digests(bincounter, budget, halts=False)
     for seed in PRODUCT_SEEDS:
         rng = random.Random(seed)
         pins[f"model/{seed}"] = _model_digests(
@@ -296,6 +312,30 @@ def library(gen, tmp_dir) -> dict:
     wirings = [f"ring{n}" for n in RING_SIZES[:-1]] + [f"chain{seed}" for seed, *_ in CHAINS]
     for name in wirings:
         pins[f"reach/{name}"] = _reach_digest(os.path.join(tmp_dir, f"{name}.wiring"))
+    return pins
+
+
+def _job_digests(tm, budget: int, halts: bool) -> dict:
+    """Every analysis of a benchmark job on ``tm`` with ``budget`` steps, called in the
+    benchmark's order with the run held: the run, the modular bits, and, when the
+    machine halts, the lemma's report, the run's chain, Bennett's fields and chain."""
+    import dataclasses
+
+    from autodiss import turing
+
+    run = turing.tm_run(tm, [], max_steps=budget)
+    acc = turing.modular_tm_dissipation(tm, [], max_steps=budget)
+    pins = {"run": _sha(repr((run.log, run.configurations[-1], run.halted, run.steps, run.result,
+                              run.result_length))),
+            "bits": _sha(repr((acc.per_step_bits, acc.head_bits, acc.cell_bits,
+                               acc.cumulative_bits, acc.total_bits, acc.trace.log)))}
+    if halts:
+        pins["lemma"] = _sha(repr(turing.check_convergence_lemma(tm, [], horizon=budget)))
+        pins["linear"] = _sha("".join(f"{q}\n" for q in turing.global_graph(run).states))
+        ben = turing.bennett_simulate(tm, [], max_steps=budget)
+        pins["bennett"] = _sha(repr([getattr(ben, f.name) for f in dataclasses.fields(ben)]
+                                    + [ben.classic_step_count]))
+        pins["global"] = _graph_digests(turing.global_graph(ben))
     return pins
 
 
