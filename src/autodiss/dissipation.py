@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .core import Arrow, Automaton, Path, _state_index, convergent_states, run
-from .errors import InvalidArgument, InvalidDistribution, NonPositiveTemperature, UnknownState
+from .errors import InvalidArgument, InvalidDistribution, NonPositiveTemperature, SizeLimit, UnknownState
 
 if TYPE_CHECKING:  # numpy is imported on first use, by the ensemble functions
     import numpy as np
@@ -28,6 +28,8 @@ if TYPE_CHECKING:  # numpy is imported on first use, by the ensemble functions
 BOLTZMANN_K = 1.38e-23  # Joules per Kelvin
 
 PROB_SUM_TOL = 1e-9
+# Most bytes the distributions of an ensemble trace may hold: states x (horizon + 1) floats.
+ENSEMBLE_BYTE_LIMIT = 2**30
 
 
 class InputModel:
@@ -276,10 +278,13 @@ def ensemble_dissipation(
     weight one, so it holds its mass.  The trace satisfies, exactly up to
     float error:
     cumulative_loss(T) = sum_t input_bits(t) + H(pi_0) - H(pi_T).
+    Distributions past ``ENSEMBLE_BYTE_LIMIT`` bytes raise :class:`SizeLimit` before any step.
     """
     import numpy as np
 
     _check_budget(horizon=horizon)
+    if (size := 8 * len(a.states) * (horizon + 1)) > ENSEMBLE_BYTE_LIMIT:
+        raise SizeLimit(size, ENSEMBLE_BYTE_LIMIT, "bytes of distributions")
     p = _check_distribution(a, pi0)
     weights = _weights(a, m)
     targets = [ts or (i,) for i, ts in enumerate(a.successors)]

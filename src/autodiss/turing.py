@@ -11,8 +11,10 @@ computation itself reversible end to end.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -43,6 +45,8 @@ DEFAULT_TAPE_CAP = 4096
 BENNETT_CHAR_LIMIT = 2**30
 # Most steps a run may record: about 270 MB of step log.
 STEP_LOG_LIMIT = 2**24
+# The runs some caller still holds, by machine identity, tape and budgets (see tm_run).
+_RUNS = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -118,9 +122,9 @@ class Trajectory(_TupleView):
     and so checks, the whole log from ``start`` and that it ends at ``end``,
     storing only every ⌈√n⌉-th of the n + 1 configurations; then a lookup
     replays from the checkpoint at or below its smallest index to its
-    largest, and builds only the configurations it returns.  Iteration
-    costs O(tape window) per configuration; :meth:`renders` names them all
-    in the same replay.
+    largest, and builds only the configurations it returns, each sharing the
+    unchanged cells of the one before.  :meth:`renders` names them all in one
+    replay, kept while the trajectory lives.
     """
 
     tm: TuringMachine = field(repr=False)
@@ -128,6 +132,7 @@ class Trajectory(_TupleView):
     log: tuple[tuple[str, str], ...]
     end: Configuration
     _checkpoints: Optional[tuple[Configuration, ...]] = field(default=None, init=False, repr=False)
+    _renders: Optional[tuple[str, ...]] = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.log) + 1
@@ -147,25 +152,39 @@ class Trajectory(_TupleView):
         return found if picks.step > 0 else found[::-1]
 
     def _pick(self, c: Configuration, i: int, j: int, picks: range):
-        """Those at ``picks`` of the configurations ``c``, the ``i``-th, to the ``j``-th."""
-        blank = self.tm.blank
+        """Those at ``picks`` of the configurations ``c``, the ``i``-th, to the ``j``-th;
+        one step after another, only the cell written under the last head is built anew."""
+        blank, cells = self.tm.blank, None
         first = picks[0] - i - 1
         if first < 0:
             yield c
             first = picks.step - 1
         for control, head, base, a, b, tape in itertools.islice(
                 self._replay(c, i, j), first, None, picks.step):
-            cells = tuple([(p, s) for p, s in enumerate(tape[a:b], a + base) if s != blank])
+            if cells is None or picks.step > 1:
+                cells = tuple([(p, s) for p, s in enumerate(tape[a:b], a + base) if s != blank])
+            else:
+                k = bisect.bisect_left(cells, (last,))
+                at, s = k < len(cells) and cells[k][0] == last, tape[last - base]
+                if s != (cells[k][1] if at else blank):
+                    cells = cells[:k] + (((last, s),) if s != blank else ()) + cells[k + at:]
+            last = head
             yield Configuration(control=control, head=head, cells=cells)
 
     def __iter__(self):
         return self._pick(self.start, 0, len(self.log), range(len(self)))
 
     def renders(self) -> list[str]:
-        """``[c.render(blank) for c in self]``, replayed from the log: O(steps + windows)."""
-        return [self.start.render(self.tm.blank)] + [
-            f"{control}|{head}|{a + base}:{','.join(tape[a:b])}" if a < b else f"{control}|{head}|"
-            for control, head, base, a, b, tape in self._replay(self.start, 0, len(self.log))]
+        """``[c.render(blank) for c in self]``: a new list of the names :meth:`_rendered` keeps."""
+        return list(self._rendered())
+
+    def _rendered(self) -> tuple[str, ...]:
+        """Every configuration's render, replayed from the log on first call: O(steps + windows)."""
+        if self._renders is None:
+            object.__setattr__(self, "_renders", (self.start.render(self.tm.blank), *(
+                f"{control}|{head}|{a + base}:{','.join(tape[a:b])}" if a < b else f"{control}|{head}|"
+                for control, head, base, a, b, tape in self._replay(self.start, 0, len(self.log)))))
+        return self._renders
 
     def _replay(self, c: Configuration, i: int, j: int):
         """Apply log steps ``i`` to ``j - 1`` to ``c``, the ``i``-th configuration, yielding
@@ -434,12 +453,20 @@ def initial_configuration(tm: TuringMachine, tape: Sequence[str] = ()) -> Config
 
 
 def tm_step(tm: TuringMachine, c: Configuration) -> Configuration:
-    """Apply one rule in :func:`tm_run`'s step loop, after decoding the span of ``c``
-    as ``render`` and every replay do: O(window).  Raises :class:`Halted` if halted,
+    """Apply one rule in :func:`tm_run`'s step loop, after decoding the cells of ``c``
+    as ``render`` does: O(cells), however far the head.  Raises :class:`Halted` if halted,
     :class:`NoRule`, and :class:`ValidationError` on cells that :func:`_tape` refuses."""
     if c.control in tm.halting:
         raise Halted(f"control state {c.control!r} is halting")
-    return _advance(tm, c, 1)[1]
+    base, h, a, b, tape = _tape(c, tm.blank, with_head=False)
+    if a <= h < b:
+        return _advance(tm, c, 1)[1]
+    # A head off the cells reads a blank: step it on a blank tape, then lay the cells beside it.
+    end = _advance(tm, Configuration(c.control, c.head, ()), 1)[1]
+    wbase, _, wa, wb, wrote = _tape(end, tm.blank, with_head=False)
+    cells = [(p, s) for p, s in enumerate(tape[a:b], a + base) if s != tm.blank]
+    new = list(enumerate(wrote[wa:wb], wa + wbase))  # the cell written, unless blank
+    return Configuration(end.control, end.head, tuple(new + cells if h < a else cells + new))
 
 
 def _advance(tm: TuringMachine, c: Configuration, max_steps: int, tape_cap=math.inf):
@@ -487,9 +514,14 @@ def tm_run(
     step; O(1) work per step on the list tape that a replay reads.  Only the
     start and final configurations are stored; the others are replayed from
     the log when read (see :class:`Trajectory`).  A run past
-    ``STEP_LOG_LIMIT`` steps raises :class:`SizeLimit` after one more."""
+    ``STEP_LOG_LIMIT`` steps raises :class:`SizeLimit` after one more.  While a caller
+    holds a run, an equal call on the same machine object returns it; the run holds
+    the machine, so the id in its key is not reused meanwhile."""
     _check_budget(max_steps=max_steps, tape_cap=tape_cap)
     start = initial_configuration(tm, tape)
+    key = (id(tm), tuple(tape), max_steps, tape_cap)
+    if (held := _RUNS.get(key)) is not None:
+        return held
     log, end = _advance(tm, start, min(max_steps, STEP_LOG_LIMIT + 1), tape_cap)
     if len(log) > STEP_LOG_LIMIT:
         raise SizeLimit(len(log), STEP_LOG_LIMIT, "recorded steps")
@@ -497,23 +529,27 @@ def tm_run(
     if end.control in tm.halting:
         _, _, a, b, window = _tape(end, tm.blank)
         result = tuple(window[a:b])
-    return RunTrace(machine=tm.name, blank=tm.blank,
-                    configurations=Trajectory(tm, start, tuple(log), end),
-                    halted=result is not None, steps=len(log), result=result,
-                    result_length=len(result) if result is not None else None)
+    run = _RUNS[key] = RunTrace(machine=tm.name, blank=tm.blank,
+                                configurations=Trajectory(tm, start, tuple(log), end),
+                                halted=result is not None, steps=len(log), result=result,
+                                result_length=len(result) if result is not None else None)
+    return run
 
 
 def head_automaton(tm: TuringMachine) -> Automaton:
-    """The finite control as an automaton with tape symbols as inputs."""
-    return validate(
-        name=f"{tm.name}_head",
-        input_alphabet=tm.tape_alphabet,
-        output_alphabet=tm.control_states,
-        states=tm.control_states,
-        initial=tm.initial,
-        output_map={q: q for q in tm.control_states},
-        transitions=[(q, s, q2) for (q, s), (q2, _, _) in tm.rules.items()],
-    )
+    """The finite control as an automaton with tape symbols as inputs, built on
+    first call and kept on ``tm``, as ``step_rules`` is."""
+    if "_head" not in tm.__dict__:
+        tm.__dict__["_head"] = validate(
+            name=f"{tm.name}_head",
+            input_alphabet=tm.tape_alphabet,
+            output_alphabet=tm.control_states,
+            states=tm.control_states,
+            initial=tm.initial,
+            output_map={q: q for q in tm.control_states},
+            transitions=[(q, s, q2) for (q, s), (q2, _, _) in tm.rules.items()],
+        )
+    return tm.__dict__["_head"]
 
 
 def cell_automaton(alphabet: Sequence[str], name: str = "cell") -> Automaton:
@@ -629,7 +665,7 @@ def global_graph(trace) -> Automaton:
         return _linear_automaton(f"{trace.machine}_global", _bennett_names(trace))
     if not trace.halted:
         raise NotHalted(f"run of {trace.machine!r} did not halt")
-    return _linear_automaton(f"{trace.machine}_global", trace.configurations.renders())
+    return _linear_automaton(f"{trace.machine}_global", trace.configurations._rendered())
 
 
 def _prefix_ends(parts: Sequence[str]) -> list[int]:
@@ -643,7 +679,7 @@ def _bennett_names(trace: BennettTrace) -> list[str]:
     the working configuration's render, the ``;``-joined ``control,read``
     records so far and the ``,``-joined output cells so far.  Every
     history and output prefix is sliced from one joined string."""
-    rendered = trace.forward.configurations.renders()
+    rendered = trace.forward.configurations._rendered()
     hist_parts = [f"{q},{s}" for q, s in trace.history_records]
     hist, hist_ends = ";".join(hist_parts), _prefix_ends(hist_parts)
     out, out_ends = ",".join(trace.output_tape), _prefix_ends(trace.output_tape)

@@ -10,6 +10,7 @@ model without folding their moves, and a product is unequal to a plain
 automaton of the same fields without folding them either.
 """
 
+import copy
 import dataclasses
 import os
 import pickle
@@ -23,6 +24,7 @@ from autodiss import (
     bennett_simulate,
     choice_information,
     global_graph,
+    head_automaton,
     load_machine,
     parse_machine,
     product_input_model,
@@ -92,10 +94,16 @@ def test_the_snapshot_view_is_the_tuple_it_replaces(gen):
         for i in (len(want), -len(want) - 1):
             with pytest.raises(IndexError):
                 view[i]
-        again = pickle.loads(pickle.dumps(trace))
-        assert again == trace and again.global_configs == want
-        assert [g._key() for g in again.global_configs] == [g._key() for g in want]
-        assert again.global_configs[-1].config == again.global_configs[0].config
+        # with the machine's head automaton and the run's renders kept
+        tm, chain = trace.forward.configurations.tm, global_graph(trace)
+        head = head_automaton(tm)
+        for again in (pickle.loads(pickle.dumps(trace)), copy.copy(trace), copy.deepcopy(trace)):
+            assert again == trace and again.global_configs == want
+            assert [g._key() for g in again.global_configs] == [g._key() for g in want]
+            assert again.global_configs[-1].config == again.global_configs[0].config
+            assert global_graph(again) == chain
+        for again in (pickle.loads(pickle.dumps(tm)), copy.copy(tm), copy.deepcopy(tm)):
+            assert again == tm and head_automaton(again) == head
 
 
 def test_simulation_and_its_chain_build_no_snapshot(monkeypatch, gen):

@@ -33,6 +33,7 @@ from autodiss.errors import (
     InvalidArgument,
     InvalidDistribution,
     NonPositiveTemperature,
+    SizeLimit,
     UnknownState,
 )
 from autodiss.fileformat import parse_automaton, write_automaton
@@ -173,6 +174,22 @@ def test_ensemble_dissipation_memory(onebit):
     trace = ensemble_dissipation(auto, model, uniform_distribution(auto), 10)
     assert trace.total_loss_bits == pytest.approx(10.0, abs=1e-9)
     assert len(trace.distributions) == 11
+
+
+def test_ensembles_past_the_byte_limit_are_refused_before_any_step(monkeypatch, onebit):
+    """The distributions of 2 states over 10 steps take 176 bytes: at the limit they
+    are built, one byte under it nothing is."""
+    from autodiss import dissipation
+
+    auto, model = onebit
+    monkeypatch.setattr(dissipation, "ENSEMBLE_BYTE_LIMIT", 176)
+    assert len(ensemble_dissipation(auto, model, uniform_distribution(auto), 10).distributions) == 11
+    monkeypatch.setattr(dissipation, "ENSEMBLE_BYTE_LIMIT", 175)
+    monkeypatch.setattr(dissipation, "entropy_bits", lambda p: pytest.fail("a step was taken"))
+    with pytest.raises(SizeLimit) as err:
+        ensemble_dissipation(auto, model, uniform_distribution(auto), 10)
+    assert (err.value.size, err.value.limit) == (176, 175)
+    assert str(err.value) == "176 bytes of distributions exceed the monolithic limit of 175"
 
 
 def test_ensemble_dissipation_counter(counter4):

@@ -2,11 +2,13 @@
 decomposition, dissipation growth, and the reversible simulation."""
 
 import dataclasses
+import gc
 import math
 import random
 import re
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from autodiss import (
 from autodiss.errors import (
     AlphabetTooSmall,
     Halted,
+    InvalidArgument,
     IrreversibleStep,
     Nondeterministic,
     NoRule,
@@ -168,6 +171,57 @@ def test_only_a_halted_run_decodes_its_end(monkeypatch, bb2, bincounter):
         run = tm_run(tm, max_steps=100)
         assert run.halted is halted and (run.result is not None) is halted
         assert decoded == [run.configurations[0], run.configurations[-1]][:1 + halted]
+
+
+def test_an_equal_call_returns_the_held_run_and_refuses_as_before():
+    """While a run is held, an equal call on the same machine object returns it and
+    analyses share it; another budget, tape or machine gets its own run, and a bad
+    budget or tape symbol is refused as if no run were held."""
+    tm, twin = eraser(), eraser()
+    run = tm_run(tm, ["a"], max_steps=50)
+    assert tm_run(tm, ("a",), max_steps=50) is run
+    assert modular_tm_dissipation(tm, ["a"], max_steps=50).trace is run
+    assert bennett_simulate(tm, ["a"], max_steps=50).forward is run
+    others = [tm_run(tm, ["a"], max_steps=49), tm_run(tm, ["a"], max_steps=50, tape_cap=9),
+              tm_run(tm, ["b"], max_steps=50), tm_run(twin, ["a"], max_steps=50)]
+    assert not any(other is run for other in others) and others[3] == run
+    assert head_automaton(tm) is head_automaton(tm) and head_automaton(twin) is not head_automaton(tm)
+    for kwargs in (dict(max_steps=50.0), dict(max_steps=-1), dict(max_steps=50, tape_cap=2.5),
+                   dict(max_steps=50, tape_cap=-1), dict(max_steps=50, tape_cap=None)):
+        with pytest.raises(InvalidArgument):
+            tm_run(tm, ["a"], **kwargs)
+    with pytest.raises(UnknownSymbol):
+        tm_run(tm, ["a", "z"], max_steps=50)
+    assert tm_run(tm, ["a"], max_steps=50) is run
+
+
+def test_the_run_memo_keeps_no_run_alive(monkeypatch):
+    monkeypatch.setattr(turing, "_RUNS", weakref.WeakValueDictionary())
+    tm = eraser()
+    with pytest.raises(NoRule):  # a run that raises is not stored
+        tm_run(tm, [])
+    run = tm_run(tm, ["a"])
+    dropped = weakref.ref(run)
+    assert list(turing._RUNS.values()) == [run]
+    del run
+    gc.collect()
+    assert dropped() is None and len(turing._RUNS) == 0
+    assert tm_run(tm, ["a"]) is not None
+
+
+def test_a_run_is_rendered_once_and_its_chains_share_the_names(monkeypatch, bb2):
+    run = tm_run(bb2)
+    t = run.configurations
+    names = t.renders()
+    names.append("changed by the caller")
+    chain = global_graph(run)
+    ben = bennett_simulate(bb2)  # replays its forward log to check it
+    monkeypatch.setattr(Trajectory, "_replay", lambda *args: pytest.fail("rendered twice"))
+    assert t.renders() == names[:-1] == list(chain.states) and t.renders() is not t.renders()
+    assert chain.states is t._rendered()
+    assert global_graph(ben).states[:len(names) - 1] == tuple(
+        f"compute#{c}#h[{';'.join(f'{q},{s}' for q, s in run.log[:i])}]#o[]"
+        for i, c in enumerate(names[:-1]))
 
 
 def test_machine_validation():
@@ -502,7 +556,8 @@ def test_a_stored_run_is_read_from_its_log_alone(monkeypatch, gen):
         stepped = [run.configurations[0]]
         while len(stepped) <= run.steps:
             stepped.append(tm_step(tm, stepped[-1]))
-        cases.append((run, tm_run(tm, max_steps=budget).configurations, tuple(stepped)))
+        t = run.configurations  # tm_run would hand back the held run's trajectory
+        cases.append((run, Trajectory(tm, t.start, t.log, t.end), tuple(stepped)))
     monkeypatch.setattr(turing, "_advance", lambda *args: pytest.fail("the machine was run"))
     made = []
     real = turing.Configuration
@@ -540,7 +595,14 @@ FAR = 10**9  # cells between the head and the cells it is read and rendered with
 def test_read_and_render_lay_only_the_cells_however_far_the_head(head):
     """O(cells): neither lays the blanks between the head and the cells."""
     c = Configuration("q", head, ((0, "a"), (2, "b")))
-    for call, want in ((c.read, "_"), (c.render, f"q|{head}|0:a,_,b")):
+    writer = make_machine("writer", "_ab", "_", ["q", "h"], "q", ["h"], [("q", "_", "h", "a", "L")])
+    wrote = ((head, "a"),) + c.cells if head < 0 else c.cells + ((head, "a"),)
+
+    def step(blank):
+        return tm_step(writer, c)
+
+    for call, want in ((c.read, "_"), (c.render, f"q|{head}|0:a,_,b"),
+                       (step, Configuration("h", head - 1, wrote))):
         tracemalloc.start()
         try:
             began = time.perf_counter()
@@ -551,6 +613,8 @@ def test_read_and_render_lay_only_the_cells_however_far_the_head(head):
             tracemalloc.stop()
         assert got == want and took < 0.01 and peak < 1_000_000, (call.__name__, took, peak)
     assert [Configuration("q", h, c.cells).read("_") for h in (-1, 0, 1, 2, 3)] == list("_a_b_")
+    assert [tm_step(writer, Configuration("q", h, c.cells)).cells for h in (-1, 1, 3)] == [
+        ((-1, "a"), (0, "a"), (2, "b")), ((0, "a"), (1, "a"), (2, "b")), ((0, "a"), (2, "b"), (3, "a"))]
 
 
 def test_global_graph_refuses_a_run_that_revisits_a_configuration():
