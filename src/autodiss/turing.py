@@ -453,20 +453,20 @@ def initial_configuration(tm: TuringMachine, tape: Sequence[str] = ()) -> Config
 
 
 def tm_step(tm: TuringMachine, c: Configuration) -> Configuration:
-    """Apply one rule in :func:`tm_run`'s step loop, after decoding the cells of ``c``
-    as ``render`` does: O(cells), however far the head.  Raises :class:`Halted` if halted,
-    :class:`NoRule`, and :class:`ValidationError` on cells that :func:`_tape` refuses."""
+    """Apply one rule in :func:`tm_run`'s step loop to the head's cell, after decoding the
+    cells of ``c`` as ``render`` does: O(cells), however far the head.  Raises :class:`Halted`
+    if halted, :class:`NoRule`, and :class:`ValidationError` on cells that :func:`_tape` refuses."""
     if c.control in tm.halting:
         raise Halted(f"control state {c.control!r} is halting")
-    base, h, a, b, tape = _tape(c, tm.blank, with_head=False)
-    if a <= h < b:
-        return _advance(tm, c, 1)[1]
-    # A head off the cells reads a blank: step it on a blank tape, then lay the cells beside it.
-    end = _advance(tm, Configuration(c.control, c.head, ()), 1)[1]
-    wbase, _, wa, wb, wrote = _tape(end, tm.blank, with_head=False)
-    cells = [(p, s) for p, s in enumerate(tape[a:b], a + base) if s != tm.blank]
-    new = list(enumerate(wrote[wa:wb], wa + wbase))  # the cell written, unless blank
-    return Configuration(end.control, end.head, tuple(new + cells if h < a else cells + new))
+    blank = tm.blank
+    base, h, a, b, tape = _tape(c, blank, with_head=False)
+    read = tape[h] if 0 <= h < len(tape) else blank
+    # A step reads and writes the head's cell alone: step that cell, then lay the others beside it.
+    end = _advance(tm, Configuration(c.control, c.head, ((c.head, read),) if read != blank else ()), 1)[1]
+    wbase, _, wa, wb, wrote = _tape(end, blank, with_head=False)
+    cells = [(p, s) for p, s in enumerate(tape[a:b], a + base) if s != blank and p != c.head]
+    cells += enumerate(wrote[wa:wb], wa + wbase)
+    return Configuration(end.control, end.head, tuple(sorted(cells)))  # positions differ
 
 
 def _advance(tm: TuringMachine, c: Configuration, max_steps: int, tape_cap=math.inf):
