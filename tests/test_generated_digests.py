@@ -40,7 +40,12 @@ each run's renders, configurations and lookups, the working
 configurations of the Bennett snapshots of each run that halts, and the
 render and read of every configuration of each ``tm_step`` chain.  On
 each ring and chain wiring that ``wire`` builds, it pins every field of
-``reachable_subgraph`` of the closed system.
+``reachable_subgraph`` of the closed system.  On one seeded round of the
+``tour_ensemble`` benchmark it pins each tour's word and covered set, the
+verdicts of an honest device and of one with a redirected arrow, and the
+path bits, and the rows, outputs and model weights of the round's two
+ensemble files; the same of ten ``gen.random_module`` files with ``prob``
+lines; and the ``Untestable`` refusal of five seeded modules with sinks.
 
 Run as a script, this file only adds pins; for a deliberate change of
 output, delete the changed keys by hand first (see ``golden.py``).
@@ -68,6 +73,9 @@ CHAINS = ((8, ((3, 2), (4, 2), (3, 3)), {"m1"}, None),
           (40, ((4, 2), (3, 3), (4, 2)), set(), "m1"),
           (42, ((3, 2), (4, 2), (3, 3), (2, 2)), {"m1", "m3"}, None))
 TOUR_SIZES = (80, 160, 300)  # states of the gen.strongly_connected automata given to test
+TOUR_ROUND_SEED = 36  # the seed of the pinned gen._tour_round
+PROB_MODULE_SEED = 36  # draws gen.random_module files until ten hold prob lines
+SINK_SEEDS = (1, 2, 3, 4, 5)  # seeds of the _module files whose tours are refused
 # (seed, width, sweeps, step budget): steps are width + sweeps * (width + 1)
 SWEEPS = ((1, 3, 2, 10_000), (2, 12, 9, 10_000), (3, 40, 47, 10_000), (4, 20, 10, 100))
 # (seed, width, sweeps) of the sweepers of 155, 799 and 1,516 steps pinned by every tm command
@@ -312,6 +320,66 @@ def library(gen, tmp_dir) -> dict:
     wirings = [f"ring{n}" for n in RING_SIZES[:-1]] + [f"chain{seed}" for seed, *_ in CHAINS]
     for name in wirings:
         pins[f"reach/{name}"] = _reach_digest(os.path.join(tmp_dir, f"{name}.wiring"))
+    pins.update(_tour_digests(gen))
+    return pins
+
+
+class _Redirected:
+    """A device stepping ``a`` from ``state``, except that ``redirect``'s
+    (state, symbol) leads to its third item."""
+
+    def __init__(self, a, state, redirect):
+        self.a, self.state, self.redirect = a, state, tuple(redirect)
+
+    def output(self):
+        return self.a.output_map[self.state]
+
+    def apply(self, symbol):
+        from autodiss import core
+
+        q, s, t = self.redirect
+        self.state = t if (self.state, symbol) == (q, s) else core.step(self.a, self.state, symbol)
+
+
+def _tour_digests(gen) -> dict:
+    """Each tour of one seeded ``tour_ensemble`` round: its word, covered set,
+    the honest and redirected verdicts and the path bits; the rows, outputs
+    and weights of the round's ensemble files and of ten ``gen.random_module``
+    files with ``prob`` lines; and the refusal of the ``SINK_SEEDS`` modules."""
+    from autodiss import conformance, dissipation, fileformat
+    from autodiss.errors import Untestable
+
+    out = gen.JobList()
+    jobs = gen._tour_round(random.Random(TOUR_ROUND_SEED), ROOT, out, 0)
+    pins = {}
+    for job in jobs:
+        a, m = fileformat.parse_automaton(out.files[job["file"]])
+        key = job["file"].rsplit(".", 1)[0]
+        if job["kind"] == "ensemble":
+            pins[f"parse/{key}"] = _sha(repr((a.moves, a.output_map, m.weights)))
+            continue
+        tour = conformance.transition_tour(a, a.initial)
+        honest = conformance.AutomatonOracle(a, a.initial)
+        faulty = _Redirected(a, a.initial, job["redirect"])
+        report = dissipation.path_choice_information(a, m, a.initial, tour.word)
+        pins[f"tour/{key}"] = {
+            "word": _sha(repr(tour.word)), "covered": _sha(repr(sorted(tour.covered))),
+            "verdicts": repr([conformance.simulate_test(a, d, tour) for d in (honest, faulty)]),
+            "bits": _sha(repr((report.per_step_bits, report.total_bits)))}
+    rng, found = random.Random(PROB_MODULE_SEED), 0
+    while found < 10:
+        spec = gen.random_module(rng, 30, 3)
+        if spec["prob"]:
+            a, m = fileformat.parse_automaton(gen.aut_text(f"p{found}", spec))
+            pins[f"parse/prob{found}"] = _sha(repr((a.moves, a.output_map, m.weights)))
+            found += 1
+    for seed in SINK_SEEDS:
+        a, _ = fileformat.parse_automaton(_module(gen, random.Random(seed), f"u{seed}"))
+        try:
+            conformance.transition_tour(a, a.initial)
+        except Untestable as e:
+            pins[f"untestable/{seed}"] = {"uncovered": _sha(repr(sorted(e.uncovered))),
+                                          "message": _sha(str(e))}
     return pins
 
 
