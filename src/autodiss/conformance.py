@@ -170,43 +170,49 @@ def transition_tour(a: Automaton, start: str) -> TestTour:
             return n > 1
         return walked_from(ar).get(ar[1]) not in uncovered
 
+    parent: dict[int, int] = {}  # the last search's tree; a walk from ``pos`` reads none of it
     while uncovered:
-        parent: dict[int, int] = {}
-        seen = {pos}
-        frontier = [pos]
         # A pending source unreachable from here is unreachable from any
         # target, so no arrow is acceptable: take the nearest level.
         hopeless = pending_bits & ~reach[comp[pos]]
-        nearest: list[tuple[int, int]] = []
-        pool: list[tuple[int, int]] = []
-        # Expanding each level in discovery order builds the same tree as
-        # a first-in-first-out search; level L holds the uncovered arrows
-        # whose sources lie L - 1 steps away.
-        while frontier:
-            level = [(q, t) for q in frontier if left[q]
-                     for t in successors[q] if (q, t) in uncovered]
-            if level:
-                if not nearest:
-                    nearest = level
-                    if hopeless:
+        # Level 1 needs no search: its arrows are in target-name order, as ``min`` picks.
+        pool = [(pos, t) for t in successors[pos] if (pos, t) in uncovered
+                and (hopeless or acceptable((pos, t)))] if left[pos] else []
+        if pool:
+            chosen = next(filter(keeps_going, pool), pool[0])
+        else:
+            parent = {}
+            seen = {pos}
+            frontier = [pos]
+            nearest: list[tuple[int, int]] = []
+            # Expanding each level in discovery order builds the same tree as
+            # a first-in-first-out search; level L holds the uncovered arrows
+            # whose sources lie L - 1 steps away.
+            while frontier:
+                level = [(q, t) for q in frontier if left[q]
+                         for t in successors[q] if (q, t) in uncovered]
+                if level:
+                    if not nearest:
+                        nearest = level
+                        if hopeless:
+                            break
+                    pool = [ar for ar in level if acceptable(ar)]
+                    if pool:
                         break
-                pool = [ar for ar in level if acceptable(ar)]
-                if pool:
-                    break
-            nxt = []
-            for q in frontier:
-                for t in successors[q]:
-                    if t not in seen:
-                        seen.add(t)
-                        parent[t] = q
-                        nxt.append(t)
-            frontier = nxt
-        if not nearest:
-            raise Untestable({(states[q], states[t]) for q, t in uncovered},
-                             f"stranded in {states[pos]!r}")
-        pool = pool or nearest
-        pool = [ar for ar in pool if keeps_going(ar)] or pool
-        chosen = min(pool, key=lambda ar: (states[ar[0]], states[ar[1]]))
+                nxt = []
+                for q in frontier:
+                    for t in successors[q]:
+                        if t not in seen:
+                            seen.add(t)
+                            parent[t] = q
+                            nxt.append(t)
+                frontier = nxt
+            if not nearest:
+                raise Untestable({(states[q], states[t]) for q, t in uncovered},
+                                 f"stranded in {states[pos]!r}")
+            pool = pool or nearest
+            pool = [ar for ar in pool if keeps_going(ar)] or pool
+            chosen = min(pool, key=lambda ar: (states[ar[0]], states[ar[1]]))
 
         for ar in _path_to(parent, pos, chosen[0]) + [chosen]:
             word.append(label[ar])

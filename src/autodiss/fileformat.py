@@ -15,6 +15,7 @@ module files, named relative to the wiring file, before it checks its
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -58,51 +59,69 @@ _WIRING_GRAMMAR = {
 }
 
 
+def _tokens(text: str):
+    """Each line's tokens, its comment cut off: one list per line of ``text``."""
+    lines = text.splitlines()
+    return map(str.split, [line.partition("#")[0] for line in lines] if "#" in text else lines)
+
+
 def _read(text: str, header: str, grammar: dict) -> tuple[str, dict[str, list]]:
     """The name after ``header`` and, per keyword of ``grammar``, the
-    ``(line, tokens after the keyword)`` of its directives in file order.
+    tokens after the keyword of each of its directives, in file order.
 
     Raises the first syntax error in file order: a missing or wrong
     header, an unknown directive, a token count outside the keyword's
     rule, or a second directive of a ``once`` keyword.
     """
-    name = None
-    found: dict[str, list] = {key: [] for key in grammar}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        key = tokens[0]
-        if name is None:  # the header line
-            if key != header:
-                raise ParseError(lineno, f"expected {header!r} header, got {key!r}")
-            if len(tokens) != 2:
-                raise ParseError(lineno, f"{header} takes exactly one name")
-            name = tokens[1]
-            continue
-        rule = grammar.get(key)
-        if rule is None:
-            raise ParseError(lineno, f"unknown directive {key!r}")
-        least, most, usage, once = rule
-        n, entries = len(tokens) - 1, found[key]
-        if n < least or (most is not None and n > most):
-            raise ParseError(lineno, usage)
-        if once and entries:
-            raise ParseError(lineno, f"{key} declared twice")
-        entries.append((lineno, tokens[1:]))
-    if name is None:
+    lines = filter(None, _tokens(text))
+    head = next(lines, None)
+    if head is None:
         raise ParseError(0, "empty file")
-    return name, found
+    if head[0] != header:
+        raise ParseError(_line(text), f"expected {header!r} header, got {head[0]!r}")
+    if len(head) != 2:
+        raise ParseError(_line(text), f"{header} takes exactly one name")
+    found: dict[str, list] = {key: [] for key in grammar}
+    for tokens in lines:
+        key = tokens.pop(0)
+        try:
+            found[key].append(tokens)
+        except KeyError:
+            found[key] = [tokens]
+    refused = []  # (key, entry, message) of each keyword's first error
+    for key, (least, most, usage, once) in grammar.items():
+        entries = found[key]
+        if not usage or not entries:  # no bound on the count, or no directive
+            continue
+        counts = {*map(len, entries)}
+        if counts != {least} and (min(counts) < least or most is not None and max(counts) > most):
+            k = next(k for k, n in enumerate(map(len, entries))
+                     if n < least or most is not None and n > most)
+            refused.append((key, k, usage) if k < 2 or not once else (key, 1, f"{key} declared twice"))
+        elif once and len(entries) > 1:
+            refused.append((key, 1, f"{key} declared twice"))
+    if len(found) > len(grammar):
+        refused += [(key, 0, f"unknown directive {key!r}") for key in found if key not in grammar]
+    if refused:
+        raise ParseError(*min((_line(text, key, k), message) for key, k, message in refused))
+    return head[1], found
+
+
+def _line(text: str, key: Optional[str] = None, k: int = 0) -> int:
+    """The line of the ``k``-th ``key`` directive of ``text``, or of its header:
+    only a refusal reads the text again, through ``_tokens``, to name its line."""
+    lines = [(n, tokens[0]) for n, tokens in enumerate(_tokens(text), start=1) if tokens]
+    return lines[0][0] if key is None else [n for n, first in lines[1:] if first == key][k]
 
 
 def _joined(entries: list) -> list[str]:
     """Every token of a list directive's lines, in file order."""
-    return [token for _, tokens in entries for token in tokens]
+    return [token for tokens in entries for token in tokens]
 
 
 def _single(entries: list) -> Optional[str]:
     """The one token of a once-only directive, or None when it is absent."""
-    return entries[0][1][0] if entries else None
+    return entries[0][0] if entries else None
 
 
 # The directive holding each argument of ``validate`` and ``make_machine``,
@@ -115,11 +134,11 @@ _DIRECTIVE_OF = {"input_alphabet": ("inputs", True), "output_alphabet": ("output
                  "rules": ("rule", False)}
 
 
-def _line_of(e: ValidationError, found: dict) -> int:
+def _line_of(e: ValidationError, text: str, found: dict) -> int:
     """The line of the entry that ``e`` rejects."""
     key, per_token = _DIRECTIVE_OF[e.entry[0]]
-    lines = [n for n, tokens in found[key] for _ in range(len(tokens) if per_token else 1)]
-    return lines[e.entry[1]]
+    entries = [k for k, tokens in enumerate(found[key]) for _ in range(len(tokens) if per_token else 1)]
+    return _line(text, key, entries[e.entry[1]])
 
 
 def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
@@ -127,11 +146,11 @@ def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
     (uniform unless ``prob`` directives override it).  An error of
     :func:`validate` becomes the ``__cause__`` of a :class:`ParseError`."""
     name, found = _read(text, "automaton", _AUTOMATON_GRAMMAR)
-    output_map: dict[str, str] = {}
-    for lineno, (q, r) in found["output"]:
-        if q in output_map:
-            raise ParseError(lineno, f"output of {q!r} declared twice")
-        output_map[q] = r
+    output_map = dict(found["output"])
+    if len(output_map) < len(found["output"]):  # refused on the first repeat of a state
+        firsts: dict[str, int] = {}
+        k = next(k for k, (q, _) in enumerate(found["output"]) if firsts.setdefault(q, k) != k)
+        raise ParseError(_line(text, "output", k), f"output of {found['output'][k][0]!r} declared twice")
     try:
         auto = validate(
             name=name,
@@ -140,43 +159,44 @@ def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
             states=_joined(found["states"]),
             initial=_single(found["initial"]),
             output_map=output_map,
-            transitions=[tokens for _, tokens in found["trans"]],
+            transitions=found["trans"],
         )
     except ValidationError as e:
-        raise ParseError(_line_of(e, found), str(e)) from e
+        raise ParseError(_line_of(e, text, found), str(e)) from e
 
     # Weights per merged arrow, summed over its labels; one line per label.
     given: dict[str, dict[tuple[str, str], float]] = {}
     targets: dict[int, dict[str, int]] = {}  # symbol -> target index, per state read
     declared = set()
-    for lineno, (q, sym, p) in found["prob"]:
+    at = functools.partial(_line, text, "prob")  # a prob entry's line, read on refusal
+    for k, (q, sym, p) in enumerate(found["prob"]):
         i = auto.index.get(q)
         if i is None:
-            raise ParseError(lineno, f"unknown state {q!r}")
+            raise ParseError(at(k), f"unknown state {q!r}")
         if i not in targets:
             targets[i] = {auto.input_alphabet[s]: j for s, j in auto.moves[i]}
         t = targets[i].get(sym)
         if t is None:
-            raise ParseError(lineno, f"no transition from {q!r} on {sym!r}")
+            raise ParseError(at(k), f"no transition from {q!r} on {sym!r}")
         if (q, sym) in declared:
-            raise ParseError(lineno, f"prob of {q!r} on {sym!r} declared twice")
+            raise ParseError(at(k), f"prob of {q!r} on {sym!r} declared twice")
         declared.add((q, sym))
         try:
             weight = float(p)
         except ValueError:
-            raise ParseError(lineno, f"bad probability {p!r}") from None
+            raise ParseError(at(k), f"bad probability {p!r}") from None
         if not math.isfinite(weight):
-            raise ParseError(lineno, f"non-finite probability {p!r}")
+            raise ParseError(at(k), f"non-finite probability {p!r}")
         if weight < 0:
-            raise ParseError(lineno, f"negative probability {p!r}")
+            raise ParseError(at(k), f"negative probability {p!r}")
         dist, arrow = given.setdefault(q, {}), (q, auto.states[t])
         dist[arrow] = dist.get(arrow, 0.0) + weight
         if not math.isfinite(dist[arrow]):
-            raise ParseError(lineno, f"probabilities on arrow {arrow} sum to {dist[arrow]!r}")
+            raise ParseError(at(k), f"probabilities on arrow {arrow} sum to {dist[arrow]!r}")
     for q, dist in given.items():  # a row off 1 is refused on the state's last prob line
         if abs(sum(dist.values()) - 1.0) > PROB_SUM_TOL:  # summed as from_arrow_probs sums
-            line = max(n for n, (q2, _, _) in found["prob"] if q2 == q)
-            raise ParseError(line, f"probabilities for state {q!r} sum to {sum(dist.values())!r}")
+            k = max(k for k, (q2, _, _) in enumerate(found["prob"]) if q2 == q)
+            raise ParseError(at(k), f"probabilities for state {q!r} sum to {sum(dist.values())!r}")
 
     model = InputModel.from_arrow_probs(auto, given)
     return auto, model
@@ -253,10 +273,10 @@ def parse_machine(text: str) -> TuringMachine:
             control_states=_joined(found["states"]),
             initial=initial,
             halting=_joined(found["halting"]),
-            rules=[tuple(tokens) for _, tokens in found["rule"]],
+            rules=found["rule"],
         )
     except ValidationError as e:
-        raise ParseError(_line_of(e, found), str(e)) from e
+        raise ParseError(_line_of(e, text, found), str(e)) from e
 
 
 def load_machine(path: str) -> TuringMachine:
@@ -272,36 +292,36 @@ def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
     """
     name, found = _read(text, "wiring", _WIRING_GRAMMAR)
     modules: list[tuple[str, Automaton]] = []
-    for lineno, (inst, rel) in found["module"]:
+    for k, (inst, rel) in enumerate(found["module"]):
         path = rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
         try:
             auto, _ = load_automaton(path)
         except OSError as e:
-            raise ParseError(lineno, f"cannot read module file: {e}") from None
+            raise ParseError(_line(text, "module", k), f"cannot read module file: {e}") from None
         except ParseError as e:
             raise ParseError(e.line_number, e.message, path=path) from e.__cause__
         modules.append((inst, auto))
     connections: list[ad.composition.Connection] = []
-    for lineno, (src, dst, *pairs) in found["connect"]:
+    for k, (src, dst, *pairs) in enumerate(found["connect"]):
         mapping = {}
         for pair in pairs:
             if "=" not in pair:
-                raise ParseError(lineno, f"bad mapping {pair!r}, want out=in")
+                raise ParseError(_line(text, "connect", k), f"bad mapping {pair!r}, want out=in")
             out_sym, in_sym = pair.split("=", 1)
             if out_sym in mapping:
-                raise ParseError(lineno, f"output {out_sym!r} mapped twice")
+                raise ParseError(_line(text, "connect", k), f"output {out_sym!r} mapped twice")
             mapping[out_sym] = in_sym
         connections.append(ad.composition.Connection(src, dst, mapping))
     initials: dict[str, str] = {}
-    for lineno, (inst, state) in found["initial"]:
+    for k, (inst, state) in enumerate(found["initial"]):
         if inst in initials:
-            raise ParseError(lineno, f"initial of {inst!r} declared twice")
+            raise ParseError(_line(text, "initial", k), f"initial of {inst!r} declared twice")
         initials[inst] = state
     return ad.composition.Wiring(
         name=name,
         modules=tuple(modules),
         connections=tuple(connections),
-        constants=tuple(tuple(tokens) for _, tokens in found["constant"]),
+        constants=tuple(map(tuple, found["constant"])),
         initials=initials,
     )
 

@@ -15,6 +15,8 @@ import itertools
 import os
 import random
 
+import pytest
+
 from autodiss.assets import asset_names, asset_path
 from autodiss.errors import AutomataError, ParseError
 from autodiss import fileformat
@@ -187,7 +189,7 @@ def _reference_read(text, header, grammar):
             raise ParseError(lineno, usage)
         if once and found[key]:
             raise ParseError(lineno, f"{key} declared twice")
-        found[key].append((lineno, rest))
+        found[key].append(rest)
     return first[1], found
 
 
@@ -215,3 +217,77 @@ def test_fuzzed_keywords_are_the_grammar_tables():
     """A keyword added to a format's table is fuzzed, or this fails."""
     for ext, (_, keys, _) in GRAMMARS.items():
         assert sorted(keys) == sorted(TABLES[ext]), ext
+
+
+def _refusal(parse, text):
+    try:
+        parse(text)
+    except ParseError as e:
+        return e.line_number, e.message
+    raise AssertionError(f"parsed: {text!r}")
+
+
+def test_an_earlier_bad_count_wins_over_a_later_unknown_directive():
+    bad_count = "automaton a\ninputs x\ntrans q x\nbogus 1\n"
+    assert _refusal(parse_automaton, bad_count) == (3, "trans takes <state> <insym> <state>")
+    unknown_first = "automaton a\nbogus 1\ntrans q x\n"
+    assert _refusal(parse_automaton, unknown_first) == (2, "unknown directive 'bogus'")
+    assert _refusal(parse_machine, "tm t\nrule a b\nblank _\nblank _\n") == (
+        2, "rule takes <state> <read> <state> <write> <move>")
+
+
+def test_a_bad_count_outranks_a_repeat_on_its_line():
+    assert _refusal(parse_automaton, "automaton a\ninitial q\ninitial a b\n") == (
+        3, "initial takes one state")
+    assert _refusal(parse_automaton, "automaton a\ninitial q\ninitial r\ninitial a b\n") == (
+        3, "initial declared twice")
+    assert _refusal(parse_machine, "tm t\nblank _\nblank\n") == (3, "blank takes one symbol")
+
+
+# Line breaks that ``str.splitlines`` counts, each ending one line of a case.
+BREAKS = ["\n", "\r\n", "\u2028", "\r", "\x0c"]
+
+
+def _text(lines):
+    """``lines`` joined by ``BREAKS`` in turn."""
+    return "".join(line + BREAKS[i % len(BREAKS)] for i, line in enumerate(lines))
+
+
+AUT_HEAD = ["# automaton under test", "automaton a  # name", "inputs x y", "",
+            "outputs o0 o1 # two", "states q0 q1", "  # q1 is last", "output q0 o0"]
+
+# (parse, lines, the 1-based line refused, message, up to an OS error's
+# detail); lines are counted as ``splitlines`` counts them, comments and
+# blank lines included.
+REFUSED_LINES = [
+    (parse_automaton, AUT_HEAD + ["output q1 o1", "trans q0 x q1 # ok", "# gap", "trans q0 y q9"],
+     12, "state 'q9' is not declared (transition target)"),
+    (parse_automaton, AUT_HEAD + ["# again", "output q0 o1"], 10, "output of 'q0' declared twice"),
+    (parse_automaton, AUT_HEAD + ["output q1 o9"], 9,
+     "symbol 'o9' is not declared (output of state 'q1')"),
+    (parse_automaton, AUT_HEAD + ["output q1 o1", "trans q0 x q1", "trans q1 x q0", "#",
+                                  "prob q0 x 1.0", "prob q1 z 1.0"],
+     14, "no transition from 'q1' on 'z'"),
+    (parse_automaton, AUT_HEAD + ["output q1 o1", "trans q0 x q1", "trans q0 y q0",
+                                  "prob q0 x 0.5 # half", "", "prob q0 y 0.25"], 14,
+     "probabilities for state 'q0' sum to 0.75"),
+    (parse_machine, ["tm t # machine", "", "blank _", "tape _ a", "# rules follow",
+                     "states s h", "initial s", "halting h", "rule s _ h a R",
+                     "rule s a h a X  # bad move"], 10, "bad move 'X', want L, R or N"),
+    (parse_wiring, ["# ring", "wiring w", "", "module m missing.aut  # no such file"], 4,
+     "cannot read module file"),
+    (parse_wiring, ["wiring w", "# links", "connect m n Q0=T0", "", "connect n m Q0"], 5,
+     "bad mapping 'Q0', want out=in"),
+    (parse_wiring, ["wiring w", "connect m n Q0=T0 # one", "\t", "connect n m Q0=T0 Q0=T1"], 4,
+     "output 'Q0' mapped twice"),
+]
+
+
+@pytest.mark.parametrize("parse, lines, line, message", REFUSED_LINES,
+                         ids=[f"{p.__name__}-{n}" for n, (p, *_) in enumerate(REFUSED_LINES)])
+def test_refused_entries_name_their_line(parse, lines, line, message, tmp_path):
+    if parse is parse_wiring:
+        parse = lambda text: parse_wiring(text, base_dir=str(tmp_path))  # noqa: E731
+    got_line, got_message = _refusal(parse, _text(lines))
+    assert (got_line, got_message.split(": [Errno")[0]) == (line, message)
+    assert lines[line - 1].split("#")[0].split()  # a directive's line, not a comment's
