@@ -252,6 +252,38 @@ def test_tour_size_guard(monkeypatch, onebit):
         transition_tour(onebit[0], "0")
 
 
+def _ring(n):
+    """A ring of ``n`` states on one symbol."""
+    states = [f"s{i}" for i in range(n)]
+    return validate(f"ring{n}", ["x"], [f"o{q}" for q in states], states, initial="s0",
+                    output_map={q: f"o{q}" for q in states},
+                    transitions=[(q, "x", states[(i + 1) % n]) for i, q in enumerate(states)])
+
+
+def test_tour_size_guard_boundary(monkeypatch):
+    """A graph of exactly ``MONOLITHIC_STATE_LIMIT`` states is toured; one
+    state more is refused."""
+    monkeypatch.setattr(core_module, "MONOLITHIC_STATE_LIMIT", 5)
+    assert transition_tour(_ring(5), "s0").word == ("x",) * 5
+    with pytest.raises(SizeLimit, match="6 states"):
+        transition_tour(_ring(6), "s0")
+
+
+def test_tour_passes_over_arrows_into_a_dead_end():
+    """Back in ``a`` after three steps, the only uncovered arrow out of it
+    leads to ``z``, which cannot reach ``b``'s pending arrow ``b -> c``; so
+    no arrow out of ``a`` is acceptable, and the tour must search past
+    them and walk ``a -> b -> c`` before it enters ``z``."""
+    auto = validate("deadend", ["x", "y"], ["oa", "ob", "oc", "oz"], ["a", "b", "c", "z"],
+                    initial="a", output_map={q: f"o{q}" for q in "abcz"},
+                    transitions=[("a", "x", "b"), ("a", "y", "z"), ("b", "x", "a"),
+                                 ("b", "y", "c"), ("c", "x", "b"), ("z", "x", "z")])
+    tour = transition_tour(auto, "a")
+    assert run(auto, "a", tour.word).states == ("a", "b", "a", "b", "c", "b", "a", "z", "z")
+    assert tour.word == ("x", "x", "x", "y", "x", "x", "y", "x")
+    assert tour.word == tour_oracle.transition_tour(auto, "a").word
+
+
 def test_modular_cost_beats_monolithic(tff, counter2):
     auto, _ = tff
     assert modular_test_cost([auto, auto], ["0", "0"]) == 8

@@ -36,6 +36,7 @@ from autodiss.errors import (
     SizeLimit,
     UnknownState,
 )
+from autodiss.dissipation import PROB_SUM_TOL
 from autodiss.fileformat import parse_automaton, write_automaton
 from helpers import random_automaton, random_distribution, random_model
 
@@ -526,6 +527,73 @@ def test_a_row_off_one_by_more_than_rounding_is_divided_by_its_sum():
     assert model.weights[0] == (0.25 / total, (0.75 + 1e-11) / total) != (0.25, 0.75 + 1e-11)
     back = parse_automaton(write_automaton(a, model))
     assert back[0] == a and back[1].weights == model.weights
+
+
+def three_arrow_automaton():
+    return validate("fork3", ["x", "y", "z"], ["o0", "o1", "o2", "o3"], ["q0", "q1", "q2", "q3"],
+                    initial="q0", output_map={f"q{i}": f"o{i}" for i in range(4)},
+                    transitions=[("q0", "x", "q1"), ("q0", "y", "q2"), ("q0", "z", "q3")])
+
+
+def test_a_row_off_one_by_rounding_only_is_kept_exactly():
+    """A row whose sum is off 1.0 by at most an ulp per arrow is kept as
+    given: 0.2 + 0.7 + 0.1 sums to 1 - ulp/2, and 0.5 + (0.5 + 2 ulp) to
+    exactly 1 + 2 ulp, the bound for two arrows."""
+    rounded = {("q0", "q1"): 0.2, ("q0", "q2"): 0.7, ("q0", "q3"): 0.1}
+    assert sum(rounded.values()) == 1.0 - math.ulp(1.0) / 2
+    assert InputModel.from_arrow_probs(three_arrow_automaton(), {"q0": rounded}).weights[0] == (
+        0.2, 0.7, 0.1)
+    edge = 0.5 + 2 * math.ulp(1.0)
+    assert 0.5 + edge - 1.0 == 2 * math.ulp(1.0)
+    model = InputModel.from_arrow_probs(two_arrow_automaton(), {"q0": {("q0", "q1"): 0.5,
+                                                                      ("q0", "q2"): edge}})
+    assert model.weights[0] == (0.5, edge)
+    beyond = 0.5 + 3 * math.ulp(1.0)  # one ulp more in the sum: divided by it
+    model = InputModel.from_arrow_probs(two_arrow_automaton(), {"q0": {("q0", "q1"): 0.5,
+                                                                      ("q0", "q2"): beyond}})
+    assert model.weights[0] == (0.5 / (0.5 + beyond), beyond / (0.5 + beyond))
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_the_row_sum_tolerance_boundary(side):
+    """The farthest row from 1.0 that ``PROB_SUM_TOL`` admits, on either
+    side, is accepted and divided by its sum; one ulp farther is refused."""
+    a, rest = two_arrow_automaton(), 0.75 + side * PROB_SUM_TOL
+
+    def off(w):
+        return abs(0.25 + w - 1.0)
+
+    while off(rest) > PROB_SUM_TOL:
+        rest = math.nextafter(rest, 0.75)
+    while off(math.nextafter(rest, side * math.inf)) <= PROB_SUM_TOL:
+        rest = math.nextafter(rest, side * math.inf)
+    farther = math.nextafter(rest, side * math.inf)
+    while off(farther) == off(rest):
+        farther = math.nextafter(farther, side * math.inf)
+    total = 0.25 + rest
+    model = InputModel.from_arrow_probs(a, {"q0": {("q0", "q1"): 0.25, ("q0", "q2"): rest}})
+    assert model.weights[0] == (0.25 / total, rest / total)
+    with pytest.raises(InvalidDistribution, match="sum to"):
+        InputModel.from_arrow_probs(a, {"q0": {("q0", "q1"): 0.25, ("q0", "q2"): farther}})
+
+
+def test_every_parsed_prob_line_ends_in_from_arrow_probs(monkeypatch):
+    """The parser hands each state's ``prob`` lines, summed per arrow, to
+    one ``from_arrow_probs`` call, so a parsed row off 1.0 by rounding only
+    is kept exactly too."""
+    calls = []
+    real = InputModel.from_arrow_probs.__func__
+
+    def spy(cls, a, given):
+        calls.append(given)
+        return real(cls, a, given)
+
+    monkeypatch.setattr(InputModel, "from_arrow_probs", classmethod(spy))
+    text = write_automaton(three_arrow_automaton()) + "".join(
+        f"prob q0 {s} {p}\n" for s, p in (("x", 0.2), ("y", 0.7), ("z", 0.1)))
+    _, model = parse_automaton(text)
+    assert calls == [{"q0": {("q0", "q1"): 0.2, ("q0", "q2"): 0.7, ("q0", "q3"): 0.1}}]
+    assert model.weights[0] == (0.2, 0.7, 0.1)
 
 
 def test_input_model_validation(onebit, lossy):
