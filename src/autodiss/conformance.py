@@ -112,7 +112,8 @@ def transition_tour(a: Automaton, start: str) -> TestTour:
     Cost: one iterative SCC pass, O(states + arrows) plus a bitset of
     reachable components per component.  Then, per walk to an uncovered
     arrow, one breadth-first search from the current state that stops at
-    the first level holding an acceptable arrow; each candidate is judged
+    the first level holding an acceptable arrow, or none when an arrow
+    out of the current state is acceptable; each candidate is judged
     in O(path length) from per-source counts of uncovered arrows.  The
     worst case stays O(arrows * (states + arrows)), but on a strongly
     connected graph every arrow is acceptable, so each search stops at
@@ -181,10 +182,7 @@ def transition_tour(a: Automaton, start: str) -> TestTour:
         if pool:
             chosen = next(filter(keeps_going, pool), pool[0])
         else:
-            parent = {}
-            seen = {pos}
-            frontier = [pos]
-            nearest: list[tuple[int, int]] = []
+            parent, seen, frontier, nearest = {}, {pos}, [pos], []
             # Expanding each level in discovery order builds the same tree as
             # a first-in-first-out search; level L holds the uncovered arrows
             # whose sources lie L - 1 steps away.

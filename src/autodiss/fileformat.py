@@ -6,16 +6,15 @@ separated tokens, ``#`` starts a comment anywhere on a line.  A file
 opens with ``<header> <name>`` and every later line is a directive: a
 keyword and its tokens.  Each format's grammar is one table below, which
 gives every keyword its token count, the usage message raised when the
-count is wrong, and whether it may appear only once.  One loop over
-the lines checks that syntax for all three formats, in file order; only
+count is wrong, and whether it may appear only once.  One pass groups the
+lines by keyword and raises the first syntax error in file order; only
 then does a parser check what the directives mean.  A wiring loads its
 module files, named relative to the wiring file, before it checks its
-``connect`` mappings.  Parse errors carry line numbers.
+``connect`` mappings.  Line numbers are found only for a refused file.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -77,10 +76,9 @@ def _read(text: str, header: str, grammar: dict) -> tuple[str, dict[str, list]]:
     head = next(lines, None)
     if head is None:
         raise ParseError(0, "empty file")
-    if head[0] != header:
-        raise ParseError(_line(text), f"expected {header!r} header, got {head[0]!r}")
-    if len(head) != 2:
-        raise ParseError(_line(text), f"{header} takes exactly one name")
+    if head[0] != header or len(head) != 2:
+        raise ParseError(_line(text), f"{header} takes exactly one name" if head[0] == header
+                         else f"expected {header!r} header, got {head[0]!r}")
     found: dict[str, list] = {key: [] for key in grammar}
     for tokens in lines:
         key = tokens.pop(0)
@@ -91,12 +89,10 @@ def _read(text: str, header: str, grammar: dict) -> tuple[str, dict[str, list]]:
     refused = []  # (key, entry, message) of each keyword's first error
     for key, (least, most, usage, once) in grammar.items():
         entries = found[key]
-        if not usage or not entries:  # no bound on the count, or no directive
-            continue
-        counts = {*map(len, entries)}
-        if counts != {least} and (min(counts) < least or most is not None and max(counts) > most):
-            k = next(k for k, n in enumerate(map(len, entries))
-                     if n < least or most is not None and n > most)
+        counts = {*map(len, entries)} if usage else ()  # only a keyword with a usage has bounds
+        if counts and counts != {least} and (
+                min(counts) < least or most is not None and max(counts) > most):
+            k = [least <= n <= (n if most is None else most) for n in map(len, entries)].index(False)
             refused.append((key, k, usage) if k < 2 or not once else (key, 1, f"{key} declared twice"))
         elif once and len(entries) > 1:
             refused.append((key, 1, f"{key} declared twice"))
@@ -168,35 +164,35 @@ def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
     given: dict[str, dict[tuple[str, str], float]] = {}
     targets: dict[int, dict[str, int]] = {}  # symbol -> target index, per state read
     declared = set()
-    at = functools.partial(_line, text, "prob")  # a prob entry's line, read on refusal
     for k, (q, sym, p) in enumerate(found["prob"]):
         i = auto.index.get(q)
         if i is None:
-            raise ParseError(at(k), f"unknown state {q!r}")
+            raise ParseError(_line(text, "prob", k), f"unknown state {q!r}")
         if i not in targets:
             targets[i] = {auto.input_alphabet[s]: j for s, j in auto.moves[i]}
         t = targets[i].get(sym)
         if t is None:
-            raise ParseError(at(k), f"no transition from {q!r} on {sym!r}")
+            raise ParseError(_line(text, "prob", k), f"no transition from {q!r} on {sym!r}")
         if (q, sym) in declared:
-            raise ParseError(at(k), f"prob of {q!r} on {sym!r} declared twice")
+            raise ParseError(_line(text, "prob", k), f"prob of {q!r} on {sym!r} declared twice")
         declared.add((q, sym))
         try:
             weight = float(p)
         except ValueError:
-            raise ParseError(at(k), f"bad probability {p!r}") from None
+            raise ParseError(_line(text, "prob", k), f"bad probability {p!r}") from None
         if not math.isfinite(weight):
-            raise ParseError(at(k), f"non-finite probability {p!r}")
+            raise ParseError(_line(text, "prob", k), f"non-finite probability {p!r}")
         if weight < 0:
-            raise ParseError(at(k), f"negative probability {p!r}")
+            raise ParseError(_line(text, "prob", k), f"negative probability {p!r}")
         dist, arrow = given.setdefault(q, {}), (q, auto.states[t])
         dist[arrow] = dist.get(arrow, 0.0) + weight
         if not math.isfinite(dist[arrow]):
-            raise ParseError(at(k), f"probabilities on arrow {arrow} sum to {dist[arrow]!r}")
+            raise ParseError(_line(text, "prob", k), f"probabilities on arrow {arrow} sum to {dist[arrow]!r}")
     for q, dist in given.items():  # a row off 1 is refused on the state's last prob line
         if abs(sum(dist.values()) - 1.0) > PROB_SUM_TOL:  # summed as from_arrow_probs sums
             k = max(k for k, (q2, _, _) in enumerate(found["prob"]) if q2 == q)
-            raise ParseError(at(k), f"probabilities for state {q!r} sum to {sum(dist.values())!r}")
+            raise ParseError(_line(text, "prob", k),
+                             f"probabilities for state {q!r} sum to {sum(dist.values())!r}")
 
     model = InputModel.from_arrow_probs(auto, given)
     return auto, model
