@@ -176,7 +176,7 @@ def transition_tour(a: Automaton, start: str) -> TestTour:
         # A pending source unreachable from here is unreachable from any
         # target, so no arrow is acceptable: take the nearest level.
         hopeless = pending_bits & ~reach[comp[pos]]
-        # Level 1 needs no search: its arrows are in target-name order, as ``min`` picks.
+        # Level 1 needs no search; in target-name order, its first kept arrow is ``min``'s pick.
         pool = [(pos, t) for t in successors[pos] if (pos, t) in uncovered
                 and (hopeless or acceptable((pos, t)))] if left[pos] else []
         if pool:
