@@ -46,6 +46,12 @@ verdicts of an honest device and of one with a redirected arrow, and the
 path bits, and the rows, outputs and model weights of the round's two
 ensemble files; the same of ten ``gen.random_module`` files with ``prob``
 lines; and the ``Untestable`` refusal of five seeded modules with sinks.
+On products of three seeded ``gen.strongly_connected`` modules, of three
+``gen.random_module`` modules with sinks and of a pair renamed so that
+tuple names do not sort part by part, it pins what reads a product's
+rows: the rows, the reachable part, the tour from the initial state (or
+its refusal), ``equivalent`` of the product with itself, with and
+without a ``symbol_map``, the written text and the ``repr``.
 
 Run as a script, this file only adds pins; for a deliberate change of
 output, delete the changed keys by hand first (see ``golden.py``).
@@ -76,6 +82,9 @@ TOUR_SIZES = (80, 160, 300)  # states of the gen.strongly_connected automata giv
 TOUR_ROUND_SEED = 36  # the seed of the pinned gen._tour_round
 PROB_MODULE_SEED = 36  # draws gen.random_module files until ten hold prob lines
 SINK_SEEDS = (1, 2, 3, 4, 5)  # seeds of the _module files whose tours are refused
+# seeds of the gen.strongly_connected module sets whose products are pinned, then of the
+# gen.random_module set with sinks and of the renamed pair
+PRODUCT_PIN_SEEDS, PRODUCT_SINK_SEED, PRODUCT_UNORDERED_SEED = (1, 2, 3), 4, 5
 # (seed, width, sweeps, step budget): steps are width + sweeps * (width + 1)
 SWEEPS = ((1, 3, 2, 10_000), (2, 12, 9, 10_000), (3, 40, 47, 10_000), (4, 20, 10, 100))
 # (seed, width, sweeps) of the sweepers of 155, 799 and 1,516 steps pinned by every tm command
@@ -274,7 +283,7 @@ def library(gen, tmp_dir) -> dict:
     of the runs, replays and ``tm_step`` chains of the ``WANDERER_SEEDS`` machines;
     and of the reachable part of the closed system of each ring and chain
     wiring that ``wire`` builds, read from the files :func:`_inputs` wrote
-    to ``tmp_dir``."""
+    to ``tmp_dir``; then the tour pins and the product pins."""
     from autodiss import dissipation, fileformat, turing
 
     bincounter = fileformat.load_machine(asset_path("bincounter.tm"))
@@ -321,6 +330,7 @@ def library(gen, tmp_dir) -> dict:
     for name in wirings:
         pins[f"reach/{name}"] = _reach_digest(os.path.join(tmp_dir, f"{name}.wiring"))
     pins.update(_tour_digests(gen))
+    pins.update(_product_digests(gen))
     return pins
 
 
@@ -380,6 +390,41 @@ def _tour_digests(gen) -> dict:
         except Untestable as e:
             pins[f"untestable/{seed}"] = {"uncovered": _sha(repr(sorted(e.uncovered))),
                                           "message": _sha(str(e))}
+    return pins
+
+
+def _product_digests(gen) -> dict:
+    """Of each pinned product: its rows, the states and rows of its reachable
+    part, the word of its tour from ``initial`` or the refusal, ``equivalent``
+    with itself without and with the identity ``symbol_map``, the text that
+    ``write_automaton`` gives and the ``repr``."""
+    from autodiss import composition, conformance, fileformat
+    from autodiss.errors import Untestable
+
+    def modules(seed, draw):
+        rng = random.Random(seed)
+        return [gen.aut_text(f"p{seed}m{i}", draw(rng)) for i in range(3)]
+
+    sets = {str(seed): modules(seed, lambda rng: gen.strongly_connected(
+        rng, rng.randint(3, 6), rng.randint(2, 3))) for seed in PRODUCT_PIN_SEEDS}
+    sets["sinks"] = modules(PRODUCT_SINK_SEED, lambda rng: gen.random_module(
+        rng, rng.randint(2, 5), rng.randint(1, 3)))
+    rng = random.Random(PRODUCT_UNORDERED_SEED)
+    sets["unordered"] = [gen.aut_text(name, _renamed(gen.strongly_connected(rng, 5, 2), mark))
+                         for name, mark in (("plus", "+"), ("bang", "!"))]
+    pins = {}
+    for key, texts in sets.items():
+        p = composition.product_many([fileformat.parse_automaton(text)[0] for text in texts])
+        sub = composition.reachable_subgraph(p)
+        try:
+            tour = repr(conformance.transition_tour(p, p.initial).word)
+        except Untestable as e:
+            tour = str(e)
+        same = {s: s for s in p.input_alphabet}
+        pins[f"product/{key}"] = {
+            "moves": _sha(repr(p.moves)), "reach": _sha(repr((sub.states, sub.moves))),
+            "tour": _sha(tour), "text": _sha(fileformat.write_automaton(p)), "repr": _sha(repr(p)),
+            "equivalent": repr([composition.equivalent(p, p), composition.equivalent(p, p, same)])}
     return pins
 
 
