@@ -13,7 +13,7 @@ import itertools
 import math
 import struct
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -35,49 +35,28 @@ from .errors import (
 CLOCK_SYMBOL = "ck"
 
 
-class _FoldedMoves:
-    """A product's ``moves``: the rows given, or else, folded on first read
-    and then stored, the all-free product of its ``components``."""
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return None  # the field's default: fold on first read
-        if obj.__dict__["moves"] is None:
-            obj.__dict__["moves"] = _tuple_transitions(obj.components, [None] * len(obj.components))._folded
-        return obj.__dict__["moves"]
-
-    def __set__(self, obj, rows):
-        obj.__dict__["moves"] = rows
-
-
 @dataclass(frozen=True)
 class ProductAutomaton(Automaton):
     """Cartesian product of module graphs, with module provenance.
 
     Its ``moves`` are the all-free product of ``components``, in
-    ``itertools.product`` order, which :func:`_tuple_transitions` folds on
-    first read unless given (:func:`reachable_subgraph` returns a plain
-    :class:`Automaton`).  So a tuple state's merged arrows are the tuples
-    of its modules' arrows: ``arrow_count`` and ``successors`` are read
-    off the modules, with no product move read.
+    ``itertools.product`` order: unless given, the :class:`_TupleRows` view
+    that a wiring's are too, which computes a row when it is read
+    (:func:`reachable_subgraph` returns a plain :class:`Automaton`).  So a
+    tuple state's merged arrows are the tuples of its modules' arrows:
+    ``arrow_count`` and ``successors`` are read off the modules, with no
+    product move read.
     """
 
-    moves: tuple[tuple[tuple[int, int], ...], ...] = _FoldedMoves()
+    moves: tuple[tuple[tuple[int, int], ...], ...] = None
     module_names: tuple[str, ...] = ()
     components: tuple[Automaton, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        if self.__dict__["moves"] is None and not self.components:
-            raise ArityMismatch("a product needs its moves or components to fold them from")
-
-    def __eq__(self, other):
-        """The dataclass's ``==``, but not folding unfolded moves of equal components."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        skip = self.__dict__["moves"] is None is other.__dict__["moves"] and (
-            self.components == other.components)
-        return all(getattr(self, f.name) == getattr(other, f.name) for f in fields(self)
-                   if f.compare and not (skip and f.name == "moves"))
+        if self.moves is None:
+            if not (comps := self.components):
+                raise ArityMismatch("a product needs its moves or components to fold them from")
+            object.__setattr__(self, "moves", _tuple_transitions(comps, [None] * len(comps)))
 
     @cached_property
     def _module_ordered(self) -> bool:
@@ -129,7 +108,7 @@ def _tuple_graph(cls, name: str, comps: Sequence[Automaton], reads, initials, **
     """The one constructor of products and wirings: a ``cls`` on tuples of
     ``comps``'s states, module k reading as ``reads[k]`` says (see
     :func:`_tuple_transitions`), started at the tuple of ``initials`` unless
-    one is ``None``; a product folds its rows on first read.  Raises
+    one is ``None``; its ``moves`` compute each row when it is read.  Raises
     :class:`ArityMismatch` with no module; then, before building anything,
     :class:`SizeLimit` when tuple states, free tuple symbols or transitions
     exceed ``core.MONOLITHIC_STATE_LIMIT``; then the three :func:`validate`
@@ -160,9 +139,8 @@ def _tuple_graph(cls, name: str, comps: Sequence[Automaton], reads, initials, **
     if not apart:
         core._check_injective(states, output_map)
     initial = None if None in initials else "(" + ",".join(initials) + ")"
-    moves = None if cls is ProductAutomaton else _tuple_transitions(comps, reads)
     return cls(name, inputs, tuple(sorted(output_map.values())), states, initial,
-               output_map, moves, **fields)
+               output_map, _tuple_transitions(comps, reads), **fields)
 
 
 class _TupleRows(core._TupleView):
@@ -192,6 +170,15 @@ class _TupleRows(core._TupleView):
 
     def _items(self, picks: range):
         return [self._folded[i] for i in picks]
+
+    def __eq__(self, other):
+        """Equal module tables give equal rows, with none computed."""
+        if isinstance(other, _TupleRows) and (self._radix, self._free, self._driven) == (
+                other._radix, other._free, other._driven):
+            return True
+        return super().__eq__(other)
+
+    __hash__ = core._TupleView.__hash__
 
     @cached_property
     def _folded(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -228,8 +215,8 @@ def product_many(modules: Sequence[Automaton], name: Optional[str] = None) -> Pr
     """N-ary Cartesian product; nested products are flattened, so the
     binary form is associative up to tuple flattening.
 
-    Costs O(tuple states + tuple symbols), and O(product transitions) on
-    the first read of its ``moves``; raises as :func:`_tuple_graph` does.
+    Costs O(tuple states + tuple symbols); its ``moves`` compute each row
+    when it is read, as a wiring's do.  Raises as :func:`_tuple_graph` does.
     """
     comps = _flatten(modules)
     return _tuple_graph(ProductAutomaton, name or "*".join(c.name for c in comps), comps,

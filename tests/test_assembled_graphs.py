@@ -6,12 +6,13 @@ Bennett graphs must survive a round trip through the text format, which
 validates them again; writing a Bennett graph is refused.  Their arrow
 views are built on first read only, once, and the product, wiring,
 reachability, tour, equivalence and text-form paths build none.  A
-product folds its tuple moves on first read too, once: one that is
-only counted and measured builds no transition table, and as a
-dataclass it behaves as one given its rows."""
+product's tuple moves, as a wiring's, are folded on first iteration,
+once: one that is only counted, measured or compared to an equal one
+folds no row, and as a dataclass it behaves as one given its rows."""
 
 import copy
 import dataclasses
+import functools
 import pickle
 import random
 import re
@@ -82,7 +83,9 @@ def test_products_and_their_reachable_parts_match_validate():
 # parts: ``*`` and ``+`` sort below ``,``, and ``!`` and ``'`` below
 # ``)`` too, so ``(a+,b)`` precedes ``(a,b)`` and ``(a!)`` precedes
 # ``(a)``; the empty name is a prefix of every name and sorts as a part does.
-_ORDER_POOLS = (["0", "1", "q", "a"], ["a", "a+", "a*", "a!", "a'b", "b", ""])
+# Last, the boundary: ``,`` itself, so ``(a,,b)`` precedes ``(a,b)``, and ``-``,
+# the character just above it, with which tuple names sort as their parts.
+_ORDER_POOLS = (["0", "1", "q", "a"], ["a", "a+", "a*", "a!", "a'b", "b", ""], ["a", "a,", "b", "-"])
 
 
 def test_product_views_read_off_modules_match_validate():
@@ -159,10 +162,12 @@ def _count_arrows(monkeypatch):
 
 
 def _count_folds(monkeypatch):
-    """The module list of every tuple-move fold from now on."""
-    folds, fold = [], composition._tuple_transitions
-    monkeypatch.setattr(composition, "_tuple_transitions",
-                        lambda comps, reads: folds.append(comps) or fold(comps, reads))
+    """The ``_TupleRows`` view of every tuple-move fold from now on: each
+    computation of all its rows, which iteration and slices keep."""
+    folds, fold = [], composition._TupleRows._folded.func
+    counted = functools.cached_property(lambda view: folds.append(view) or fold(view))
+    counted.__set_name__(composition._TupleRows, "_folded")
+    monkeypatch.setattr(composition._TupleRows, "_folded", counted)
     return folds
 
 
@@ -193,10 +198,11 @@ def test_arrow_views_are_built_on_first_read_only(monkeypatch, tff, tff_wiring, 
     assert (prod.arrow_count, bits) == (256, [4.0] * 16)
     assert (odd.arrow_count, odd_bits) == (20, [2.0, 2.0, 1.0, 1.0, 2.0, 2.0])
     assert folds == []
-    # The first read of a product's moves folds them, once.
+    # The first iteration of a product's moves folds them, once.
     for p in (prod, odd):
         rows = p.moves
-        assert p.moves is rows and len(folds) == 1
+        assert p.moves is rows and "_folded" not in vars(rows) and folds == []
+        assert list(rows) == list(p.moves) and folds == [rows]
         folds.clear()
     check_as_validated(odd, ProductAutomaton, text_form=False)
     built.clear()
@@ -228,10 +234,10 @@ def test_arrow_views_are_built_on_first_read_only(monkeypatch, tff, tff_wiring, 
 
 
 def test_a_product_folding_its_moves_is_the_same_dataclass(monkeypatch, tff):
-    """Before and after its moves are first read, a product compares,
+    """Before and after its moves are first folded, a product compares,
     prints, pickles, copies and is replaced as one given its rows; rows
-    given are kept as given, and a product with neither rows nor modules
-    to fold them from is refused."""
+    given are kept as given, a product given modules only stores their
+    view, and a product with neither rows nor modules is refused."""
     mods = [_unordered(), tff[0]]
     names = [f.name for f in dataclasses.fields(ProductAutomaton)]
     assert names == [f.name for f in dataclasses.fields(Automaton)] + ["module_names",
@@ -241,6 +247,10 @@ def test_a_product_folding_its_moves_is_the_same_dataclass(monkeypatch, tff):
     rows = kept.moves
     bare = tuple(() for _ in kept.states)
     assert dataclasses.replace(kept, moves=bare).moves is bare and folds == []
+    # Built without rows, a product stores the view that products and wirings get.
+    unread, lone = dataclasses.replace(kept, moves=None), wire(Wiring("w", (("u", mods[0]),)))
+    assert {type(unread.moves), type(rows), type(lone.automaton.moves)} == {composition._TupleRows}
+    assert unread == kept and folds == []
     ops = {
         "eq": lambda p: (p == kept, kept == p, p != product_many(mods[::-1])),
         "repr": repr,
@@ -254,7 +264,7 @@ def test_a_product_folding_its_moves_is_the_same_dataclass(monkeypatch, tff):
         for op, f in ops.items():
             p = product_many(mods)
             if read:
-                assert p.moves == rows
+                assert tuple(p.moves) == tuple(rows) and "_folded" in vars(p.moves)
             assert f(p) == want[op], (op, read)
             assert p.moves == rows and p.components == kept.components
     with pytest.raises(ArityMismatch, match="needs its moves or components"):
@@ -324,6 +334,23 @@ def test_a_closed_system_computes_each_row_on_index_as_its_fold_keeps_it():
         assert back.moves == rows and back == closed.automaton, case
         built += 1
     assert built > 300
+
+
+def test_tuple_rows_of_one_length_differ_by_a_retargeted_arrow(tff, tff_wiring):
+    """Two products, or two wirings, of modules of equal sizes, one module
+    arrow retargeted: their rows have one length but other module tables,
+    so ``==`` compares the rows, and they and their automata are unequal,
+    in both orders."""
+    auto = tff[0]
+    moved = dataclasses.replace(auto, moves=(((0, 1), (1, 1)),) + auto.moves[1:])
+    (driven, _), *rest = tff_wiring.modules  # reads its source's output: its arrows matter
+    pairs = [(product_many([auto, auto]), product_many([moved, auto])),
+             (wire(tff_wiring).automaton,
+              wire(dataclasses.replace(tff_wiring, modules=((driven, moved), *rest))).automaton)]
+    for a, b in pairs:
+        assert len(a.moves) == len(b.moves) and tuple(a.moves) != tuple(b.moves)
+        assert (a.moves == b.moves, b.moves == a.moves, a.moves != b.moves) == (False, False, True)
+        assert (a == b, b == a, a != b, b != a) == (False, False, True, True)
 
 
 def test_tuple_names_are_checked_only_where_they_can_collide(monkeypatch):

@@ -152,7 +152,7 @@ def test_equal_products_share_a_model_without_folding(monkeypatch, tff):
 
 def _dataclass_eq(a, b):
     """``==`` as the generated dataclass method answers it: the class, then
-    every compared field, moves folded."""
+    every compared field."""
     return a.__class__ is b.__class__ and all(
         getattr(a, f.name) == getattr(b, f.name) for f in dataclasses.fields(a) if f.compare)
 
@@ -162,7 +162,7 @@ def _pairs(u, auto):
     ``u`` only by an output symbol no state shows, so the products agree."""
     mods, extra = [u, auto], dataclasses.replace(u, output_alphabet=u.output_alphabet + ("o9",))
     folded = product_many(mods)
-    assert folded.moves
+    assert list(folded.moves) and "_folded" in vars(folded.moves)
     return [("equal", product_many(mods), product_many(mods)),
             ("one side folded", folded, product_many(mods)),
             ("moves given", dataclasses.replace(product_many(mods), moves=folded.moves),
@@ -181,10 +181,10 @@ def test_product_equality_answers_as_the_dataclass_does(monkeypatch, tff):
     folds = _count_folds(monkeypatch)
     a, b = product_many([u, auto]), product_many([u, auto])
     assert a == b and a != product_many([u, auto], name="other") and folds == []
-    assert a.__dict__["moves"] is None is b.__dict__["moves"]
+    assert "_folded" not in vars(a.moves) and "_folded" not in vars(b.moves)
     other = _pairs(u, auto)[-1][1]
     folds.clear()
-    assert a == other and len(folds) == 2  # other modules: both products' rows are folded
+    assert a == other and folds == []  # other modules, equal tables: no row is folded
 
 
 def test_a_product_is_unequal_to_a_plain_automaton_of_its_fields(monkeypatch, tff):
@@ -196,4 +196,4 @@ def test_a_product_is_unequal_to_a_plain_automaton_of_its_fields(monkeypatch, tf
     folds = _count_folds(monkeypatch)
     p = product_many([auto, auto])
     assert (p == plain, plain == p, p != plain, plain != p) == (False, False, True, True)
-    assert folds == [] and p.__dict__["moves"] is None
+    assert folds == [] and "_folded" not in vars(p.moves)

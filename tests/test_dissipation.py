@@ -440,6 +440,8 @@ def test_out_of_domain_numbers_are_automata_errors(bb2, call, message):
                  id="szilard-k-negative"),
     pytest.param(lambda tm, a: szilard_check(1, 1, k=math.nan), "k must be positive and finite",
                  id="szilard-k-nan"),
+    pytest.param(lambda tm, a: szilard_check(1, 1, k=math.inf), "k must be positive and finite",
+                 id="szilard-k-inf"),
     pytest.param(lambda tm, a: szilard_check(1, 1, k="x"), "k must be positive and finite",
                  id="szilard-k-str"),
     pytest.param(lambda tm, a: szilard_check(math.nan, 1, 1), "s1 must be a number, got nan",

@@ -29,7 +29,10 @@ around every node, and :func:`astscan.scan` runs it over the modules.
    AutomataError`` catches every refusal: ``tests/test_raises.py``.
 10. The reachability walks ``core._reached`` and
     ``composition.reachable_subgraph`` read ``.moves`` only by index, so
-    that a walk computes the rows it reaches and never folds a wiring's.
+    that a walk computes the rows it reaches and never folds a tuple graph's.
+11. A tuple graph's ``moves`` come from one place: only ``_tuple_graph``
+    and ``ProductAutomaton.__post_init__`` call ``_tuple_transitions``,
+    and no code writes ``moves`` through an instance ``__dict__``.
 """
 
 import ast
@@ -334,3 +337,67 @@ def test_the_scan_finds_unindexed_moves():
 
 def test_reachability_walks_read_moves_only_by_index():
     assert astscan.scan(unindexed_moves, "core.py", "composition.py") == []
+
+
+# who may build a tuple graph's module tables: its one constructor, and a
+# product constructed directly from its components
+TABLE_BUILDERS = {"_tuple_graph", "ProductAutomaton.__post_init__"}
+DICT_WRITES = {"update", "setdefault", "__setitem__", "pop", "__delitem__"}
+
+
+def _instance_dict(node):
+    """Whether ``node`` reads an instance dict: ``x.__dict__`` or ``vars(x)``."""
+    return (loaded(node) == "__dict__" or isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "vars")
+
+
+def _names_moves(nodes):
+    """Whether any of ``nodes`` holds the string ``"moves"``."""
+    return any(isinstance(n, ast.Constant) and n.value == "moves"
+               for node in nodes for n in ast.walk(node))
+
+
+def tuple_table_builds(source):
+    """(line, where, what) of each read of ``_tuple_transitions`` in ``source``
+    outside the functions ``TABLE_BUILDERS`` names, and of each write of
+    ``"moves"`` into an instance dict: a subscript stored or deleted, or a
+    ``DICT_WRITES`` method called with it as an argument or a keyword; ``where``
+    is as in :func:`astscan.nodes`."""
+    found = []
+    for node, where, _ in astscan.nodes(source):
+        if loaded(node) == "_tuple_transitions" and where not in TABLE_BUILDERS:
+            found.append((node.lineno, where, "_tuple_transitions"))
+        elif (isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+              and _instance_dict(node.value) and _names_moves([node.slice])):
+            found.append((node.lineno, where, "__dict__"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in DICT_WRITES and _instance_dict(node.func.value)
+              and (_names_moves(node.args) or any(k.arg == "moves" for k in node.keywords))):
+            found.append((node.lineno, where, "__dict__"))
+    return sorted(found)
+
+
+def test_the_scan_finds_tuple_table_builds():
+    source = ("def _tuple_graph(cls, comps, reads):\n"
+              "    return cls(moves=_tuple_transitions(comps, reads))\n"
+              "class ProductAutomaton:\n"
+              "    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'moves', _tuple_transitions(self.c, [None]))\n"
+              "        print(self.__dict__['moves'], vars(self).get('moves'))\n"
+              "    def __eq__(self, other):\n"
+              "        self.__dict__['moves'] = composition._tuple_transitions(self.c, [])\n"
+              "        del vars(other)['moves']\n"
+              "def wire(w):\n"
+              "    rows = _tuple_transitions\n"
+              "    w.__dict__.update(moves=rows)\n"
+              "    vars(w).setdefault('moves', rows)\n"
+              "    w.__dict__['name'] = vars(w)['moves']\n")
+    assert tuple_table_builds(source) == [
+        (8, "ProductAutomaton.__eq__", "__dict__"), (8, "ProductAutomaton.__eq__", "_tuple_transitions"),
+        (9, "ProductAutomaton.__eq__", "__dict__"), (11, "wire", "_tuple_transitions"),
+        (12, "wire", "__dict__"), (13, "wire", "__dict__"),
+    ]
+
+
+def test_tuple_graph_moves_come_from_one_place():
+    assert astscan.scan(tuple_table_builds) == []
