@@ -51,7 +51,13 @@ On products of three seeded ``gen.strongly_connected`` modules, of three
 tuple names do not sort part by part, it pins what reads a product's
 rows: the rows, the reachable part, the tour from the initial state (or
 its refusal), ``equivalent`` of the product with itself, with and
-without a ``symbol_map``, the written text and the ``repr``.
+without a ``symbol_map``, the written text and the ``repr``.  On one
+seeded ``modular_product`` benchmark round, loaded as a benchmark job
+loads it (each module's text, then the wiring's while the modules are
+held, then the spec's), it pins the product's rows, its model's weights,
+the choice bits, the wiring's reachable states and rows and
+``equivalent``; and the reachable part of a wiring that names one module
+file three times.
 
 Run as a script, this file only adds pins; for a deliberate change of
 output, delete the changed keys by hand first (see ``golden.py``).
@@ -85,6 +91,8 @@ SINK_SEEDS = (1, 2, 3, 4, 5)  # seeds of the _module files whose tours are refus
 # seeds of the gen.strongly_connected module sets whose products are pinned, then of the
 # gen.random_module set with sinks and of the renamed pair
 PRODUCT_PIN_SEEDS, PRODUCT_SINK_SEED, PRODUCT_UNORDERED_SEED = (1, 2, 3), 4, 5
+LOAD_ROUND_SEED = 0  # the seed of the pinned gen.generate("modular_product") round
+REPEATED_SEED = 38  # draws the module that one wiring names three times
 # (seed, width, sweeps, step budget): steps are width + sweeps * (width + 1)
 SWEEPS = ((1, 3, 2, 10_000), (2, 12, 9, 10_000), (3, 40, 47, 10_000), (4, 20, 10, 100))
 # (seed, width, sweeps) of the sweepers of 155, 799 and 1,516 steps pinned by every tm command
@@ -331,6 +339,7 @@ def library(gen, tmp_dir) -> dict:
         pins[f"reach/{name}"] = _reach_digest(os.path.join(tmp_dir, f"{name}.wiring"))
     pins.update(_tour_digests(gen))
     pins.update(_product_digests(gen))
+    pins.update(_load_digests(gen, tmp_dir))
     return pins
 
 
@@ -426,6 +435,45 @@ def _product_digests(gen) -> dict:
             "tour": _sha(tour), "text": _sha(fileformat.write_automaton(p)), "repr": _sha(repr(p)),
             "equivalent": repr([composition.equivalent(p, p), composition.equivalent(p, p, same)])}
     return pins
+
+
+def _load_digests(gen, tmp_dir) -> dict:
+    """Of one seeded ``modular_product`` round, loaded job by job as the benchmark
+    loads it, with each job's module models held while its wiring is parsed: the
+    product's rows, its model's weights, the choice bits, the wiring's reachable
+    states and rows and ``equivalent``.  Then the reachable part of a chain wiring
+    whose three modules are one file."""
+    from autodiss import composition, dissipation, fileformat
+
+    base = os.path.join(tmp_dir, "round")
+    os.makedirs(base)
+    out = gen.generate("modular_product", LOAD_ROUND_SEED, 1, ROOT)
+    for name, text in out.files.items():
+        with open(os.path.join(base, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    got = {"moves": [], "weights": [], "choice_bits": [], "reach": [], "equivalent": []}
+    for job in out.jobs:
+        parsed = [fileformat.parse_automaton(out.files[name]) for name in job["modules"]]
+        p = composition.product_many([a for a, _ in parsed])
+        pm = composition.product_input_model(p, [m for _, m in parsed])
+        w = fileformat.parse_wiring(out.files[job["wiring"]], base_dir=base)
+        sub = composition.reachable_subgraph(composition.wire(w))
+        ref, _ = fileformat.parse_automaton(out.files[job["spec"]])
+        got["moves"].append(p.moves)
+        got["weights"].append(pm.weights)
+        got["choice_bits"].append({q: dissipation.choice_information(p, pm, q) for q in p.states})
+        got["reach"].append((sub.states, sub.moves))
+        got["equivalent"].append(composition.equivalent(sub, ref))
+    spec = gen.strongly_connected(random.Random(REPEATED_SEED), 4, 2)
+    mods = [(f"m{i}", spec) for i in range(3)]
+    lines, _ = gen.chain_wiring(random.Random(REPEATED_SEED), mods, {"m0"})
+    path = os.path.join(base, "repeated.wiring")
+    with open(os.path.join(base, "rep.aut"), "w", encoding="utf-8") as fh:
+        fh.write(gen.aut_text("rep", spec))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(["wiring repeated"] + [f"module {n} rep.aut" for n, _ in mods] + lines) + "\n")
+    return {"load/modular_round": {key: _sha(repr(values)) for key, values in got.items()},
+            "load/repeated_module": _reach_digest(path)}
 
 
 def _job_digests(tm, budget: int, halts: bool) -> dict:
