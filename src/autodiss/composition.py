@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -195,8 +196,8 @@ def _tuple_transitions(comps: Sequence[Automaton], reads) -> _TupleRows:
     moves iff every module does.  Builds per-module tables only, in O(modules' size): each
     module's stride and size in the mixed radix of tuple indices, and its targets times its
     stride, as (symbol, target) rows if free, else per symbol index, or None where undefined."""
-    radix = [(math.prod(len(d.states) for d in comps[k + 1:]), len(c.states))
-             for k, c in enumerate(comps)]
+    strides = itertools.accumulate([len(c.states) for c in comps[:0:-1]], operator.mul, initial=1)
+    radix = [(stride, len(c.states)) for stride, c in zip([*strides][::-1], comps)]
     free, driven = [], []
     for k, ((stride, _), c, read) in enumerate(zip(radix, comps, reads)):
         if read is None:

@@ -11,19 +11,22 @@ lines by keyword and raises the first syntax error in file order; only
 then does a parser check what the directives mean.  A wiring loads its
 module files, named relative to the wiring file, before it checks its
 ``connect`` mappings.  Line numbers are found only for a refused file.
+An automaton text is parsed once while a caller holds its model (see
+:func:`parse_automaton`); a text that is not a ``str`` is refused.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import weakref
 from typing import TYPE_CHECKING, Iterator, Optional
 
 import autodiss as ad
 
 from .core import Automaton, validate
 from .dissipation import PROB_SUM_TOL, InputModel, _weights
-from .errors import ParseError, ValidationError
+from .errors import InvalidArgument, ParseError, ValidationError
 
 if TYPE_CHECKING:  # read through the package by the parsers that build them
     from .composition import Wiring
@@ -56,6 +59,8 @@ _WIRING_GRAMMAR = {
     "constant": (2, 2, "constant takes <module> <insym>", False),
     "initial": (2, 2, "initial takes <module> <state>", False),
 }
+# The automaton parses some caller still holds, by text: each model holds its automaton.
+_PARSES = weakref.WeakValueDictionary()
 
 
 def _tokens(text: str):
@@ -72,6 +77,8 @@ def _read(text: str, header: str, grammar: dict) -> tuple[str, dict[str, list]]:
     header, an unknown directive, a token count outside the keyword's
     rule, or a second directive of a ``once`` keyword.
     """
+    if not isinstance(text, str):
+        raise InvalidArgument(f"text must be a str, got {type(text).__name__}")
     lines = filter(None, _tokens(text))
     head = next(lines, None)
     if head is None:
@@ -140,7 +147,11 @@ def _line_of(e: ValidationError, text: str, found: dict) -> int:
 def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
     """Parse automaton text; returns the automaton and its input model
     (uniform unless ``prob`` directives override it).  An error of
-    :func:`validate` becomes the ``__cause__`` of a :class:`ParseError`."""
+    :func:`validate` becomes the ``__cause__`` of a :class:`ParseError`.
+    While a caller holds the model of an equal text's parse, returns that
+    parse unread; a refused text is never kept, so it is refused each time."""
+    if isinstance(text, str) and (held := _PARSES.get(text)) is not None:
+        return held.automaton, held
     name, found = _read(text, "automaton", _AUTOMATON_GRAMMAR)
     output_map = dict(found["output"])
     if len(output_map) < len(found["output"]):  # refused on the first repeat of a state
@@ -194,7 +205,7 @@ def parse_automaton(text: str) -> tuple[Automaton, InputModel]:
             raise ParseError(_line(text, "prob", k),
                              f"probabilities for state {q!r} sum to {sum(dist.values())!r}")
 
-    model = InputModel.from_arrow_probs(auto, given)
+    model = _PARSES[text] = InputModel.from_arrow_probs(auto, given)
     return auto, model
 
 
@@ -284,19 +295,22 @@ def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
 
     A module file's :class:`ParseError`, its only error, is raised again
     with that file as ``path``; a module file that cannot be read is
-    refused on its ``module`` line.
+    refused on its ``module`` line.  The modules' models are held until it
+    returns, so a file named again is parsed once.
     """
     name, found = _read(text, "wiring", _WIRING_GRAMMAR)
     modules: list[tuple[str, Automaton]] = []
+    models = []
     for k, (inst, rel) in enumerate(found["module"]):
         path = rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
         try:
-            auto, _ = load_automaton(path)
+            auto, model = load_automaton(path)
         except OSError as e:
             raise ParseError(_line(text, "module", k), f"cannot read module file: {e}") from None
         except ParseError as e:
             raise ParseError(e.line_number, e.message, path=path) from e.__cause__
         modules.append((inst, auto))
+        models.append(model)
     connections: list[ad.composition.Connection] = []
     for k, (src, dst, *pairs) in enumerate(found["connect"]):
         mapping = {}

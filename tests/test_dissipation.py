@@ -170,6 +170,14 @@ def test_ensembles_reject_non_finite_distributions(onebit, bad):
         ensemble_dissipation(auto, model, [1.0, bad], 3)
 
 
+def test_the_negative_mass_boundary(onebit):
+    """Mass down to -1e-12 is taken as rounding; one ulp below it is refused."""
+    auto, model = onebit
+    trace = ensemble_dissipation(auto, model, [1 + 1e-12, -1e-12], 3)
+    assert len(trace.per_step_loss_bits) == 3
+    with pytest.raises(InvalidDistribution, match="^negative probability mass$"):
+        ensemble_dissipation(auto, model, [1 + 1e-12, math.nextafter(-1e-12, -math.inf)], 3)
+
 def test_ensemble_dissipation_memory(onebit):
     auto, model = onebit
     trace = ensemble_dissipation(auto, model, uniform_distribution(auto), 10)

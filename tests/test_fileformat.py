@@ -1,6 +1,8 @@
-"""Text format round trips and parse diagnostics."""
+"""Text format round trips, parse diagnostics and the memo of held parses."""
 
+import gc
 import re
+import weakref
 
 import pytest
 from hypothesis import Phase, find, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from autodiss import (
     InputModel,
+    fileformat,
     load_automaton,
     load_wiring,
     parse_automaton,
@@ -18,7 +21,7 @@ from autodiss import (
     write_automaton,
 )
 from autodiss.assets import asset_names, asset_path
-from autodiss.errors import NonInjectiveOutput, ParseError, ValidationError
+from autodiss.errors import InvalidArgument, NonInjectiveOutput, ParseError, ValidationError
 
 
 @pytest.mark.parametrize(
@@ -376,6 +379,77 @@ def test_wiring_module_validation_error_names_the_module_file(tmp_path):
     assert (exc.value.path, exc.value.line_number) == (str(module), 6)
     assert str(exc.value) == f"{module}: line 6: states 'a' and 'b' share an output symbol"
     assert isinstance(exc.value.__cause__, NonInjectiveOutput)
+
+
+# a text no other test parses, so that no other caller holds its parse
+MEMO = "automaton memo\ninputs x y\noutputs A B\nstates a b\ninitial a\n" \
+       "output a A\noutput b B\ntrans a x b\ntrans a y a\ntrans b x a\nprob a x 0.25\nprob a y 0.75\n"
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The names of the automata ``fileformat`` validates while the test runs."""
+    names = []
+
+    def counted(name, *args, **kwargs):
+        names.append(name)
+        return validate(name, *args, **kwargs)
+
+    monkeypatch.setattr(fileformat, "validate", counted)
+    return names
+
+
+def test_an_equal_text_returns_the_held_parse(validations):
+    a, m = parse_automaton(MEMO)
+    again, m2 = parse_automaton("".join(MEMO))  # an equal text, not the same object
+    assert (again, m2) == (a, m) and again is a and m2 is m and m.automaton is a
+    assert validations == ["memo"]
+
+
+def test_a_dropped_parse_is_forgotten_and_built_anew(validations):
+    a, m = parse_automaton(MEMO)
+    dead = weakref.ref(m)
+    del a, m
+    gc.collect()
+    assert dead() is None and MEMO not in fileformat._PARSES
+    b, m2 = parse_automaton(MEMO)
+    assert validations == ["memo", "memo"] and m2.automaton is b
+
+
+def test_a_refused_text_is_refused_again_and_never_kept():
+    text = MEMO.replace("trans b x a", "trans b x nowhere")
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as exc:
+            parse_automaton(text)
+        refusals.append((exc.value.line_number, exc.value.message))
+    assert refusals == [(10, "state 'nowhere' is not declared (transition target)")] * 2
+    assert text not in fileformat._PARSES
+
+
+def test_a_text_one_character_longer_is_parsed_anew(validations):
+    a, m = parse_automaton(MEMO)
+    b, m2 = parse_automaton(MEMO + "#")
+    assert b == a and m2.weights == m.weights and b is not a and m2 is not m
+    assert validations == ["memo", "memo"]
+
+
+def test_a_wiring_parses_a_file_it_names_thrice_once_and_reuses_a_held_parse(tmp_path, validations):
+    (tmp_path / "m.aut").write_text(MEMO)
+    wiring = tmp_path / "w.wiring"
+    wiring.write_text("wiring w\nmodule p m.aut\nmodule q m.aut\nmodule r m.aut\n")
+    (_, p), (_, q), (_, r) = load_wiring(str(wiring)).modules
+    assert p is q is r and validations == ["memo"]
+    a, m = parse_automaton(MEMO)
+    assert load_wiring(str(wiring)).modules[0][1] is a and validations == ["memo", "memo"]
+
+
+@pytest.mark.parametrize("parse", [parse_automaton, parse_machine, parse_wiring])
+@pytest.mark.parametrize("text", [None, 123, ["automaton m"], b"automaton m"],
+                         ids=["None", "int", "list", "bytes"])
+def test_a_text_that_is_not_a_str_is_refused(parse, text):
+    with pytest.raises(InvalidArgument, match=f"^text must be a str, got {type(text).__name__}$"):
+        parse(text)
 
 
 @st.composite

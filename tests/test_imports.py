@@ -33,6 +33,8 @@ around every node, and :func:`astscan.scan` runs it over the modules.
 11. A tuple graph's ``moves`` come from one place: only ``_tuple_graph``
     and ``ProductAutomaton.__post_init__`` call ``_tuple_transitions``,
     and no code writes ``moves`` through an instance ``__dict__``.
+12. The memo of held automaton parses has one reader and one writer: only
+    ``parse_automaton`` names ``_PARSES``, past the binding that makes it.
 """
 
 import ast
@@ -401,3 +403,46 @@ def test_the_scan_finds_tuple_table_builds():
 
 def test_tuple_graph_moves_come_from_one_place():
     assert astscan.scan(tuple_table_builds) == []
+
+
+# who may read or write the memo of held parses: the parser whose results it holds
+MEMO_USERS = {"parse_automaton"}
+
+
+def _mention(node):
+    """The name a ``Name``, ``Attribute`` or imported ``alias`` node mentions, else ``None``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else node.name if isinstance(node, ast.alias) else None
+
+
+def memo_uses(source):
+    """(line, where) of each mention of ``_PARSES`` in ``source`` outside the
+    functions ``MEMO_USERS`` names: a name, an attribute or an imported name,
+    except the first binding of the name at module level, which makes the
+    memo; ``where`` is as in :func:`astscan.nodes`."""
+    hits = [(node, where) for node, where, _ in astscan.nodes(source)
+            if _mention(node) == "_PARSES" and where not in MEMO_USERS]
+    made = next((node for node, where in hits if where == "" and isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Store)), None)
+    return sorted((node.lineno, where) for node, where in hits if node is not made)
+
+
+def test_the_scan_finds_memo_uses():
+    source = ("_PARSES = weakref.WeakValueDictionary()\n"
+              "def parse_automaton(text):\n"
+              "    if (held := _PARSES.get(text)) is not None:\n"
+              "        return held.automaton, held\n"
+              "    model = _PARSES[text] = build(text)\n"
+              "def parse_wiring(text):\n"
+              "    return fileformat._PARSES.get(text)\n"
+              "from .fileformat import _PARSES as memo\n"
+              "class Loader:\n"
+              "    def clear(self):\n"
+              "        _PARSES.clear()\n"
+              "_PARSES = {}\n")
+    assert memo_uses(source) == [(7, "parse_wiring"), (8, ""), (11, "Loader.clear"), (12, "")]
+
+
+def test_only_parse_automaton_reads_and_writes_the_parse_memo():
+    assert astscan.scan(memo_uses) == []
