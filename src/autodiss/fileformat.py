@@ -300,7 +300,7 @@ def parse_wiring(text: str, base_dir: str = ".") -> Wiring:
     """
     name, found = _read(text, "wiring", _WIRING_GRAMMAR)
     modules: list[tuple[str, Automaton]] = []
-    models = []
+    models = []  # kept alive until return, so that the memo serves a file named again
     for k, (inst, rel) in enumerate(found["module"]):
         path = rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
         try:

@@ -388,7 +388,8 @@ MEMO = "automaton memo\ninputs x y\noutputs A B\nstates a b\ninitial a\n" \
 
 @pytest.fixture
 def validations(monkeypatch):
-    """The names of the automata ``fileformat`` validates while the test runs."""
+    """The names of the automata ``fileformat`` validates while the test runs;
+    a collection first frees any parse an earlier test dropped."""
     names = []
 
     def counted(name, *args, **kwargs):
@@ -396,6 +397,7 @@ def validations(monkeypatch):
         return validate(name, *args, **kwargs)
 
     monkeypatch.setattr(fileformat, "validate", counted)
+    gc.collect()
     return names
 
 
