@@ -41,12 +41,12 @@ class ProductAutomaton(Automaton):
     """Cartesian product of module graphs, with module provenance.
 
     Its ``moves`` are the all-free product of ``components``, in
-    ``itertools.product`` order: unless given, the :class:`_TupleRows` view
-    that a wiring's are too, which computes a row when it is read
-    (:func:`reachable_subgraph` returns a plain :class:`Automaton`).  So a
-    tuple state's merged arrows are the tuples of its modules' arrows:
-    ``arrow_count`` and ``successors`` are read off the modules, with no
-    product move read.
+    ``itertools.product`` order: the :class:`_TupleRows` view that a wiring's
+    are too, which computes a row when it is read (:func:`reachable_subgraph`
+    returns a plain :class:`Automaton`).  So a tuple state's merged arrows are
+    the tuples of its modules' arrows: ``arrow_count`` and ``successors`` are
+    read off the modules, with no product move read.  Only :func:`_tuple_graph`
+    builds one: a product missing its rows or its modules is refused.
     """
 
     moves: tuple[tuple[tuple[int, int], ...], ...] = None
@@ -54,10 +54,8 @@ class ProductAutomaton(Automaton):
     components: tuple[Automaton, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        if self.moves is None:
-            if not (comps := self.components):
-                raise ArityMismatch("a product needs its moves or components to fold them from")
-            object.__setattr__(self, "moves", _tuple_transitions(comps, [None] * len(comps)))
+        if self.moves is None or not self.components:
+            raise ArityMismatch("a product needs both its moves and its components")
 
     @cached_property
     def _module_ordered(self) -> bool:
@@ -66,7 +64,7 @@ class ProductAutomaton(Automaton):
         none), as a part that is a prefix of another is then followed by
         ``,`` or ``)``, below any character the longer part holds there."""
         names = "".join(q for c in self.components for q in c.states)
-        return bool(self.components) and min(names, default="-") > ","
+        return min(names, default="-") > ","
 
     @cached_property
     def _module_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -83,22 +81,18 @@ class ProductAutomaton(Automaton):
     def successors(self) -> tuple[tuple[int, ...], ...]:
         """As :attr:`Automaton.successors`: the modules' rows, whose targets
         are distinct, sorted by name unless tuple names sort part by part."""
-        if not self.components:
-            return Automaton.successors.func(self)
         rows, name = self._module_rows, self.states.__getitem__
         return rows if self._module_ordered else tuple([tuple(sorted(r, key=name)) for r in rows])
 
     @property
     def arrow_count(self) -> int:
-        if not self.components:
-            return super().arrow_count
         return math.prod(c.arrow_count for c in self.components)
 
 
 def _flatten(modules: Sequence[Automaton]) -> list[Automaton]:
     comps: list[Automaton] = []
     for m in modules:
-        if isinstance(m, ProductAutomaton) and m.components:
+        if isinstance(m, ProductAutomaton):
             comps.extend(m.components)
         else:
             comps.append(m)
@@ -106,7 +100,7 @@ def _flatten(modules: Sequence[Automaton]) -> list[Automaton]:
 
 
 def _tuple_graph(cls, name: str, comps: Sequence[Automaton], reads, initials, **fields):
-    """The one constructor of products and wirings: a ``cls`` on tuples of
+    """The one builder of products and wirings: a ``cls`` on tuples of
     ``comps``'s states, module k reading as ``reads[k]`` says (see
     :func:`_tuple_transitions`), started at the tuple of ``initials`` unless
     one is ``None``; its ``moves`` compute each row when it is read.  Raises
@@ -245,13 +239,12 @@ def product_input_model(p: ProductAutomaton, models: Sequence[InputModel]) -> In
     objects, in O(tuple states + distinct rows * row length).  Raises
     :class:`InvalidDistribution` when a model is not one of its component's.
     """
-    comps = p.components if isinstance(p, ProductAutomaton) else ()
-    if not comps:
+    if not isinstance(p, ProductAutomaton):
         raise ArityMismatch(f"{p.name!r} is not a product of modules")
-    if len(models) != len(comps):
+    if len(models) != len(p.components):
         raise ArityMismatch("one model per component required")
     ids, rows = [0], [(1.0,)]  # each tuple-state prefix's row id; the distinct rows
-    for c, m in zip(comps, models):
+    for c, m in zip(p.components, models):
         by_bits: dict[bytes, int] = {}
         own_ids = [by_bits.setdefault(struct.pack(f"{len(r)}d", *r), len(by_bits))
                    for r in _weights(c, m)]

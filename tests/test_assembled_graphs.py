@@ -236,8 +236,8 @@ def test_arrow_views_are_built_on_first_read_only(monkeypatch, tff, tff_wiring, 
 def test_a_product_folding_its_moves_is_the_same_dataclass(monkeypatch, tff):
     """Before and after its moves are first folded, a product compares,
     prints, pickles, copies and is replaced as one given its rows; rows
-    given are kept as given, a product given modules only stores their
-    view, and a product with neither rows nor modules is refused."""
+    given are kept as given, and a product missing its rows, its modules
+    or both is refused."""
     mods = [_unordered(), tff[0]]
     names = [f.name for f in dataclasses.fields(ProductAutomaton)]
     assert names == [f.name for f in dataclasses.fields(Automaton)] + ["module_names",
@@ -247,10 +247,10 @@ def test_a_product_folding_its_moves_is_the_same_dataclass(monkeypatch, tff):
     rows = kept.moves
     bare = tuple(() for _ in kept.states)
     assert dataclasses.replace(kept, moves=bare).moves is bare and folds == []
-    # Built without rows, a product stores the view that products and wirings get.
-    unread, lone = dataclasses.replace(kept, moves=None), wire(Wiring("w", (("u", mods[0]),)))
-    assert {type(unread.moves), type(rows), type(lone.automaton.moves)} == {composition._TupleRows}
-    assert unread == kept and folds == []
+    # Products and wirings hold the one view that _tuple_graph builds.
+    built, lone = product_many(mods), wire(Wiring("w", (("u", mods[0]),)))
+    assert {type(built.moves), type(rows), type(lone.automaton.moves)} == {composition._TupleRows}
+    assert built == kept and folds == []
     ops = {
         "eq": lambda p: (p == kept, kept == p, p != product_many(mods[::-1])),
         "repr": repr,
@@ -267,21 +267,27 @@ def test_a_product_folding_its_moves_is_the_same_dataclass(monkeypatch, tff):
                 assert tuple(p.moves) == tuple(rows) and "_folded" in vars(p.moves)
             assert f(p) == want[op], (op, read)
             assert p.moves == rows and p.components == kept.components
-    with pytest.raises(ArityMismatch, match="needs its moves or components"):
-        ProductAutomaton(*[getattr(kept, name) for name in names[:6]])
-    with pytest.raises(ArityMismatch, match="needs its moves or components"):
-        dataclasses.replace(kept, moves=None, components=())
+    for missing in (lambda: dataclasses.replace(kept, moves=None),
+                    lambda: dataclasses.replace(kept, components=()),
+                    lambda: ProductAutomaton(*[getattr(kept, name) for name in names[:6]])):
+        with pytest.raises(ArityMismatch, match="needs both its moves and its components"):
+            missing()
 
 
-def test_a_product_given_rows_and_no_components_reads_its_rows(tff):
-    """Without modules to read them off, ``successors`` and ``arrow_count``
-    come from the given rows, as for any automaton, and agree with the
-    modules' when the rows are their product's."""
-    for mods, arrows in (([_unordered(), tff[0]], 20), ([tff[0], tff[0]], 16)):
+def test_a_product_given_rows_and_no_components_is_refused(tff):
+    """A product is its modules: given its rows without them it is
+    refused, and the all-free wiring of the same modules, whose rows are
+    the product's but which holds no modules, is no product to build an
+    input model on."""
+    for mods in ([_unordered(), tff[0]], [tff[0], tff[0]]):
         p = product_many(mods)
-        bare = dataclasses.replace(p, components=())
-        assert bare.successors == p.successors and bare.arrow_count == p.arrow_count == arrows
-        assert bare.successors == Automaton.successors.func(p)
+        graph = {f.name: getattr(p, f.name) for f in dataclasses.fields(Automaton)}
+        with pytest.raises(ArityMismatch, match="needs both its moves and its components"):
+            ProductAutomaton(**graph, module_names=p.module_names, components=())
+        free = wire(Wiring("free", tuple((f"m{i}", m) for i, m in enumerate(mods)))).automaton
+        assert (free.states, free.moves) == (p.states, p.moves)
+        with pytest.raises(ArityMismatch, match="'free' is not a product of modules"):
+            product_input_model(free, [InputModel.uniform(m) for m in mods])
 
 
 def test_reachable_part_of_a_ring_builds_no_arrow(monkeypatch, tff):

@@ -31,8 +31,8 @@ around every node, and :func:`astscan.scan` runs it over the modules.
     ``composition.reachable_subgraph`` read ``.moves`` only by index, so
     that a walk computes the rows it reaches and never folds a tuple graph's.
 11. A tuple graph's ``moves`` come from one place: only ``_tuple_graph``
-    and ``ProductAutomaton.__post_init__`` call ``_tuple_transitions``,
-    and no code writes ``moves`` through an instance ``__dict__``.
+    calls ``_tuple_transitions``, so every product and wiring is built
+    there, and no code writes ``moves`` through an instance ``__dict__``.
 12. The memo of held automaton parses has one reader and one writer: only
     ``parse_automaton`` names ``_PARSES``, past the binding that makes it.
 """
@@ -341,9 +341,8 @@ def test_reachability_walks_read_moves_only_by_index():
     assert astscan.scan(unindexed_moves, "core.py", "composition.py") == []
 
 
-# who may build a tuple graph's module tables: its one constructor, and a
-# product constructed directly from its components
-TABLE_BUILDERS = {"_tuple_graph", "ProductAutomaton.__post_init__"}
+# who may build a tuple graph's module tables: its one constructor
+TABLE_BUILDERS = {"_tuple_graph"}
 DICT_WRITES = {"update", "setdefault", "__setitem__", "pop", "__delitem__"}
 
 
@@ -395,6 +394,7 @@ def test_the_scan_finds_tuple_table_builds():
               "    vars(w).setdefault('moves', rows)\n"
               "    w.__dict__['name'] = vars(w)['moves']\n")
     assert tuple_table_builds(source) == [
+        (5, "ProductAutomaton.__post_init__", "_tuple_transitions"),
         (8, "ProductAutomaton.__eq__", "__dict__"), (8, "ProductAutomaton.__eq__", "_tuple_transitions"),
         (9, "ProductAutomaton.__eq__", "__dict__"), (11, "wire", "_tuple_transitions"),
         (12, "wire", "__dict__"), (13, "wire", "__dict__"),
