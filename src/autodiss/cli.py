@@ -172,7 +172,7 @@ def cmd_wire(args) -> dict:
     # every tuple state is built.  Dissipation is owed on the open graph
     # (what the per-module tests certify), even though the wired loop itself
     # may be choice-free: there a state's out-degree is the product of its modules'
-    # out-degrees, at the module states its index gives in the rows' (stride, size) radix.
+    # out-degrees, at the module states that the rows' ``_at`` gives for its index.
     # Choice bits of d equally likely arrows, summed as choice_information
     # sums them so that the floats agree; once per degree, as one can be 2**20.
     bits = functools.lru_cache(maxsize=None)(lambda d: ad.dissipation._bits([1 / max(d, 1)] * d))
@@ -184,7 +184,7 @@ def cmd_wire(args) -> dict:
         "arrow_count": sum(len({t for _, t in row}) for row in auto.moves),
         "initial": auto.initial,
         "open_choice_bits": {auto.states[i]: bits(math.prod(
-            len(m.successors[i // s % n]) for (_, m), (s, n) in zip(wiring.modules, auto.moves._radix)))
+            len(m.successors[q]) for (_, m), q in zip(wiring.modules, auto.moves._at(i))))
             for i in shown},
         "closed_choice_bits": {auto.states[i]: bits(len({t for _, t in auto.moves[i]}))
                                for i in shown},

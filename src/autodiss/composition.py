@@ -102,7 +102,7 @@ def _flatten(modules: Sequence[Automaton]) -> list[Automaton]:
 def _tuple_graph(cls, name: str, comps: Sequence[Automaton], reads, initials, **fields):
     """The one builder of products and wirings: a ``cls`` on tuples of
     ``comps``'s states, module k reading as ``reads[k]`` says (see
-    :func:`_tuple_transitions`), started at the tuple of ``initials`` unless
+    :class:`_TupleRows`), started at the tuple of ``initials`` unless
     one is ``None``; its ``moves`` compute each row when it is read.  Raises
     :class:`ArityMismatch` with no module; then, before building anything,
     :class:`SizeLimit` when tuple states, free tuple symbols or transitions
@@ -135,25 +135,48 @@ def _tuple_graph(cls, name: str, comps: Sequence[Automaton], reads, initials, **
         core._check_injective(states, output_map)
     initial = None if None in initials else "(" + ",".join(initials) + ")"
     return cls(name, inputs, tuple(sorted(output_map.values())), states, initial,
-               output_map, _tuple_transitions(comps, reads), **fields)
+               output_map, _TupleRows(comps, reads), **fields)
 
 
 class _TupleRows(core._TupleView):
-    """A tuple graph's ``moves`` (see :func:`_tuple_transitions`): ``len`` is Π|Qₖ|, an index
-    computes that row from the module tables in O(modules + row length), and iteration or a
-    slice computes every row once, in O(tuple states × modules + transitions), keeping them."""
+    """A tuple graph's ``moves``.  Tuple states are the product of the module state lists, tuple
+    symbols the product of the free modules' alphabets (or one clock symbol if none is free), both
+    in product order.  Module k takes its symbol from ``reads[k]``: ``None`` if free, else ``(j,
+    symbols)``, the symbol listed for module j's current state (a constant is ``(k, [sym] * n)``).
+    A tuple moves iff every module does.  Builds per-module tables only, in O(modules' size):
+    each module's stride and size in the mixed radix of tuple indices, and its targets times its
+    stride, as (symbol, target) rows if free, else per symbol index, or None where undefined.
+    ``len`` is Π|Qₖ|, an index computes that row from the tables in O(modules + row length), and
+    iteration or a slice computes every row once, in O(tuple states × modules + transitions),
+    keeping them."""
 
-    def __init__(self, radix, free, driven):
-        self._radix, self._free, self._driven = radix, free, driven
+    def __init__(self, comps: Sequence[Automaton], reads):
+        strides = [*itertools.accumulate([len(c.states) for c in comps[:0:-1]], operator.mul, initial=1)][::-1]
+        self._radix = [(stride, len(c.states)) for stride, c in zip(strides, comps)]
+        self._size, free, driven = strides[0] * len(comps[0].states), [], []
+        for k, (stride, c, read) in enumerate(zip(strides, comps, reads)):
+            if read is None:
+                free.append((k, len(c.input_alphabet), [[(s, t * stride) for s, t in row] for row in c.moves]))
+                continue
+            rows = [[None] * len(c.input_alphabet) for _ in c.states]
+            for row, dense in zip(c.moves, rows):
+                for s, t in row:
+                    dense[s] = t * stride
+            sym_at = {s: i for i, s in enumerate(c.input_alphabet)}
+            driven.append((k, read[0], [sym_at[s] for s in read[1]], rows))
+        self._free, self._driven = free, driven
 
     def __len__(self) -> int:
-        return math.prod(n for _, n in self._radix)
+        return self._size
 
     def __getitem__(self, i):
         if isinstance(i, slice) or "_folded" in vars(self):
             return self._folded[i]
-        i = range(len(self))[i]
-        return self._row([i // stride % n for stride, n in self._radix])
+        return self._row(self._at(range(self._size)[i]))
+
+    def _at(self, i: int) -> list[int]:
+        """The module states of tuple state ``i``, each as its index in its module's states."""
+        return [i // stride % n for stride, n in self._radix]
 
     def _row(self, at) -> tuple[tuple[int, int], ...]:
         """The row of the tuple of module states ``at``."""
@@ -178,32 +201,6 @@ class _TupleRows(core._TupleView):
     @cached_property
     def _folded(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         return tuple(map(self._row, itertools.product(*(range(n) for _, n in self._radix))))
-
-
-def _tuple_transitions(comps: Sequence[Automaton], reads) -> _TupleRows:
-    """The ``moves`` rows of the tuple graph, as a :class:`_TupleRows` view:
-    tuple states are the product of the module state lists, tuple symbols
-    the product of the free modules' alphabets (or one clock symbol if
-    none is free), both in product order.  Module k takes its symbol from
-    ``reads[k]``: ``None`` if free, else ``(j, symbols)``, the symbol listed
-    for module j's current state (a constant is ``(k, [sym] * n)``).  A tuple
-    moves iff every module does.  Builds per-module tables only, in O(modules' size): each
-    module's stride and size in the mixed radix of tuple indices, and its targets times its
-    stride, as (symbol, target) rows if free, else per symbol index, or None where undefined."""
-    strides = itertools.accumulate([len(c.states) for c in comps[:0:-1]], operator.mul, initial=1)
-    radix = [(stride, len(c.states)) for stride, c in zip([*strides][::-1], comps)]
-    free, driven = [], []
-    for k, ((stride, _), c, read) in enumerate(zip(radix, comps, reads)):
-        if read is None:
-            free.append((k, len(c.input_alphabet), [[(s, t * stride) for s, t in row] for row in c.moves]))
-            continue
-        rows = [[None] * len(c.input_alphabet) for _ in c.states]
-        for row, dense in zip(c.moves, rows):
-            for s, t in row:
-                dense[s] = t * stride
-        sym_at = {s: i for i, s in enumerate(c.input_alphabet)}
-        driven.append((k, read[0], [sym_at[s] for s in read[1]], rows))
-    return _TupleRows(radix, free, driven)
 
 
 def product_many(modules: Sequence[Automaton], name: Optional[str] = None) -> ProductAutomaton:

@@ -206,9 +206,17 @@ class Path:
         return len(self.word)
 
 
+def _sequence(tokens: Iterable[str], kind: str) -> tuple:
+    try:
+        tokens = iter(tokens)
+    except TypeError:  # not iterable
+        raise InvalidArgument(f"{kind} must be a sequence of symbols, got {tokens!r}") from None
+    return tuple(tokens)
+
+
 def _ordered_unique(tokens: Iterable[str], kind: str, parameter=None) -> tuple[str, ...]:
     seen = {}
-    for i, t in enumerate(tokens):
+    for i, t in enumerate(_sequence(tokens, kind)):
         entry = (parameter, i) if parameter else None
         try:
             if seen.setdefault(t, i) != i:
@@ -341,10 +349,7 @@ def step(a: Automaton, q: str, s: str) -> str:
 def run(a: Automaton, start: str, word: Sequence[str]) -> Path:
     """Iterate :func:`step` over an input word and record the path."""
     _state_index(a, start)
-    try:
-        word = tuple(word)
-    except TypeError:  # not iterable
-        raise InvalidArgument(f"word must be a sequence of symbols, got {word!r}") from None
+    word = _sequence(word, "word")
     q = start
     states = [q]
     for i, s in enumerate(word):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .core import Automaton, _has, _ordered_unique, _TupleView, convergent_states, validate
+from .core import Automaton, _has, _ordered_unique, _sequence, _TupleView, convergent_states, validate
 from .dissipation import InputModel, _charges, _check_budget
 from .errors import (
     AlphabetTooSmall,
@@ -445,6 +445,7 @@ def make_machine(
 
 def initial_configuration(tm: TuringMachine, tape: Sequence[str] = ()) -> Configuration:
     """Input laid out from cell 0, head on cell 0."""
+    tape = _sequence(tape, "input tape")
     for s in tape:
         if s not in tm.tape_alphabet:
             raise UnknownSymbol(s, "input tape")
@@ -518,8 +519,9 @@ def tm_run(
     holds a run, an equal call on the same machine object returns it; the run holds
     the machine, so the id in its key is not reused meanwhile."""
     _check_budget(max_steps=max_steps, tape_cap=tape_cap)
+    tape = _sequence(tape, "input tape")
     start = initial_configuration(tm, tape)
-    key = (id(tm), tuple(tape), max_steps, tape_cap)
+    key = (id(tm), tape, max_steps, tape_cap)
     if (held := _RUNS.get(key)) is not None:
         return held
     log, end = _advance(tm, start, min(max_steps, STEP_LOG_LIMIT + 1), tape_cap)
@@ -717,6 +719,7 @@ def bennett_simulate(
     :class:`IrreversibleStep`, from the replay's :class:`ValidationError`,
     for a forward run whose log or end does not fit the machine.
     """
+    tape = _sequence(tape, "input tape")
     forward = tm_run(tm, tape, max_steps=max_steps, tape_cap=tape_cap)
     if not forward.halted:
         raise NotHalting(max_steps)
@@ -730,7 +733,7 @@ def bennett_simulate(
     # No two snapshots share a key: within each phase one counter is strictly monotone.
     return BennettTrace(
         machine=tm.name,
-        input_tape=tuple(tape),
+        input_tape=tape,
         forward=forward,
         history_records=forward.log,
         global_configs=Snapshots(forward),

@@ -31,10 +31,14 @@ around every node, and :func:`astscan.scan` runs it over the modules.
     ``composition.reachable_subgraph`` read ``.moves`` only by index, so
     that a walk computes the rows it reaches and never folds a tuple graph's.
 11. A tuple graph's ``moves`` come from one place: only ``_tuple_graph``
-    calls ``_tuple_transitions``, so every product and wiring is built
-    there, and no code writes ``moves`` through an instance ``__dict__``.
+    calls ``_TupleRows(...)``, so every product and wiring is built there,
+    and no code writes ``moves`` through an instance ``__dict__``.  An
+    ``isinstance`` check or another reference to the class is no build.
 12. The memo of held automaton parses has one reader and one writer: only
     ``parse_automaton`` names ``_PARSES``, past the binding that makes it.
+13. The tuple index has one owner: no module but ``composition`` names a
+    row view's tables ``_radix``, ``_free`` or ``_driven``; others read a
+    tuple state's module states through ``_TupleRows._at``.
 """
 
 import ast
@@ -341,7 +345,7 @@ def test_reachability_walks_read_moves_only_by_index():
     assert astscan.scan(unindexed_moves, "core.py", "composition.py") == []
 
 
-# who may build a tuple graph's module tables: its one constructor
+# who may build a tuple graph's row view: its one constructor
 TABLE_BUILDERS = {"_tuple_graph"}
 DICT_WRITES = {"update", "setdefault", "__setitem__", "pop", "__delitem__"}
 
@@ -359,15 +363,15 @@ def _names_moves(nodes):
 
 
 def tuple_table_builds(source):
-    """(line, where, what) of each read of ``_tuple_transitions`` in ``source``
-    outside the functions ``TABLE_BUILDERS`` names, and of each write of
-    ``"moves"`` into an instance dict: a subscript stored or deleted, or a
-    ``DICT_WRITES`` method called with it as an argument or a keyword; ``where``
-    is as in :func:`astscan.nodes`."""
+    """(line, where, what) of each call of ``_TupleRows``, as a name or an
+    attribute, in ``source`` outside the functions ``TABLE_BUILDERS`` names,
+    and of each write of ``"moves"`` into an instance dict: a subscript stored
+    or deleted, or a ``DICT_WRITES`` method called with it as an argument or a
+    keyword; ``where`` is as in :func:`astscan.nodes`."""
     found = []
     for node, where, _ in astscan.nodes(source):
-        if loaded(node) == "_tuple_transitions" and where not in TABLE_BUILDERS:
-            found.append((node.lineno, where, "_tuple_transitions"))
+        if isinstance(node, ast.Call) and loaded(node.func) == "_TupleRows" and where not in TABLE_BUILDERS:
+            found.append((node.lineno, where, "_TupleRows"))
         elif (isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
               and _instance_dict(node.value) and _names_moves([node.slice])):
             found.append((node.lineno, where, "__dict__"))
@@ -380,29 +384,62 @@ def tuple_table_builds(source):
 
 def test_the_scan_finds_tuple_table_builds():
     source = ("def _tuple_graph(cls, comps, reads):\n"
-              "    return cls(moves=_tuple_transitions(comps, reads))\n"
+              "    return cls(moves=_TupleRows(comps, reads))\n"
               "class ProductAutomaton:\n"
               "    def __post_init__(self):\n"
-              "        object.__setattr__(self, 'moves', _tuple_transitions(self.c, [None]))\n"
+              "        object.__setattr__(self, 'moves', _TupleRows(self.c, [None]))\n"
               "        print(self.__dict__['moves'], vars(self).get('moves'))\n"
               "    def __eq__(self, other):\n"
-              "        self.__dict__['moves'] = composition._tuple_transitions(self.c, [])\n"
+              "        self.__dict__['moves'] = composition._TupleRows(self.c, [])\n"
               "        del vars(other)['moves']\n"
+              "        return isinstance(other.moves, composition._TupleRows)\n"
               "def wire(w):\n"
-              "    rows = _tuple_transitions\n"
-              "    w.__dict__.update(moves=rows)\n"
+              "    rows = _TupleRows\n"
+              "    w.__dict__.update(moves=rows(w.c, w.reads))\n"
               "    vars(w).setdefault('moves', rows)\n"
               "    w.__dict__['name'] = vars(w)['moves']\n")
     assert tuple_table_builds(source) == [
-        (5, "ProductAutomaton.__post_init__", "_tuple_transitions"),
-        (8, "ProductAutomaton.__eq__", "__dict__"), (8, "ProductAutomaton.__eq__", "_tuple_transitions"),
-        (9, "ProductAutomaton.__eq__", "__dict__"), (11, "wire", "_tuple_transitions"),
-        (12, "wire", "__dict__"), (13, "wire", "__dict__"),
+        (5, "ProductAutomaton.__post_init__", "_TupleRows"),
+        (8, "ProductAutomaton.__eq__", "_TupleRows"), (8, "ProductAutomaton.__eq__", "__dict__"),
+        (9, "ProductAutomaton.__eq__", "__dict__"), (13, "wire", "__dict__"), (14, "wire", "__dict__"),
     ]
 
 
 def test_tuple_graph_moves_come_from_one_place():
     assert astscan.scan(tuple_table_builds) == []
+
+
+# the row view's tables of the tuple index, and the one module that may name them
+VIEW_TABLES, VIEW_OWNER = {"_radix", "_free", "_driven"}, "composition.py"
+
+
+def view_table_uses(source, name):
+    """(line, where, attribute) of each attribute ``VIEW_TABLES`` names, read or
+    written, in ``source``, the package file ``name``, unless it is ``VIEW_OWNER``;
+    ``where`` is as in :func:`astscan.nodes`."""
+    if name == VIEW_OWNER:
+        return []
+    return sorted((node.lineno, where, node.attr) for node, where, _ in astscan.nodes(source)
+                  if isinstance(node, ast.Attribute) and node.attr in VIEW_TABLES)
+
+
+def test_the_scan_finds_view_table_uses():
+    source = ("def cmd_wire(args):\n"
+              "    auto = wire(args)\n"
+              "    degrees = [i // s % n for s, n in auto.moves._radix]\n"
+              "    _radix = auto.moves._at(0)\n"
+              "    return getattr(auto.moves, '_driven')._free, _radix, degrees\n"
+              "class View:\n"
+              "    def __init__(self):\n"
+              "        self._driven = []\n")
+    assert view_table_uses(source, "cli.py") == [
+        (3, "cmd_wire", "_radix"), (5, "cmd_wire", "_free"), (8, "View.__init__", "_driven"),
+    ]
+    assert view_table_uses(source, "composition.py") == []
+
+
+def test_only_composition_names_the_tuple_index_tables():
+    assert astscan.scan(view_table_uses, by_name=True) == []
 
 
 # who may read or write the memo of held parses: the parser whose results it holds

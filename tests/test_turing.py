@@ -34,6 +34,7 @@ from autodiss import (
     point_distribution,
     tm_run,
     tm_step,
+    validate,
 )
 from autodiss.errors import (
     AlphabetTooSmall,
@@ -436,6 +437,40 @@ def test_bennett_restores_arbitrary_inputs(bb2):
         assert trace.global_configs[-1].config == initial_configuration(bb2, tape)
         assert trace.output_tape == trace.forward.result
         assert trace.total_steps == 2 * trace.forward.steps + trace.forward.result_length
+
+
+def test_a_tape_given_as_an_iterator_is_read_once(bb2):
+    """An iterator tape is read once, as a tuple: its cells, the run memo's key and
+    ``input_tape`` are those of the listed tape, not of a blank one."""
+    listed = tm_run(bb2, ["1", "1"])
+    once = tm_run(bb2, iter(["1", "1"]))
+    assert once is listed and once is not tm_run(bb2, [])
+    assert initial_configuration(bb2, iter(["1", "1"])) == initial_configuration(bb2, ["1", "1"])
+    for tape in (["1"], ["0", "1", "1"]):
+        trace, from_list = bennett_simulate(bb2, iter(tape)), bennett_simulate(bb2, tape)
+        assert trace.input_tape == from_list.input_tape == tuple(tape)
+        assert (trace.forward.log, trace.forward.configurations.end) == (
+            from_list.forward.log, from_list.forward.configurations.end)
+
+
+@pytest.mark.parametrize("bad", [None, 2.5, 7], ids=["none", "float", "int"])
+@pytest.mark.parametrize("call, kind", [
+    pytest.param(lambda tm, x: validate("a", x, ["o"], ["q"]), "input alphabet", id="validate-inputs"),
+    pytest.param(lambda tm, x: validate("a", ["s"], x, ["q"]), "output alphabet", id="validate-outputs"),
+    pytest.param(lambda tm, x: validate("a", ["s"], ["o"], x), "states", id="validate-states"),
+    pytest.param(lambda tm, x: make_machine("m", x, "0", ["A"], "A"), "tape alphabet", id="make_machine-alphabet"),
+    pytest.param(lambda tm, x: make_machine("m", ["0"], "0", x, "A"), "control states", id="make_machine-states"),
+    pytest.param(lambda tm, x: cell_automaton(x), "cell alphabet", id="cell_automaton"),
+    pytest.param(lambda tm, x: initial_configuration(tm, x), "input tape", id="initial_configuration"),
+    pytest.param(lambda tm, x: tm_run(tm, x), "input tape", id="tm_run"),
+    pytest.param(lambda tm, x: bennett_simulate(tm, x), "input tape", id="bennett_simulate"),
+    pytest.param(lambda tm, x: modular_tm_dissipation(tm, x), "input tape", id="modular_tm_dissipation"),
+    pytest.param(lambda tm, x: check_convergence_lemma(tm, x, horizon=10), "input tape",
+                 id="check_convergence_lemma"),
+])
+def test_a_token_sequence_that_is_not_iterable_is_an_invalid_argument(bb2, call, kind, bad):
+    with pytest.raises(InvalidArgument, match=re.escape(f"{kind} must be a sequence of symbols, got {bad!r}")):
+        call(bb2, bad)
 
 
 def test_bennett_snapshots_compare_by_value_across_simulations(bb2):
